@@ -10,6 +10,9 @@ TagePredictor::TagePredictor(const TageConfig &cfg)
 {
     mssr_assert(isPow2(cfg.baseEntries));
     mssr_assert(!cfg.histLens.empty());
+    mssr_assert(cfg.histLens.size() <= TageLookup::MaxTables,
+                "TAGE supports at most ", TageLookup::MaxTables,
+                " tagged tables");
     tables_.resize(cfg_.histLens.size());
     for (auto &table : tables_)
         table.resize(std::size_t(1) << cfg_.tableBits);
@@ -45,8 +48,6 @@ TagePredictor::lookup(Addr pc, const GlobalHistory &hist) const
 {
     TageLookup look;
     const unsigned n = static_cast<unsigned>(tables_.size());
-    look.indices.resize(n);
-    look.tags.resize(n);
     look.baseIndex = (pc / InstBytes) & (base_.size() - 1);
 
     for (unsigned t = 0; t < n; ++t) {

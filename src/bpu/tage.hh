@@ -9,6 +9,7 @@
 #ifndef MSSR_BPU_TAGE_HH
 #define MSSR_BPU_TAGE_HH
 
+#include <array>
 #include <vector>
 
 #include "bpu/predictor.hh"
@@ -19,6 +20,7 @@ namespace mssr
 /** TAGE sizing parameters; defaults give a ~64K-budget predictor. */
 struct TageConfig
 {
+    /** One tagged table per entry; at most TageLookup::MaxTables. */
     std::vector<unsigned> histLens = {4, 8, 16, 32, 64, 128};
     unsigned tableBits = 10;   //!< log2 entries per tagged table
     unsigned tagBits = 9;
@@ -29,14 +31,19 @@ struct TageConfig
 /** Result of a TAGE table walk, shared by predict and train paths. */
 struct TageLookup
 {
+    /** Most tagged tables a TagePredictor accepts. */
+    static constexpr unsigned MaxTables = 16;
+
     int provider = -1;         //!< providing tagged table, -1 = base
     int alt = -1;              //!< alternate provider, -1 = base
     bool providerPred = false;
     bool altPred = false;
     bool pred = false;         //!< final TAGE prediction
     bool weak = false;         //!< provider counter is weak
-    std::vector<std::uint32_t> indices;  //!< per-table index
-    std::vector<std::uint16_t> tags;     //!< per-table tag
+    // Fixed-size so a lookup (twice per branch) never allocates; only
+    // the first histLens.size() slots are used.
+    std::array<std::uint32_t, MaxTables> indices{}; //!< per-table index
+    std::array<std::uint16_t, MaxTables> tags{};    //!< per-table tag
     std::size_t baseIndex = 0;
 };
 

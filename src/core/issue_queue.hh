@@ -9,7 +9,6 @@
 #ifndef MSSR_CORE_ISSUE_QUEUE_HH
 #define MSSR_CORE_ISSUE_QUEUE_HH
 
-#include <functional>
 #include <list>
 #include <vector>
 
@@ -39,12 +38,15 @@ class IssueQueue
      * Selects up to @p max_issue ready instructions, oldest first,
      * removing them from the queue.
      * @param ready predicate deciding whether an inst can issue now.
+     * @param out replaced with the selected instructions, oldest first
+     *        (a caller-owned buffer, so selection does not allocate).
      */
-    std::vector<DynInstPtr>
-    selectReady(unsigned max_issue,
-                const std::function<bool(const DynInstPtr &)> &ready)
+    template <typename ReadyFn>
+    void
+    selectReady(unsigned max_issue, ReadyFn &&ready,
+                std::vector<DynInstPtr> &out)
     {
-        std::vector<DynInstPtr> out;
+        out.clear();
         for (auto it = insts_.begin();
              it != insts_.end() && out.size() < max_issue;) {
             if (ready(*it)) {
@@ -55,7 +57,6 @@ class IssueQueue
                 ++it;
             }
         }
-        return out;
     }
 
     /** Removes squashed instructions (seq > @p after_seq). */

@@ -226,7 +226,7 @@ void
 O3Cpu::writebackStage()
 {
     // Collect due events; process in sequence order for determinism.
-    std::vector<DynInstPtr> due;
+    std::vector<DynInstPtr> &due = wbDue_;
     for (auto it = wbQueue_.begin(); it != wbQueue_.end();) {
         if (it->when <= cycle_) {
             due.push_back(it->inst);
@@ -281,6 +281,7 @@ O3Cpu::writebackStage()
                           SquashReason::BranchMispredict);
         }
     }
+    due.clear();
 }
 
 void
@@ -404,14 +405,17 @@ O3Cpu::issueStage()
         return inst->verifyPending || srcsReady(inst);
     };
 
-    for (const auto &inst : iqInt_.selectReady(cfg_.core.numBru,
-                                               readyBranch)) {
-        executeInst(inst);
-    }
-    for (const auto &inst : iqInt_.selectReady(cfg_.core.numAlu, readyAlu))
-        executeInst(inst);
-    for (const auto &inst : iqMem_.selectReady(cfg_.core.numLsu, readyMem))
-        executeInst(inst);
+    // Select all, then execute: executeLoad() re-inserts a stalled
+    // load into iqMem_ while the selected loads execute.
+    auto issue = [&](IssueQueue &iq, unsigned width, auto &&ready) {
+        iq.selectReady(width, ready, issueBuf_);
+        for (const DynInstPtr &inst : issueBuf_)
+            executeInst(inst);
+    };
+    issue(iqInt_, cfg_.core.numBru, readyBranch);
+    issue(iqInt_, cfg_.core.numAlu, readyAlu);
+    issue(iqMem_, cfg_.core.numLsu, readyMem);
+    issueBuf_.clear();
 }
 
 O3Cpu::RenameOutcome
@@ -702,7 +706,7 @@ O3Cpu::applySquash()
            squash.reason, squash.redirectPC);
 
     // 1. ROB walk (youngest first): rename rollback.
-    std::vector<DynInstPtr> squashed;
+    std::vector<DynInstPtr> &squashed = squashBuf_;
     rob_.squashAfter(squash.afterSeq, [&](const DynInstPtr &inst) {
         inst->squashed = true;
         if (inst->si.hasRd())
@@ -779,6 +783,7 @@ O3Cpu::applySquash()
     // the profiler charges them to the same causing PC.
     recoveryReason_ = squash.reason;
     recoveryCausePC_ = squash.cause->pc;
+    squashed.clear();
 }
 
 void

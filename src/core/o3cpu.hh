@@ -212,6 +212,13 @@ class O3Cpu
     Lsq lsq_;
     std::vector<WritebackEvent> wbQueue_;
 
+    // Scratch buffers reused every cycle or squash so the cycle loop
+    // does not allocate. Each is empty between uses, so none keeps a
+    // squashed or retired instruction alive.
+    std::vector<DynInstPtr> wbDue_;      //!< writebackStage: due events
+    std::vector<DynInstPtr> issueBuf_;   //!< issueStage: selected insts
+    std::vector<DynInstPtr> squashBuf_;  //!< applySquash: ROB walk
+
     // Reuse schemes (at most one active).
     std::unique_ptr<ReuseUnit> reuse_;
     std::unique_ptr<IntegrationTable> ri_;

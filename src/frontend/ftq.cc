@@ -36,11 +36,9 @@ Ftq::advanceFetch(unsigned n)
     }
 }
 
-std::vector<PredBlock>
+void
 Ftq::squashAfter(std::uint64_t block_id, Addr keep_pc)
 {
-    std::vector<PredBlock> squashed;
-
     // Locate the redirecting block.
     std::size_t idx = 0;
     bool found = false;
@@ -54,18 +52,10 @@ Ftq::squashAfter(std::uint64_t block_id, Addr keep_pc)
         // The redirecting block already retired (possible for flushes
         // triggered by loads whose block head was deallocated): squash
         // everything still queued.
-        idx = 0;
-        for (const Entry &e : entries_) {
-            if (e.fetched > 0) {
-                PredBlock part = e.block;
-                part.endPC = part.startPC + (e.fetched - 1) * InstBytes;
-                squashed.push_back(part);
-            }
-        }
         entries_.clear();
         fetchIdx_ = 0;
         fetchOffset_ = 0;
-        return squashed;
+        return;
     }
 
     Entry &pivot = entries_[idx];
@@ -73,24 +63,6 @@ Ftq::squashAfter(std::uint64_t block_id, Addr keep_pc)
     const unsigned keep =
         static_cast<unsigned>((keep_pc - pivot.block.startPC) / InstBytes)
         + 1;
-
-    // Partial tail of the pivot block that was already fetched.
-    if (pivot.fetched > keep) {
-        PredBlock part = pivot.block;
-        part.startPC = pivot.block.startPC + keep * InstBytes;
-        part.endPC = pivot.block.startPC + (pivot.fetched - 1) * InstBytes;
-        squashed.push_back(part);
-    }
-    // Younger whole blocks (only their fetched prefix entered the
-    // backend, so only that prefix is a squashed-path range).
-    for (std::size_t i = idx + 1; i < entries_.size(); ++i) {
-        const Entry &e = entries_[i];
-        if (e.fetched > 0) {
-            PredBlock part = e.block;
-            part.endPC = part.startPC + (e.fetched - 1) * InstBytes;
-            squashed.push_back(part);
-        }
-    }
 
     // Truncate: the pivot block now ends at the redirecting inst.
     pivot.block.endPC = keep_pc;
@@ -103,7 +75,6 @@ Ftq::squashAfter(std::uint64_t block_id, Addr keep_pc)
     // instruction was necessarily fetched to execute).
     fetchIdx_ = entries_.size();
     fetchOffset_ = 0;
-    return squashed;
 }
 
 void

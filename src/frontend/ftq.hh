@@ -2,16 +2,15 @@
  * @file
  * Fetch Target Queue (paper section 3.3.1): holds prediction blocks
  * produced by the BPU pipeline until fetch consumes them and until
- * their branches retire or squash. Extended (per the paper) with an
- * interface that dumps squashed prediction blocks for the Wrong-Path
- * Buffers on branch misprediction.
+ * their branches retire or squash. The Wrong-Path Buffers are filled
+ * from the ROB's squashed instructions (ReuseUnit::onBranchSquash),
+ * not from the FTQ.
  */
 
 #ifndef MSSR_FRONTEND_FTQ_HH
 #define MSSR_FRONTEND_FTQ_HH
 
 #include <deque>
-#include <vector>
 
 #include "frontend/pred_block.hh"
 
@@ -46,12 +45,10 @@ class Ftq
      * @param block_id FTQ id of the block containing the redirecting
      *        instruction.
      * @param keep_pc PC of the redirecting instruction (last kept).
-     * @return the squashed program path as prediction-block ranges:
-     *         the partial tail of the redirecting block (if any)
-     *         followed by all younger blocks. Ranges only cover
-     *         instructions that were actually sent to fetch.
+     *        When block @p block_id has already retired, every queued
+     *        block is squashed.
      */
-    std::vector<PredBlock> squashAfter(std::uint64_t block_id, Addr keep_pc);
+    void squashAfter(std::uint64_t block_id, Addr keep_pc);
 
     /** Deallocates retired blocks older than @p block_id. */
     void retireUpTo(std::uint64_t block_id);

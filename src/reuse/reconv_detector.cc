@@ -11,7 +11,7 @@ ReconvDetector::leftAlignerMask(const WpbStream &stream, Addr head_start)
 {
     mssr_assert(stream.entries.size() <= 64);
     std::uint64_t out = 0;
-    for (std::size_t i = 0; i < stream.entries.size(); ++i) {
+    for (unsigned i = 0; i < stream.numEntries; ++i) {
         const WpbEntry &e = stream.entries[i];
         if (e.valid && head_start <= e.endPC)
             out |= std::uint64_t(1) << i;
@@ -24,7 +24,7 @@ ReconvDetector::rightAlignerMask(const WpbStream &stream, Addr head_end)
 {
     mssr_assert(stream.entries.size() <= 64);
     std::uint64_t out = 0;
-    for (std::size_t i = 0; i < stream.entries.size(); ++i) {
+    for (unsigned i = 0; i < stream.numEntries; ++i) {
         const WpbEntry &e = stream.entries[i];
         if (e.valid && head_end >= e.startPC)
             out |= std::uint64_t(1) << i;
@@ -46,10 +46,9 @@ ReconvDetector::match(const WpbStream &stream, Addr head_start,
 
     // Hardware path: aligner bit-masks + priority encoder (up to 64
     // entries, the realistic regime). Larger buffers -- used only for
-    // the Figure-10 upper-bound study -- fall back to a direct scan
-    // with identical first-overlap semantics.
+    // the Figure-10 upper-bound study -- fall back to a direct scan of
+    // the filled prefix with identical first-overlap semantics.
     unsigned idx = 0;
-    bool found = false;
     if (stream.entries.size() <= 64) {
         const std::uint64_t overlapMask =
             leftAlignerMask(stream, head_start) &
@@ -58,16 +57,12 @@ ReconvDetector::match(const WpbStream &stream, Addr head_start,
             return hit;
         while (!((overlapMask >> idx) & 1))
             ++idx;
-        found = true;
     } else {
-        for (std::size_t i = 0; i < stream.entries.size() && !found; ++i) {
-            const WpbEntry &e = stream.entries[i];
-            if (e.valid && head_start <= e.endPC && head_end >= e.startPC) {
-                idx = static_cast<unsigned>(i);
-                found = true;
-            }
-        }
-        if (!found)
+        while (idx < stream.numEntries &&
+               !(head_start <= stream.entries[idx].endPC &&
+                 head_end >= stream.entries[idx].startPC))
+            ++idx;
+        if (idx == stream.numEntries)
             return hit;
     }
 
@@ -81,9 +76,7 @@ ReconvDetector::match(const WpbStream &stream, Addr head_start,
     unsigned offset = 0;
     for (unsigned i = 0; i < idx; ++i) {
         const WpbEntry &e = stream.entries[i];
-        if (e.valid)
-            offset += static_cast<unsigned>(
-                (e.endPC - e.startPC) / InstBytes + 1);
+        offset += static_cast<unsigned>((e.endPC - e.startPC) / InstBytes + 1);
     }
     offset += static_cast<unsigned>(
         (hit.reconvPC - entry.startPC) / InstBytes);

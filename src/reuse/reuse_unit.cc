@@ -25,9 +25,8 @@ ReuseUnit::streamInstPC(const WpbStream &stream, unsigned index,
                         Addr &pc_out)
 {
     unsigned remaining = index;
-    for (const WpbEntry &e : stream.entries) {
-        if (!e.valid)
-            continue;
+    for (unsigned i = 0; i < stream.numEntries; ++i) {
+        const WpbEntry &e = stream.entries[i];
         const unsigned n =
             static_cast<unsigned>((e.endPC - e.startPC) / InstBytes + 1);
         if (remaining < n) {
@@ -103,22 +102,22 @@ ReuseUnit::onBranchSquash(SeqNum branch_seq,
 
     // Reconstruct the squashed path as contiguous fetch-block ranges
     // (<= fetch-block size), oldest first.
-    std::vector<WpbEntry> ranges;
+    ranges_.clear();
     constexpr unsigned MaxBlockInsts = 8; // 32B / 4B
     for (const auto &inst : squashed) {
         const bool extend =
-            !ranges.empty() &&
-            ranges.back().endPC + InstBytes == inst->pc &&
-            (ranges.back().endPC - ranges.back().startPC) / InstBytes + 1 <
+            !ranges_.empty() &&
+            ranges_.back().endPC + InstBytes == inst->pc &&
+            (ranges_.back().endPC - ranges_.back().startPC) / InstBytes + 1 <
                 MaxBlockInsts;
         if (extend) {
-            ranges.back().endPC = inst->pc;
+            ranges_.back().endPC = inst->pc;
         } else {
-            ranges.push_back(WpbEntry{true, inst->pc, inst->pc});
+            ranges_.push_back(WpbEntry{true, inst->pc, inst->pc});
         }
     }
 
-    const unsigned s = wpb_.writeStream(ranges, branch_seq, squashEvents_);
+    const unsigned s = wpb_.writeStream(ranges_, branch_seq, squashEvents_);
     mssr_assert(s == victim);
     ++streamsCaptured_;
     streamCaptureCycle_[s] = now;
@@ -197,16 +196,16 @@ ReuseUnit::detect(Addr start_pc, Addr end_pc)
 
     // Most-recently-updated stream is preferred (section 3.3.1);
     // streams already claimed by a queued session are skipped.
-    std::vector<unsigned> order;
+    order_.clear();
     for (unsigned s = 0; s < wpb_.numStreams(); ++s)
         if (wpb_.stream(s).valid && !streamInSession(s))
-            order.push_back(s);
-    std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
+            order_.push_back(s);
+    std::sort(order_.begin(), order_.end(), [&](unsigned a, unsigned b) {
         return wpb_.stream(a).squashEventIndex >
                wpb_.stream(b).squashEventIndex;
     });
 
-    for (unsigned s : order) {
+    for (unsigned s : order_) {
         const WpbStream &stream = wpb_.stream(s);
         const ReconvHit hit = ReconvDetector::match(
             stream, start_pc, end_pc, cfg_.restrictVpn);

@@ -207,6 +207,11 @@ class ReuseUnit
     bool renameActive_ = false; //!< front session reached lockstep
     unsigned renameCursor_ = 0; //!< Squash Log cursor of front session
 
+    // Scratch buffers reused across calls so the per-squash and
+    // per-block paths do not allocate.
+    std::vector<WpbEntry> ranges_; //!< onBranchSquash: squashed path
+    std::vector<unsigned> order_;  //!< detect: candidate streams
+
     std::uint64_t squashEvents_ = 0;
     SeqNum lastRedirectBranchSeq_ = InvalidSeqNum;
 

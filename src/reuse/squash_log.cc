@@ -1,5 +1,7 @@
 #include "reuse/squash_log.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace mssr
@@ -17,10 +19,10 @@ void
 SquashLog::clearStream(unsigned s)
 {
     mssr_assert(s < streams_.size());
-    streams_[s].valid = false;
-    streams_[s].numEntries = 0;
-    for (auto &e : streams_[s].entries)
-        e = SquashLogEntry{};
+    SquashLogStream &stream = streams_[s];
+    std::fill_n(stream.entries.begin(), stream.numEntries, SquashLogEntry{});
+    stream.valid = false;
+    stream.numEntries = 0;
 }
 
 bool

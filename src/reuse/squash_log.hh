@@ -56,14 +56,24 @@ struct SquashLogEntry
     bool isControl = false;
     Addr memAddr = 0;
     std::uint8_t memSize = 0;
+
+    bool operator==(const SquashLogEntry &) const = default;
 };
 
-/** One squashed stream's log. */
+/**
+ * One squashed stream's log.
+ *
+ * Invariant: every slot at or past numEntries is a default-constructed
+ * SquashLogEntry. SquashLog::append() writes slots in order and every
+ * path that drops a stream goes through SquashLog::clearStream(), so
+ * clearing, releasing and scanning a stream touch only the filled
+ * prefix entries[0, numEntries), never the configured capacity.
+ */
 struct SquashLogStream
 {
     bool valid = false;
     std::vector<SquashLogEntry> entries;
-    unsigned numEntries = 0;
+    unsigned numEntries = 0;    //!< filled prefix of entries
 };
 
 class SquashLog
@@ -80,7 +90,10 @@ class SquashLog
     SquashLogStream &stream(unsigned s) { return streams_[s]; }
     const SquashLogStream &stream(unsigned s) const { return streams_[s]; }
 
-    /** Clears stream @p s for rewriting (WPB allocates round-robin). */
+    /**
+     * Clears stream @p s for rewriting (WPB allocates round-robin).
+     * Resets only the filled prefix; the rest is already default.
+     */
     void clearStream(unsigned s);
 
     /**

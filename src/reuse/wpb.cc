@@ -10,9 +10,9 @@ unsigned
 WpbStream::numInsts() const
 {
     unsigned n = 0;
-    for (const auto &e : entries)
-        if (e.valid)
-            n += static_cast<unsigned>((e.endPC - e.startPC) / InstBytes + 1);
+    for (unsigned i = 0; i < numEntries; ++i)
+        n += static_cast<unsigned>(
+            (entries[i].endPC - entries[i].startPC) / InstBytes + 1);
     return n;
 }
 
@@ -36,13 +36,11 @@ Wpb::writeStream(const std::vector<WpbEntry> &ranges,
     const unsigned s = writePtr_;
     writePtr_ = (writePtr_ + 1) % numStreams();
 
+    invalidate(s);
     WpbStream &stream = streams_[s];
-    stream.valid = !ranges.empty();
     stream.originBranchSeq = origin_branch_seq;
     stream.squashEventIndex = squash_event_index;
     stream.ageInsts = 0;
-    for (auto &e : stream.entries)
-        e.valid = false;
 
     if (ranges.empty())
         return s;
@@ -58,6 +56,7 @@ Wpb::writeStream(const std::vector<WpbEntry> &ranges,
         stream.entries[filled].valid = true;
         ++filled;
     }
+    stream.numEntries = filled;
     stream.valid = filled > 0;
     return s;
 }
@@ -66,9 +65,11 @@ void
 Wpb::invalidate(unsigned s)
 {
     mssr_assert(s < streams_.size());
-    streams_[s].valid = false;
-    for (auto &e : streams_[s].entries)
-        e.valid = false;
+    WpbStream &stream = streams_[s];
+    for (unsigned i = 0; i < stream.numEntries; ++i)
+        stream.entries[i].valid = false;
+    stream.numEntries = 0;
+    stream.valid = false;
 }
 
 void
@@ -93,8 +94,7 @@ Wpb::occupancy() const
     std::size_t valid = 0;
     for (const auto &s : streams_)
         if (s.valid)
-            for (const auto &e : s.entries)
-                valid += e.valid ? 1 : 0;
+            valid += s.numEntries;
     return static_cast<double>(valid) /
            static_cast<double>(streams_.size() * entriesPerStream_);
 }

@@ -26,17 +26,27 @@ struct WpbEntry
     Addr endPC = 0;   //!< inclusive
 };
 
-/** One squashed stream in the WPB. */
+/**
+ * One squashed stream in the WPB.
+ *
+ * Invariant: entries[0, numEntries) are valid and every slot at or past
+ * numEntries is invalid (its PCs may be left over from a longer earlier
+ * write). Wpb::invalidate() clears only the old prefix and
+ * Wpb::writeStream() invalidates, then fills slots in order, so
+ * everything that walks a stream stops at numEntries instead of the
+ * configured capacity.
+ */
 struct WpbStream
 {
     bool valid = false;
     std::vector<WpbEntry> entries;
+    unsigned numEntries = 0;         //!< filled prefix of entries
     Addr vpn = 0;                    //!< PC[47:12] when VPN-restricted
     SeqNum originBranchSeq = 0;      //!< branch whose squash made this
     std::uint64_t squashEventIndex = 0;
     std::uint64_t ageInsts = 0;      //!< renamed insts since creation
 
-    /** Total instructions covered by valid entries. */
+    /** Total instructions covered by the filled entries. */
     unsigned numInsts() const;
 };
 
@@ -72,7 +82,7 @@ class Wpb
     /** Stream index the next writeStream() call will overwrite. */
     unsigned nextStream() const { return writePtr_; }
 
-    /** Invalidates stream @p s. */
+    /** Invalidates stream @p s, clearing its filled prefix. */
     void invalidate(unsigned s);
 
     /** Invalidates all streams. */

@@ -64,10 +64,12 @@ TEST_P(RgidSizingCosim, ArchitecturallyInvisible)
                     std::to_string(entries));
 }
 
+// 4096 log entries give 1024-block WPBs, which take the >64-entry
+// reconvergence scan: the Figure-10 upper-bound sizing.
 INSTANTIATE_TEST_SUITE_P(
     Sizes, RgidSizingCosim,
     ::testing::Combine(::testing::Values(1u, 2u, 4u),
-                       ::testing::Values(16u, 64u, 128u)));
+                       ::testing::Values(16u, 64u, 128u, 4096u)));
 
 // ---------------------------------------------------------------------
 // Sweep 2: Register Integration table geometries.

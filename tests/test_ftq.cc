@@ -55,28 +55,8 @@ TEST(Ftq, SquashAfterMidBlock)
         ftq.advanceFetch(1);
     // Redirecting instruction: 0x1004 in block 1; everything after is
     // the squashed path.
-    const auto squashed = ftq.squashAfter(1, 0x1004);
-    ASSERT_EQ(squashed.size(), 2u);
-    EXPECT_EQ(squashed[0].startPC, 0x1008u); // tail of block 1
-    EXPECT_EQ(squashed[0].endPC, 0x100cu);
-    EXPECT_EQ(squashed[1].startPC, 0x2000u);
-    EXPECT_EQ(squashed[1].endPC, 0x200cu);
+    ftq.squashAfter(1, 0x1004);
     EXPECT_EQ(ftq.size(), 1u); // truncated pivot remains
-}
-
-TEST(Ftq, SquashReturnsOnlyFetchedPrefix)
-{
-    Ftq ftq(8);
-    ftq.push(block(1, 0x1000, 2));
-    ftq.push(block(2, 0x2000, 8));
-    ftq.advanceFetch(1);
-    ftq.advanceFetch(1); // block 1 fully fetched
-    ftq.advanceFetch(1); // one inst of block 2
-    const auto squashed = ftq.squashAfter(1, 0x1004);
-    // Block 2: only its fetched first instruction is squashed path.
-    ASSERT_EQ(squashed.size(), 1u);
-    EXPECT_EQ(squashed[0].startPC, 0x2000u);
-    EXPECT_EQ(squashed[0].endPC, 0x2000u);
 }
 
 TEST(Ftq, RetireDeallocatesOldBlocks)
@@ -98,7 +78,6 @@ TEST(Ftq, SquashWithRetiredPivotFlushesEverything)
     ftq.push(block(5, 0x1000, 1));
     ftq.advanceFetch(1);
     // Pivot id 3 no longer exists (retired before): conservative flush.
-    const auto squashed = ftq.squashAfter(3, 0x0900);
-    EXPECT_EQ(squashed.size(), 1u);
+    ftq.squashAfter(3, 0x0900);
     EXPECT_TRUE(ftq.empty());
 }

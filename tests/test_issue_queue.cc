@@ -25,8 +25,9 @@ TEST(IssueQueue, SelectsOldestReadyFirst)
     iq.insert(b);
     iq.insert(c);
     // Only b and c ready; width 1 picks b (oldest ready).
-    auto picked = iq.selectReady(
-        1, [&](const DynInstPtr &inst) { return inst->seq >= 2; });
+    std::vector<DynInstPtr> picked;
+    iq.selectReady(
+        1, [&](const DynInstPtr &inst) { return inst->seq >= 2; }, picked);
     ASSERT_EQ(picked.size(), 1u);
     EXPECT_EQ(picked[0]->seq, 2u);
     EXPECT_EQ(iq.size(), 2u);
@@ -39,8 +40,8 @@ TEST(IssueQueue, WidthLimitsSelection)
     IssueQueue iq(8);
     for (SeqNum s = 1; s <= 5; ++s)
         iq.insert(makeInst(s));
-    auto picked =
-        iq.selectReady(3, [](const DynInstPtr &) { return true; });
+    std::vector<DynInstPtr> picked;
+    iq.selectReady(3, [](const DynInstPtr &) { return true; }, picked);
     EXPECT_EQ(picked.size(), 3u);
     EXPECT_EQ(picked[0]->seq, 1u);
     EXPECT_EQ(picked[2]->seq, 3u);
@@ -61,8 +62,8 @@ TEST(IssueQueue, SquashRemovesYounger)
         iq.insert(makeInst(s));
     iq.squashAfter(2);
     EXPECT_EQ(iq.size(), 2u);
-    auto picked =
-        iq.selectReady(8, [](const DynInstPtr &) { return true; });
+    std::vector<DynInstPtr> picked;
+    iq.selectReady(8, [](const DynInstPtr &) { return true; }, picked);
     ASSERT_EQ(picked.size(), 2u);
     EXPECT_EQ(picked[1]->seq, 2u);
 }
@@ -71,8 +72,9 @@ TEST(IssueQueue, NoneReadyNoneSelected)
 {
     IssueQueue iq(4);
     iq.insert(makeInst(1));
-    auto picked =
-        iq.selectReady(4, [](const DynInstPtr &) { return false; });
+    // A stale buffer is replaced, not appended to.
+    std::vector<DynInstPtr> picked{makeInst(9)};
+    iq.selectReady(4, [](const DynInstPtr &) { return false; }, picked);
     EXPECT_TRUE(picked.empty());
     EXPECT_EQ(iq.size(), 1u);
 }

@@ -15,6 +15,7 @@
 #include "bpu/statistical_corrector.hh"
 #include "bpu/tage.hh"
 #include "bpu/tage_sc_l.hh"
+#include "common/log.hh"
 #include "common/rng.hh"
 
 using namespace mssr;
@@ -105,6 +106,23 @@ TEST(Tage, SnapshotRestoreRoundTrip)
         pred.specUpdate(0x104, true);
     pred.restore(snap);
     EXPECT_EQ(pred.predict(0x100), before);
+}
+
+TEST(Tage, TableCountBoundedByLookupArrays)
+{
+    // TageLookup holds per-table indices and tags in fixed arrays, so
+    // the constructor must refuse a config with more tagged tables.
+    TageConfig cfg;
+    cfg.histLens.clear();
+    for (unsigned t = 0; t < TageLookup::MaxTables; ++t)
+        cfg.histLens.push_back(4 + 8 * t);
+    TagePredictor full(cfg);
+    EXPECT_GT(accuracy(full, 0x4000, 20000,
+                       [](unsigned i) { return (i % 20) < 7; }),
+              0.95);
+    cfg.histLens.push_back(200);
+    EXPECT_THROW(TagePredictor{cfg}, SimPanic);
+    EXPECT_THROW(TageScLPredictor{cfg}, SimPanic);
 }
 
 TEST(TageScL, LoopPredictorCapturesFixedTripLoops)

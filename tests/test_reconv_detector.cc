@@ -15,6 +15,7 @@ makeStream(std::initializer_list<std::pair<Addr, Addr>> blocks,
     stream.valid = true;
     for (auto [s, e] : blocks)
         stream.entries.push_back(WpbEntry{true, s, e});
+    stream.numEntries = static_cast<unsigned>(stream.entries.size());
     // Pad to a fixed size with invalid entries as the hardware would.
     while (stream.entries.size() < 8)
         stream.entries.push_back(WpbEntry{});
@@ -146,4 +147,47 @@ TEST(ReconvDetector, InvalidStreamNeverMatches)
     WpbStream s = makeStream({{0x1000, 0x101c}});
     s.valid = false;
     EXPECT_FALSE(ReconvDetector::match(s, 0x1000, 0x101c, false).found);
+}
+
+TEST(ReconvDetector, LargeStreamScanMatchesMaskPathOnFilledPrefix)
+{
+    // The same ranges in an 8-entry WPB (aligner-mask path) and a
+    // 1024-entry WPB (>64-entry scan), each first written with six
+    // blocks and then rewritten with four: slots 4 and 5 keep the old
+    // blocks' PCs past the filled prefix.
+    auto blocksFrom = [](unsigned n) {
+        std::vector<WpbEntry> out;
+        for (unsigned i = 0; i < n; ++i) {
+            const Addr start = 0x1000 + i * 0x1000;
+            out.push_back(WpbEntry{true, start, start + 7 * InstBytes});
+        }
+        return out;
+    };
+    Wpb small(1, 8, false);
+    Wpb large(1, 1024, false);
+    for (Wpb *wpb : {&small, &large}) {
+        wpb->writeStream(blocksFrom(6), 1, 1);
+        wpb->writeStream(blocksFrom(4), 2, 2);
+        ASSERT_EQ(wpb->stream(0).numEntries, 4u);
+    }
+
+    // Hit on the last filled entry: 3 whole blocks + 2 insts.
+    const ReconvHit a = ReconvDetector::match(small.stream(0), 0x4008,
+                                              0x4024, false);
+    const ReconvHit b = ReconvDetector::match(large.stream(0), 0x4008,
+                                              0x4024, false);
+    ASSERT_TRUE(a.found);
+    ASSERT_TRUE(b.found);
+    EXPECT_EQ(a.entryIdx, 3u);
+    EXPECT_EQ(a.reconvPC, 0x4008u);
+    EXPECT_EQ(a.instOffset, 26u);
+    EXPECT_EQ(b.entryIdx, a.entryIdx);
+    EXPECT_EQ(b.reconvPC, a.reconvPC);
+    EXPECT_EQ(b.instOffset, a.instOffset);
+
+    // A head block overlapping only a left-over range misses.
+    EXPECT_FALSE(
+        ReconvDetector::match(small.stream(0), 0x5000, 0x501c, false).found);
+    EXPECT_FALSE(
+        ReconvDetector::match(large.stream(0), 0x5000, 0x501c, false).found);
 }

@@ -44,6 +44,46 @@ TEST(SquashLog, ClearStream)
     EXPECT_FALSE(log.stream(0).entries[0].reserved);
 }
 
+TEST(SquashLog, ClearResetsFilledPrefixForShorterRefill)
+{
+    // Fill to capacity and mark every entry the way the reuse unit
+    // does (reservation, coverage, first test), then clear and refill
+    // with fewer entries: every slot at or past numEntries must be a
+    // default entry again, so a clear that stops one slot short shows.
+    constexpr unsigned Cap = 8;
+    SquashLog log(1, Cap);
+    for (unsigned i = 0; i < Cap; ++i) {
+        SquashLogEntry e;
+        e.pc = 0x1000 + i * InstBytes;
+        e.reserved = true;
+        e.executed = true;
+        ASSERT_TRUE(log.append(0, e));
+        log.stream(0).entries[i].covered = true;
+        log.stream(0).entries[i].tested = true;
+        log.stream(0).entries[i].consumed = true;
+    }
+    log.clearStream(0);
+    for (unsigned i = 0; i < Cap; ++i)
+        EXPECT_EQ(log.stream(0).entries[i], SquashLogEntry{}) << "slot " << i;
+
+    for (unsigned i = 0; i < 3; ++i) {
+        SquashLogEntry e;
+        e.pc = 0x2000 + i * InstBytes;
+        ASSERT_TRUE(log.append(0, e));
+    }
+    const SquashLogStream &stream = log.stream(0);
+    ASSERT_EQ(stream.numEntries, 3u);
+    for (unsigned i = 0; i < 3; ++i) {
+        EXPECT_TRUE(stream.entries[i].valid);
+        EXPECT_EQ(stream.entries[i].pc, 0x2000u + i * InstBytes);
+        EXPECT_FALSE(stream.entries[i].covered);
+        EXPECT_FALSE(stream.entries[i].tested);
+    }
+    for (unsigned i = stream.numEntries; i < Cap; ++i)
+        EXPECT_EQ(stream.entries[i], SquashLogEntry{}) << "slot " << i;
+    EXPECT_DOUBLE_EQ(log.occupancy(), 3.0 / Cap);
+}
+
 TEST(SquashLog, AllUnoccupiedTracksValidity)
 {
     SquashLog log(2, 2);

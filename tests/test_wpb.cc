@@ -16,6 +16,17 @@ ranges(std::initializer_list<std::pair<Addr, Addr>> list)
     return out;
 }
 
+/** @p n two-instruction blocks, 256 bytes apart from @p base. */
+std::vector<WpbEntry>
+blocks(unsigned n, Addr base)
+{
+    std::vector<WpbEntry> out;
+    for (unsigned i = 0; i < n; ++i)
+        out.push_back(WpbEntry{true, base + i * 0x100,
+                               base + i * 0x100 + InstBytes});
+    return out;
+}
+
 } // namespace
 
 TEST(Wpb, RoundRobinAllocation)
@@ -78,4 +89,45 @@ TEST(Wpb, StreamInstCount)
     Wpb wpb(1, 4, false);
     wpb.writeStream(ranges({{0x1000, 0x1004}, {0x2000, 0x2000}}), 1, 1);
     EXPECT_EQ(wpb.stream(0).numInsts(), 3u);
+}
+
+TEST(Wpb, ShorterRewriteClearsOldPrefix)
+{
+    // A full stream rewritten with fewer ranges: no slot past the new
+    // fill may stay valid, so a clear that stops one slot short shows.
+    constexpr unsigned Cap = 8;
+    Wpb wpb(1, Cap, false);
+    wpb.writeStream(blocks(Cap, 0x1000), 1, 1);
+    ASSERT_EQ(wpb.stream(0).numEntries, Cap);
+    wpb.writeStream(blocks(3, 0x8000), 2, 2);
+    const WpbStream &s = wpb.stream(0);
+    ASSERT_EQ(s.numEntries, 3u);
+    for (unsigned i = 0; i < s.numEntries; ++i) {
+        EXPECT_TRUE(s.entries[i].valid);
+        EXPECT_EQ(s.entries[i].startPC, 0x8000u + i * 0x100);
+    }
+    for (unsigned i = s.numEntries; i < Cap; ++i)
+        EXPECT_FALSE(s.entries[i].valid) << "slot " << i;
+    EXPECT_EQ(s.numInsts(), 6u);
+    EXPECT_DOUBLE_EQ(wpb.occupancy(), 3.0 / Cap);
+}
+
+TEST(Wpb, InvalidateClearsPartlyFilledStream)
+{
+    constexpr unsigned Cap = 8;
+    Wpb wpb(2, Cap, false);
+    wpb.writeStream(blocks(5, 0x1000), 1, 1);
+    wpb.writeStream(blocks(2, 0x2000), 2, 2);
+    EXPECT_DOUBLE_EQ(wpb.occupancy(), 7.0 / (2 * Cap));
+    wpb.invalidate(0);
+    const WpbStream &s = wpb.stream(0);
+    EXPECT_FALSE(s.valid);
+    EXPECT_EQ(s.numEntries, 0u);
+    for (unsigned i = 0; i < Cap; ++i)
+        EXPECT_FALSE(s.entries[i].valid) << "slot " << i;
+    EXPECT_EQ(s.numInsts(), 0u);
+    EXPECT_DOUBLE_EQ(wpb.occupancy(), 2.0 / (2 * Cap));
+    // The other stream is untouched.
+    EXPECT_EQ(wpb.stream(1).numEntries, 2u);
+    EXPECT_EQ(wpb.stream(1).numInsts(), 4u);
 }
