@@ -7,6 +7,7 @@
 
 #include "common/argparse.hh"
 #include "common/build_info.hh"
+#include "common/frame.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 
@@ -106,16 +107,6 @@ Harness::Harness(int argc, char **argv, std::string benchName,
     if (const char *s = std::getenv("MSSR_METRICS_OUT"))
         runner_.setMetricsOut(s);
     runner_.setProgressLabel(benchName_);
-    if (const char *s = std::getenv("MSSR_FUNC_TIER")) {
-        const std::string v = s;
-        if (v == "fast")
-            funcTier_ = FuncTier::Fast;
-        else if (v == "interp")
-            funcTier_ = FuncTier::Interpreter;
-        else
-            warn("ignoring invalid MSSR_FUNC_TIER='", s,
-                 "' (want fast or interp); using fast");
-    }
 
     if (baselines == Baselines::Build) {
         std::vector<BatchJob> jobs;
@@ -149,7 +140,6 @@ Harness::job(const std::string &label, const std::string &workload,
         j.config.profiling = true;
     if (fastForward_ != 0)
         j.config.fastForwardInsts = fastForward_;
-    j.config.funcTier = funcTier_;
     return j;
 }
 
@@ -210,23 +200,6 @@ Harness::runBatch(const std::vector<BatchJob> &jobs)
     return results;
 }
 
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
 void
 Harness::writeJson() const
 {
@@ -239,7 +212,6 @@ Harness::writeJson() const
     os << "{\n";
     os << "  \"bench\": \"" << jsonEscape(benchName_) << "\",\n";
     os << "  \"threads\": " << threads() << ",\n";
-    os << "  \"func_tier\": \"" << toString(funcTier_) << "\",\n";
     os << "  \"build_info\": {\"git\": \"" << jsonEscape(buildGitRevision())
        << "\", \"compiler\": \"" << jsonEscape(buildCompiler())
        << "\", \"build_type\": \"" << jsonEscape(buildType()) << "\"},\n";

@@ -24,11 +24,6 @@
  *               prefix length, checkpoint hit/miss, warm-up wall
  *               time and throughput ("ff_insts", "ckpt_hit",
  *               "ff_host_sec", "ff_kips")
- *   MSSR_FUNC_TIER  functional tier for the warm-up prefixes: "fast"
- *               (default; predecoded basic-block dispatch) or
- *               "interp" (reference interpreter). Results are
- *               bit-identical; the choice is recorded as the
- *               top-level "func_tier" key of BENCH_batch.json
  *   MSSR_SAMPLE_PERIOD / MSSR_SAMPLE_WINDOW  sampled-simulation
  *               checkpoint period and per-window detailed
  *               instruction count (consumed by sampled_accuracy,
@@ -171,7 +166,6 @@ class Harness
     Cycle statsInterval_ = 0; //!< MSSR_INTERVAL; 0 disables sampling
     bool profile_ = false;    //!< MSSR_PROFILE; per-PC profiler on jobs
     std::uint64_t fastForward_ = 0; //!< MSSR_FF; shared warm-up prefix
-    FuncTier funcTier_ = FuncTier::Fast; //!< MSSR_FUNC_TIER
     BatchRunner runner_;
     WorkloadSet set_;
     std::vector<Record> records_;

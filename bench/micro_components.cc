@@ -120,6 +120,35 @@ BENCHMARK(BM_SimulatorThroughput)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * Functional warm-up speed of each tier: computeCheckpoint over a 5M
+ * instruction prefix of a compute-bound workload (nested-mispred runs
+ * ~99 instructions per iteration, so the prefix ends before HALT).
+ * Arg 0 is the fast predecoded tier, Arg 1 the reference interpreter;
+ * items are executed instructions, so items_per_second is the tier's
+ * warm-up throughput.
+ */
+void
+BM_FunctionalTier(benchmark::State &state)
+{
+    workloads::MicroParams params;
+    params.iterations = 60000;
+    const isa::Program prog = workloads::makeNestedMispred(params);
+    const FuncTier tier =
+        state.range(0) == 0 ? FuncTier::Fast : FuncTier::Interpreter;
+    std::uint64_t insts = 0;
+    for (auto _ : state) {
+        const Checkpoint ck = computeCheckpoint(prog, 5'000'000, tier);
+        insts += ck.instret;
+        benchmark::DoNotOptimize(ck.pc);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(insts));
+}
+BENCHMARK(BM_FunctionalTier)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 } // namespace
 
 BENCHMARK_MAIN();

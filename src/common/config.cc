@@ -31,16 +31,4 @@ toString(BranchPredictorKind kind)
     return "?";
 }
 
-std::string
-toString(FuncTier tier)
-{
-    switch (tier) {
-      case FuncTier::Fast:
-        return "fast";
-      case FuncTier::Interpreter:
-        return "interp";
-    }
-    return "?";
-}
-
 } // namespace mssr

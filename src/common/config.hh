@@ -29,9 +29,9 @@ enum class BranchPredictorKind
 };
 
 /**
- * Which functional-emulation tier executes fast-forward prefixes and
- * trace captures. Both tiers are architecturally bit-identical
- * (ctest-enforced cosim); they differ only in host speed.
+ * Which functional-emulation tier executes fast-forward prefixes.
+ * Both tiers are architecturally bit-identical (ctest-enforced
+ * cosim); they differ only in host speed.
  */
 enum class FuncTier
 {
@@ -161,8 +161,8 @@ struct SimConfig
     /**
      * Which functional tier runs the fast-forward prefix (when
      * SimConfig::checkpoint is null). The fast tier is the default;
-     * the interpreter is the golden reference, selectable for A/B
-     * timing and cross-checks ("mssr_run --func-tier interp"). The
+     * the interpreter is the golden reference, used by the cosim
+     * tests and selectable per serve job ("func_tier"). The
      * resulting snapshot -- and therefore every downstream statistic
      * -- is bit-identical either way.
      */
@@ -261,9 +261,6 @@ std::string toString(ReuseKind kind);
 
 /** Human-readable name for a BranchPredictorKind. */
 std::string toString(BranchPredictorKind kind);
-
-/** Human-readable name for a FuncTier. */
-std::string toString(FuncTier tier);
 
 } // namespace mssr
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/frame.hh"
 #include "common/log.hh"
 
 namespace mssr
@@ -84,18 +85,6 @@ Tracer::clear()
 namespace
 {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 void
 writeHexPc(std::ostream &os, Addr pc)
 {
@@ -111,29 +100,21 @@ writeHexPc(std::ostream &os, Addr pc)
         os << buf[--n];
 }
 
-/** The event body shared by the Chrome and JSONL exporters. */
-void
-writeEventArgs(std::ostream &os, const TraceEvent &e)
-{
-    os << "\"seq\": " << e.seq << ", \"pc\": \"";
-    writeHexPc(os, e.pc);
-    os << "\"";
-    if (e.reuse != ReuseOutcome::None)
-        os << ", \"reuse\": \"" << toString(e.reuse) << "\"";
-    if (e.squash != SquashReason::None)
-        os << ", \"squash\": \"" << toString(e.squash) << "\"";
-    os << ", \"arg\": " << e.arg;
-}
-
 void
 writeChromeEvent(std::ostream &os, const TraceEvent &e, unsigned pid)
 {
     os << "{\"name\": \"" << toString(e.stage)
        << "\", \"cat\": \"pipeline\", \"ph\": \"X\", \"ts\": " << e.cycle
        << ", \"dur\": 1, \"pid\": " << pid << ", \"tid\": "
-       << static_cast<unsigned>(e.stage) << ", \"args\": {";
-    writeEventArgs(os, e);
-    os << "}}";
+       << static_cast<unsigned>(e.stage) << ", \"args\": {\"seq\": "
+       << e.seq << ", \"pc\": \"";
+    writeHexPc(os, e.pc);
+    os << "\"";
+    if (e.reuse != ReuseOutcome::None)
+        os << ", \"reuse\": \"" << toString(e.reuse) << "\"";
+    if (e.squash != SquashReason::None)
+        os << ", \"squash\": \"" << toString(e.squash) << "\"";
+    os << ", \"arg\": " << e.arg << "}}";
 }
 
 void
@@ -186,20 +167,6 @@ writeChromeJson(
     for (std::size_t pid = 0; pid < jobs.size(); ++pid)
         os << (pid == 0 ? "" : ", ") << jobs[pid].second->dropped();
     os << "]\n}\n";
-}
-
-void
-Tracer::writeJsonl(std::ostream &os) const
-{
-    for (std::size_t i = 0; i < size(); ++i) {
-        const TraceEvent &e = event(i);
-        os << "{\"cycle\": " << e.cycle << ", \"stage\": \""
-           << toString(e.stage) << "\", ";
-        writeEventArgs(os, e);
-        os << "}\n";
-    }
-    // Trailing marker: ring-wraparound losses (0 when none).
-    os << "{\"dropped_events\": " << dropped() << "}\n";
 }
 
 void

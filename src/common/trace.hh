@@ -1,9 +1,9 @@
 /**
  * @file
  * Structured pipeline observability: a typed per-core event record
- * captured into a bounded ring buffer, exporters for the Chrome
- * trace_event JSON format (chrome://tracing / Perfetto) and JSONL,
- * and the interval-statistics sample carried on RunResult.
+ * captured into a bounded ring buffer, an exporter for the Chrome
+ * trace_event JSON format (chrome://tracing / Perfetto), and the
+ * interval-statistics sample carried on RunResult.
  *
  * The tracer replaces the seed's printf-style text trace. Cores hold a
  * `Tracer *` (SimConfig::tracer, not owned); a null pointer disables
@@ -184,10 +184,6 @@ class Tracer
      */
     void writeChromeJson(std::ostream &os,
                          const std::string &label = "sim") const;
-
-    /** One JSON object per line, oldest first, terminated by a
-     *  `{"dropped_events": N}` marker reporting ring losses. */
-    void writeJsonl(std::ostream &os) const;
 
     /**
      * Human-readable lines, oldest first. @p last_n 0 writes all

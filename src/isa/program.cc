@@ -7,16 +7,11 @@ namespace mssr::isa
 {
 
 Program::Program()
-    : Program(DefaultCodeBase, DefaultDataBase, DefaultStackTop)
-{
-}
-
-Program::Program(Addr code_base, Addr data_base, Addr stack_top)
-    : codeBase_(code_base),
-      entry_(code_base),
-      dataBase_(data_base),
-      dataTop_(data_base),
-      stackTop_(stack_top)
+    : codeBase_(DefaultCodeBase),
+      entry_(DefaultCodeBase),
+      dataBase_(DefaultDataBase),
+      dataTop_(DefaultDataBase),
+      stackTop_(DefaultStackTop)
 {
 }
 

@@ -38,15 +38,6 @@ class Program
 
     Program();
 
-    /**
-     * Constructs an empty program with an explicit memory layout.
-     * Used by trace replay to rebuild a program whose layout was
-     * recorded in an mssr-trace-v1 file; assembled and generated
-     * programs use the default constructor (and thus the Default*
-     * constants).
-     */
-    Program(Addr code_base, Addr data_base, Addr stack_top);
-
     /** @name Code image */
     /// @{
     Addr codeBase() const { return codeBase_; }
@@ -118,13 +109,6 @@ class Program
 
     /** Copies the data image into @p mem. */
     void loadInto(Memory &mem) const;
-
-    /** The initialised data image as (address, bytes) chunks. */
-    const std::map<Addr, std::vector<std::uint8_t>> &
-    dataChunks() const
-    {
-        return dataChunks_;
-    }
     /// @}
 
     /**

@@ -117,6 +117,12 @@ TEST(Checkpoint, WarmBpuIsDeterministicAndIdenticalAcrossPaths)
     const RunResult shared = runSim(prog, cfg);
     expectIdentical(live, shared, "warm live vs warm shared");
 
+    // The interpreter tier computes the same prefix, so the warm run
+    // it feeds is identical to the fast-tier one.
+    SimConfig interp = ffConfig(/*warm=*/true);
+    interp.funcTier = FuncTier::Interpreter;
+    expectIdentical(live, runSim(prog, interp), "warm fast vs warm interp");
+
     // Warming must actually replay history: the prefix records
     // branches, so the warm run differs from the cold one somewhere
     // (same instructions, different speculation).

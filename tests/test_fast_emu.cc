@@ -293,7 +293,7 @@ TEST(FastEmu, CheckpointInteropWithInterpreter)
 {
     // A checkpoint taken on one tier restores into the other and the
     // resumed run finishes bit-identically to an uninterrupted
-    // reference run -- the property the --func-tier flag relies on.
+    // reference run -- the property SimConfig::funcTier relies on.
     const isa::Program prog =
         workloads::buildWorkload("bfs", testScale());
 
@@ -346,7 +346,7 @@ TEST(FastEmu, CheckpointInteropWithInterpreter)
 
 TEST(FastEmu, ComputeCheckpointIsTierInvariant)
 {
-    // The driver-level guarantee behind --func-tier: the produced
+    // The driver-level guarantee behind SimConfig::funcTier: the produced
     // checkpoint -- registers, PC, instret, memory pages and the
     // bounded warm-up branch history -- is identical whichever tier
     // computed it.

@@ -178,24 +178,35 @@ TEST(Tracer, ChromeJsonParsesBack)
               static_cast<double>(tracer.dropped()));
     EXPECT_EQ(mdrops->second.array[1].number,
               static_cast<double>(other.dropped()));
+}
 
-    // JSONL: one parseable object per line, with a trailing
-    // dropped_events marker.
-    std::ostringstream jsonl;
-    tracer.writeJsonl(jsonl);
-    std::istringstream lines(jsonl.str());
-    std::string line;
-    std::size_t parsed = 0;
-    JsonValue last;
-    while (std::getline(lines, line)) {
-        last = JsonParser(line).parse();
-        EXPECT_EQ(last.kind, JsonValue::Object);
-        ++parsed;
+TEST(Tracer, ChromeJsonEscapesControlCharactersInLabels)
+{
+    // A job label is user input (a workload name or an --asm path), so
+    // a tab or newline in it must come out as a JSON escape: a raw
+    // control byte inside a string makes the whole file invalid JSON.
+    Tracer tracer(16);
+    tracer.record(TraceStage::Fetch, 1, 0x100);
+    std::ostringstream os;
+    writeChromeJson(os, {{"a\tb\nc", &tracer}});
+    const std::string out = os.str();
+    EXPECT_NE(out.find("\"a\\tb\\nc\""), std::string::npos);
+
+    bool inString = false;
+    bool escaped = false;
+    for (const char c : out) {
+        if (inString) {
+            ASSERT_GE(static_cast<unsigned char>(c), 0x20)
+                << "raw control byte inside a JSON string";
+        }
+        if (escaped)
+            escaped = false;
+        else if (inString && c == '\\')
+            escaped = true;
+        else if (c == '"')
+            inString = !inString;
     }
-    EXPECT_EQ(parsed, tracer.size() + 1);
-    const auto jdrops = last.object.find("dropped_events");
-    ASSERT_NE(jdrops, last.object.end());
-    EXPECT_EQ(jdrops->second.number, static_cast<double>(tracer.dropped()));
+    EXPECT_FALSE(inString);
 }
 
 TEST(Tracer, EventStreamIdenticalAcrossWorkerCounts)

@@ -66,21 +66,6 @@
  *                                on miss; corrupt files exit 2)
  *   --warm-bpu                   pre-train the branch predictor from
  *                                the prefix's recorded branch outcomes
- *   --func-tier fast|interp      which functional tier runs fast-forward
- *                                prefixes: the predecoded basic-block
- *                                dispatch cache (default) or the
- *                                reference step interpreter. Results are
- *                                bit-identical; only warm-up speed
- *                                changes
- *   --trace-capture FILE         run the workload on the fast functional
- *                                tier only (bounded by --max-insts) and
- *                                write the execution as an mssr-trace-v1
- *                                file; no detailed simulation happens
- *   --trace-replay FILE          load an mssr-trace-v1 file, verify its
- *                                dynamic stream against the embedded
- *                                program, and run the detailed core on
- *                                it (replaces <workload>/--asm; corrupt
- *                                files exit 2)
  *   --stats-host-time            include warm-up host timing (ff_host_sec,
  *                                ff_kips) in --stats-out JSON. Off by
  *                                default so stats files stay
@@ -125,7 +110,6 @@
  */
 
 #include <cctype>
-#include <chrono>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -140,6 +124,7 @@
 #include "common/argparse.hh"
 #include "common/build_info.hh"
 #include "common/cpi_stack.hh"
+#include "common/frame.hh"
 #include "common/log.hh"
 #include "common/pipeview.hh"
 #include "common/serialize.hh"
@@ -147,7 +132,6 @@
 #include "driver/batch_runner.hh"
 #include "driver/sampled_runner.hh"
 #include "isa/assembler.hh"
-#include "sim/exec_trace.hh"
 #include "workloads/registry.hh"
 
 using namespace mssr;
@@ -168,13 +152,11 @@ printUsage(std::ostream &os, const char *argv0)
           "[--view-start-cycle C] [--view-cycles K]\n        "
           "[--profile-out FILE] "
           "[--fast-forward K] [--ckpt-dir DIR] [--warm-bpu]\n        "
-          "[--func-tier fast|interp] [--trace-capture FILE] "
-          "[--stats-host-time]\n        [--sample-period N "
-          "--sample-window K] [--sample-windows-out FILE]\n        "
-          "[--log-level error|warn|info|debug] [--log-out FILE]\n        "
+          "[--stats-host-time] [--sample-period N "
+          "--sample-window K]\n        [--sample-windows-out FILE] "
+          "[--log-level error|warn|info|debug]\n        [--log-out FILE] "
           "[--progress-every N] [--metrics-out FILE] [--version]\n        "
-          "[--compare] (<workload>... | "
-          "--asm <file.s> | --trace-replay FILE | --list)\n";
+          "[--compare] (<workload>... | --asm <file.s> | --list)\n";
 }
 
 [[noreturn]] void
@@ -237,21 +219,6 @@ help(const char *argv0)
         "file exits 2)\n"
         "  --warm-bpu                pre-train the predictor from the "
         "prefix's branches\n"
-        "  --func-tier fast|interp   functional tier for fast-forward "
-        "prefixes (default\n"
-        "                            fast: predecoded basic-block "
-        "dispatch; interp: the\n"
-        "                            reference interpreter; results are "
-        "bit-identical)\n"
-        "  --trace-capture FILE      capture the workload's functional "
-        "execution (bounded\n"
-        "                            by --max-insts) to an mssr-trace-v1 "
-        "file; skips\n"
-        "                            detailed simulation\n"
-        "  --trace-replay FILE       verify and run an mssr-trace-v1 "
-        "file on the detailed\n"
-        "                            core (replaces <workload>/--asm; "
-        "corrupt file exits 2)\n"
         "  --stats-host-time         include ff_host_sec/ff_kips in "
         "--stats-out JSON\n"
         "                            (off by default: keeps stats files "
@@ -328,18 +295,6 @@ u32Value(const char *argv0, const std::string &flag, const std::string &v,
         usage(argv0);
     }
     return static_cast<unsigned>(parsed);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 /**
@@ -676,8 +631,6 @@ main(int argc, char **argv)
     std::string statsOutFile;
     std::string profileOutFile;
     std::string ckptDir;
-    std::string traceCaptureFile;
-    std::string traceReplayFile;
     std::string sampleWindowsOutFile;
     std::string logOutFile;
     std::string metricsOutFile;
@@ -742,31 +695,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--warm-bpu") {
             cfg.warmBpu = true;
-        } else if (arg == "--func-tier") {
-            const std::string v = next();
-            if (v == "fast")
-                cfg.funcTier = FuncTier::Fast;
-            else if (v == "interp")
-                cfg.funcTier = FuncTier::Interpreter;
-            else {
-                std::cerr << "mssr_run: invalid value '" << v
-                          << "' for --func-tier (want fast or interp)\n";
-                usage(argv[0]);
-            }
-        } else if (arg == "--trace-capture") {
-            traceCaptureFile = next();
-            if (traceCaptureFile.empty()) {
-                std::cerr << "mssr_run: --trace-capture needs a non-empty "
-                             "file name\n";
-                usage(argv[0]);
-            }
-        } else if (arg == "--trace-replay") {
-            traceReplayFile = next();
-            if (traceReplayFile.empty()) {
-                std::cerr << "mssr_run: --trace-replay needs a non-empty "
-                             "file name\n";
-                usage(argv[0]);
-            }
         } else if (arg == "--stats-host-time") {
             statsHostTime = true;
         } else if (arg == "--sample-period") {
@@ -865,44 +793,13 @@ main(int argc, char **argv)
             workloadNames.push_back(arg);
         }
     }
-    if (workloadNames.empty() && asmFile.empty() && traceReplayFile.empty())
+    if (workloadNames.empty() && asmFile.empty())
         usage(argv[0]);
-    if (!traceCaptureFile.empty() && !traceReplayFile.empty()) {
-        std::cerr << "mssr_run: --trace-capture and --trace-replay are "
-                     "mutually exclusive\n";
-        usage(argv[0]);
-    }
-    if (!traceCaptureFile.empty()) {
-        // Capture is functional-only: exactly one program, and the
-        // detailed-simulation knobs have nothing to act on.
-        if (workloadNames.size() + (asmFile.empty() ? 0 : 1) != 1) {
-            std::cerr << "mssr_run: --trace-capture records exactly one "
-                         "workload (or one --asm file)\n";
-            usage(argv[0]);
-        }
-        if (cfg.fastForwardInsts != 0 || compare) {
-            std::cerr << "mssr_run: --trace-capture skips detailed "
-                         "simulation; drop "
-                      << (compare ? "--compare" : "--fast-forward") << "\n";
-            usage(argv[0]);
-        }
-        if (!pipeviewOutFile.empty()) {
-            std::cerr << "mssr_run: --trace-capture skips detailed "
-                         "simulation; drop --pipeview-out\n";
-            usage(argv[0]);
-        }
-    }
     if ((viewStartSet || viewCycles != 0) && !traceOn &&
         pipeviewOutFile.empty()) {
         std::cerr << "mssr_run: --view-start-cycle/--view-cycles bound "
                      "--trace-out/--pipeview-out output; add one of "
                      "those flags\n";
-        usage(argv[0]);
-    }
-    if (!traceReplayFile.empty() &&
-        (!workloadNames.empty() || !asmFile.empty())) {
-        std::cerr << "mssr_run: --trace-replay already names the program; "
-                     "drop the workload/--asm arguments\n";
         usage(argv[0]);
     }
     if (cfg.samplePeriod != 0 || cfg.sampleWindow != 0 ||
@@ -925,12 +822,6 @@ main(int argc, char **argv)
                                      "--sample-period and --sample-window"));
         if (cfg.sampleWindow > cfg.samplePeriod)
             reject("--sample-window must be <= --sample-period");
-        if (!traceReplayFile.empty())
-            reject("--trace-replay streams one fixed execution; sampled "
-                   "simulation re-runs the program, drop --sample-*");
-        if (!traceCaptureFile.empty())
-            reject("--trace-capture skips detailed simulation; drop "
-                   "--sample-*");
         if (cfg.fastForwardInsts != 0)
             reject("sampling fast-forwards to each window itself; drop "
                    "--fast-forward");
@@ -972,7 +863,6 @@ main(int argc, char **argv)
             {"--pipeview-out", &pipeviewOutFile},
             {"--stats-out", &statsOutFile},
             {"--profile-out", &profileOutFile},
-            {"--trace-capture", &traceCaptureFile},
             {"--sample-windows-out", &sampleWindowsOutFile},
             {"--log-out", &logOutFile},
             {"--metrics-out", &metricsOutFile},
@@ -1005,58 +895,6 @@ main(int argc, char **argv)
         for (const auto &name : workloadNames) {
             labels.push_back(name);
             programs.push_back(workloads::buildWorkload(name, scale));
-        }
-        if (!traceReplayFile.empty()) {
-            // Trace errors (bad magic, CRC, hash mismatch, inconsistent
-            // dynamic stream) are input-validation failures: name the
-            // file class, exit 2.
-            try {
-                TraceReplaySource replay(traceReplayFile);
-                replay.verify();
-                labels.push_back(replay.trace().name.empty()
-                                     ? traceReplayFile
-                                     : replay.trace().name);
-                programs.push_back(replay.program());
-                std::cerr << "trace: replaying " << labels.back() << " ("
-                          << replay.trace().instsExecuted << " insts, "
-                          << replay.trace().controls.size()
-                          << " controls) from " << traceReplayFile << "\n";
-            } catch (const SerializeError &e) {
-                std::cerr << "mssr_run: trace error: " << e.what() << "\n";
-                return 2;
-            }
-        }
-
-        if (!traceCaptureFile.empty()) {
-            // Capture-only mode: run the fast functional tier, write the
-            // mssr-trace-v1 file, and skip detailed simulation entirely.
-            try {
-                const auto t0 = std::chrono::steady_clock::now();
-                const ExecTrace trace =
-                    captureTrace(programs[0], cfg.maxInsts, labels[0]);
-                const std::chrono::duration<double> elapsed =
-                    std::chrono::steady_clock::now() - t0;
-                writeTrace(traceCaptureFile, trace);
-                std::cout << labels[0] << ": captured "
-                          << trace.instsExecuted << " insts, "
-                          << trace.controls.size() << " controls to "
-                          << traceCaptureFile;
-                if (elapsed.count() > 0.0)
-                    std::cout << " ["
-                              << analysis::fixed(elapsed.count(), 2)
-                              << "s host, "
-                              << analysis::fixed(
-                                     static_cast<double>(
-                                         trace.instsExecuted) /
-                                         elapsed.count() / 1e3,
-                                     0)
-                              << " kips]";
-                std::cout << "\n";
-                return 0;
-            } catch (const SerializeError &e) {
-                std::cerr << "mssr_run: trace error: " << e.what() << "\n";
-                return 2;
-            }
         }
 
         // One job per program, plus its baseline when comparing. Each
@@ -1100,7 +938,6 @@ main(int argc, char **argv)
                 // so the pair shares one functional scan too.
                 baseCfg.samplePeriod = cfg.samplePeriod;
                 baseCfg.sampleWindow = cfg.sampleWindow;
-                baseCfg.funcTier = cfg.funcTier;
                 addJob(labels[i] + "/baseline", &programs[i], baseCfg);
             }
         }
