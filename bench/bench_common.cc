@@ -14,20 +14,16 @@
 namespace mssr::bench
 {
 
-std::vector<std::string>
-allWorkloadNames()
+bool
+jsonRequested(int argc, char **argv)
 {
-    return suiteWorkloadNames({"spec2006", "spec2017", "gap", "micro"});
-}
-
-std::vector<std::string>
-suiteWorkloadNames(const std::vector<std::string> &suites)
-{
-    std::vector<std::string> names;
-    for (const auto &suite : suites)
-        for (const auto &w : workloads::suiteWorkloads(suite))
-            names.push_back(w.name);
-    return names;
+    bool json = false;
+    if (const char *s = std::getenv("MSSR_JSON"))
+        json = std::string(s).empty() || envFlag("MSSR_JSON");
+    for (int i = 1; i < argc; ++i)
+        if (std::string(argv[i]) == "--json")
+            json = true;
+    return json;
 }
 
 WorkloadSet::WorkloadSet(const std::vector<std::string> &names)
@@ -90,15 +86,7 @@ Harness::Harness(int argc, char **argv, std::string benchName,
                  Baselines baselines)
     : benchName_(std::move(benchName)), set_(names)
 {
-    // MSSR_JSON predates the boolean contract: an empty value still
-    // means "on" (legacy presence semantics); any other value follows
-    // the strict 0/1/true/false contract.
-    if (const char *s = std::getenv("MSSR_JSON"))
-        json_ = std::string(s).empty() || envFlag("MSSR_JSON");
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json")
-            json_ = true;
-    }
+    json_ = jsonRequested(argc, argv);
     statsInterval_ = envU64("MSSR_INTERVAL", 0);
     profile_ = envFlag("MSSR_PROFILE");
     fastForward_ = envU64("MSSR_FF", 0);
@@ -212,9 +200,7 @@ Harness::writeJson() const
     os << "{\n";
     os << "  \"bench\": \"" << jsonEscape(benchName_) << "\",\n";
     os << "  \"threads\": " << threads() << ",\n";
-    os << "  \"build_info\": {\"git\": \"" << jsonEscape(buildGitRevision())
-       << "\", \"compiler\": \"" << jsonEscape(buildCompiler())
-       << "\", \"build_type\": \"" << jsonEscape(buildType()) << "\"},\n";
+    os << "  \"build_info\": " << buildInfoJson() << ",\n";
     os << "  \"jobs\": " << records_.size() << ",\n";
     os << "  \"wall_sec\": " << wallSeconds_ << ",\n";
     os << "  \"results\": [";

@@ -10,7 +10,7 @@
  *   MSSR_ITERS  synthetic-kernel iterations (default 4000)
  *   MSSR_SEED   workload RNG seed
  *   MSSR_JOBS   batch worker threads (default: hardware concurrency)
- *   MSSR_JSON   when set (or --json passed), write BENCH_batch.json
+ *   MSSR_JSON   1/true/empty (or --json passed): write BENCH_batch.json
  *   MSSR_INTERVAL  sample interval stats every K cycles; the samples
  *               are carried on every record of BENCH_batch.json
  *   MSSR_PROFILE  enable the per-PC profiler on every job; each
@@ -63,12 +63,13 @@
 namespace mssr::bench
 {
 
-/** Every workload name of every suite, in presentation order. */
-std::vector<std::string> allWorkloadNames();
-
-/** Workload names of the given suites, in presentation order. */
-std::vector<std::string>
-suiteWorkloadNames(const std::vector<std::string> &suites);
+/**
+ * Whether to write BENCH_batch.json: --json on the command line, or
+ * MSSR_JSON. MSSR_JSON predates the boolean contract: an empty value
+ * still means "on" (legacy presence semantics); any other value
+ * follows the strict 0/1/true/false contract.
+ */
+bool jsonRequested(int argc, char **argv);
 
 /**
  * Pre-built, thread-safe workload container.
@@ -84,8 +85,8 @@ class WorkloadSet
 {
   public:
     /** Builds programs for @p names up front, in parallel. */
-    explicit WorkloadSet(
-        const std::vector<std::string> &names = allWorkloadNames());
+    explicit WorkloadSet(const std::vector<std::string> &names =
+                             workloads::registeredWorkloads());
 
     const isa::Program &program(const std::string &name) const;
 

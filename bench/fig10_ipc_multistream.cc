@@ -41,7 +41,7 @@ main(int argc, char **argv)
     const std::vector<std::string> suites = {"spec2006", "spec2017",
                                              "gap"};
     bench::Harness h(argc, argv, "fig10_ipc_multistream",
-                     bench::suiteWorkloadNames(suites),
+                     workloads::suiteWorkloadNames(suites),
                      bench::Baselines::Build);
     banner(std::cout,
            "Figure 10: IPC improvement per multi-stream configuration");

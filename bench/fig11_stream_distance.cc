@@ -17,7 +17,7 @@ main(int argc, char **argv)
     const std::vector<std::string> suites = {"spec2006", "spec2017",
                                              "gap", "micro"};
     bench::Harness h(argc, argv, "fig11_stream_distance",
-                     bench::suiteWorkloadNames(suites),
+                     workloads::suiteWorkloadNames(suites),
                      bench::Baselines::None);
     banner(std::cout, "Figure 11: reconvergence stream distance");
     printScale(h.set());

@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 {
     bench::Harness h(argc, argv, "fig12_ri_vs_rgid",
-                     bench::suiteWorkloadNames({"gap"}),
+                     workloads::suiteWorkloadNames({"gap"}),
                      bench::Baselines::Build);
     banner(std::cout, "Figure 12: Register Integration vs RGID on GAP");
     printScale(h.set());

@@ -18,7 +18,7 @@ main(int argc, char **argv)
     const std::vector<std::string> suites = {"spec2006", "spec2017",
                                              "gap"};
     bench::Harness h(argc, argv, "fig4_reconv_breakdown",
-                     bench::suiteWorkloadNames(suites),
+                     workloads::suiteWorkloadNames(suites),
                      bench::Baselines::None);
     banner(std::cout, "Figure 4: breakdown of reconvergence types");
     printScale(h.set());

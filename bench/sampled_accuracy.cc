@@ -12,14 +12,14 @@
  *   MSSR_SAMPLE_PERIOD  insts between checkpoints (default 50000)
  *   MSSR_SAMPLE_WINDOW  detailed insts per window (default 4000)
  *
- * With --json / MSSR_JSON set, writes BENCH_batch.json with one
- * record per (workload, config) point carrying all of the above, so
- * the accuracy/speedup contract is machine-checkable.
+ * With --json or MSSR_JSON on (bench::jsonRequested), writes
+ * BENCH_batch.json with one record per (workload, config) point
+ * carrying all of the above, so the accuracy/speedup contract is
+ * machine-checkable.
  */
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 
 #include "bench_common.hh"
@@ -32,18 +32,6 @@ using namespace mssr::analysis;
 
 namespace
 {
-
-/** Conditional-field estimate JSON, same contract as mssr_run. */
-void
-writeEstimate(std::ostream &os, const SampleEstimate &e)
-{
-    os << "{\"n\": " << e.n;
-    if (e.n >= 1)
-        os << ", \"mean\": " << e.mean;
-    if (e.n >= 2)
-        os << ", \"stderr\": " << e.stdErr << ", \"ci95\": " << e.ci95;
-    os << "}";
-}
 
 struct Point
 {
@@ -73,11 +61,7 @@ struct Point
 int
 main(int argc, char **argv)
 {
-    bool json = std::getenv("MSSR_JSON") != nullptr;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--json")
-            json = true;
-
+    const bool json = bench::jsonRequested(argc, argv);
     const std::uint64_t period = envU64("MSSR_SAMPLE_PERIOD", 50000);
     const std::uint64_t window = envU64("MSSR_SAMPLE_WINDOW", 4000);
 
@@ -168,9 +152,7 @@ main(int argc, char **argv)
         os.precision(17);
         os << "{\n  \"bench\": \"sampled_accuracy\",\n  \"threads\": "
            << runner.threads()
-           << ",\n  \"build_info\": {\"git\": \"" << buildGitRevision()
-           << "\", \"compiler\": \"" << buildCompiler()
-           << "\", \"build_type\": \"" << buildType() << "\"}"
+           << ",\n  \"build_info\": " << buildInfoJson()
            << ",\n  \"sample_period\": " << period
            << ",\n  \"sample_window\": " << window
            << ",\n  \"jobs\": " << points.size() * 2
@@ -189,7 +171,7 @@ main(int argc, char **argv)
                << ", \"speedup\": " << p.speedup()
                << ", \"covered\": " << (p.covered() ? "true" : "false")
                << ", \"ipc_estimate\": ";
-            writeEstimate(os, p.sampled.ipcEst);
+            writeJson(os, p.sampled.ipcEst);
             os << "}";
         }
         os << "\n  ]\n}\n";

@@ -42,14 +42,26 @@ parseU64(const std::string &s)
     return static_cast<std::uint64_t>(v);
 }
 
-/** parseU64() restricted to the range of `unsigned`. */
-inline std::optional<unsigned>
-parseU32(const std::string &s)
+/**
+ * Parses flag text @p s as an integer in [@p min, @p max]. On failure
+ * returns nullopt and sets @p why to the reason ("expected an unsigned
+ * integer", "must be >= N", "out of range"), the tail of a front end's
+ * "invalid value 'V' for FLAG (why)" diagnostic.
+ */
+inline std::optional<std::uint64_t>
+parseFlagU64(const std::string &s, std::uint64_t min, std::uint64_t max,
+             std::string &why)
 {
     const auto v = parseU64(s);
-    if (!v || *v > std::numeric_limits<unsigned>::max())
-        return std::nullopt;
-    return static_cast<unsigned>(*v);
+    if (!v)
+        why = "expected an unsigned integer";
+    else if (*v < min)
+        why = "must be >= " + std::to_string(min);
+    else if (*v > max)
+        why = "out of range";
+    else
+        return v;
+    return std::nullopt;
 }
 
 /**

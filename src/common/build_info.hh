@@ -11,6 +11,8 @@
 #ifndef MSSR_COMMON_BUILD_INFO_HH
 #define MSSR_COMMON_BUILD_INFO_HH
 
+#include <string>
+
 namespace mssr
 {
 
@@ -25,6 +27,10 @@ const char *buildType();
 
 /** One-line human rendering: "<git> (<compiler>, <build type>)". */
 const char *buildInfoLine();
+
+/** The "build_info" object of every JSON output that carries one:
+ *  {"git": ..., "compiler": ..., "build_type": ...}. */
+const std::string &buildInfoJson();
 
 } // namespace mssr
 

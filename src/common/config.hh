@@ -87,9 +87,6 @@ struct CoreConfig
     unsigned mulLatency = 3;
     unsigned divLatency = 12;
     unsigned branchLatency = 1;
-
-    // Misprediction redirect penalty: frontend refill (stages) cycles.
-    unsigned redirectPenalty = 5;
 };
 
 /**

@@ -63,13 +63,6 @@ SerialWriter::u8(std::uint8_t v)
 }
 
 void
-SerialWriter::u16(std::uint16_t v)
-{
-    for (unsigned i = 0; i < 2; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
 SerialWriter::u32(std::uint32_t v)
 {
     for (unsigned i = 0; i < 4; ++i)
@@ -88,13 +81,6 @@ SerialWriter::bytes(const std::uint8_t *data, std::size_t n)
 {
     if (n != 0)
         buf_.insert(buf_.end(), data, data + n);
-}
-
-void
-SerialWriter::str(const std::string &s)
-{
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes(reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
 }
 
 void
@@ -201,17 +187,6 @@ SerialReader::u8()
     return buf_[pos_++];
 }
 
-std::uint16_t
-SerialReader::u16()
-{
-    need(2);
-    std::uint16_t v = 0;
-    for (unsigned i = 0; i < 2; ++i)
-        v = static_cast<std::uint16_t>(v | (std::uint16_t{buf_[pos_++]}
-                                            << (8 * i)));
-    return v;
-}
-
 std::uint32_t
 SerialReader::u32()
 {
@@ -240,16 +215,6 @@ SerialReader::bytes(std::uint8_t *out, std::size_t n)
     need(n);
     std::memcpy(out, buf_.data() + pos_, n);
     pos_ += n;
-}
-
-std::string
-SerialReader::str()
-{
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(reinterpret_cast<const char *>(buf_.data() + pos_), n);
-    pos_ += n;
-    return s;
 }
 
 std::string

@@ -61,12 +61,9 @@ class SerialWriter
     /** @name Primitive emitters (little-endian) */
     /// @{
     void u8(std::uint8_t v);
-    void u16(std::uint16_t v);
     void u32(std::uint32_t v);
     void u64(std::uint64_t v);
     void bytes(const std::uint8_t *data, std::size_t n);
-    /** u32 length prefix + raw bytes. */
-    void str(const std::string &s);
     /// @}
 
     /** Opens a section with a 4-character tag. Sections cannot nest. */
@@ -114,11 +111,9 @@ class SerialReader
      */
     /// @{
     std::uint8_t u8();
-    std::uint16_t u16();
     std::uint32_t u32();
     std::uint64_t u64();
     void bytes(std::uint8_t *out, std::size_t n);
-    std::string str();
     /// @}
 
     /**

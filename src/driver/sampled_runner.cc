@@ -59,6 +59,17 @@ estimateFrom(const std::vector<double> &xs)
     return e;
 }
 
+void
+writeJson(std::ostream &os, const SampleEstimate &e)
+{
+    os << "{\"n\": " << e.n;
+    if (e.n >= 1)
+        os << ", \"mean\": " << e.mean;
+    if (e.n >= 2)
+        os << ", \"stderr\": " << e.stdErr << ", \"ci95\": " << e.ci95;
+    os << "}";
+}
+
 std::string
 sampledJobError(const BatchJob &job)
 {

@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "driver/batch_runner.hh"
@@ -59,6 +60,15 @@ struct SampleEstimate
 
 /** Mean/stderr/CI-95 of @p xs (two-pass, index order: deterministic). */
 SampleEstimate estimateFrom(const std::vector<double> &xs);
+
+/**
+ * One {"n", "mean", "stderr", "ci95"} estimate object, at the stream's
+ * precision. NaN is not valid JSON, so each field appears only once it
+ * is defined: "mean" needs one observation, "stderr"/"ci95" need two
+ * (a single observation has no spread estimate). Consumers render
+ * absent fields as "n/a".
+ */
+void writeJson(std::ostream &os, const SampleEstimate &e);
 
 /**
  * The sampled-mode exclusion matrix as a queryable predicate: returns

@@ -9,7 +9,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/cpi_stack.hh"
 #include "common/frame.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
@@ -75,274 +74,17 @@ isErrorReply(const std::string &reply)
     return reply.rfind("{\"ok\": false", 0) == 0;
 }
 
-/** Non-negative integer field (exactly representable in a double). */
+/** Required non-negative integer request field. */
 std::uint64_t
 u64Field(const JsonValue &obj, const std::string &key)
 {
     const auto it = obj.object.find(key);
     if (it == obj.object.end())
         throw std::invalid_argument("missing field '" + key + "'");
-    const JsonValue &v = it->second;
-    if (v.kind != JsonValue::Number || v.number < 0 ||
-        v.number != static_cast<double>(
-                        static_cast<std::uint64_t>(v.number)) ||
-        v.number > 9007199254740992.0)
-        throw std::invalid_argument("field '" + key +
-                                    "' must be a non-negative integer");
-    return static_cast<std::uint64_t>(v.number);
-}
-
-const std::vector<std::string> &
-registeredWorkloads()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> out;
-        for (const char *suite : {"spec2006", "spec2017", "gap", "micro"})
-            for (const auto &w : workloads::suiteWorkloads(suite))
-                out.push_back(w.name);
-        return out;
-    }();
-    return names;
-}
-
-void
-writeEstimate(std::ostream &os, const SampleEstimate &e)
-{
-    // NaN is not JSON: "mean" needs one observation, "stderr"/"ci95"
-    // two -- the same presence rule as mssr_run's sampled stats.
-    os << "{\"n\": " << e.n;
-    if (e.n >= 1)
-        os << ", \"mean\": " << e.mean;
-    if (e.n >= 2)
-        os << ", \"stderr\": " << e.stdErr << ", \"ci95\": " << e.ci95;
-    os << "}";
+    return jsonU64(key, it->second);
 }
 
 } // namespace
-
-ServeJobSpec
-parseJobSpec(const JsonValue &v)
-{
-    if (v.kind != JsonValue::Object)
-        throw std::invalid_argument("job spec must be a JSON object");
-    ServeJobSpec s;
-    const auto str = [&](const std::string &key, const JsonValue &val) {
-        if (val.kind != JsonValue::String)
-            throw std::invalid_argument("field '" + key +
-                                        "' must be a string");
-        return val.string;
-    };
-    const auto u64 = [&](const std::string &key) {
-        return u64Field(v, key);
-    };
-    const auto u32 = [&](const std::string &key) {
-        const std::uint64_t n = u64(key);
-        if (n > 0xffffffffu)
-            throw std::invalid_argument("field '" + key +
-                                        "' is out of range");
-        return static_cast<unsigned>(n);
-    };
-    const auto flag = [&](const std::string &key, const JsonValue &val) {
-        if (val.kind != JsonValue::Bool)
-            throw std::invalid_argument("field '" + key +
-                                        "' must be a boolean");
-        return val.number != 0.0;
-    };
-    for (const auto &[key, val] : v.object) {
-        if (key == "name")
-            s.name = str(key, val);
-        else if (key == "workload")
-            s.workload = str(key, val);
-        else if (key == "scheme")
-            s.scheme = str(key, val);
-        else if (key == "predictor")
-            s.predictor = str(key, val);
-        else if (key == "func_tier")
-            s.funcTier = str(key, val);
-        else if (key == "scale")
-            s.scale = u32(key);
-        else if (key == "iters")
-            s.iters = u32(key);
-        else if (key == "seed")
-            s.seed = u64(key);
-        else if (key == "streams")
-            s.streams = u32(key);
-        else if (key == "entries")
-            s.entries = u32(key);
-        else if (key == "sets")
-            s.sets = u32(key);
-        else if (key == "ways")
-            s.ways = u32(key);
-        else if (key == "bloom")
-            s.bloom = flag(key, val);
-        else if (key == "warm_bpu")
-            s.warmBpu = flag(key, val);
-        else if (key == "max_insts")
-            s.maxInsts = u64(key);
-        else if (key == "fast_forward")
-            s.fastForward = u64(key);
-        else if (key == "sample_period")
-            s.samplePeriod = u64(key);
-        else if (key == "sample_window")
-            s.sampleWindow = u64(key);
-        else
-            throw std::invalid_argument("unknown job-spec key '" + key +
-                                        "'");
-    }
-    if (s.workload.empty())
-        throw std::invalid_argument("job spec needs a 'workload'");
-    if (s.name.empty())
-        s.name = s.workload;
-    for (const char c : s.name)
-        if (static_cast<unsigned char>(c) < 0x20)
-            throw std::invalid_argument(
-                "job names must not contain control characters");
-    if (s.scheme != "none" && s.scheme != "rgid" && s.scheme != "regint")
-        throw std::invalid_argument("scheme '" + s.scheme +
-                                    "' is not none|rgid|regint");
-    if (s.predictor != "tage" && s.predictor != "gshare" &&
-        s.predictor != "bimodal")
-        throw std::invalid_argument("predictor '" + s.predictor +
-                                    "' is not tage|gshare|bimodal");
-    if (s.funcTier != "fast" && s.funcTier != "interp")
-        throw std::invalid_argument("func_tier '" + s.funcTier +
-                                    "' is not fast|interp");
-    return s;
-}
-
-std::string
-canonicalJobSpec(const ServeJobSpec &s)
-{
-    std::ostringstream os;
-    os << "{\"name\": \"" << jsonEscape(s.name) << "\", \"workload\": \""
-       << jsonEscape(s.workload) << "\", \"scheme\": \"" << s.scheme
-       << "\", \"predictor\": \"" << s.predictor << "\", \"func_tier\": \""
-       << s.funcTier << "\", \"scale\": " << s.scale << ", \"iters\": "
-       << s.iters << ", \"seed\": " << s.seed << ", \"streams\": "
-       << s.streams << ", \"entries\": " << s.entries << ", \"sets\": "
-       << s.sets << ", \"ways\": " << s.ways << ", \"bloom\": "
-       << (s.bloom ? "true" : "false") << ", \"warm_bpu\": "
-       << (s.warmBpu ? "true" : "false") << ", \"max_insts\": "
-       << s.maxInsts << ", \"fast_forward\": " << s.fastForward
-       << ", \"sample_period\": " << s.samplePeriod
-       << ", \"sample_window\": " << s.sampleWindow << "}";
-    return os.str();
-}
-
-SimConfig
-specConfig(const ServeJobSpec &s)
-{
-    SimConfig cfg;
-    cfg.reuseKind = s.scheme == "none"
-                        ? ReuseKind::None
-                        : s.scheme == "rgid" ? ReuseKind::Rgid
-                                             : ReuseKind::RegInt;
-    cfg.core.predictor = s.predictor == "tage"
-                             ? BranchPredictorKind::TageScL
-                             : s.predictor == "gshare"
-                                   ? BranchPredictorKind::Gshare
-                                   : BranchPredictorKind::Bimodal;
-    cfg.funcTier =
-        s.funcTier == "fast" ? FuncTier::Fast : FuncTier::Interpreter;
-    if (s.streams)
-        cfg.reuse.numStreams = s.streams;
-    if (s.entries) {
-        // The mssr_run --entries contract: P squash-log entries per
-        // stream implies P/4 (min 1) WPB fetch blocks.
-        cfg.reuse.squashLogEntriesPerStream = s.entries;
-        cfg.reuse.wpbEntriesPerStream = std::max(1u, s.entries / 4);
-    }
-    if (s.sets)
-        cfg.regint.sets = s.sets;
-    if (s.ways)
-        cfg.regint.ways = s.ways;
-    cfg.reuse.useBloomFilter = s.bloom;
-    cfg.warmBpu = s.warmBpu;
-    cfg.maxInsts = s.maxInsts;
-    cfg.fastForwardInsts = s.fastForward;
-    cfg.samplePeriod = s.samplePeriod;
-    cfg.sampleWindow = s.sampleWindow;
-    return cfg;
-}
-
-workloads::WorkloadScale
-specScale(const ServeJobSpec &s)
-{
-    workloads::WorkloadScale sc; // registry defaults, not fromEnv()
-    if (s.scale)
-        sc.graphScale = s.scale;
-    if (s.iters)
-        sc.iterations = s.iters;
-    sc.seed = s.seed;
-    return sc;
-}
-
-std::string
-validateJobSpec(const ServeJobSpec &s)
-{
-    const auto &names = registeredWorkloads();
-    if (std::find(names.begin(), names.end(), s.workload) == names.end())
-        return "unknown workload '" + s.workload + "'";
-    if (s.samplePeriod != 0 || s.sampleWindow != 0) {
-        if (s.warmBpu)
-            return "sampled windows always warm the predictor from the "
-                   "scan; drop warm_bpu";
-        // The PR 7 exclusion matrix, verbatim: a dummy program stands
-        // in so the program-presence check passes -- the real program
-        // is built only after the batch is accepted.
-        static const isa::Program placeholder;
-        BatchJob job;
-        job.name = s.name;
-        job.program = &placeholder;
-        job.config = specConfig(s);
-        return sampledJobError(job);
-    }
-    if (s.warmBpu && s.fastForward == 0)
-        return "warm_bpu requires fast_forward";
-    return "";
-}
-
-std::string
-serveResultRecord(const ServeJobSpec &spec, const RunResult &r)
-{
-    // BENCH_batch.json per-result field spellings, deterministic
-    // fields only: host times, kips and cache-hit flags would break
-    // the submit-twice byte-identity the service guarantees.
-    std::ostringstream os;
-    os << "{\"name\": \"" << jsonEscape(spec.name) << "\", \"scheme\": \""
-       << spec.scheme << "\", \"cycles\": " << r.cycles << ", \"insts\": "
-       << r.insts << ", \"ipc\": " << r.ipc << ", \"dispatch_width\": "
-       << r.dispatchWidth << ", \"ff_insts\": " << r.ffInsts
-       << ", \"cpi\": ";
-    writeJson(os, r.cpi);
-    os << ", \"funnel\": ";
-    writeJson(os, r.funnel);
-    os << "}";
-    return os.str();
-}
-
-std::string
-serveSampledRecord(const ServeJobSpec &spec, const SampledRunResult &r)
-{
-    std::ostringstream os;
-    os << "{\"name\": \"" << jsonEscape(spec.name) << "\", \"scheme\": \""
-       << spec.scheme << "\", \"sample_period\": " << r.samplePeriod
-       << ", \"sample_window\": " << r.sampleWindow << ", \"windows\": "
-       << r.windows << ", \"total_insts\": " << r.totalInsts
-       << ", \"halted\": " << (r.halted ? "true" : "false")
-       << ", \"cycles\": " << r.cycles << ", \"insts\": " << r.insts
-       << ", \"ipc\": " << r.ipc << ", \"dispatch_width\": "
-       << r.dispatchWidth << ", \"cpi\": ";
-    writeJson(os, r.cpi);
-    os << ", \"funnel\": ";
-    writeJson(os, r.funnel);
-    os << ", \"ipc_est\": ";
-    writeEstimate(os, r.ipcEst);
-    os << ", \"reuse_rate_est\": ";
-    writeEstimate(os, r.reuseRateEst);
-    os << "}";
-    return os.str();
-}
 
 const char *
 ServeCore::stateName(BatchState s)
@@ -813,12 +555,8 @@ ServeCore::runBatch(Batch &b)
             sampledIdx.push_back(i);
             continue;
         }
-        BatchJob job;
-        job.name = s.name;
-        job.program = programFor(s);
-        job.config = specConfig(s);
         detailIdx.push_back(i);
-        detailJobs.push_back(std::move(job));
+        detailJobs.push_back({s.name, programFor(s), specConfig(s), {}});
     }
 
     BatchRunner runner(opts_.threads);
@@ -840,11 +578,8 @@ ServeCore::runBatch(Batch &b)
         if (stopping_.load())
             break;
         const ServeJobSpec &s = b.specs[i];
-        BatchJob job;
-        job.name = s.name;
-        job.program = programFor(s);
-        job.config = specConfig(s);
-        const std::vector<SampledRunResult> res = runner.runSampled({job});
+        const std::vector<SampledRunResult> res =
+            runner.runSampled({{s.name, programFor(s), specConfig(s), {}}});
         recordDone(b, i, serveSampledRecord(s, res[0]));
     }
 

@@ -42,77 +42,10 @@
 
 #include "common/mini_json.hh"
 #include "common/serve_journal.hh"
-#include "driver/sampled_runner.hh"
-#include "isa/program.hh"
-#include "workloads/registry.hh"
+#include "driver/job_spec.hh"
 
 namespace mssr
 {
-
-/**
- * One job of a submitted sweep, as validated from its request JSON.
- * Field spellings follow the wire spec (docs/FORMATS.md): snake_case
- * keys, zeros meaning "registry default" for the scale knobs.
- */
-struct ServeJobSpec
-{
-    std::string name;               //!< defaults to the workload name
-    std::string workload;           //!< required; must be registered
-    std::string scheme = "rgid";    //!< none | rgid | regint
-    std::string predictor = "tage"; //!< tage | gshare | bimodal
-    std::string funcTier = "fast";  //!< fast | interp
-    unsigned scale = 0;             //!< graph scale (0 = default 10)
-    unsigned iters = 0;             //!< kernel iterations (0 = default 4000)
-    std::uint64_t seed = 42;
-    unsigned streams = 0;           //!< reuse streams (0 = default)
-    unsigned entries = 0;           //!< squash-log entries/stream (0 = dflt)
-    unsigned sets = 0, ways = 0;    //!< RegInt table shape (0 = default)
-    bool bloom = false;
-    bool warmBpu = false;
-    std::uint64_t maxInsts = 0;
-    std::uint64_t fastForward = 0;
-    std::uint64_t samplePeriod = 0;
-    std::uint64_t sampleWindow = 0;
-};
-
-/**
- * Parses one job-spec JSON object. Strict: unknown keys, wrong types
- * and out-of-range values all throw std::invalid_argument with a
- * message naming the key (handleRequest turns it into an
- * `invalid_job` reply).
- */
-ServeJobSpec parseJobSpec(const minijson::JsonValue &v);
-
-/**
- * The spec's canonical one-line JSON serialization: every field, in
- * fixed order, defaults resolved -- what the journal stores and what
- * two equal specs serialize identically to.
- */
-std::string canonicalJobSpec(const ServeJobSpec &s);
-
-/** The SimConfig a spec runs under (scheme/predictor/knobs applied). */
-SimConfig specConfig(const ServeJobSpec &s);
-
-/** The workload scale a spec's program is built at. Spec-complete:
- *  deliberately independent of the MSSR_SCALE/MSSR_ITERS environment,
- *  so a job spec alone determines the simulated program. */
-workloads::WorkloadScale specScale(const ServeJobSpec &s);
-
-/**
- * Full semantic validation (beyond parse-level shape): the workload
- * must be registered, and sampled specs must clear the sampled-mode
- * exclusion matrix (sampledJobError). Returns "" or the reason.
- */
-std::string validateJobSpec(const ServeJobSpec &s);
-
-/** One-line deterministic result record for a completed detailed job
- *  (BENCH_batch.json field spellings, host-side fields omitted). */
-std::string serveResultRecord(const ServeJobSpec &spec, const RunResult &r);
-
-/** The sampled-job counterpart: pooled totals plus the population
- *  estimates, deterministic fields only. */
-std::string serveSampledRecord(const ServeJobSpec &spec,
-                               const SampledRunResult &r);
 
 /** Service configuration (tool flags map 1:1 onto these). */
 struct ServeOptions

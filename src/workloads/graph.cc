@@ -75,7 +75,8 @@ Graph
 makeKronecker(unsigned scale, unsigned edge_factor, std::uint64_t seed,
               bool symmetric)
 {
-    mssr_assert(scale >= 1 && scale <= 24, "unreasonable Kronecker scale");
+    mssr_assert(scale >= 1 && scale <= MaxGraphScale,
+                "unreasonable Kronecker scale");
     const std::uint32_t n = std::uint32_t(1) << scale;
     const std::size_t m = std::size_t(edge_factor) << scale;
     // GAP defaults: A=0.57, B=0.19, C=0.19 (D = 0.05 implicit).

@@ -36,8 +36,16 @@ struct Graph
 };
 
 /**
+ * Largest graph scale (log2 vertices) any workload is built at: the
+ * limit makeKronecker() asserts, which MSSR_SCALE and every front end's
+ * scale knob check before building.
+ */
+constexpr unsigned MaxGraphScale = 24;
+
+/**
  * GAP-style Kronecker (R-MAT) graph: 2^scale vertices, about
- * scale * edge_factor * 2^scale edge endpoints before dedup.
+ * scale * edge_factor * 2^scale edge endpoints before dedup;
+ * scale in [1, MaxGraphScale].
  * @param symmetric add reverse edges (undirected kernels).
  */
 Graph makeKronecker(unsigned scale, unsigned edge_factor,

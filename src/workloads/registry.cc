@@ -1,5 +1,6 @@
 #include "workloads/registry.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 
@@ -21,7 +22,7 @@ WorkloadScale::fromEnv()
     // and "abc" silently ran at scale 0.
     WorkloadScale scale;
     scale.graphScale = static_cast<unsigned>(
-        envU64("MSSR_SCALE", scale.graphScale, 1, 30));
+        envU64("MSSR_SCALE", scale.graphScale, 1, MaxGraphScale));
     scale.iterations = static_cast<unsigned>(envU64(
         "MSSR_ITERS", scale.iterations, 1,
         std::numeric_limits<unsigned>::max()));
@@ -50,6 +51,40 @@ suiteWorkloads(const std::string &suite)
         return {{"nested-mispred", "micro"}, {"linear-mispred", "micro"}};
     }
     fatal("unknown workload suite '", suite, "'");
+}
+
+const std::vector<std::string> &
+suiteNames()
+{
+    static const std::vector<std::string> names = {"spec2006", "spec2017",
+                                                   "gap", "micro"};
+    return names;
+}
+
+std::vector<std::string>
+suiteWorkloadNames(const std::vector<std::string> &suites)
+{
+    std::vector<std::string> names;
+    for (const std::string &suite : suites)
+        for (const Workload &w : suiteWorkloads(suite))
+            names.push_back(w.name);
+    return names;
+}
+
+const std::vector<std::string> &
+registeredWorkloads()
+{
+    static const std::vector<std::string> names =
+        suiteWorkloadNames(suiteNames());
+    return names;
+}
+
+bool
+isWorkload(const std::string &name)
+{
+    const std::vector<std::string> &names = registeredWorkloads();
+    return name == "bfsdo" ||
+           std::find(names.begin(), names.end(), name) != names.end();
 }
 
 isa::Program

@@ -27,6 +27,7 @@ struct WorkloadScale
     /**
      * Reads MSSR_SCALE / MSSR_ITERS / MSSR_SEED environment overrides
      * so the harness can be scaled up toward the paper's -g 12 runs.
+     * MSSR_SCALE takes 1..MaxGraphScale (workloads/graph.hh).
      */
     static WorkloadScale fromEnv();
 };
@@ -40,6 +41,20 @@ struct Workload
 
 /** All benchmarks of a suite, in presentation order. */
 std::vector<Workload> suiteWorkloads(const std::string &suite);
+
+/** The suites, in presentation order. */
+const std::vector<std::string> &suiteNames();
+
+/** Workload names of @p suites, in presentation order. */
+std::vector<std::string>
+suiteWorkloadNames(const std::vector<std::string> &suites);
+
+/** Every registered workload name: suiteWorkloadNames(suiteNames()). */
+const std::vector<std::string> &registeredWorkloads();
+
+/** True for every name buildWorkload() builds: the registered workloads
+ *  plus the unlisted "bfsdo" extension. */
+bool isWorkload(const std::string &name);
 
 /** Builds the program for @p name at @p scale. Unknown names fatal. */
 isa::Program buildWorkload(const std::string &name,

@@ -161,6 +161,14 @@ TEST(EnvParseTest, WorkloadScaleEnforcesScaleBounds)
               workloads::WorkloadScale::fromEnv().graphScale);
     EXPECT_NE(std::string::npos,
               testing::internal::GetCapturedStderr().find("warn: "));
+
+    // One past the graph generator's limit (workloads::MaxGraphScale).
+    scale.set("25");
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(defaults.graphScale,
+              workloads::WorkloadScale::fromEnv().graphScale);
+    EXPECT_NE(std::string::npos,
+              testing::internal::GetCapturedStderr().find("warn: "));
 }
 
 } // namespace

@@ -31,6 +31,8 @@ tempPath(const std::string &name)
     return testing::TempDir() + name;
 }
 
+const std::string SampleText = "hello, serialization";
+
 /** A representative multi-section image for corruption tests. */
 std::vector<std::uint8_t>
 sampleImage()
@@ -38,12 +40,15 @@ sampleImage()
     SerialWriter w("TESTMAGC", 3);
     w.beginSection("ONE ");
     w.u8(0xAB);
-    w.u16(0xBEEF);
+    const std::uint8_t pair[2] = {0xBE, 0xEF};
+    w.bytes(pair, 2);
     w.u32(0xDEADBEEF);
     w.u64(0x0123456789ABCDEFull);
     w.endSection();
     w.beginSection("TWO ");
-    w.str("hello, serialization");
+    w.u32(static_cast<std::uint32_t>(SampleText.size()));
+    w.bytes(reinterpret_cast<const std::uint8_t *>(SampleText.data()),
+            SampleText.size());
     w.endSection();
     return w.buffer();
 }
@@ -54,12 +59,18 @@ readSampleImage(std::vector<std::uint8_t> data)
     SerialReader r(std::move(data), "TESTMAGC", 3);
     EXPECT_EQ(r.enterSection(), "ONE ");
     EXPECT_EQ(r.u8(), 0xAB);
-    EXPECT_EQ(r.u16(), 0xBEEF);
+    std::uint8_t pair[2] = {};
+    r.bytes(pair, 2);
+    EXPECT_EQ(pair[0], 0xBE);
+    EXPECT_EQ(pair[1], 0xEF);
     EXPECT_EQ(r.u32(), 0xDEADBEEFu);
     EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
     r.leaveSection();
     EXPECT_EQ(r.enterSection(), "TWO ");
-    EXPECT_EQ(r.str(), "hello, serialization");
+    ASSERT_EQ(r.u32(), SampleText.size());
+    std::string text(SampleText.size(), '\0');
+    r.bytes(reinterpret_cast<std::uint8_t *>(text.data()), text.size());
+    EXPECT_EQ(text, SampleText);
     r.leaveSection();
     EXPECT_TRUE(r.atEnd());
 }

@@ -15,6 +15,8 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include <sys/socket.h>
@@ -175,6 +177,16 @@ TEST(ServeJobSpec, RejectsUnknownKeysAndBadTypes)
     EXPECT_THROW(parseJobSpec(parseJson(
                      "{\"workload\": \"x\", \"scheme\": \"magic\"}")),
                  std::invalid_argument);
+    // Past the limits the model asserts: the Kronecker generator's
+    // scale and RegInt's power-of-two set count.
+    EXPECT_NO_THROW(parseJobSpec(
+        parseJson("{\"workload\": \"x\", \"scale\": 24, \"sets\": 32}")));
+    EXPECT_THROW(parseJobSpec(parseJson(
+                     "{\"workload\": \"x\", \"scale\": 25}")),
+                 std::invalid_argument);
+    EXPECT_THROW(parseJobSpec(parseJson(
+                     "{\"workload\": \"x\", \"sets\": 3}")),
+                 std::invalid_argument);
 }
 
 TEST(ServeJobSpec, ValidateCoversRegistryAndExclusionMatrix)
@@ -186,6 +198,9 @@ TEST(ServeJobSpec, ValidateCoversRegistryAndExclusionMatrix)
     s.workload = "nested-mispred";
     s.name = s.workload;
     EXPECT_EQ(validateJobSpec(s), "");
+    ServeJobSpec unlisted = s; // buildable, though no suite lists it
+    unlisted.workload = "bfsdo";
+    EXPECT_EQ(validateJobSpec(unlisted), "");
 
     // warm_bpu needs a fast-forward prefix to warm from.
     s.warmBpu = true;
@@ -224,6 +239,66 @@ TEST(ServeJobSpec, ConfigMappingMatchesMssrRun)
     EXPECT_EQ(cfg.reuse.wpbEntriesPerStream, 16u); // entries/4
     EXPECT_EQ(cfg.regint.sets, 128u);
     EXPECT_EQ(cfg.regint.ways, 2u);
+
+    // Each key's mssr_run flag and JSON spellings describe the same
+    // job: one non-default value set through either gives one
+    // canonical spec.
+    ServeJobSpec defaults;
+    defaults.workload = defaults.name = "nested-mispred";
+    for (const JobKey &key : jobKeys()) {
+        if (!key.flag)
+            continue;
+        std::string text, json;
+        std::visit(
+            [&](auto member) {
+                using T = std::decay_t<decltype(s.*member)>;
+                if constexpr (std::is_same_v<T, bool>) {
+                    json = "true";
+                } else if constexpr (std::is_same_v<T, std::string>) {
+                    const std::string choices = key.choices;
+                    text = choices.substr(choices.rfind('|') + 1);
+                    json = "\"" + text + "\"";
+                } else {
+                    text = json = "16";
+                }
+            },
+            key.member);
+        ServeJobSpec viaFlag = defaults;
+        ASSERT_TRUE(parseJobFlag(viaFlag, key.flag, [&] { return text; }));
+        const ServeJobSpec viaJson = parseJobSpec(parseJson(
+            "{\"workload\": \"nested-mispred\", \"" +
+            std::string(key.json) + "\": " + json + "}"));
+        EXPECT_EQ(canonicalJobSpec(viaFlag), canonicalJobSpec(viaJson))
+            << key.flag;
+        EXPECT_NE(canonicalJobSpec(viaFlag), canonicalJobSpec(defaults))
+            << key.flag;
+    }
+    EXPECT_FALSE(parseJobFlag(defaults, "--jobs", [] { return "4"; }));
+}
+
+TEST(ServeJobSpec, BaselineInheritsEverythingButTheReuseScheme)
+{
+    ServeJobSpec s;
+    s.workload = s.name = "nested-mispred";
+    s.scheme = "regint";
+    s.predictor = "bimodal";
+    s.streams = 8;
+    s.entries = 128;
+    s.sets = 32;
+    s.ways = 2;
+    s.bloom = true;
+    s.fastForward = 2000;
+    s.warmBpu = true;
+    s.maxInsts = 5000;
+    const ServeJobSpec base = baselineJobSpec(s);
+    ServeJobSpec expected;
+    expected.workload = expected.name = "nested-mispred";
+    expected.scheme = "none";
+    expected.predictor = "bimodal";
+    expected.fastForward = 2000;
+    expected.warmBpu = true;
+    expected.maxInsts = 5000;
+    EXPECT_EQ(canonicalJobSpec(base), canonicalJobSpec(expected));
 }
 
 // -------------------------------------------------------------- journal
@@ -390,6 +465,28 @@ TEST(ServeCore, QueueFullAndDrainingBackpressure)
     ASSERT_TRUE(okReply(parseJson(
         core.handleRequest("{\"type\": \"cancel\", \"batch\": 1}"))));
     EXPECT_EQ(core.pendingJobs(), 0u);
+}
+
+TEST(ServeCore, OutOfRangeKnobIsInvalidJobAndNeverJournaled)
+{
+    TempDir dir;
+    ServeOptions o = queueOnlyOptions();
+    o.journalPath = dir.file("journal.jsonl");
+    {
+        ServeCore core(o);
+        for (const char *job :
+             {"{\"workload\": \"bfs\", \"scale\": 25}",
+              "{\"workload\": \"nested-mispred\", \"scheme\": "
+              "\"regint\", \"sets\": 3}"}) {
+            const JsonValue reply = parseJson(core.handleRequest(
+                std::string("{\"type\": \"submit\", \"jobs\": [") + job +
+                "]}"));
+            EXPECT_FALSE(okReply(reply)) << job;
+            EXPECT_EQ(strField(reply, "error"), "invalid_job") << job;
+        }
+        EXPECT_EQ(core.pendingJobs(), 0u);
+    }
+    EXPECT_TRUE(ServeJournal::load(o.journalPath).empty());
 }
 
 TEST(ServeCore, PingReportsSchema)

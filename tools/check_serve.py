@@ -21,8 +21,17 @@ Modes:
                   result set fetched after recovery is byte-identical
                   to an uninterrupted reference run of the same sweep.
 
+  cli-match       For a handful of mssr_run command lines, run
+                  `mssr_run --stats-out` and submit the same jobs as
+                  job-spec JSON, then require both sides to agree on
+                  every integer field both records carry, every CPI
+                  slot (`cpi_slots` vs `cpi`) and every funnel count:
+                  a command line and its served job must simulate the
+                  same machine, --compare baselines included.
+
 Usage:
-  check_serve.py --serve BIN --submit BIN --mode MODE [--keep DIR]
+  check_serve.py --serve BIN --submit BIN --mode MODE [--run BIN]
+                 [--keep DIR]
 """
 
 import argparse
@@ -302,12 +311,106 @@ def mode_resume(opts, work):
     print("check_serve: resume ok")
 
 
+# (label, mssr_run flags, the same jobs as job specs). Every case runs
+# at --scale 6 --iters 400 with seed 42; each job spec below gets
+# those keys too. The --compare case's second job is its baseline.
+CLI_CASES = [
+    ("default rgid", [], ["nested-mispred", "bfs"],
+     [{"workload": "nested-mispred"}, {"workload": "bfs"}]),
+    ("compare under bimodal", ["--compare", "--predictor", "bimodal"],
+     ["nested-mispred"],
+     [{"workload": "nested-mispred", "predictor": "bimodal"},
+      {"name": "nested-mispred/baseline", "workload": "nested-mispred",
+       "scheme": "none", "predictor": "bimodal"}]),
+    ("regint 32x2", ["--reuse", "regint", "--sets", "32", "--ways", "2"],
+     ["nested-mispred"],
+     [{"workload": "nested-mispred", "scheme": "regint", "sets": 32,
+       "ways": 2}]),
+    ("fast-forward + warm bpu", ["--fast-forward", "2000", "--warm-bpu"],
+     ["nested-mispred"],
+     [{"workload": "nested-mispred", "fast_forward": 2000,
+       "warm_bpu": True}]),
+    ("sampled", ["--sample-period", "10000", "--sample-window", "2000"],
+     ["nested-mispred"],
+     [{"workload": "nested-mispred", "sample_period": 10000,
+       "sample_window": 2000}]),
+]
+
+
+def match_records(label, run, rec):
+    """Fails unless a mssr-stats-v1 run and a serve record agree."""
+    where = f"{label}: job '{rec.get('name')}'"
+    cli = dict(run.get("sampling", {}), **run)
+    if cli["name"] != rec["name"] or cli["scheme"] != rec["scheme"]:
+        fail(f"{where}: mssr_run ran {cli['name']!r}/{cli['scheme']!r}")
+    ints = [k for k, v in rec.items()
+            if type(v) is int and type(cli.get(k)) is int]
+    if "cycles" not in ints or "insts" not in ints:
+        fail(f"{where}: records share no cycles/insts fields")
+    for key in ints:
+        if cli[key] != rec[key]:
+            fail(f"{where}: {key} is {cli[key]} from mssr_run, "
+                 f"{rec[key]} served")
+    for mine, theirs in (("cpi_slots", "cpi"), ("funnel", "funnel")):
+        if cli[mine] != rec[theirs]:
+            fail(f"{where}: {mine} {cli[mine]} vs {theirs} {rec[theirs]}")
+
+
+def mode_cli_match(opts, work):
+    if not opts.run:
+        fail("--mode cli-match needs --run <mssr_run>")
+    # The job spec is environment-independent; mssr_run reads these.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("MSSR_SCALE", "MSSR_ITERS", "MSSR_SEED")}
+    sock = os.path.join(work, "serve.sock")
+    server = Server(opts.serve, sock, os.path.join(work, "journal.jsonl"),
+                    os.path.join(work, "results.jsonl"),
+                    os.path.join(work, "serve.prom"),
+                    os.path.join(work, "ckpt"), 2,
+                    os.path.join(work, "serve.log"))
+    try:
+        server.wait_ready(opts.submit)
+        for i, (label, flags, workloads, jobs) in enumerate(CLI_CASES):
+            stats = os.path.join(work, f"cli{i}.json")
+            out = subprocess.run(
+                [opts.run, "--scale", "6", "--iters", "400", *flags,
+                 "--stats-out", stats, *workloads],
+                capture_output=True, text=True, timeout=240, env=env)
+            if out.returncode != 0:
+                fail(f"{label}: mssr_run exited {out.returncode}: "
+                     f"{out.stderr}")
+            with open(stats) as f:
+                runs = json.load(f)["runs"]
+
+            sweep = os.path.join(work, f"jobs{i}.json")
+            with open(sweep, "w") as f:
+                json.dump([dict(j, scale=6, iters=400) for j in jobs], f)
+            served = os.path.join(work, f"served{i}.jsonl")
+            run_submit(opts.submit, sock, "submit", sweep, "--wait",
+                       "--out", served, "--label", label)
+            with open(served) as f:
+                records = [json.loads(line) for line in f if line.strip()]
+
+            if len(runs) != len(records):
+                fail(f"{label}: mssr_run wrote {len(runs)} runs, the "
+                     f"server {len(records)} records")
+            for run, rec in zip(runs, records):
+                match_records(label, run, rec)
+        run_submit(opts.submit, sock, "shutdown")
+        server.proc.wait(timeout=120)
+    finally:
+        if server.proc.poll() is None:
+            server.proc.kill()
+    print("check_serve: cli-match ok")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--serve", required=True)
     ap.add_argument("--submit", required=True)
     ap.add_argument("--mode", required=True,
-                    choices=["double-submit", "resume"])
+                    choices=["double-submit", "resume", "cli-match"])
+    ap.add_argument("--run", help="mssr_run binary (cli-match)")
     ap.add_argument("--keep", help="copy the scratch dir here afterwards")
     opts = ap.parse_args()
 
@@ -317,6 +420,8 @@ def main():
     try:
         if opts.mode == "double-submit":
             mode_double_submit(opts, work)
+        elif opts.mode == "cli-match":
+            mode_cli_match(opts, work)
         else:
             mode_resume(opts, work)
     finally:

@@ -9,101 +9,12 @@
  *   mssr_run [options] <workload> [<workload> ...]
  *   mssr_run [options] --asm <file.s>
  *
- * Options:
- *   --reuse none|rgid|regint     scheme (default rgid)
- *   --streams N                  RGID streams (default 4)
- *   --entries P                  squash-log entries/stream (default 64)
- *   --sets S --ways W            RI geometry (default 64x4)
- *   --predictor tage|gshare|bimodal
- *   --max-insts N                stop after N commits
- *   --scale G --iters I          workload sizing
- *   --jobs N                     worker threads (default: MSSR_JOBS or
- *                                hardware concurrency)
- *   --bloom                      Bloom hazard check instead of verify
- *   --all-stats                  dump every counter
- *   --compare                    also run the no-reuse baseline
- *   --trace                      record pipeline events (text to stderr)
- *   --trace-out FILE             write events as Chrome trace_event JSON
- *                                (implies --trace; open in chrome://tracing
- *                                or ui.perfetto.dev)
- *   --interval K                 sample interval stats every K cycles
- *   --pipeview-out FILE          record every instruction's pipeline
- *                                lifecycle (fetch..commit plus the
- *                                squash-reuse lanes) and write a Kanata
- *                                0004 log (mssr-pipeview-v1 header) for
- *                                the Konata visualizer. With multiple
- *                                jobs each job gets its own file
- *                                FILE-stem.<i>_<job>.<ext>. Inspect
- *                                with tools/mssr_stats --timeline
- *   --view-start-cycle C         with --view-cycles: bound --trace-out
- *                                and --pipeview-out output to cycles
- *                                [C, C+K) (pipeview selects by fetch
- *                                cycle and records the selected
- *                                instructions to retirement). Counters
- *                                and simulated results are unaffected
- *   --view-cycles K              length of the output window (K >= 1)
- *   --stats-out FILE             write per-run CPI stack, reuse funnel
- *                                and all scalar counters to FILE
- *                                (mssr-stats-v1 JSON; a .prom suffix
- *                                selects Prometheus text exposition).
- *                                Feed the JSON to tools/mssr_stats for
- *                                tables and A-vs-B diffs.
- *   --profile-out FILE           enable per-PC profiling and write the
- *                                per-branch/per-reconvergence-point
- *                                attribution to FILE (mssr-profile-v1
- *                                JSON; a .folded suffix emits collapsed
- *                                stack lines "branchPC;reconvPC;category
- *                                slots" for flamegraph tooling). Feed
- *                                the JSON to tools/mssr_stats --annotate
- *                                / --topn for hot-branch listings.
- *   --fast-forward K             run the first K instructions on the
- *                                functional emulator, then simulate the
- *                                remainder in detail from the snapshot
- *                                (--max-insts then bounds the detailed
- *                                region only)
- *   --ckpt-dir DIR               cache fast-forward snapshots in DIR as
- *                                mssr-ckpt-v2 files (load on hit, save
- *                                on miss; corrupt files exit 2)
- *   --warm-bpu                   pre-train the branch predictor from
- *                                the prefix's recorded branch outcomes
- *   --stats-host-time            include warm-up host timing (ff_host_sec,
- *                                ff_kips) in --stats-out JSON. Off by
- *                                default so stats files stay
- *                                byte-deterministic across hosts
- *   --sample-period N            SMARTS-style sampled simulation: run the
- *                                program end-to-end on the functional
- *                                tier, checkpoint every N insts, and
- *                                detail-simulate only the --sample-window
- *                                insts from each checkpoint (warm-BPU
- *                                replay). Reports per-metric population
- *                                estimates with 95% confidence intervals;
- *                                --stats-out gains a "sampling" block.
- *                                Requires --sample-window; composes with
- *                                --ckpt-dir (the scan shares the store)
- *                                and --compare; excludes --fast-forward,
- *                                --interval, --trace*, --profile-out
- *   --sample-window K            detailed instructions per window
- *                                (0 < K <= N)
- *   --sample-windows-out FILE    also write every per-window run as an
- *                                mssr-stats-v1 file (one run per window)
- *   --log-level error|warn|info|debug  structured-logger threshold
- *                                (default info; MSSR_LOG is the env
- *                                equivalent, the flag wins)
- *   --log-out FILE               mirror every emitted log record to FILE
- *                                as JSON lines (MSSR_LOG_OUT equivalent)
- *   --progress-every N           while a batch runs, log a one-line
- *                                progress report (done/total, ETA,
- *                                aggregate kips) every N seconds
- *   --metrics-out FILE           atomically rewrite FILE as a Prometheus
- *                                textfile of the live host metrics on
- *                                every progress heartbeat and at batch
- *                                completion. All telemetry is host-side
- *                                only: simulated results stay
- *                                byte-identical with it on or off
- *   --version                    print build provenance (git revision,
- *                                compiler, build type) and exit 0
- *   --list                       list available workloads
- *   --help                       print this flag reference and exit 0
+ * `mssr_run --help` prints the flag reference; docs/TOOLS.md is the
+ * man page. The simulation flags (--reuse, --streams, --scale, ...)
+ * are job keys: they fill one ServeJobSpec through the shared key
+ * table (driver/job_spec.hh), so a command line and the same job
+ * submitted to mssr_serve simulate the same machine, and a --compare
+ * baseline is that spec with the reuse scheme switched off.
  *
  * Each job records into its own tracer, so tracing composes with
  * parallel execution and the per-job event streams stay deterministic.
@@ -130,7 +41,7 @@
 #include "common/serialize.hh"
 #include "common/trace.hh"
 #include "driver/batch_runner.hh"
-#include "driver/sampled_runner.hh"
+#include "driver/job_spec.hh"
 #include "isa/assembler.hh"
 #include "workloads/registry.hh"
 
@@ -268,46 +179,31 @@ help(const char *argv0)
  */
 std::uint64_t
 numValue(const char *argv0, const std::string &flag, const std::string &v,
-         std::uint64_t min_value = 0)
+         std::uint64_t min_value = 0,
+         std::uint64_t max_value = std::numeric_limits<std::uint64_t>::max())
 {
-    const std::optional<std::uint64_t> parsed = parseU64(v);
+    std::string why;
+    const std::optional<std::uint64_t> parsed =
+        parseFlagU64(v, min_value, max_value, why);
     if (!parsed) {
         std::cerr << "mssr_run: invalid value '" << v << "' for " << flag
-                  << " (expected an unsigned integer)\n";
-        usage(argv0);
-    }
-    if (*parsed < min_value) {
-        std::cerr << "mssr_run: invalid value '" << v << "' for " << flag
-                  << " (must be >= " << min_value << ")\n";
+                  << " (" << why << ")\n";
         usage(argv0);
     }
     return *parsed;
 }
 
-unsigned
-u32Value(const char *argv0, const std::string &flag, const std::string &v,
-         unsigned min_value = 0)
+/** A path flag's value; an empty one is a usage error. */
+std::string
+pathValue(const char *argv0, const std::string &flag, std::string v,
+          const char *what = "file name")
 {
-    const std::uint64_t parsed = numValue(argv0, flag, v, min_value);
-    if (parsed > std::numeric_limits<unsigned>::max()) {
-        std::cerr << "mssr_run: invalid value '" << v << "' for " << flag
-                  << " (out of range)\n";
+    if (v.empty()) {
+        std::cerr << "mssr_run: " << flag << " needs a non-empty " << what
+                  << "\n";
         usage(argv0);
     }
-    return static_cast<unsigned>(parsed);
-}
-
-/**
- * Top-level "build_info" provenance block. Constant for a build tree,
- * so stats files from one binary stay byte-identical; like ckpt_hit
- * it is host-side metadata, excluded from cross-build comparisons.
- */
-void
-writeBuildInfoJson(std::ostream &os)
-{
-    os << "  \"build_info\": {\"git\": \"" << jsonEscape(buildGitRevision())
-       << "\", \"compiler\": \"" << jsonEscape(buildCompiler())
-       << "\", \"build_type\": \"" << jsonEscape(buildType()) << "\"},\n";
+    return v;
 }
 
 /**
@@ -320,10 +216,8 @@ std::string
 pipeviewMetaFields(const BatchJob &job)
 {
     std::ostringstream os;
-    os << "\"build_info\": {\"git\": \"" << jsonEscape(buildGitRevision())
-       << "\", \"compiler\": \"" << jsonEscape(buildCompiler())
-       << "\", \"build_type\": \"" << jsonEscape(buildType())
-       << "\"}, \"config\": {\"name\": \"" << jsonEscape(job.name)
+    os << "\"build_info\": " << buildInfoJson()
+       << ", \"config\": {\"name\": \"" << jsonEscape(job.name)
        << "\", \"scheme\": \"" << toString(job.config.reuseKind)
        << "\", \"streams\": " << job.config.reuse.numStreams
        << ", \"entries\": " << job.config.reuse.squashLogEntriesPerStream
@@ -367,8 +261,8 @@ writeStatsJson(std::ostream &os, const std::vector<BatchJob> &jobs,
                const std::vector<RunResult> &results, bool host_time)
 {
     os.precision(17); // counters round-trip exactly through stod
-    os << "{\n  \"schema\": \"mssr-stats-v1\",\n";
-    writeBuildInfoJson(os);
+    os << "{\n  \"schema\": \"mssr-stats-v1\",\n  \"build_info\": "
+       << buildInfoJson() << ",\n";
     os << "  \"runs\": [";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const RunResult &r = results[i];
@@ -417,23 +311,6 @@ writeStatsJson(std::ostream &os, const std::vector<BatchJob> &jobs,
 }
 
 /**
- * One {"n", "mean", "stderr", "ci95"} estimate object. NaN is not
- * valid JSON, so each field appears only once it is defined: "mean"
- * needs one window, "stderr"/"ci95" need two (a single observation
- * has no spread estimate). Consumers render absent fields as "n/a".
- */
-void
-writeEstimateJson(std::ostream &os, const SampleEstimate &e)
-{
-    os << "{\"n\": " << e.n;
-    if (e.n >= 1)
-        os << ", \"mean\": " << e.mean;
-    if (e.n >= 2)
-        os << ", \"stderr\": " << e.stdErr << ", \"ci95\": " << e.ci95;
-    os << "}";
-}
-
-/**
  * Sampled variant of writeStatsJson: the same mssr-stats-v1 run shape
  * (so every existing consumer still parses it), with the merged
  * window totals in the headline fields and a "sampling" object
@@ -453,8 +330,8 @@ writeSampledStatsJson(std::ostream &os, const std::vector<BatchJob> &jobs,
                       bool host_time)
 {
     os.precision(17);
-    os << "{\n  \"schema\": \"mssr-stats-v1\",\n";
-    writeBuildInfoJson(os);
+    os << "{\n  \"schema\": \"mssr-stats-v1\",\n  \"build_info\": "
+       << buildInfoJson() << ",\n";
     os << "  \"runs\": [";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const SampledRunResult &r = results[i];
@@ -486,13 +363,13 @@ writeSampledStatsJson(std::ostream &os, const std::vector<BatchJob> &jobs,
             os << ", \"scan_host_sec\": " << r.scanHostSeconds
                << ", \"scan_disk_hits\": " << r.scanDiskHits;
         os << ", \"estimates\": {\"ipc\": ";
-        writeEstimateJson(os, r.ipcEst);
+        writeJson(os, r.ipcEst);
         os << ", \"reuse_rate\": ";
-        writeEstimateJson(os, r.reuseRateEst);
+        writeJson(os, r.reuseRateEst);
         for (std::size_t c = 0; c < NumCpiCats; ++c) {
             os << ", \"cpi_" << cpiCatKey(static_cast<CpiCat>(c))
                << "\": ";
-            writeEstimateJson(os, r.cpiEst[c]);
+            writeJson(os, r.cpiEst[c]);
         }
         os << "}}}";
     }
@@ -621,9 +498,15 @@ printSampledSummary(const std::string &label, const SampledRunResult &r)
 int
 main(int argc, char **argv)
 {
-    SimConfig cfg;
-    cfg.reuseKind = ReuseKind::Rgid;
-    workloads::WorkloadScale scale = workloads::WorkloadScale::fromEnv();
+    // The simulation flags fill one job spec through the shared job-key
+    // table (driver/job_spec.hh); MSSR_SCALE/MSSR_ITERS/MSSR_SEED seed
+    // its program size, which --scale/--iters override.
+    ServeJobSpec spec;
+    const workloads::WorkloadScale envScale =
+        workloads::WorkloadScale::fromEnv();
+    spec.scale = envScale.graphScale;
+    spec.iters = envScale.iterations;
+    spec.seed = envScale.seed;
     std::vector<std::string> workloadNames;
     std::string asmFile;
     std::string traceOutFile;
@@ -637,6 +520,7 @@ main(int argc, char **argv)
     std::uint64_t progressEvery = 0;
     std::uint64_t viewStartCycle = 0;
     std::uint64_t viewCycles = 0;
+    Cycle statsInterval = 0;
     bool viewStartSet = false;
     unsigned jobsOverride = 0;
     bool traceOn = false;
@@ -651,63 +535,19 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (arg == "--reuse") {
-            const std::string v = next();
-            if (v == "none")
-                cfg.reuseKind = ReuseKind::None;
-            else if (v == "rgid")
-                cfg.reuseKind = ReuseKind::Rgid;
-            else if (v == "regint")
-                cfg.reuseKind = ReuseKind::RegInt;
-            else
-                usage(argv[0]);
-        } else if (arg == "--streams") {
-            cfg.reuse.numStreams = u32Value(argv[0], arg, next(), 1);
-        } else if (arg == "--entries") {
-            cfg.reuse.squashLogEntriesPerStream =
-                u32Value(argv[0], arg, next(), 1);
-            cfg.reuse.wpbEntriesPerStream = std::max(
-                1u, cfg.reuse.squashLogEntriesPerStream / 4);
-        } else if (arg == "--sets") {
-            cfg.regint.sets = u32Value(argv[0], arg, next(), 1);
-        } else if (arg == "--ways") {
-            cfg.regint.ways = u32Value(argv[0], arg, next(), 1);
-        } else if (arg == "--predictor") {
-            const std::string v = next();
-            if (v == "tage")
-                cfg.core.predictor = BranchPredictorKind::TageScL;
-            else if (v == "gshare")
-                cfg.core.predictor = BranchPredictorKind::Gshare;
-            else if (v == "bimodal")
-                cfg.core.predictor = BranchPredictorKind::Bimodal;
-            else
-                usage(argv[0]);
-        } else if (arg == "--max-insts") {
-            cfg.maxInsts = numValue(argv[0], arg, next());
-        } else if (arg == "--fast-forward") {
-            cfg.fastForwardInsts = numValue(argv[0], arg, next(), 1);
-        } else if (arg == "--ckpt-dir") {
-            ckptDir = next();
-            if (ckptDir.empty()) {
-                std::cerr << "mssr_run: --ckpt-dir needs a non-empty "
-                             "directory\n";
-                usage(argv[0]);
-            }
-        } else if (arg == "--warm-bpu") {
-            cfg.warmBpu = true;
+        try {
+            if (parseJobFlag(spec, arg, next))
+                continue;
+        } catch (const std::invalid_argument &e) {
+            std::cerr << "mssr_run: " << e.what() << "\n";
+            usage(argv[0]);
+        }
+        if (arg == "--ckpt-dir") {
+            ckptDir = pathValue(argv[0], arg, next(), "directory");
         } else if (arg == "--stats-host-time") {
             statsHostTime = true;
-        } else if (arg == "--sample-period") {
-            cfg.samplePeriod = numValue(argv[0], arg, next(), 1);
-        } else if (arg == "--sample-window") {
-            cfg.sampleWindow = numValue(argv[0], arg, next(), 1);
         } else if (arg == "--sample-windows-out") {
-            sampleWindowsOutFile = next();
-            if (sampleWindowsOutFile.empty()) {
-                std::cerr << "mssr_run: --sample-windows-out needs a "
-                             "non-empty file name\n";
-                usage(argv[0]);
-            }
+            sampleWindowsOutFile = pathValue(argv[0], arg, next());
         } else if (arg == "--log-level") {
             const std::string v = next();
             LogLevel level;
@@ -719,51 +559,31 @@ main(int argc, char **argv)
             }
             Logger::global().setLevel(level);
         } else if (arg == "--log-out") {
-            logOutFile = next();
-            if (logOutFile.empty()) {
-                std::cerr << "mssr_run: --log-out needs a non-empty file "
-                             "name\n";
-                usage(argv[0]);
-            }
+            logOutFile = pathValue(argv[0], arg, next());
         } else if (arg == "--progress-every") {
             progressEvery = numValue(argv[0], arg, next());
         } else if (arg == "--metrics-out") {
-            metricsOutFile = next();
-            if (metricsOutFile.empty()) {
-                std::cerr << "mssr_run: --metrics-out needs a non-empty "
-                             "file name\n";
-                usage(argv[0]);
-            }
+            metricsOutFile = pathValue(argv[0], arg, next());
         } else if (arg == "--version") {
             std::cout << "mssr_run " << buildInfoLine() << "\n";
             return 0;
-        } else if (arg == "--scale") {
-            scale.graphScale = u32Value(argv[0], arg, next(), 1);
-        } else if (arg == "--iters") {
-            scale.iterations = u32Value(argv[0], arg, next(), 1);
         } else if (arg == "--jobs") {
-            jobsOverride = u32Value(argv[0], arg, next());
+            jobsOverride = static_cast<unsigned>(
+                numValue(argv[0], arg, next(), 0,
+                         std::numeric_limits<unsigned>::max()));
         } else if (arg == "--interval") {
-            cfg.statsInterval = numValue(argv[0], arg, next());
+            statsInterval = numValue(argv[0], arg, next());
         } else if (arg == "--stats-out") {
             statsOutFile = next();
         } else if (arg == "--profile-out") {
             profileOutFile = next();
-            cfg.profiling = true;
-        } else if (arg == "--bloom") {
-            cfg.reuse.useBloomFilter = true;
         } else if (arg == "--trace") {
             traceOn = true;
         } else if (arg == "--trace-out") {
             traceOutFile = next();
             traceOn = true;
         } else if (arg == "--pipeview-out") {
-            pipeviewOutFile = next();
-            if (pipeviewOutFile.empty()) {
-                std::cerr << "mssr_run: --pipeview-out needs a non-empty "
-                             "file name\n";
-                usage(argv[0]);
-            }
+            pipeviewOutFile = pathValue(argv[0], arg, next());
         } else if (arg == "--view-start-cycle") {
             viewStartCycle = numValue(argv[0], arg, next());
             viewStartSet = true;
@@ -776,8 +596,7 @@ main(int argc, char **argv)
         } else if (arg == "--asm") {
             asmFile = next();
         } else if (arg == "--list") {
-            for (const std::string suite : {"spec2006", "spec2017", "gap",
-                                            "micro"}) {
+            for (const std::string &suite : workloads::suiteNames()) {
                 std::cout << suite << ":";
                 for (const auto &w : workloads::suiteWorkloads(suite))
                     std::cout << " " << w.name;
@@ -802,7 +621,7 @@ main(int argc, char **argv)
                      "those flags\n";
         usage(argv[0]);
     }
-    if (cfg.samplePeriod != 0 || cfg.sampleWindow != 0 ||
+    if (spec.samplePeriod != 0 || spec.sampleWindow != 0 ||
         !sampleWindowsOutFile.empty()) {
         // Sampled mode owns the whole run shape: it fast-forwards to
         // every window itself, always replays the prefix branches into
@@ -814,18 +633,18 @@ main(int argc, char **argv)
             std::cerr << "mssr_run: " << why << "\n";
             usage(argv[0]);
         };
-        if (cfg.samplePeriod == 0 || cfg.sampleWindow == 0)
+        if (spec.samplePeriod == 0 || spec.sampleWindow == 0)
             reject(sampleWindowsOutFile.empty()
                        ? std::string("--sample-period and --sample-window "
                                      "go together")
                        : std::string("--sample-windows-out requires "
                                      "--sample-period and --sample-window"));
-        if (cfg.sampleWindow > cfg.samplePeriod)
+        if (spec.sampleWindow > spec.samplePeriod)
             reject("--sample-window must be <= --sample-period");
-        if (cfg.fastForwardInsts != 0)
+        if (spec.fastForward != 0)
             reject("sampling fast-forwards to each window itself; drop "
                    "--fast-forward");
-        if (cfg.statsInterval != 0)
+        if (statsInterval != 0)
             reject("--interval is not supported inside sampled windows");
         if (traceOn)
             reject("per-window tracing is not supported; drop "
@@ -836,7 +655,7 @@ main(int argc, char **argv)
         if (!profileOutFile.empty())
             reject("per-window profiling is not supported; drop "
                    "--profile-out");
-        if (cfg.warmBpu)
+        if (spec.warmBpu)
             reject("sampled windows always warm the predictor from the "
                    "prefix; drop --warm-bpu");
         if (statsOutFile.size() >= 5 &&
@@ -844,8 +663,8 @@ main(int argc, char **argv)
             reject("sampled stats are JSON-only; --stats-out cannot be "
                    "a .prom file");
     }
-    if (cfg.fastForwardInsts == 0 && cfg.samplePeriod == 0 &&
-        (!ckptDir.empty() || cfg.warmBpu)) {
+    if (spec.fastForward == 0 && spec.samplePeriod == 0 &&
+        (!ckptDir.empty() || spec.warmBpu)) {
         std::cerr << "mssr_run: "
                   << (ckptDir.empty()
                           ? "--warm-bpu requires --fast-forward K"
@@ -873,6 +692,22 @@ main(int argc, char **argv)
         return 2;
     }
 
+    // One spec per program, named after its workload (or --asm file).
+    std::vector<ServeJobSpec> specs;
+    if (!asmFile.empty()) {
+        specs.push_back(spec);
+        specs.back().name = asmFile;
+    }
+    for (const std::string &name : workloadNames) {
+        specs.push_back(spec);
+        specs.back().name = specs.back().workload = name;
+        if (const std::string why = validateJobSpec(specs.back());
+            !why.empty()) {
+            std::cerr << "mssr_run: " << why << "\n";
+            return 2;
+        }
+    }
+
     if (!logOutFile.empty() && !Logger::global().openJsonl(logOutFile)) {
         std::cerr << "mssr_run: cannot open --log-out file '" << logOutFile
                   << "'\n";
@@ -881,20 +716,19 @@ main(int argc, char **argv)
 
     try {
         // Build every program up front (programs must outlive the batch).
-        std::vector<std::string> labels;
         std::vector<isa::Program> programs;
-        if (!asmFile.empty()) {
+        for (const ServeJobSpec &s : specs) {
+            if (!s.workload.empty()) {
+                programs.push_back(
+                    workloads::buildWorkload(s.workload, specScale(s)));
+                continue;
+            }
             std::ifstream in(asmFile);
             if (!in)
                 fatal("cannot open '", asmFile, "'");
             std::ostringstream text;
             text << in.rdbuf();
-            labels.push_back(asmFile);
             programs.push_back(isa::assembleProgram(text.str()));
-        }
-        for (const auto &name : workloadNames) {
-            labels.push_back(name);
-            programs.push_back(workloads::buildWorkload(name, scale));
         }
 
         // One job per program, plus its baseline when comparing. Each
@@ -907,8 +741,10 @@ main(int argc, char **argv)
         const Cycle viewEnd = viewCycles != 0
                                   ? viewStartCycle + viewCycles
                                   : ~Cycle(0);
-        auto addJob = [&](std::string label, const isa::Program *prog,
-                          SimConfig job_cfg) {
+        auto addJob = [&](const ServeJobSpec &s, const isa::Program *prog) {
+            SimConfig job_cfg = specConfig(s);
+            job_cfg.statsInterval = statsInterval;
+            job_cfg.profiling = !profileOutFile.empty();
             if (traceOn) {
                 tracers.emplace_back();
                 if (viewWindowed)
@@ -921,24 +757,18 @@ main(int argc, char **argv)
                     pipeviews.back().setWindow(viewStartCycle, viewEnd);
                 job_cfg.pipeview = &pipeviews.back();
             }
-            jobs.push_back({std::move(label), prog, job_cfg, {}});
+            jobs.push_back({s.name, prog, job_cfg, {}});
         };
         for (std::size_t i = 0; i < programs.size(); ++i) {
-            addJob(labels[i], &programs[i], cfg);
+            addJob(specs[i], &programs[i]);
             if (compare) {
-                SimConfig baseCfg = baselineConfig(cfg.maxInsts);
-                baseCfg.statsInterval = cfg.statsInterval;
-                baseCfg.profiling = cfg.profiling;
-                // Same region as the MSSR run -- and the same (program,
-                // K) warm-up group, so the pair shares one functional
-                // prefix through the BatchRunner cache.
-                baseCfg.fastForwardInsts = cfg.fastForwardInsts;
-                baseCfg.warmBpu = cfg.warmBpu;
-                // Sampled compare: same (program, period, bound) key,
-                // so the pair shares one functional scan too.
-                baseCfg.samplePeriod = cfg.samplePeriod;
-                baseCfg.sampleWindow = cfg.sampleWindow;
-                addJob(labels[i] + "/baseline", &programs[i], baseCfg);
+                // The baseline inherits every knob except the reuse
+                // scheme and geometry, so the pair also shares one
+                // warm-up prefix or sampling scan through the
+                // BatchRunner cache.
+                ServeJobSpec base = baselineJobSpec(specs[i]);
+                base.name += "/baseline";
+                addJob(base, &programs[i]);
             }
         }
         BatchRunner runner(jobsOverride);
@@ -950,7 +780,7 @@ main(int argc, char **argv)
         runner.setMetricsOut(metricsOutFile);
         runner.setProgressLabel("mssr_run");
 
-        if (cfg.samplePeriod != 0) {
+        if (spec.samplePeriod != 0) {
             // Sampled mode: one functional scan per program drops
             // periodic checkpoints, the detailed windows fan out
             // across the pool, and the merge happens in window order
@@ -983,9 +813,9 @@ main(int argc, char **argv)
             std::size_t point = 0;
             for (std::size_t i = 0; i < programs.size(); ++i) {
                 if (programs.size() > 1)
-                    std::cout << "== " << labels[i] << " ==\n";
+                    std::cout << "== " << specs[i].name << " ==\n";
                 const SampledRunResult &r = sampled[point++];
-                printSampledSummary(toString(cfg.reuseKind), r);
+                printSampledSummary(spec.scheme, r);
                 if (compare) {
                     const SampledRunResult &base = sampled[point++];
                     printSampledSummary("none", base);
@@ -1087,9 +917,9 @@ main(int argc, char **argv)
         std::size_t point = 0;
         for (std::size_t i = 0; i < programs.size(); ++i) {
             if (programs.size() > 1)
-                std::cout << "== " << labels[i] << " ==\n";
+                std::cout << "== " << specs[i].name << " ==\n";
             const RunResult &r = results[point++];
-            printSummary(toString(cfg.reuseKind), r);
+            printSummary(spec.scheme, r);
             if (compare) {
                 const RunResult &base = results[point++];
                 printSummary("none", base);

@@ -176,12 +176,13 @@ main(int argc, char **argv)
         } else if (arg == "--ckpt-dir") {
             opts.ckptDir = next();
         } else if (arg == "--jobs") {
-            const auto v = parseU32(next());
-            if (!v || *v < 1 || *v > 1024) {
+            std::string why;
+            const auto v = parseFlagU64(next(), 1, 1024, why);
+            if (!v) {
                 std::cerr << "mssr_serve: --jobs wants 1..1024\n";
                 usage(argv[0]);
             }
-            opts.threads = *v;
+            opts.threads = static_cast<unsigned>(*v);
         } else if (arg == "--queue-max") {
             const auto v = parseU64(next());
             if (!v || *v < 1) {
