@@ -23,7 +23,8 @@ StatisticalCorrector::index(Addr pc, bool tage_pred,
                         (tage_pred ? 0x155 : 0) ^
                         (std::uint64_t(table) * 0x9e3);
     if (histLens_[table] > 0)
-        idx ^= hist.fold(histLens_[table], tableBits_);
+        idx ^= foldSlots_.empty() ? hist.fold(histLens_[table], tableBits_)
+                                  : hist.folded(foldSlots_[table]);
     return idx & mask(tableBits_);
 }
 

@@ -47,12 +47,29 @@ class StatisticalCorrector
     void train(Addr pc, bool tage_pred, bool taken,
                const GlobalHistory &hist);
 
+    /**
+     * Registers the corrector's history folds through @p add_fold, a
+     * callable (hist_len, out_bits) -> slot such as
+     * TagePredictor::addFold; every history passed in afterwards is
+     * read by those slots (GlobalHistory::folded). Unregistered, each
+     * lookup folds the history from scratch (GlobalHistory::fold).
+     */
+    template <typename AddFold>
+    void
+    registerFolds(AddFold &&add_fold)
+    {
+        foldSlots_.clear();
+        for (unsigned len : histLens_)
+            foldSlots_.push_back(len > 0 ? add_fold(len, tableBits_) : 0);
+    }
+
   private:
     std::size_t index(Addr pc, bool tage_pred, const GlobalHistory &hist,
                       unsigned table) const;
 
     unsigned tableBits_;
     std::vector<unsigned> histLens_;
+    std::vector<unsigned> foldSlots_;  //!< per table; empty = unregistered
     std::vector<std::vector<std::int8_t>> tables_; //!< 6-bit signed
     int threshold_ = 5;
 };

@@ -16,14 +16,26 @@ TagePredictor::TagePredictor(const TageConfig &cfg)
     tables_.resize(cfg_.histLens.size());
     for (auto &table : tables_)
         table.resize(std::size_t(1) << cfg_.tableBits);
+    for (unsigned len : cfg_.histLens)
+        foldSlots_.push_back(FoldSlots{addFold(len, cfg_.tableBits),
+                                       addFold(len, cfg_.tagBits),
+                                       addFold(len, cfg_.tagBits - 1)});
+}
+
+unsigned
+TagePredictor::addFold(unsigned hist_len, unsigned out_bits)
+{
+    const unsigned slot = specHist_.addFold(hist_len, out_bits);
+    const unsigned retiredSlot = retiredHist_.addFold(hist_len, out_bits);
+    mssr_assert(slot == retiredSlot, "history fold slots diverged");
+    return slot;
 }
 
 std::uint32_t
 TagePredictor::tableIndex(Addr pc, const GlobalHistory &hist,
                           unsigned table) const
 {
-    const std::uint64_t folded =
-        hist.fold(cfg_.histLens[table], cfg_.tableBits);
+    const std::uint64_t folded = hist.folded(foldSlots_[table].index);
     const std::uint64_t pcbits = pc / InstBytes;
     return static_cast<std::uint32_t>(
         (pcbits ^ (pcbits >> cfg_.tableBits) ^ folded ^
@@ -34,10 +46,8 @@ std::uint16_t
 TagePredictor::tableTag(Addr pc, const GlobalHistory &hist,
                         unsigned table) const
 {
-    const std::uint64_t folded =
-        hist.fold(cfg_.histLens[table], cfg_.tagBits);
-    const std::uint64_t folded2 =
-        hist.fold(cfg_.histLens[table], cfg_.tagBits - 1) << 1;
+    const std::uint64_t folded = hist.folded(foldSlots_[table].tag);
+    const std::uint64_t folded2 = hist.folded(foldSlots_[table].tag2) << 1;
     const std::uint64_t pcbits = pc / InstBytes;
     return static_cast<std::uint16_t>(
         (pcbits ^ folded ^ folded2) & mask(cfg_.tagBits));
@@ -115,6 +125,7 @@ TagePredictor::restore(const PredSnapshot &snap)
 {
     for (unsigned i = 0; i < 4; ++i)
         specHist_.setWord(i, snap.words[i]);
+    specHist_.refold();
 }
 
 void

@@ -59,8 +59,10 @@ class TagePredictor : public DirPredictor
     void commitUpdate(Addr pc, bool taken) override;
 
     /**
-     * Performs the full table walk against an explicit history;
-     * exposed so TAGE-SC-L can reuse the lookup for the corrector.
+     * Performs the full table walk against an explicit history, which
+     * must be specHist() or retiredHist() (the walk reads their
+     * registered folds); exposed so TAGE-SC-L can reuse the lookup
+     * for the corrector.
      */
     TageLookup lookup(Addr pc, const GlobalHistory &hist) const;
 
@@ -69,6 +71,13 @@ class TagePredictor : public DirPredictor
 
     /** Shifts a retired outcome into the retired history. */
     void advanceRetired(bool taken) { retiredHist_.shift(taken); }
+
+    /**
+     * Registers fold(@p hist_len, @p out_bits) on both histories (see
+     * GlobalHistory::addFold) and returns its slot, which is the same
+     * in both; TAGE-SC-L registers its corrector's folds this way.
+     */
+    unsigned addFold(unsigned hist_len, unsigned out_bits);
 
     const GlobalHistory &specHist() const { return specHist_; }
     const GlobalHistory &retiredHist() const { return retiredHist_; }
@@ -86,7 +95,16 @@ class TagePredictor : public DirPredictor
     std::uint16_t tableTag(Addr pc, const GlobalHistory &hist,
                            unsigned table) const;
 
+    /** History-fold slots one tagged table reads. */
+    struct FoldSlots
+    {
+        unsigned index = 0;  //!< fold(len, tableBits)
+        unsigned tag = 0;    //!< fold(len, tagBits)
+        unsigned tag2 = 0;   //!< fold(len, tagBits - 1)
+    };
+
     TageConfig cfg_;
+    std::vector<FoldSlots> foldSlots_;  //!< per tagged table
     std::vector<std::vector<Entry>> tables_;
     std::vector<std::uint8_t> base_;    //!< 2-bit counters
     GlobalHistory specHist_;

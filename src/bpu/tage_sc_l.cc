@@ -3,7 +3,12 @@
 namespace mssr
 {
 
-TageScLPredictor::TageScLPredictor(const TageConfig &cfg) : tage_(cfg) {}
+TageScLPredictor::TageScLPredictor(const TageConfig &cfg) : tage_(cfg)
+{
+    sc_.registerFolds([this](unsigned len, unsigned bits) {
+        return tage_.addFold(len, bits);
+    });
+}
 
 bool
 TageScLPredictor::predict(Addr pc)

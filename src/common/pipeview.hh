@@ -139,8 +139,6 @@ class PipeView
         winStart_ = start;
         winEnd_ = end;
     }
-    Cycle windowStart() const { return winStart_; }
-    Cycle windowEnd() const { return winEnd_; }
 
     /** @name Core lifecycle hooks (O3Cpu) */
     /// @{

@@ -59,7 +59,6 @@ class ServeJournal
      * cannot be opened or created.
      */
     bool open(const std::string &path);
-    bool isOpen() const { return fd_ >= 0; }
     const std::string &path() const { return path_; }
     void close();
 

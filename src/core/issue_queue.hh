@@ -4,12 +4,15 @@
  * dispatched instructions; each cycle the oldest ready instructions
  * are selected subject to per-FU issue-port limits (Table 3: 64-entry
  * 4xALU + 2xBRU integer RVS, 64-entry 2xLSU memory RVS).
+ *
+ * The entries are one contiguous array in insertion order, allocated
+ * once at the configured capacity; selection and squash compact it in
+ * place, keeping that order.
  */
 
 #ifndef MSSR_CORE_ISSUE_QUEUE_HH
 #define MSSR_CORE_ISSUE_QUEUE_HH
 
-#include <list>
 #include <vector>
 
 #include "common/log.hh"
@@ -21,7 +24,10 @@ namespace mssr
 class IssueQueue
 {
   public:
-    explicit IssueQueue(unsigned capacity) : capacity_(capacity) {}
+    explicit IssueQueue(unsigned capacity) : capacity_(capacity)
+    {
+        insts_.reserve(capacity);
+    }
 
     bool full() const { return insts_.size() >= capacity_; }
     std::size_t size() const { return insts_.size(); }
@@ -47,23 +53,26 @@ class IssueQueue
                 std::vector<DynInstPtr> &out)
     {
         out.clear();
-        for (auto it = insts_.begin();
-             it != insts_.end() && out.size() < max_issue;) {
-            if (ready(*it)) {
-                (*it)->inIq = false;
-                out.push_back(*it);
-                it = insts_.erase(it);
+        std::size_t kept = 0;
+        std::size_t i = 0;
+        for (; i < insts_.size() && out.size() < max_issue; ++i) {
+            if (ready(insts_[i])) {
+                insts_[i]->inIq = false;
+                out.push_back(std::move(insts_[i]));
             } else {
-                ++it;
+                insts_[kept++] = std::move(insts_[i]);
             }
         }
+        for (; i < insts_.size(); ++i)
+            insts_[kept++] = std::move(insts_[i]);
+        insts_.resize(kept);
     }
 
     /** Removes squashed instructions (seq > @p after_seq). */
     void
     squashAfter(SeqNum after_seq)
     {
-        insts_.remove_if([after_seq](const DynInstPtr &inst) {
+        std::erase_if(insts_, [after_seq](const DynInstPtr &inst) {
             if (inst->seq > after_seq) {
                 inst->inIq = false;
                 return true;
@@ -74,7 +83,7 @@ class IssueQueue
 
   private:
     unsigned capacity_;
-    std::list<DynInstPtr> insts_; //!< insertion (program) order
+    std::vector<DynInstPtr> insts_; //!< insertion order, oldest first
 };
 
 } // namespace mssr

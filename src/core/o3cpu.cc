@@ -334,13 +334,9 @@ O3Cpu::executeLoad(const DynInstPtr &inst)
     if (inst->si.memSigned())
         value = static_cast<RegVal>(sext(value, 8 * size));
 
-    if (inst->verifyPending) {
-        // Stage the freshly loaded value; writeback compares it with
-        // the reused one.
-        inst->result = value;
-    } else {
-        inst->result = value;
-    }
+    // A reused load awaiting verification stages the fresh value here;
+    // writeback compares it with the reused one.
+    inst->result = value;
     wbQueue_.push_back(WritebackEvent{cycle_ + latency, inst});
 }
 
@@ -649,7 +645,7 @@ O3Cpu::fetchStage()
             break;
         const Addr pc = blk->startPC + ftq_.fetchOffset() * InstBytes;
 
-        auto inst = std::make_shared<DynInst>();
+        DynInstPtr inst = pool_.acquire();
         inst->seq = nextSeq_++;
         inst->pc = pc;
         inst->si = prog_.hasInst(pc) ? prog_.instAt(pc) : nopInst;

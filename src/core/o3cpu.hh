@@ -124,7 +124,6 @@ class O3Cpu
      */
     const PcProfile *profile() const { return profile_.get(); }
 
-    const ReuseUnit *reuseUnit() const { return reuse_.get(); }
     const IntegrationTable *integrationTable() const { return ri_.get(); }
 
   private:
@@ -189,6 +188,10 @@ class O3Cpu
                        SquashReason reason);
     void applySquash();
     RenameOutcome renameOne(const DynInstPtr &inst);
+
+    // In-flight instructions. Declared first so it is destroyed last,
+    // after every member that holds a DynInstPtr into it.
+    DynInstPool pool_;
 
     SimConfig cfg_;
     const isa::Program &prog_;

@@ -19,7 +19,7 @@ class PhysRegFile
 {
   public:
     explicit PhysRegFile(unsigned num_regs)
-        : values_(num_regs, 0), ready_(num_regs, false)
+        : values_(num_regs, 0), ready_(num_regs, 0)
     {
     }
 
@@ -36,7 +36,7 @@ class PhysRegFile
     ready(PhysReg r) const
     {
         mssr_assert(r < ready_.size());
-        return ready_[r];
+        return ready_[r] != 0;
     }
 
     /** Writes a value and marks the register ready (writeback). */
@@ -45,7 +45,7 @@ class PhysRegFile
     {
         mssr_assert(r < values_.size());
         values_[r] = v;
-        ready_[r] = true;
+        ready_[r] = 1;
     }
 
     /** Marks a newly allocated register not-ready. */
@@ -53,7 +53,7 @@ class PhysRegFile
     markNotReady(PhysReg r)
     {
         mssr_assert(r < ready_.size());
-        ready_[r] = false;
+        ready_[r] = 0;
     }
 
     /** Marks ready without changing the value (squash-reuse adoption). */
@@ -61,12 +61,12 @@ class PhysRegFile
     markReady(PhysReg r)
     {
         mssr_assert(r < ready_.size());
-        ready_[r] = true;
+        ready_[r] = 1;
     }
 
   private:
     std::vector<RegVal> values_;
-    std::vector<bool> ready_;
+    std::vector<std::uint8_t> ready_; //!< bytes: vector<bool> is slow
 };
 
 } // namespace mssr

@@ -66,7 +66,6 @@ class BatchRunner
      * Empty (the default) keeps the cache purely in-memory.
      */
     void setCheckpointDir(std::string dir) { ckptDir_ = std::move(dir); }
-    const std::string &checkpointDir() const { return ckptDir_; }
 
     /**
      * @name Live telemetry (host-side only; results stay byte-identical)
@@ -81,7 +80,6 @@ class BatchRunner
     void setProgressEvery(double seconds) { progressEvery_ = seconds; }
     double progressEvery() const { return progressEvery_; }
     void setMetricsOut(std::string path) { metricsOut_ = std::move(path); }
-    const std::string &metricsOut() const { return metricsOut_; }
     /** Job-source tag shown in progress lines (default "batch"). */
     void setProgressLabel(std::string label)
     {

@@ -35,147 +35,6 @@ const char *const regNames[NumArchRegs] = {
 
 } // namespace
 
-bool
-Inst::isLoad() const
-{
-    switch (op) {
-      case Op::LB: case Op::LBU: case Op::LH: case Op::LHU:
-      case Op::LW: case Op::LWU: case Op::LD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Inst::isStore() const
-{
-    switch (op) {
-      case Op::SB: case Op::SH: case Op::SW: case Op::SD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Inst::isCondBranch() const
-{
-    switch (op) {
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-      case Op::BLTU: case Op::BGEU:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Inst::hasRs1() const
-{
-    switch (op) {
-      case Op::LI: case Op::JAL: case Op::NOP: case Op::HALT:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-Inst::hasRs2() const
-{
-    switch (op) {
-      case Op::ADD: case Op::SUB: case Op::AND: case Op::OR: case Op::XOR:
-      case Op::SLL: case Op::SRL: case Op::SRA: case Op::SLT: case Op::SLTU:
-      case Op::MUL: case Op::MULH: case Op::DIV: case Op::REM:
-      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
-      case Op::BLTU: case Op::BGEU:
-      case Op::SB: case Op::SH: case Op::SW: case Op::SD:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Inst::hasRd() const
-{
-    if (rd == 0)
-        return false;
-    if (isStore() || isCondBranch())
-        return false;
-    switch (op) {
-      case Op::NOP: case Op::HALT:
-        return false;
-      default:
-        return true;
-    }
-}
-
-unsigned
-Inst::memBytes() const
-{
-    switch (op) {
-      case Op::LB: case Op::LBU: case Op::SB:
-        return 1;
-      case Op::LH: case Op::LHU: case Op::SH:
-        return 2;
-      case Op::LW: case Op::LWU: case Op::SW:
-        return 4;
-      case Op::LD: case Op::SD:
-        return 8;
-      default:
-        return 0;
-    }
-}
-
-bool
-Inst::memSigned() const
-{
-    switch (op) {
-      case Op::LB: case Op::LH: case Op::LW:
-        return true;
-      default:
-        return false;
-    }
-}
-
-FuClass
-Inst::fuClass() const
-{
-    if (isLoad())
-        return FuClass::Load;
-    if (isStore())
-        return FuClass::Store;
-    if (isControl())
-        return FuClass::Branch;
-    switch (op) {
-      case Op::MUL: case Op::MULH:
-        return FuClass::Mul;
-      case Op::DIV: case Op::REM:
-        return FuClass::Div;
-      case Op::NOP: case Op::HALT:
-        return FuClass::None;
-      default:
-        return FuClass::Alu;
-    }
-}
-
-unsigned
-Inst::latency(unsigned alu, unsigned mul, unsigned div, unsigned branch) const
-{
-    switch (fuClass()) {
-      case FuClass::Mul:
-        return mul;
-      case FuClass::Div:
-        return div;
-      case FuClass::Branch:
-        return branch;
-      default:
-        return alu;
-    }
-}
-
 const char *
 opName(Op op)
 {

@@ -24,7 +24,7 @@ class RiTest : public ::testing::Test
     squashedAlu(SeqNum seq, Addr pc, ArchReg rd, ArchReg rs1,
                 PhysReg src_preg)
     {
-        auto inst = std::make_shared<DynInst>();
+        auto inst = pool.acquire();
         inst->seq = seq;
         inst->pc = pc;
         inst->si = isa::Inst{isa::Op::ADDI, rd, rs1, 0, 1};
@@ -37,7 +37,7 @@ class RiTest : public ::testing::Test
     DynInstPtr
     freshCopy(const DynInstPtr &other, PhysReg src_preg)
     {
-        auto inst = std::make_shared<DynInst>();
+        auto inst = pool.acquire();
         inst->seq = other->seq + 1000;
         inst->pc = other->pc;
         inst->si = other->si;
@@ -45,6 +45,7 @@ class RiTest : public ::testing::Test
         return inst;
     }
 
+    DynInstPool pool; // first: outlives every handle below
     RegIntConfig cfg;
     FreeList freeList;
     std::unique_ptr<IntegrationTable> table;
@@ -137,7 +138,7 @@ TEST_F(RiTest, ImmediateMustMatch)
 TEST_F(RiTest, LoadsNeedVerification)
 {
     build();
-    auto load = std::make_shared<DynInst>();
+    auto load = pool.acquire();
     load->seq = 11;
     load->pc = 0x2000;
     load->si = isa::Inst{isa::Op::LD, 5, 6, 0, 8};

@@ -7,10 +7,12 @@ using namespace mssr;
 namespace
 {
 
+DynInstPool pool; // outlives every handle the tests make
+
 DynInstPtr
 makeInst(SeqNum seq)
 {
-    auto inst = std::make_shared<DynInst>();
+    auto inst = pool.acquire();
     inst->seq = seq;
     return inst;
 }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "bpu/bimodal.hh"
 #include "bpu/gshare.hh"
@@ -202,4 +205,104 @@ TEST(GlobalHistory, FoldStability)
     a.shift(true);
     b.shift(false);
     EXPECT_NE(a.fold(4, 10), b.fold(4, 10));
+}
+
+namespace
+{
+
+/** Every (length, width) pair TAGE-SC-L registers at the defaults. */
+std::vector<std::pair<unsigned, unsigned>>
+tageFoldPairs()
+{
+    std::vector<std::pair<unsigned, unsigned>> pairs;
+    const TageConfig cfg;
+    for (unsigned len : cfg.histLens)
+        for (unsigned bits : {cfg.tableBits, cfg.tagBits, cfg.tagBits - 1})
+            pairs.emplace_back(len, bits);
+    return pairs;
+}
+
+/** Expects every registered fold of @p hist to equal fold(). */
+void
+expectFoldsCurrent(const GlobalHistory &hist,
+                   const std::vector<std::pair<unsigned, unsigned>> &pairs,
+                   const std::vector<unsigned> &slots, int step)
+{
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+        const auto [len, bits] = pairs[k];
+        ASSERT_EQ(hist.folded(slots[k]), hist.fold(len, bits))
+            << "len " << len << " bits " << bits << " after step " << step;
+    }
+}
+
+} // namespace
+
+TEST(GlobalHistory, FoldedRegistersTrackFold)
+{
+    // fold() restarts at every 64-bit word, so past 64 bits a plain
+    // circular fold diverges unless the width divides 64 (8 does, 9
+    // and 10 do not). Lengths cover one, two, three and four words,
+    // the boundaries between them, and the clamp at 256.
+    std::vector<std::pair<unsigned, unsigned>> pairs;
+    for (unsigned len : {1u, 4u, 8u, 16u, 32u, 63u, 64u, 65u, 100u, 127u,
+                         128u, 129u, 191u, 192u, 193u, 200u, 256u, 300u})
+        for (unsigned bits : {1u, 7u, 8u, 9u, 10u, 13u, 33u})
+            pairs.emplace_back(len, bits);
+    GlobalHistory hist;
+    std::vector<unsigned> slots;
+    for (const auto &[len, bits] : pairs)
+        slots.push_back(hist.addFold(len, bits));
+    const auto again = std::find(pairs.begin(), pairs.end(),
+                                 std::make_pair(65u, 9u)) - pairs.begin();
+    EXPECT_EQ(hist.addFold(65, 9), slots[again]); // registered once
+    expectFoldsCurrent(hist, pairs, slots, 0);
+
+    Rng rng(7);
+    for (int i = 1; i <= 10000; ++i) {
+        hist.shift(rng.chance(0.5));
+        expectFoldsCurrent(hist, pairs, slots, i);
+        if (HasFatalFailure())
+            return;
+    }
+
+    // Words written directly: refold() brings every register back.
+    GlobalHistory copy;
+    std::vector<unsigned> copySlots;
+    for (const auto &[len, bits] : pairs)
+        copySlots.push_back(copy.addFold(len, bits));
+    for (unsigned w = 0; w < 4; ++w)
+        copy.setWord(w, hist.word(w));
+    copy.refold();
+    expectFoldsCurrent(copy, pairs, copySlots, 10000);
+}
+
+TEST(Tage, FoldedHistoriesSurviveRestore)
+{
+    TagePredictor tage;
+    const auto pairs = tageFoldPairs();
+    std::vector<unsigned> slots;
+    for (const auto &[len, bits] : pairs)
+        slots.push_back(tage.addFold(len, bits)); // existing slots
+    Rng rng(42);
+    PredSnapshot mid;
+    for (int i = 1; i <= 10000; ++i) {
+        const Addr pc = 0x1000 + (rng.next() & 0xffc);
+        const bool taken = rng.chance(0.5);
+        tage.predict(pc);
+        if (i == 5000)
+            mid = tage.snapshot();
+        tage.specUpdate(pc, taken);
+        tage.commitUpdate(pc, taken);
+    }
+    expectFoldsCurrent(tage.specHist(), pairs, slots, 10000);
+    expectFoldsCurrent(tage.retiredHist(), pairs, slots, 10000);
+    tage.restore(mid);
+    expectFoldsCurrent(tage.specHist(), pairs, slots, 5000);
+    for (unsigned w = 0; w < 4; ++w)
+        EXPECT_EQ(tage.specHist().word(w), mid.words[w]);
+    // Wrong-path shifts after the restore keep the registers current.
+    for (int i = 1; i <= 300; ++i) {
+        tage.specUpdate(0x2000, rng.chance(0.5));
+        expectFoldsCurrent(tage.specHist(), pairs, slots, 5000 + i);
+    }
 }

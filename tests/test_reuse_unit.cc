@@ -34,7 +34,7 @@ class ReuseUnitTest : public ::testing::Test
     squashedAlu(SeqNum seq, Addr pc, ArchReg rd, ArchReg rs1,
                 Rgid src_rgid, Rgid dst_rgid)
     {
-        auto inst = std::make_shared<DynInst>();
+        auto inst = pool.acquire();
         inst->seq = seq;
         inst->pc = pc;
         inst->si = isa::Inst{isa::Op::ADDI, rd, rs1, 0, 1};
@@ -49,7 +49,7 @@ class ReuseUnitTest : public ::testing::Test
     DynInstPtr
     freshCopy(const DynInstPtr &other)
     {
-        auto inst = std::make_shared<DynInst>();
+        auto inst = pool.acquire();
         inst->seq = other->seq + 1000;
         inst->pc = other->pc;
         inst->si = other->si;
@@ -65,6 +65,7 @@ class ReuseUnitTest : public ::testing::Test
         return b;
     }
 
+    DynInstPool pool; // first: outlives every handle below
     ReuseConfig cfg;
     FreeList freeList;
     std::unique_ptr<ReuseUnit> unit;
@@ -134,7 +135,7 @@ TEST_F(ReuseUnitTest, DivergenceInvalidatesStream)
     EXPECT_TRUE(unit->processRename(first, cur).reuse);
 
     // Next instruction has a different PC: policy (4).
-    auto divergent = std::make_shared<DynInst>();
+    auto divergent = pool.acquire();
     divergent->pc = 0x3000;
     divergent->si = isa::Inst{isa::Op::NOP, 0, 0, 0, 0};
     const Rgid none[2] = {0, 0};
@@ -146,7 +147,7 @@ TEST_F(ReuseUnitTest, DivergenceInvalidatesStream)
 TEST_F(ReuseUnitTest, StoresAndControlAreNeverReused)
 {
     build();
-    auto store = std::make_shared<DynInst>();
+    auto store = pool.acquire();
     store->seq = 11;
     store->pc = 0x2000;
     store->si = isa::Inst{isa::Op::SD, 0, 6, 7, 0};
@@ -167,7 +168,7 @@ TEST_F(ReuseUnitTest, TimeoutReleasesStream)
     const PhysReg preg = squashed->dst;
     unit->onBranchSquash(10, {squashed});
     // No reconvergence: renamed instructions age the stream out.
-    auto unrelated = std::make_shared<DynInst>();
+    auto unrelated = pool.acquire();
     unrelated->pc = 0x9000;
     unrelated->si = isa::Inst{isa::Op::NOP, 0, 0, 0, 0};
     const Rgid cur[2] = {0, 0};
@@ -205,7 +206,7 @@ TEST_F(ReuseUnitTest, PressureReclaimFreesLeastRecentStream)
 TEST_F(ReuseUnitTest, VerificationRequestedForReusedLoads)
 {
     build();
-    auto load = std::make_shared<DynInst>();
+    auto load = pool.acquire();
     load->seq = 11;
     load->pc = 0x2000;
     load->si = isa::Inst{isa::Op::LD, 5, 6, 0, 8};
@@ -230,7 +231,7 @@ TEST_F(ReuseUnitTest, BloomHitBlocksLoadReuse)
     build();
     cfg.useBloomFilter = true;
     unit = std::make_unique<ReuseUnit>(cfg, freeList);
-    auto load = std::make_shared<DynInst>();
+    auto load = pool.acquire();
     load->seq = 11;
     load->pc = 0x2000;
     load->si = isa::Inst{isa::Op::LD, 5, 6, 0, 8};

@@ -14,46 +14,8 @@
 
 #include "core/o3cpu.hh"
 #include "isa/assembler.hh"
+#include "o3cpu_test_peer.hh"
 #include "sim/memory.hh"
-
-namespace mssr
-{
-
-/** White-box access to O3Cpu's private squash arbiter. */
-struct O3CpuTestPeer
-{
-    static void
-    requestSquash(O3Cpu &cpu, SeqNum after_seq, Addr redirect,
-                  DynInstPtr cause, SquashReason reason)
-    {
-        cpu.requestSquash(after_seq, redirect, std::move(cause), reason);
-    }
-
-    struct Pending
-    {
-        bool valid;
-        SeqNum afterSeq;
-        Addr redirectPC;
-        SeqNum causeSeq;
-        SquashReason reason;
-    };
-
-    static Pending
-    pending(const O3Cpu &cpu)
-    {
-        const auto &p = cpu.pendingSquash_;
-        return {p.valid, p.afterSeq, p.redirectPC,
-                p.cause ? p.cause->seq : 0, p.reason};
-    }
-
-    static void
-    clearPending(O3Cpu &cpu)
-    {
-        cpu.pendingSquash_ = O3Cpu::PendingSquash{};
-    }
-};
-
-} // namespace mssr
 
 using namespace mssr;
 
@@ -77,10 +39,10 @@ class SquashArbitration : public ::testing::Test
         return cfg;
     }
 
-    static DynInstPtr
+    DynInstPtr
     inst(SeqNum seq, Addr pc)
     {
-        auto d = std::make_shared<DynInst>();
+        auto d = pool_.acquire();
         d->seq = seq;
         d->pc = pc;
         return d;
@@ -94,6 +56,7 @@ class SquashArbitration : public ::testing::Test
                                      inst(cause_seq, cause_pc), reason);
     }
 
+    DynInstPool pool_; // first: cpu_ holds handles from it
     Memory mem_;
     isa::Program prog_;
     O3Cpu cpu_;

@@ -714,22 +714,34 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // Build every program up front (programs must outlive the batch).
+    // An --asm file is outside input, so an unreadable or unassemblable
+    // one is a usage error, like a bad flag.
+    std::vector<isa::Program> programs;
+    if (!asmFile.empty()) {
+        std::ifstream in(asmFile);
+        if (!in) {
+            std::cerr << "mssr_run: cannot open --asm file '" << asmFile
+                      << "'\n";
+            return 2;
+        }
+        std::ostringstream text;
+        text << in.rdbuf();
+        try {
+            programs.push_back(isa::assembleProgram(text.str()));
+        } catch (const SimFatal &e) {
+            std::cerr << "mssr_run: cannot assemble '" << asmFile
+                      << "': " << e.what() << "\n";
+            return 2;
+        }
+    }
+
     try {
-        // Build every program up front (programs must outlive the batch).
-        std::vector<isa::Program> programs;
-        for (const ServeJobSpec &s : specs) {
-            if (!s.workload.empty()) {
+        // The --asm program, if any, is specs[0] and was built above.
+        for (const ServeJobSpec &s : specs)
+            if (!s.workload.empty())
                 programs.push_back(
                     workloads::buildWorkload(s.workload, specScale(s)));
-                continue;
-            }
-            std::ifstream in(asmFile);
-            if (!in)
-                fatal("cannot open '", asmFile, "'");
-            std::ostringstream text;
-            text << in.rdbuf();
-            programs.push_back(isa::assembleProgram(text.str()));
-        }
 
         // One job per program, plus its baseline when comparing. Each
         // job records into its own tracer, so tracing no longer forces
