@@ -47,8 +47,9 @@ GlobalHistory::addFold(unsigned hist_len, unsigned out_bits)
 }
 
 void
-GlobalHistory::refold()
+GlobalHistory::setWords(const Words &words)
 {
+    words_ = words;
     for (Fold &f : folds_)
         f.raw = fold(f.len, f.bits) ^ f.constant;
 }

@@ -41,13 +41,14 @@ struct PredSnapshot
  * reference. Predictors instead register each (len, bits) pair they
  * read once, at construction (addFold), and read it by slot (folded):
  * shift() updates every registered fold in O(1), in the manner of the
- * folded-history registers of Seznec and Michaud's TAGE, and refold()
- * recomputes them after the words are restored from a snapshot.
+ * folded-history registers of Seznec and Michaud's TAGE, and setWords()
+ * recomputes them when the words are restored from a snapshot.
  */
 class GlobalHistory
 {
   public:
     static constexpr unsigned Bits = 256;
+    using Words = std::array<std::uint64_t, 4>;
 
     /** Shifts in one outcome (1 = taken) as the youngest bit. */
     void
@@ -99,16 +100,14 @@ class GlobalHistory
         return folds_[slot].raw ^ folds_[slot].constant;
     }
 
-    /** Recomputes every registered fold from the history words. */
-    void refold();
-
     std::uint64_t word(unsigned i) const { return words_[i]; }
-    /** Sets one history word; call refold() after the last one. */
-    void setWord(unsigned i, std::uint64_t v) { words_[i] = v; }
+    /**
+     * Replaces the history words and recomputes every registered fold
+     * from them.
+     */
+    void setWords(const Words &words);
 
   private:
-    using Words = std::array<std::uint64_t, 4>;
-
     static std::uint64_t
     foldWords(const Words &words, unsigned hist_len, unsigned out_bits)
     {

@@ -5,13 +5,16 @@
 namespace mssr
 {
 
-StatisticalCorrector::StatisticalCorrector(unsigned table_bits,
+StatisticalCorrector::StatisticalCorrector(const AddFold &add_fold,
+                                           unsigned table_bits,
                                            std::vector<unsigned> hist_lens)
     : tableBits_(table_bits), histLens_(std::move(hist_lens))
 {
     tables_.resize(histLens_.size());
     for (auto &table : tables_)
         table.resize(std::size_t(1) << tableBits_, 0);
+    for (unsigned len : histLens_)
+        foldSlots_.push_back(len > 0 ? add_fold(len, tableBits_) : 0);
 }
 
 std::size_t
@@ -23,8 +26,7 @@ StatisticalCorrector::index(Addr pc, bool tage_pred,
                         (tage_pred ? 0x155 : 0) ^
                         (std::uint64_t(table) * 0x9e3);
     if (histLens_[table] > 0)
-        idx ^= foldSlots_.empty() ? hist.fold(histLens_[table], tableBits_)
-                                  : hist.folded(foldSlots_[table]);
+        idx ^= hist.folded(foldSlots_[table]);
     return idx & mask(tableBits_);
 }
 

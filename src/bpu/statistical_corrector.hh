@@ -9,6 +9,7 @@
 #define MSSR_BPU_STATISTICAL_CORRECTOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "bpu/predictor.hh"
@@ -19,12 +20,19 @@ namespace mssr
 class StatisticalCorrector
 {
   public:
+    /** Registers one history fold, (hist_len, out_bits) -> slot. */
+    using AddFold = std::function<unsigned(unsigned, unsigned)>;
+
     /**
+     * @param add_fold registers each history fold the corrector reads,
+     *        e.g. GlobalHistory::addFold or TagePredictor::addFold;
+     *        every history passed in afterwards is read by the returned
+     *        slots (GlobalHistory::folded).
      * @param table_bits log2 entries per table.
      * @param hist_lens history length per table (0 = bias table).
      */
     explicit StatisticalCorrector(
-        unsigned table_bits = 10,
+        const AddFold &add_fold, unsigned table_bits = 10,
         std::vector<unsigned> hist_lens = {0, 8, 16, 32});
 
     /**
@@ -47,29 +55,13 @@ class StatisticalCorrector
     void train(Addr pc, bool tage_pred, bool taken,
                const GlobalHistory &hist);
 
-    /**
-     * Registers the corrector's history folds through @p add_fold, a
-     * callable (hist_len, out_bits) -> slot such as
-     * TagePredictor::addFold; every history passed in afterwards is
-     * read by those slots (GlobalHistory::folded). Unregistered, each
-     * lookup folds the history from scratch (GlobalHistory::fold).
-     */
-    template <typename AddFold>
-    void
-    registerFolds(AddFold &&add_fold)
-    {
-        foldSlots_.clear();
-        for (unsigned len : histLens_)
-            foldSlots_.push_back(len > 0 ? add_fold(len, tableBits_) : 0);
-    }
-
   private:
     std::size_t index(Addr pc, bool tage_pred, const GlobalHistory &hist,
                       unsigned table) const;
 
     unsigned tableBits_;
     std::vector<unsigned> histLens_;
-    std::vector<unsigned> foldSlots_;  //!< per table; empty = unregistered
+    std::vector<unsigned> foldSlots_;  //!< per table; unused for bias
     std::vector<std::vector<std::int8_t>> tables_; //!< 6-bit signed
     int threshold_ = 5;
 };

@@ -54,8 +54,10 @@ TagePredictor::tableTag(Addr pc, const GlobalHistory &hist,
 }
 
 TageLookup
-TagePredictor::lookup(Addr pc, const GlobalHistory &hist) const
+TagePredictor::lookup(Addr pc, History which) const
 {
+    const GlobalHistory &hist =
+        which == History::Retired ? retiredHist_ : specHist_;
     TageLookup look;
     const unsigned n = static_cast<unsigned>(tables_.size());
     look.baseIndex = (pc / InstBytes) & (base_.size() - 1);
@@ -102,7 +104,7 @@ TagePredictor::lookup(Addr pc, const GlobalHistory &hist) const
 bool
 TagePredictor::predict(Addr pc)
 {
-    return lookup(pc, specHist_).pred;
+    return lookup(pc, History::Speculative).pred;
 }
 
 void
@@ -123,9 +125,8 @@ TagePredictor::snapshot() const
 void
 TagePredictor::restore(const PredSnapshot &snap)
 {
-    for (unsigned i = 0; i < 4; ++i)
-        specHist_.setWord(i, snap.words[i]);
-    specHist_.refold();
+    specHist_.setWords(
+        {snap.words[0], snap.words[1], snap.words[2], snap.words[3]});
 }
 
 void
@@ -214,7 +215,7 @@ TagePredictor::train(Addr pc, bool taken, const TageLookup &look)
 void
 TagePredictor::commitUpdate(Addr pc, bool taken)
 {
-    const TageLookup look = lookup(pc, retiredHist_);
+    const TageLookup look = lookup(pc, History::Retired);
     train(pc, taken, look);
     advanceRetired(taken);
 }

@@ -58,13 +58,14 @@ class TagePredictor : public DirPredictor
     void restore(const PredSnapshot &snap) override;
     void commitUpdate(Addr pc, bool taken) override;
 
+    /** The global history a table walk reads. */
+    enum class History { Speculative, Retired };
+
     /**
-     * Performs the full table walk against an explicit history, which
-     * must be specHist() or retiredHist() (the walk reads their
-     * registered folds); exposed so TAGE-SC-L can reuse the lookup
-     * for the corrector.
+     * Performs the full table walk against one of the two histories;
+     * exposed so TAGE-SC-L can reuse the lookup for the corrector.
      */
-    TageLookup lookup(Addr pc, const GlobalHistory &hist) const;
+    TageLookup lookup(Addr pc, History which) const;
 
     /** Trains from a completed lookup (used by TAGE-SC-L). */
     void train(Addr pc, bool taken, const TageLookup &look);

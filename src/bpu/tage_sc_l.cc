@@ -3,11 +3,11 @@
 namespace mssr
 {
 
-TageScLPredictor::TageScLPredictor(const TageConfig &cfg) : tage_(cfg)
+TageScLPredictor::TageScLPredictor(const TageConfig &cfg)
+    : tage_(cfg), sc_([this](unsigned len, unsigned bits) {
+          return tage_.addFold(len, bits);
+      })
 {
-    sc_.registerFolds([this](unsigned len, unsigned bits) {
-        return tage_.addFold(len, bits);
-    });
 }
 
 bool
@@ -16,7 +16,8 @@ TageScLPredictor::predict(Addr pc)
     const auto loopPred = loop_.predict(pc);
     if (loopPred.valid)
         return loopPred.taken;
-    const TageLookup look = tage_.lookup(pc, tage_.specHist());
+    const TageLookup look =
+        tage_.lookup(pc, TagePredictor::History::Speculative);
     if (sc_.shouldRevert(pc, look.pred, look.weak, tage_.specHist()))
         return !look.pred;
     return look.pred;
@@ -45,7 +46,8 @@ TageScLPredictor::restore(const PredSnapshot &snap)
 void
 TageScLPredictor::commitUpdate(Addr pc, bool taken)
 {
-    const TageLookup look = tage_.lookup(pc, tage_.retiredHist());
+    const TageLookup look =
+        tage_.lookup(pc, TagePredictor::History::Retired);
     sc_.train(pc, look.pred, taken, tage_.retiredHist());
     loop_.commitUpdate(pc, taken);
     tage_.train(pc, taken, look);

@@ -31,7 +31,7 @@ class TageScLPredictor : public DirPredictor
   private:
     TagePredictor tage_;
     LoopPredictor loop_;
-    StatisticalCorrector sc_;
+    StatisticalCorrector sc_;  //!< after tage_: its folds live there
 };
 
 } // namespace mssr

@@ -183,8 +183,9 @@ TEST(LoopPredictor, SquashResyncsSpeculativeState)
 
 TEST(StatisticalCorrector, LearnsDisagreement)
 {
-    StatisticalCorrector sc;
     GlobalHistory hist;
+    StatisticalCorrector sc(
+        [&](unsigned len, unsigned bits) { return hist.addFold(len, bits); });
     const Addr pc = 0x9000;
     // TAGE always says taken; reality is always not-taken.
     for (int i = 0; i < 200; ++i)
@@ -265,14 +266,12 @@ TEST(GlobalHistory, FoldedRegistersTrackFold)
             return;
     }
 
-    // Words written directly: refold() brings every register back.
+    // Words written directly: setWords() brings every register back.
     GlobalHistory copy;
     std::vector<unsigned> copySlots;
     for (const auto &[len, bits] : pairs)
         copySlots.push_back(copy.addFold(len, bits));
-    for (unsigned w = 0; w < 4; ++w)
-        copy.setWord(w, hist.word(w));
-    copy.refold();
+    copy.setWords({hist.word(0), hist.word(1), hist.word(2), hist.word(3)});
     expectFoldsCurrent(copy, pairs, copySlots, 10000);
 }
 
