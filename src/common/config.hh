@@ -194,25 +194,27 @@ struct SimConfig
     const Checkpoint *checkpoint = nullptr;
 
     /**
-     * Optional structured event tracer (common/trace.hh): when set,
-     * the core and reuse unit record typed fetch/rename/issue/
-     * writeback/commit/squash/reuse-test/verify events into its ring
-     * buffer ("mssr_run --trace" uses this). Not owned; one tracer
-     * instruments exactly one core. Null disables all tracing at the
-     * cost of one pointer test per site.
+     * @name Probe sinks (common/probe.hh)
+     * With none set, each instrumented site costs one branch; results
+     * are bit-identical either way.
+     */
+    /// @{
+    /**
+     * Optional structured event tracer (common/trace.hh): records
+     * typed fetch/rename/issue/writeback/commit/squash/reuse-test/
+     * verify events into its ring buffer ("mssr_run --trace" uses
+     * this). Not owned; one tracer instruments exactly one core.
      */
     Tracer *tracer = nullptr;
 
     /**
      * Optional per-instruction lifecycle recorder (common/pipeview.hh):
-     * when set, the core and reuse unit stamp the cycle of every
-     * pipeline step (fetch/decode/rename/issue/complete/commit/squash)
-     * plus the squash-reuse lanes (logged/covered/tested/reused/
-     * salvaged) per dynamic instruction, exportable as a Kanata log
-     * for the Konata visualizer ("mssr_run --pipeview-out" uses
-     * this). Not owned; one recorder instruments exactly one core.
-     * Null disables recording at the cost of one pointer test per
-     * site -- simulated results are bit-identical either way.
+     * stamps the cycle of every pipeline step (fetch/decode/rename/
+     * issue/complete/commit/squash) plus the squash-reuse lanes
+     * (logged/covered/tested/reused/salvaged) per dynamic instruction,
+     * exportable as a Kanata log for the Konata visualizer ("mssr_run
+     * --pipeview-out" uses this). Not owned; one recorder instruments
+     * exactly one core.
      */
     PipeView *pipeview = nullptr;
 
@@ -220,10 +222,10 @@ struct SimConfig
      * Per-PC hot-spot profiling (common/profile.hh): when true, the
      * core owns a PcProfile attributing squashes, recovery slots and
      * reuse outcomes to static branch/reconvergence PCs, copied onto
-     * RunResult::profile ("mssr_run --profile-out" uses this). False
-     * keeps the null-profile fast path: one pointer test per site.
+     * RunResult::profile ("mssr_run --profile-out" uses this).
      */
     bool profiling = false;
+    /// @}
 
     /**
      * Interval statistics: when nonzero, sample IPC, reuse rate,

@@ -5,24 +5,79 @@
 #include <ostream>
 #include <string_view>
 
+#include "common/log.hh"
+#include "common/probe.hh"
+
 namespace mssr
 {
 
 void
-PipeView::laneTested(SeqNum donor_seq, ReuseOutcome verdict)
+PipeView::count(std::uint64_t &counter, Cycle Record::*step,
+                const ProbeEvent &e)
 {
-    ++counts_.tested;
-    switch (verdict) {
-      case ReuseOutcome::FailKind: ++counts_.killKind; break;
-      case ReuseOutcome::FailNotExecuted: ++counts_.killNotExecuted; break;
-      case ReuseOutcome::FailRgid: ++counts_.killRgid; break;
-      case ReuseOutcome::FailRgidCapacity: ++counts_.killRgidCapacity; break;
-      case ReuseOutcome::FailBloom: ++counts_.killBloom; break;
-      default: break; // Reused / ReusedNeedVerify: counted by laneReused().
-    }
-    if (Record *r = find(donor_seq)) {
-        r->tested = cycle_;
-        r->verdict = verdict;
+    ++counter;
+    if (Record *r = find(e.seq))
+        r->*step = e.cycle;
+}
+
+void
+PipeView::onEvent(const ProbeEvent &e)
+{
+    switch (e.kind) {
+      case ProbeKind::Fetch:
+        ++counts_.fetched;
+        if (e.cycle < winStart_ || e.cycle >= winEnd_)
+            return;
+        mssr_assert(records_.empty() || e.seq == records_.back().seq + 1,
+                    "pipeview records must hold one contiguous seq range");
+        records_.push_back({.seq = e.seq, .pc = e.pc, .fetch = e.cycle,
+                            .decode = e.aux});
+        return;
+      case ProbeKind::Rename:
+        return count(counts_.renamed, &Record::rename, e);
+      case ProbeKind::Issue:
+        return count(counts_.issued, &Record::issue, e);
+      case ProbeKind::Writeback:
+        return count(counts_.completed, &Record::complete, e);
+      case ProbeKind::Commit:
+        return count(counts_.committed, &Record::commit, e);
+      case ProbeKind::Logged:
+        return count(counts_.logged, &Record::logged, e);
+      case ProbeKind::Covered:
+        return count(counts_.covered, &Record::covered, e);
+      case ProbeKind::SquashInst:
+        ++counts_.squashed;
+        if (Record *r = find(e.seq)) {
+            r->squash = e.cycle;
+            r->squashReason = e.squash;
+        }
+        return;
+      case ProbeKind::ReuseTest:
+        if (!e.firstTest)
+            return;
+        ++counts_.tested;
+        countKill(counts_, e.reuse);
+        if (Record *r = find(e.donorSeq)) {
+            r->tested = e.cycle;
+            r->verdict = e.reuse;
+        }
+        if (!isReuse(e.reuse))
+            return;
+        // Adopter e.seq is salvaged: it skips re-execution, except a
+        // verify load, which re-issues as a verification op.
+        ++counts_.reused;
+        if (Record *r = find(e.donorSeq)) {
+            r->reuseDone = e.cycle;
+            r->adopterSeq = e.seq;
+        }
+        if (Record *r = find(e.seq)) {
+            r->salvage = e.cycle;
+            r->donorSeq = e.donorSeq;
+            r->needVerify = e.reuse == ReuseOutcome::ReusedNeedVerify;
+        }
+        return;
+      default:
+        return;
     }
 }
 
@@ -110,17 +165,6 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
         evs.push_back({c, std::move(text)});
     };
     auto num = [](std::uint64_t v) { return std::to_string(v); };
-
-    // Kanata file id of the record holding `seq` (records_ is in
-    // fetch == seq order), or -1 when the seq was gated out.
-    auto idOf = [&](SeqNum seq) -> std::int64_t {
-        const auto it = std::lower_bound(
-            records_.begin(), records_.end(), seq,
-            [](const Record &r, SeqNum s) { return r.seq < s; });
-        if (it == records_.end() || it->seq != seq)
-            return -1;
-        return it - records_.begin();
-    };
 
     for (std::size_t i = 0; i < records_.size(); ++i) {
         const Record &r = records_[i];
@@ -215,11 +259,13 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
             mark(r.tested, 2, v);
         if (r.salvage != NoStamp) {
             mark(r.salvage, 2, "Sv");
-            const std::int64_t donor = idOf(r.donorSeq);
-            if (donor >= 0)
+            // Kanata file ids are record indices; a donor fetched
+            // before the window has none.
+            if (const Record *donor = findRecord(r.donorSeq))
                 push(r.salvage,
                      {"W\t", id, "\t",
-                      num(static_cast<std::uint64_t>(donor)), "\t0"});
+                      num(static_cast<std::uint64_t>(donor - records_.data())),
+                      "\t0"});
         }
 
         if (committed)

@@ -19,16 +19,20 @@
  *              rename by reuse and visibly skips the issue/complete
  *              stages (no re-execution)
  *
- * Cores hold a `PipeView *` (SimConfig::pipeview, not owned); null
- * disables recording entirely, so the disabled-mode cost is one
- * pointer test per instrumentation site and simulated results are
- * bit-identical with the viewer on or off (ctest-enforced).
+ * The viewer is one of the three sinks of the core's probe
+ * (common/probe.hh): a core given a `PipeView *` (SimConfig::pipeview,
+ * not owned) hands it every probe event through onEvent(). Simulated
+ * results are bit-identical with the viewer on or off
+ * (ctest-enforced).
  *
  * Output bounding: setWindow(start, end) selects instructions by
  * *fetch cycle* (end-exclusive); selected instructions are then
  * recorded through retirement so every emitted lifecycle is complete.
- * The lifecycle counters below count every hook call regardless of
- * the window, so they reconcile exactly with the core/ReuseFunnel
+ * Sequence numbers are assigned in fetch order, so the selected
+ * instructions hold one contiguous seq range and a record is found by
+ * subtraction; nothing is stored for an instruction outside the
+ * window. The lifecycle counters below count every event regardless
+ * of the window, so they reconcile exactly with the core/ReuseFunnel
  * counters even when record storage is gated.
  *
  * Export is the Kanata 0004 text format understood by Konata
@@ -99,7 +103,7 @@ class PipeView
     };
 
     /**
-     * Lifecycle counters: every hook call counts here, window or not,
+     * Lifecycle counters: every event counts here, window or not,
      * so each field reconciles exactly with the matching core /
      * ReuseFunnel counter (see tests/test_pipeview.cc).
      */
@@ -124,10 +128,6 @@ class PipeView
 
     PipeView() = default;
 
-    /** Simulated cycle stamped on subsequent hook calls. */
-    void setCycle(Cycle c) { cycle_ = c; }
-    Cycle cycle() const { return cycle_; }
-
     /**
      * Bounds record storage to instructions fetched in
      * [@p start, @p end) (end-exclusive). An empty range keeps the
@@ -140,112 +140,13 @@ class PipeView
         winEnd_ = end;
     }
 
-    /** @name Core lifecycle hooks (O3Cpu) */
-    /// @{
-    /** New instruction entered the frontend pipe. @p decode_ready is
-     *  the cycle its decode completes (fetch + frontendStages). */
-    void
-    fetch(SeqNum seq, Addr pc, Cycle decode_ready)
-    {
-        ++counts_.fetched;
-        if (slotBySeq_.empty())
-            firstSeq_ = seq;
-        slotBySeq_.push_back(kNoRecord);
-        if (cycle_ < winStart_ || cycle_ >= winEnd_)
-            return;
-        slotBySeq_.back() = static_cast<std::uint32_t>(records_.size());
-        Record r;
-        r.seq = seq;
-        r.pc = pc;
-        r.fetch = cycle_;
-        r.decode = decode_ready;
-        records_.push_back(r);
-    }
-
-    void
-    rename(SeqNum seq)
-    {
-        ++counts_.renamed;
-        if (Record *r = find(seq))
-            r->rename = cycle_;
-    }
-
-    void
-    issue(SeqNum seq)
-    {
-        ++counts_.issued;
-        if (Record *r = find(seq))
-            r->issue = cycle_;
-    }
-
-    void
-    complete(SeqNum seq)
-    {
-        ++counts_.completed;
-        if (Record *r = find(seq))
-            r->complete = cycle_;
-    }
-
-    void
-    commit(SeqNum seq)
-    {
-        ++counts_.committed;
-        if (Record *r = find(seq))
-            r->commit = cycle_;
-    }
-
-    void
-    squash(SeqNum seq, SquashReason reason)
-    {
-        ++counts_.squashed;
-        if (Record *r = find(seq)) {
-            r->squash = cycle_;
-            r->squashReason = reason;
-        }
-    }
-    /// @}
-
-    /** @name Squash-reuse lane hooks (ReuseUnit), keyed by the
-     *  squashed donor instruction's seq. */
-    /// @{
-    void
-    laneLogged(SeqNum donor_seq)
-    {
-        ++counts_.logged;
-        if (Record *r = find(donor_seq))
-            r->logged = cycle_;
-    }
-
-    void
-    laneCovered(SeqNum donor_seq)
-    {
-        ++counts_.covered;
-        if (Record *r = find(donor_seq))
-            r->covered = cycle_;
-    }
-
-    /** First reuse test of the donor's log entry resolved with
-     *  @p verdict (Reused*, or one of the Fail* kills). */
-    void laneTested(SeqNum donor_seq, ReuseOutcome verdict);
-
-    /** The donor's value was adopted by corrected-path instruction
-     *  @p adopter_seq (salvaged: it skips re-execution, except verify
-     *  loads which re-issue as a verification op). */
-    void
-    laneReused(SeqNum donor_seq, SeqNum adopter_seq, bool need_verify)
-    {
-        ++counts_.reused;
-        if (Record *r = find(donor_seq)) {
-            r->reuseDone = cycle_;
-            r->adopterSeq = adopter_seq;
-        }
-        if (Record *r = find(adopter_seq)) {
-            r->salvage = cycle_;
-            r->donorSeq = donor_seq;
-            r->needVerify = need_verify;
-        }
-    }
-    /// @}
+    /**
+     * Takes one probe event: counts it and, when its instruction is
+     * recorded, stamps the matching lifecycle step. Squash-reuse lane
+     * events are keyed by the squashed donor's seq; a reuse also marks
+     * its adopter salvaged.
+     */
+    void onEvent(const ProbeEvent &e);
 
     const Counts &counts() const { return counts_; }
     std::size_t numRecords() const { return records_.size(); }
@@ -268,25 +169,21 @@ class PipeView
                      const std::string &meta_fields = "") const;
 
   private:
-    static constexpr std::uint32_t kNoRecord = 0xffffffffu;
-
     Record *
     find(SeqNum seq)
     {
-        if (slotBySeq_.empty() || seq < firstSeq_)
+        if (records_.empty() || seq < records_.front().seq)
             return nullptr;
-        const std::uint64_t idx = seq - firstSeq_;
-        if (idx >= slotBySeq_.size() || slotBySeq_[idx] == kNoRecord)
-            return nullptr;
-        return &records_[slotBySeq_[idx]];
+        const std::uint64_t i = seq - records_.front().seq;
+        return i < records_.size() ? &records_[i] : nullptr;
     }
 
-    std::vector<Record> records_;
-    /** seq - firstSeq_ -> index into records_, kNoRecord if gated. */
-    std::vector<std::uint32_t> slotBySeq_;
-    SeqNum firstSeq_ = 0;
+    /** Bumps @p counter and stamps @p step on e.seq's record. */
+    void count(std::uint64_t &counter, Cycle Record::*step,
+               const ProbeEvent &e);
+
+    std::vector<Record> records_; //!< one contiguous seq range
     Counts counts_;
-    Cycle cycle_ = 0;
     Cycle winStart_ = 0;
     Cycle winEnd_ = NoStamp;
 };

@@ -1,0 +1,87 @@
+/**
+ * @file
+ * One instrumentation probe for the simulated machine. The core and
+ * the reuse unit report each observable step once, as a ProbeEvent
+ * (common/trace.hh), through one Probe, which stamps the cycle and
+ * hands the event to every attached sink: the Tracer, the PipeView
+ * (common/pipeview.hh) and the PcProfile (common/profile.hh). Each sink
+ * takes events through one onEvent() and skips the kinds it does not
+ * record. A site holds a `Probe *` that is null when no sink is
+ * attached, so a disabled site costs one branch and builds no event.
+ */
+
+#ifndef MSSR_COMMON_PROBE_HH
+#define MSSR_COMMON_PROBE_HH
+
+#include <cstdint>
+
+#include "common/pipeview.hh"
+#include "common/profile.hh"
+#include "common/trace.hh"
+
+namespace mssr
+{
+
+/** True for the two verdicts that adopt the donor's value. */
+inline bool
+isReuse(ReuseOutcome verdict)
+{
+    return verdict == ReuseOutcome::Reused ||
+           verdict == ReuseOutcome::ReusedNeedVerify;
+}
+
+/**
+ * The one verdict -> kill rule: bumps the kill counter of @p tally that
+ * a failed reuse test's @p verdict names. ReuseFunnel, BranchRecord and
+ * PipeView::Counts name their kill counters alike.
+ */
+template <typename Tally>
+void
+countKill(Tally &tally, ReuseOutcome verdict)
+{
+    switch (verdict) {
+      case ReuseOutcome::FailKind: ++tally.killKind; break;
+      case ReuseOutcome::FailNotExecuted: ++tally.killNotExecuted; break;
+      case ReuseOutcome::FailRgid: ++tally.killRgid; break;
+      case ReuseOutcome::FailRgidCapacity: ++tally.killRgidCapacity; break;
+      case ReuseOutcome::FailBloom: ++tally.killBloom; break;
+      default: break;
+    }
+}
+
+/** Hands one core's events to its sinks (not thread-safe). */
+class Probe
+{
+  public:
+    /** Any sink may be null. */
+    Probe(Tracer *tracer, PipeView *pipeview, PcProfile *profile)
+        : tracer_(tracer), pipeview_(pipeview), profile_(profile)
+    {
+    }
+
+    /** Simulated cycle stamped on subsequent events. */
+    void setCycle(Cycle c) { cycle_ = c; }
+
+    /** Stamps @p e with the cycle and forwards it to each sink. */
+    void
+    emit(ProbeEvent e) const
+    {
+        e.cycle = cycle_;
+        if (tracer_)
+            tracer_->onEvent(e);
+        if (pipeview_)
+            pipeview_->onEvent(e);
+        if (profile_)
+            profile_->onEvent(e);
+    }
+
+  private:
+    Tracer *tracer_;
+    PipeView *pipeview_;
+    PcProfile *profile_;
+    Cycle cycle_ = 0;
+};
+
+} // namespace mssr
+
+#endif // MSSR_COMMON_PROBE_HH

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/probe.hh"
+
 namespace mssr
 {
 
@@ -75,6 +77,56 @@ BranchRecord::topPartner(std::uint64_t *count_out) const
     if (count_out)
         *count_out = bestCount;
     return best;
+}
+
+void
+PcProfile::onEvent(const ProbeEvent &e)
+{
+    const bool mispredict = e.squash == SquashReason::BranchMispredict;
+    switch (e.kind) {
+      case ProbeKind::Squash: {
+        BranchRecord &r = branches_.at(e.pc);
+        ++(mispredict ? r.mispredicts : r.otherSquashes);
+        r.squashedInsts += e.aux;
+        return;
+      }
+      case ProbeKind::RecoverySlots: {
+        // The same charge the CPI stack takes, category included.
+        BranchRecord &r = branches_.at(e.pc);
+        (mispredict ? r.branchRecoverySlots : r.flushRecoverySlots) +=
+            e.arg;
+        return;
+      }
+      case ProbeKind::Logged:
+        ++branches_.at(e.originPC).logged;
+        return;
+      case ProbeKind::Covered:
+        ++branches_.at(e.originPC).covered;
+        return;
+      case ProbeKind::Reconv:
+        branches_.at(e.originPC).noteDetection(
+            e.pc, static_cast<unsigned>(e.aux));
+        ++reconvs_.at(e.pc).detections;
+        return;
+      case ProbeKind::SessionStart:
+        ++reconvs_.at(e.pc).sessions;
+        return;
+      case ProbeKind::ReuseTest: {
+        // Only an entry's first test counts, as in the global funnel.
+        if (!e.firstTest)
+            return;
+        BranchRecord &r = branches_.at(e.originPC);
+        ++r.tested;
+        countKill(r, e.reuse);
+        if (isReuse(e.reuse)) {
+            ++r.reused;
+            ++reconvs_.at(e.aux).instsSalvaged;
+        }
+        return;
+      }
+      default:
+        return;
+    }
 }
 
 ReuseFunnel

@@ -24,8 +24,9 @@
  * squashed insts == core.squashedInsts, reused == reuse.success, and
  * branch/flush recovery slots == the CPI stack's BranchRecovery/
  * FlushRecovery categories -- exactly, with no "other" PC bucket.
- * Cores hold a `PcProfile *` (null disables profiling at the cost of
- * one pointer test per site, like the tracer).
+ * The profile is one of the three sinks of the core's probe
+ * (common/probe.hh): under SimConfig::profiling the core owns one and
+ * hands it every probe event through onEvent().
  */
 
 #ifndef MSSR_COMMON_PROFILE_HH
@@ -41,6 +42,7 @@
 
 #include "common/cpi_stack.hh"
 #include "common/log.hh"
+#include "common/trace.hh"
 #include "common/types.hh"
 
 namespace mssr
@@ -253,81 +255,20 @@ PcMap<Record>::grow()
 
 /**
  * The per-run profile: branch (squash-cause) records plus
- * reconvergence-point records, and the instrumentation hooks the core
- * and reuse unit call. One PcProfile belongs to exactly one core (not
- * thread-safe, like the Tracer).
+ * reconvergence-point records, filled from the core's probe events.
+ * One PcProfile belongs to exactly one core (not thread-safe, like the
+ * Tracer).
  */
 class PcProfile
 {
   public:
-    /** @name Core-side hooks (O3Cpu) */
-    /// @{
-    /** One applied squash: @p n instructions killed, cause at @p pc. */
-    void
-    onSquash(Addr pc, SquashReason reason, std::uint64_t n)
-    {
-        BranchRecord &r = branches_.at(pc);
-        if (reason == SquashReason::BranchMispredict)
-            ++r.mispredicts;
-        else
-            ++r.otherSquashes;
-        r.squashedInsts += n;
-    }
-
-    /** @p slots recovery dispatch slots charged to the squash at @p pc
-     *  (the same charge the CPI stack takes, category included). */
-    void
-    onRecoverySlots(Addr pc, SquashReason reason, std::uint64_t slots)
-    {
-        BranchRecord &r = branches_.at(pc);
-        if (reason == SquashReason::BranchMispredict)
-            r.branchRecoverySlots += slots;
-        else
-            r.flushRecoverySlots += slots;
-    }
-    /// @}
-
-    /** @name Reuse-side hooks (ReuseUnit), keyed by the PC of the
-     *  branch whose squash captured the stream. */
-    /// @{
-    void onLogged(Addr branch_pc) { ++branches_.at(branch_pc).logged; }
-    void
-    onCovered(Addr branch_pc, std::uint64_t n)
-    {
-        branches_.at(branch_pc).covered += n;
-    }
-
-    /** Fetch-side reconvergence detection: stream of @p branch_pc
-     *  reconverges at @p reconv_pc, skipping @p inst_offset insts. */
-    void
-    onDetection(Addr branch_pc, Addr reconv_pc, unsigned inst_offset)
-    {
-        branches_.at(branch_pc).noteDetection(reconv_pc, inst_offset);
-        ++reconvs_.at(reconv_pc).detections;
-    }
-
-    /** A session reached rename lockstep at its reconvergence PC. */
-    void onSessionActivated(Addr reconv_pc)
-    {
-        ++reconvs_.at(reconv_pc).sessions;
-    }
-
-    void onTested(Addr branch_pc) { ++branches_.at(branch_pc).tested; }
-
-    /** First-time reuse-test kill, same taxonomy as the funnel. */
-    void
-    onKill(Addr branch_pc, std::uint64_t BranchRecord::*counter)
-    {
-        ++(branches_.at(branch_pc).*counter);
-    }
-
-    void
-    onReused(Addr branch_pc, Addr reconv_pc)
-    {
-        ++branches_.at(branch_pc).reused;
-        ++reconvs_.at(reconv_pc).instsSalvaged;
-    }
-    /// @}
+    /**
+     * Takes one probe event. Squashes and recovery slots are charged
+     * to the causing PC; squash-log, coverage and first-test events to
+     * the origin branch of the stream involved; detections, session
+     * starts and salvaged instructions also to the reconvergence PC.
+     */
+    void onEvent(const ProbeEvent &e);
 
     const PcMap<BranchRecord> &branches() const { return branches_; }
     const PcMap<ReconvRecord> &reconvs() const { return reconvs_; }

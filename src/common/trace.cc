@@ -10,18 +10,23 @@ namespace mssr
 {
 
 const char *
-toString(TraceStage stage)
+toString(ProbeKind kind)
 {
-    switch (stage) {
-      case TraceStage::Fetch: return "fetch";
-      case TraceStage::Rename: return "rename";
-      case TraceStage::Issue: return "issue";
-      case TraceStage::Writeback: return "writeback";
-      case TraceStage::Commit: return "commit";
-      case TraceStage::Squash: return "squash";
-      case TraceStage::ReuseTest: return "reuse-test";
-      case TraceStage::Reconv: return "reconv";
-      case TraceStage::Verify: return "verify";
+    switch (kind) {
+      case ProbeKind::Fetch: return "fetch";
+      case ProbeKind::Rename: return "rename";
+      case ProbeKind::Issue: return "issue";
+      case ProbeKind::Writeback: return "writeback";
+      case ProbeKind::Commit: return "commit";
+      case ProbeKind::Squash: return "squash";
+      case ProbeKind::ReuseTest: return "reuse-test";
+      case ProbeKind::Reconv: return "reconv";
+      case ProbeKind::Verify: return "verify";
+      case ProbeKind::SquashInst: return "squash-inst";
+      case ProbeKind::Logged: return "logged";
+      case ProbeKind::Covered: return "covered";
+      case ProbeKind::SessionStart: return "session-start";
+      case ProbeKind::RecoverySlots: return "recovery-slots";
     }
     return "?";
 }

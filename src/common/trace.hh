@@ -1,18 +1,18 @@
 /**
  * @file
- * Structured pipeline observability: a typed per-core event record
- * captured into a bounded ring buffer, an exporter for the Chrome
- * trace_event JSON format (chrome://tracing / Perfetto), and the
- * interval-statistics sample carried on RunResult.
+ * Structured pipeline observability: the probe's event record, a typed
+ * per-core trace event captured into a bounded ring buffer, an exporter
+ * for the Chrome trace_event JSON format (chrome://tracing / Perfetto),
+ * and the interval-statistics sample carried on RunResult.
  *
- * The tracer replaces the seed's printf-style text trace. Cores hold a
- * `Tracer *` (SimConfig::tracer, not owned); a null pointer disables
- * tracing entirely, so the disabled-mode cost is one pointer test per
- * instrumentation site and no allocation anywhere. When enabled, the
- * ring buffer is allocated once at construction and record() never
- * allocates, so tracing is safe on the simulation hot path and in
- * long runs (the oldest events are overwritten; dropped() reports how
- * many).
+ * The core and the reuse unit report every observable step as one
+ * ProbeEvent through their probe (common/probe.hh). The Tracer is one
+ * of its three sinks: a core given a `Tracer *` (SimConfig::tracer, not
+ * owned) hands it every event, and the tracer keeps the nine pipeline
+ * kinds (fetch .. verify). The ring buffer is allocated once at
+ * construction and onEvent() never allocates, so tracing is safe on
+ * the simulation hot path and in long runs (the oldest events are
+ * overwritten; dropped() reports how many).
  *
  * Event capture is deterministic: events depend only on simulated
  * state, never on host time or worker scheduling, so the event stream
@@ -36,18 +36,35 @@
 namespace mssr
 {
 
-/** Pipeline stage (or unit) that recorded an event. */
-enum class TraceStage : std::uint8_t
+/**
+ * What a ProbeEvent reports, and which fields it sets (the rest stay
+ * zero). The Tracer records the first nine, whose order numbers its
+ * Chrome-trace lanes.
+ */
+enum class ProbeKind : std::uint8_t
 {
-    Fetch,      //!< instruction entered the frontend pipe
-    Rename,     //!< renamed (arg = dest preg; reuse = outcome)
+    Fetch,      //!< entered the frontend pipe (aux = decode-ready cycle)
+    Rename,     //!< renamed (arg = dest preg; reuse = Reused* if adopted)
     Issue,      //!< selected for execution (arg = 1 when verify re-exec)
     Writeback,  //!< result written back (arg = result value)
     Commit,     //!< retired (arg = result value; reuse = Reused if so)
-    Squash,     //!< pipeline flush applied (squash = reason, arg = redirect)
-    ReuseTest,  //!< rename-side reuse test ran (reuse = verdict)
-    Reconv,     //!< fetch-side reconvergence detected (arg = stream distance)
+    /** Pipeline flush applied: seq/pc = cause, squash = reason,
+     *  arg = redirect PC, aux = instructions killed. */
+    Squash,
+    /** Rename-side reuse test ran: reuse = verdict, arg = the donor's
+     *  dest preg, donorSeq, originPC, firstTest, aux = the session's
+     *  reconvergence PC. */
+    ReuseTest,
+    /** Fetch-side reconvergence detected: pc = reconvergence PC,
+     *  arg = stream distance, originPC, aux = squashed insts skipped. */
+    Reconv,
     Verify,     //!< reused-load verification resolved (arg = 1 ok, 0 fail)
+
+    SquashInst,    //!< one instruction flushed (squash = reason)
+    Logged,        //!< appended to the squash log (seq = donor, originPC)
+    Covered,       //!< log entry covered by a detection (ditto)
+    SessionStart,  //!< reuse session reached rename (pc = reconv PC)
+    RecoverySlots, //!< refill slots (pc = cause, squash, arg = slots)
 };
 
 /** Verdict of one rename-side reuse test (section 3.5). */
@@ -64,9 +81,32 @@ enum class ReuseOutcome : std::uint8_t
     Divergence,       //!< corrected stream diverged; session ended
 };
 
-const char *toString(TraceStage stage);
+const char *toString(ProbeKind kind);
 const char *toString(ReuseOutcome outcome);
 const char *toString(SquashReason reason);
+
+/**
+ * One observable step: what the Tracer records (TraceEvent), then the
+ * ids PipeView and PcProfile attribute squashed work by.
+ */
+struct ProbeEvent
+{
+    ProbeKind kind = ProbeKind::Fetch;
+    ReuseOutcome reuse = ReuseOutcome::None;
+    bool firstTest = false;  //!< ReuseTest: the entry's first test
+    SquashReason squash = SquashReason::None;
+    Cycle cycle = 0;         //!< stamped by Probe::emit
+    SeqNum seq = 0;          //!< 0 for events with no instruction
+    Addr pc = 0;
+    std::uint64_t arg = 0;
+
+    SeqNum donorSeq = 0;     //!< squash-log donor of a reuse test
+    Addr originPC = 0;       //!< branch whose squash captured the stream
+    std::uint64_t aux = 0;   //!< second kind-specific payload
+};
+
+/** The tracer's name for the probe kinds it records (Fetch .. Verify). */
+using TraceStage = ProbeKind;
 
 /** One structured pipeline event. */
 struct TraceEvent
@@ -74,7 +114,7 @@ struct TraceEvent
     Cycle cycle = 0;
     SeqNum seq = 0;             //!< 0 for events with no instruction
     Addr pc = 0;
-    std::uint64_t arg = 0;      //!< stage-specific payload (see TraceStage)
+    std::uint64_t arg = 0;      //!< stage-specific payload (see ProbeKind)
     TraceStage stage = TraceStage::Fetch;
     ReuseOutcome reuse = ReuseOutcome::None;
     SquashReason squash = SquashReason::None;
@@ -113,12 +153,8 @@ class Tracer
     /** Allocates a ring of @p capacity events up front (>= 1). */
     explicit Tracer(std::size_t capacity = 1 << 16);
 
-    /** Simulated cycle stamped on subsequent record() calls. */
-    void setCycle(Cycle c) { cycle_ = c; }
-    Cycle cycle() const { return cycle_; }
-
     /**
-     * Restricts recording to cycles in [@p start, @p end)
+     * Restricts recording to event cycles in [@p start, @p end)
      * (end-exclusive): events outside the window are discarded before
      * they touch the ring, so they count neither as recorded nor as
      * dropped ("mssr_run --view-start-cycle/--view-cycles" uses
@@ -131,23 +167,23 @@ class Tracer
         winEnd_ = end;
     }
 
-    /** Records one event; overwrites the oldest when full. Never
+    /** Records @p e when it is a tracer kind (Fetch .. Verify) inside
+     *  the window; overwrites the oldest event when full. Never
      *  allocates. */
     void
-    record(TraceStage stage, SeqNum seq, Addr pc,
-           ReuseOutcome reuse = ReuseOutcome::None,
-           SquashReason squash = SquashReason::None, std::uint64_t arg = 0)
+    onEvent(const ProbeEvent &e)
     {
-        if (cycle_ < winStart_ || cycle_ >= winEnd_)
+        if (e.kind > ProbeKind::Verify || e.cycle < winStart_ ||
+            e.cycle >= winEnd_)
             return;
-        TraceEvent &e = ring_[next_];
-        e.cycle = cycle_;
-        e.seq = seq;
-        e.pc = pc;
-        e.arg = arg;
-        e.stage = stage;
-        e.reuse = reuse;
-        e.squash = squash;
+        TraceEvent &t = ring_[next_];
+        t.cycle = e.cycle;
+        t.seq = e.seq;
+        t.pc = e.pc;
+        t.arg = e.arg;
+        t.stage = e.kind;
+        t.reuse = e.reuse;
+        t.squash = e.squash;
         next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
         ++recorded_;
     }
@@ -155,7 +191,7 @@ class Tracer
     /** Events currently retained (<= capacity). */
     std::size_t size() const;
     std::size_t capacity() const { return ring_.size(); }
-    /** Total record() calls over the tracer's lifetime. */
+    /** Events recorded over the tracer's lifetime. */
     std::uint64_t recorded() const { return recorded_; }
     /** Events lost to ring wraparound. */
     std::uint64_t dropped() const
@@ -167,7 +203,7 @@ class Tracer
     const TraceEvent &event(std::size_t i) const;
 
     /** Ring storage address; stable for the tracer's lifetime (lets
-     *  tests assert record() never reallocates). */
+     *  tests assert onEvent() never reallocates). */
     const void *bufferAddress() const { return ring_.data(); }
 
     /** Forgets all retained events (capacity is kept). */
@@ -196,8 +232,7 @@ class Tracer
     std::vector<TraceEvent> ring_;
     std::size_t next_ = 0;         //!< ring slot the next event goes to
     std::uint64_t recorded_ = 0;
-    Cycle cycle_ = 0;
-    Cycle winStart_ = 0;           //!< record() window, end-exclusive
+    Cycle winStart_ = 0;           //!< onEvent() window, end-exclusive
     Cycle winEnd_ = ~Cycle(0);
 };
 

@@ -4,7 +4,6 @@
 
 #include "common/bitops.hh"
 #include "common/log.hh"
-#include "common/pipeview.hh"
 #include "sim/checkpoint.hh"
 
 namespace mssr
@@ -27,24 +26,21 @@ O3Cpu::O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
 {
     mssr_assert(cfg.core.physRegs > NumArchRegs,
                 "need more physical than architectural registers");
-    tracer_ = cfg.tracer;
-    pipeview_ = cfg.pipeview;
+    if (cfg.profiling)
+        profile_ = std::make_unique<PcProfile>();
+    if (cfg.tracer || cfg.pipeview || profile_)
+        probe_ = std::make_unique<Probe>(cfg.tracer, cfg.pipeview,
+                                         profile_.get());
     switch (cfg.reuseKind) {
       case ReuseKind::Rgid:
         reuse_ = std::make_unique<ReuseUnit>(cfg.reuse, freeList_);
-        reuse_->setTracer(tracer_);
-        reuse_->setPipeView(pipeview_);
+        reuse_->setProbe(probe_.get());
         break;
       case ReuseKind::RegInt:
         ri_ = std::make_unique<IntegrationTable>(cfg.regint, freeList_);
         break;
       case ReuseKind::None:
         break;
-    }
-    if (cfg.profiling) {
-        profile_ = std::make_unique<PcProfile>();
-        if (reuse_)
-            reuse_->setProfile(profile_.get());
     }
 
     if (!snapshot) {
@@ -175,9 +171,9 @@ O3Cpu::commitStage()
             break;
 
         if (inst->si.isHalt()) {
-            record(TraceStage::Commit, inst);
-            if (pipeview_)
-                pipeview_->commit(inst->seq);
+            if (probe_)
+                probe_->emit({.kind = ProbeKind::Commit, .seq = inst->seq,
+                              .pc = inst->pc});
             ++commits_;
             halted_ = true;
             lastCommitCycle_ = cycle_;
@@ -205,11 +201,12 @@ O3Cpu::commitStage()
             freeList_.setArch(inst->dst);
             freeList_.release(inst->oldDst);
         }
-        record(TraceStage::Commit, inst,
-               inst->reused ? ReuseOutcome::Reused : ReuseOutcome::None,
-               SquashReason::None, inst->result);
-        if (pipeview_)
-            pipeview_->commit(inst->seq);
+        if (probe_)
+            probe_->emit({.kind = ProbeKind::Commit,
+                          .reuse = inst->reused ? ReuseOutcome::Reused
+                                                : ReuseOutcome::None,
+                          .seq = inst->seq, .pc = inst->pc,
+                          .arg = inst->result});
         ftq_.retireUpTo(inst->ftqId);
         rob_.popHead();
         ++commits_;
@@ -248,16 +245,19 @@ O3Cpu::writebackStage()
         if (inst->verifyPending) {
             // Reused load verification (section 3.8.3, NoSQ-style).
             inst->verifyPending = false;
-            if (inst->result == inst->reusedValue) {
+            const bool ok = inst->result == inst->reusedValue;
+            if (probe_)
+                probe_->emit({.kind = ProbeKind::Verify,
+                              .squash = ok ? SquashReason::None
+                                           : SquashReason::ReuseVerifyFail,
+                              .seq = inst->seq, .pc = inst->pc,
+                              .arg = ok});
+            if (ok) {
                 ++verifyOk_;
-                record(TraceStage::Verify, inst, ReuseOutcome::None,
-                       SquashReason::None, 1);
             } else {
                 // Dependents consumed a stale value: flush younger
                 // instructions, fix this load's value in place.
                 ++verifyFailFlushes_;
-                record(TraceStage::Verify, inst, ReuseOutcome::None,
-                       SquashReason::ReuseVerifyFail, 0);
                 regs_.write(inst->dst, inst->result);
                 requestSquash(inst->seq, inst->pc + InstBytes, inst,
                               SquashReason::ReuseVerifyFail);
@@ -267,10 +267,9 @@ O3Cpu::writebackStage()
 
         inst->executed = true;
         inst->completed = true;
-        record(TraceStage::Writeback, inst, ReuseOutcome::None,
-               SquashReason::None, inst->result);
-        if (pipeview_)
-            pipeview_->complete(inst->seq);
+        if (probe_)
+            probe_->emit({.kind = ProbeKind::Writeback, .seq = inst->seq,
+                          .pc = inst->pc, .arg = inst->result});
         if (inst->si.hasRd())
             regs_.write(inst->dst, inst->result);
         if (inst->isLoad())
@@ -367,10 +366,9 @@ void
 O3Cpu::executeInst(const DynInstPtr &inst)
 {
     inst->issued = true;
-    record(TraceStage::Issue, inst, ReuseOutcome::None, SquashReason::None,
-           inst->verifyPending ? 1 : 0);
-    if (pipeview_)
-        pipeview_->issue(inst->seq);
+    if (probe_)
+        probe_->emit({.kind = ProbeKind::Issue, .seq = inst->seq,
+                      .pc = inst->pc, .arg = inst->verifyPending});
     if (inst->isControl()) {
         executeBranch(inst);
     } else if (inst->isLoad()) {
@@ -564,14 +562,14 @@ O3Cpu::renameOne(const DynInstPtr &inst)
     }
 
     inst->renamed = true;
-    record(TraceStage::Rename, inst,
-           inst->reused ? (inst->verifyPending
-                               ? ReuseOutcome::ReusedNeedVerify
-                               : ReuseOutcome::Reused)
-                        : ReuseOutcome::None,
-           SquashReason::None, inst->dst);
-    if (pipeview_)
-        pipeview_->rename(inst->seq);
+    if (probe_)
+        probe_->emit({.kind = ProbeKind::Rename,
+                      .reuse = inst->reused
+                                   ? (inst->verifyPending
+                                          ? ReuseOutcome::ReusedNeedVerify
+                                          : ReuseOutcome::Reused)
+                                   : ReuseOutcome::None,
+                      .seq = inst->seq, .pc = inst->pc, .arg = inst->dst});
     rob_.push(inst);
     return RenameOutcome::Renamed;
 }
@@ -620,10 +618,11 @@ O3Cpu::renameStage()
                           : CpiCat::FlushRecovery;
                 // Mirror of the CPI-stack recovery charge below, so
                 // per-PC recovery slots reconcile with it exactly.
-                if (profile_)
-                    profile_->onRecoverySlots(recoveryCausePC_,
-                                              recoveryReason_,
-                                              cfg_.core.decodeWidth);
+                if (probe_)
+                    probe_->emit({.kind = ProbeKind::RecoverySlots,
+                                  .squash = recoveryReason_,
+                                  .pc = recoveryCausePC_,
+                                  .arg = cfg_.core.decodeWidth});
             }
             break;
         }
@@ -662,10 +661,10 @@ O3Cpu::fetchStage()
             }
         }
         ftq_.advanceFetch(1);
-        record(TraceStage::Fetch, inst);
-        if (pipeview_)
-            pipeview_->fetch(inst->seq, pc,
-                             cycle_ + cfg_.core.frontendStages);
+        if (probe_)
+            probe_->emit({.kind = ProbeKind::Fetch, .seq = inst->seq,
+                          .pc = pc,
+                          .aux = cycle_ + cfg_.core.frontendStages});
         frontPipe_.push_back(inst);
         frontPipeReady_.push_back(cycle_ + cfg_.core.frontendStages);
         ++fetched_;
@@ -698,8 +697,6 @@ O3Cpu::applySquash()
     pendingSquash_ = PendingSquash{};
     mssr_assert(squash.valid);
     ++squashEvents_;
-    record(TraceStage::Squash, squash.cause, ReuseOutcome::None,
-           squash.reason, squash.redirectPC);
 
     // 1. ROB walk (youngest first): rename rollback.
     std::vector<DynInstPtr> &squashed = squashBuf_;
@@ -717,18 +714,22 @@ O3Cpu::applySquash()
     lsq_.squashAfter(squash.afterSeq);
 
     // 3. Frontend pipe: everything in flight is younger than the ROB.
-    // The viewer stamps both squashed populations (ROB walk + frontend
-    // pipe) so its squash records reconcile with squashedInsts_.
-    if (pipeview_) {
-        for (const auto &inst : squashed)
-            pipeview_->squash(inst->seq, squash.reason);
-        for (const auto &inst : frontPipe_)
-            pipeview_->squash(inst->seq, squash.reason);
+    // Both squashed populations (ROB walk + frontend pipe) are
+    // reported, so per-instruction squashes reconcile with
+    // squashedInsts_.
+    const std::uint64_t killed = squashed.size() + frontPipe_.size();
+    squashedInsts_ += killed;
+    if (probe_) {
+        probe_->emit({.kind = ProbeKind::Squash, .squash = squash.reason,
+                      .seq = squash.cause->seq, .pc = squash.cause->pc,
+                      .arg = squash.redirectPC, .aux = killed});
+        auto killedInst = [&](const DynInstPtr &inst) {
+            probe_->emit({.kind = ProbeKind::SquashInst,
+                          .squash = squash.reason, .seq = inst->seq});
+        };
+        std::for_each(squashed.begin(), squashed.end(), killedInst);
+        std::for_each(frontPipe_.begin(), frontPipe_.end(), killedInst);
     }
-    squashedInsts_ += squashed.size() + frontPipe_.size();
-    if (profile_)
-        profile_->onSquash(squash.cause->pc, squash.reason,
-                           squashed.size() + frontPipe_.size());
     frontPipe_.clear();
     frontPipeReady_.clear();
 
@@ -785,10 +786,8 @@ O3Cpu::applySquash()
 void
 O3Cpu::tick()
 {
-    if (tracer_)
-        tracer_->setCycle(cycle_);
-    if (pipeview_)
-        pipeview_->setCycle(cycle_);
+    if (probe_)
+        probe_->setCycle(cycle_);
     commitStage();
     if (halted_)
         return;
@@ -884,10 +883,8 @@ O3Cpu::sampleInterval(bool flush)
 ReuseFunnel
 O3Cpu::funnel() const
 {
-    ReuseFunnel f;
+    ReuseFunnel f = reuse_ ? reuse_->funnel() : ReuseFunnel{};
     f.squashed = squashedInsts_;
-    if (reuse_)
-        reuse_->fillFunnel(f);
     f.verifyOk = verifyOk_;
     f.verifyFail = verifyFailFlushes_;
     return f;

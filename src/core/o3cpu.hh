@@ -26,6 +26,7 @@
 
 #include "common/config.hh"
 #include "common/cpi_stack.hh"
+#include "common/probe.hh"
 #include "common/profile.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -119,8 +120,7 @@ class O3Cpu
     /**
      * Per-PC hot-spot profile (SimConfig::profiling): squashes,
      * recovery slots and reuse outcomes attributed to static branch
-     * and reconvergence PCs. Null when profiling is disabled -- every
-     * instrumentation site costs one pointer test, like the tracer.
+     * and reconvergence PCs. Null when profiling is disabled.
      */
     const PcProfile *profile() const { return profile_.get(); }
 
@@ -162,15 +162,6 @@ class O3Cpu
     };
 
     // Helpers.
-    /** Records one per-instruction pipeline event when tracing is on. */
-    void
-    record(TraceStage stage, const DynInstPtr &inst,
-           ReuseOutcome reuse = ReuseOutcome::None,
-           SquashReason squash = SquashReason::None, std::uint64_t arg = 0)
-    {
-        if (tracer_)
-            tracer_->record(stage, inst->seq, inst->pc, reuse, squash, arg);
-    }
     /** Closes the current stats interval. @p flush marks the final
      *  end-of-run call: a zero-cycle residue (the halting tick's
      *  commits) is folded into the last interval instead of being
@@ -228,9 +219,10 @@ class O3Cpu
     std::vector<PhysReg> riBundleDsts_;  //!< pregs integrated this cycle
     unsigned riChainedThisCycle_ = 0;
 
-    // Observability.
-    Tracer *tracer_ = nullptr;             //!< from SimConfig (not owned)
-    PipeView *pipeview_ = nullptr;         //!< from SimConfig (not owned)
+    // Observability. probe_ feeds the tracer and pipeview SimConfig
+    // attaches plus profile_; it is null when none is attached, so
+    // each instrumented site costs one branch.
+    std::unique_ptr<Probe> probe_;
     std::vector<IntervalSample> intervals_;
     struct IntervalMark
     {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/pipeview.hh"
 
 namespace mssr
 {
@@ -147,11 +146,10 @@ ReuseUnit::onBranchSquash(SeqNum branch_seq,
 
         const bool logged = log_.append(s, entry);
         if (logged) {
-            ++funnelLogged_;
-            if (profile_)
-                profile_->onLogged(branch_pc);
-            if (pipeview_)
-                pipeview_->laneLogged(inst->seq);
+            ++funnel_.logged;
+            if (probe_)
+                probe_->emit({.kind = ProbeKind::Logged, .seq = inst->seq,
+                              .originPC = branch_pc});
         }
         const bool reusable = logged && entry.hasDest && entry.executed &&
                               !entry.isStore && !entry.isControl &&
@@ -216,10 +214,6 @@ ReuseUnit::detect(Addr start_pc, Addr end_pc)
             return; // WPB covers more insts than the Squash Log kept
         }
         ++reconvDetected_;
-        if (tracer_)
-            tracer_->record(TraceStage::Reconv, 0, hit.reconvPC,
-                            ReuseOutcome::None, SquashReason::None,
-                            squashEvents_ - stream.squashEventIndex + 1);
 
         // Classification (Figure 4): compare the hit stream's origin
         // branch with the branch whose squash created the current
@@ -235,26 +229,24 @@ ReuseUnit::detect(Addr start_pc, Addr end_pc)
         const std::uint64_t distance =
             squashEvents_ - stream.squashEventIndex + 1;
         distance_.sample(std::min<std::uint64_t>(distance, 7));
+        if (probe_)
+            probe_->emit({.kind = ProbeKind::Reconv, .pc = hit.reconvPC,
+                          .arg = distance, .originPC = streamOriginPC_[s],
+                          .aux = hit.instOffset});
 
         // Funnel: the entries this session can reach are now covered
         // by a detected reconvergence. The flag makes each entry count
         // once even when a stream is re-detected by a later session.
         SquashLogStream &logStream = log_.stream(s);
-        std::uint64_t newlyCovered = 0;
         for (unsigned i = hit.instOffset; i < logStream.numEntries; ++i) {
-            if (!logStream.entries[i].covered) {
-                logStream.entries[i].covered = true;
-                ++funnelCovered_;
-                ++newlyCovered;
-                if (pipeview_)
-                    pipeview_->laneCovered(logStream.entries[i].seq);
-            }
-        }
-        if (profile_) {
-            profile_->onDetection(streamOriginPC_[s], hit.reconvPC,
-                                  hit.instOffset);
-            if (newlyCovered)
-                profile_->onCovered(streamOriginPC_[s], newlyCovered);
+            SquashLogEntry &entry = logStream.entries[i];
+            if (entry.covered)
+                continue;
+            entry.covered = true;
+            ++funnel_.covered;
+            if (probe_)
+                probe_->emit({.kind = ProbeKind::Covered, .seq = entry.seq,
+                              .originPC = streamOriginPC_[s]});
         }
 
         Session session;
@@ -335,8 +327,9 @@ ReuseUnit::processRename(const DynInstPtr &inst,
                 return advice;
             renameActive_ = true;
             renameCursor_ = front.startCursor;
-            if (profile_)
-                profile_->onSessionActivated(front.reconvPC);
+            if (probe_)
+                probe_->emit({.kind = ProbeKind::SessionStart,
+                              .pc = front.reconvPC});
         }
 
         SquashLogStream &stream = log_.stream(front.stream);
@@ -349,9 +342,10 @@ ReuseUnit::processRename(const DynInstPtr &inst,
             // The corrected stream diverged from the squashed stream:
             // policy (4) releases the remaining reservations.
             ++divergences_;
-            if (tracer_)
-                tracer_->record(TraceStage::ReuseTest, inst->seq,
-                                inst->pc, ReuseOutcome::Divergence);
+            if (probe_)
+                probe_->emit({.kind = ProbeKind::ReuseTest,
+                              .reuse = ReuseOutcome::Divergence,
+                              .seq = inst->seq, .pc = inst->pc});
             endFrontSession();
             continue;
         }
@@ -364,58 +358,24 @@ ReuseUnit::processRename(const DynInstPtr &inst,
         // kill counters (a stream can be re-covered after a squash
         // cuts its session; re-tests would otherwise double count).
         const bool firstTest = !entry.tested;
-        const Addr originPC = streamOriginPC_[front.stream];
         if (firstTest) {
             entry.tested = true;
-            ++funnelTested_;
-            if (profile_)
-                profile_->onTested(originPC);
+            ++funnel_.tested;
         }
         ReuseOutcome outcome = ReuseOutcome::Reused;
-        bool ok = true;
         if (entry.consumed || !entry.reserved) {
             // Covers: no destination, stores, control insts,
             // unexecuted squashed insts, already-consumed entries.
-            if (!entry.hasDest || entry.isStore || entry.isControl) {
-                ++reuseFailKind_;
-                outcome = ReuseOutcome::FailKind;
-                if (firstTest) {
-                    ++funnelKillKind_;
-                    if (profile_)
-                        profile_->onKill(originPC, &BranchRecord::killKind);
-                }
-            } else if (!entry.executed) {
-                ++reuseFailNotExecuted_;
-                outcome = ReuseOutcome::FailNotExecuted;
-                if (firstTest) {
-                    ++funnelKillNotExecuted_;
-                    if (profile_)
-                        profile_->onKill(originPC,
-                                         &BranchRecord::killNotExecuted);
-                }
-            } else {
-                ++reuseFailKind_;
-                outcome = ReuseOutcome::FailKind;
-                if (firstTest) {
-                    ++funnelKillKind_;
-                    if (profile_)
-                        profile_->onKill(originPC, &BranchRecord::killKind);
-                }
-            }
-            ok = false;
+            const bool valueKind =
+                entry.hasDest && !entry.isStore && !entry.isControl;
+            outcome = valueKind && !entry.executed
+                          ? ReuseOutcome::FailNotExecuted
+                          : ReuseOutcome::FailKind;
         } else if (!rgids_.inWindow(inst->si.rd, entry.dstRgid)) {
             // Hardware's rgidBits-wide tag would have wrapped since
             // this mapping was created: not reusable (capacity cost
             // of the finite RGID width, see rgid.hh).
-            ++reuseFailRgidCapacity_;
             outcome = ReuseOutcome::FailRgidCapacity;
-            if (firstTest) {
-                ++funnelKillRgidCapacity_;
-                if (profile_)
-                    profile_->onKill(originPC,
-                                     &BranchRecord::killRgidCapacity);
-            }
-            ok = false;
         } else {
             mssr_assert(entry.op == inst->si.op,
                         "PC match with opcode mismatch");
@@ -426,60 +386,38 @@ ReuseUnit::processRename(const DynInstPtr &inst,
             if (inst->si.hasRs2())
                 srcRegs[nsrc++] = inst->si.rs2;
             mssr_assert(nsrc == entry.numSrcs);
+            bool match = true;
             bool stale = false;
             for (unsigned i = 0; i < nsrc; ++i) {
                 if (current_src_rgids[i] != entry.srcRgid[i])
-                    ok = false;
+                    match = false;
                 else if (!rgids_.inWindow(srcRegs[i], entry.srcRgid[i]))
                     stale = true;
             }
-            if (!ok) {
-                ++reuseFailRgid_;
+            if (!match)
                 outcome = ReuseOutcome::FailRgid;
-                if (firstTest) {
-                    ++funnelKillRgid_;
-                    if (profile_)
-                        profile_->onKill(originPC, &BranchRecord::killRgid);
-                }
-            } else if (stale) {
-                ++reuseFailRgidCapacity_;
+            else if (stale)
                 outcome = ReuseOutcome::FailRgidCapacity;
-                if (firstTest) {
-                    ++funnelKillRgidCapacity_;
-                    if (profile_)
-                        profile_->onKill(originPC,
-                                         &BranchRecord::killRgidCapacity);
-                }
-                ok = false;
-            }
         }
 
-        if (ok && entry.isLoad && cfg_.useBloomFilter &&
+        if (outcome == ReuseOutcome::Reused && entry.isLoad &&
+            cfg_.useBloomFilter &&
             (bloom_.mayContain(entry.memAddr) ||
              bloom_.mayContain(entry.memAddr + entry.memSize - 1))) {
             // A store may have touched this address since the squash:
             // the load must re-execute rather than be reused.
-            ++reuseFailBloom_;
             outcome = ReuseOutcome::FailBloom;
-            if (firstTest) {
-                ++funnelKillBloom_;
-                if (profile_)
-                    profile_->onKill(originPC, &BranchRecord::killBloom);
-            }
-            ok = false;
         }
 
-        if (ok) {
+        if (outcome == ReuseOutcome::Reused) {
             // A reuse is always a first test: the first test of a
             // reserved entry either consumes it (reuse or release)
             // and any non-reserved entry fails on kind above.
             mssr_assert(firstTest, "reuse of a re-tested entry");
             freeList_.adopt(entry.destPreg);
             entry.consumed = true;
-            ++reuseSuccess_;
+            ++funnel_.reused;
             reuseLag_.sample(now - streamCaptureCycle_[front.stream]);
-            if (profile_)
-                profile_->onReused(originPC, front.reconvPC);
             if (entry.isLoad)
                 ++reuseLoads_;
             advice.reuse = true;
@@ -488,21 +426,26 @@ ReuseUnit::processRename(const DynInstPtr &inst,
             advice.dstRgid = entry.dstRgid;
             advice.memAddr = entry.memAddr;
             advice.memSize = entry.memSize;
-            if (pipeview_)
-                pipeview_->laneReused(entry.seq, inst->seq,
-                                      advice.needVerify);
-        } else if (entry.reserved && !entry.consumed) {
-            // Policy (3): a failed reuse test releases the reservation.
-            freeList_.release(entry.destPreg);
-            entry.consumed = true;
+            if (advice.needVerify)
+                outcome = ReuseOutcome::ReusedNeedVerify;
+        } else {
+            countKill(failed_, outcome);
+            if (firstTest)
+                countKill(funnel_, outcome);
+            if (entry.reserved && !entry.consumed) {
+                // Policy (3): a failed reuse test releases the
+                // reservation.
+                freeList_.release(entry.destPreg);
+                entry.consumed = true;
+            }
         }
-        if (ok && advice.needVerify)
-            outcome = ReuseOutcome::ReusedNeedVerify;
-        if (tracer_)
-            tracer_->record(TraceStage::ReuseTest, inst->seq, inst->pc,
-                            outcome, SquashReason::None, entry.destPreg);
-        if (pipeview_ && firstTest)
-            pipeview_->laneTested(entry.seq, outcome);
+        if (probe_)
+            probe_->emit({.kind = ProbeKind::ReuseTest, .reuse = outcome,
+                          .firstTest = firstTest, .seq = inst->seq,
+                          .pc = inst->pc, .arg = entry.destPreg,
+                          .donorSeq = entry.seq,
+                          .originPC = streamOriginPC_[front.stream],
+                          .aux = front.reconvPC});
 
         if (exhausted)
             endFrontSession();
@@ -554,29 +497,19 @@ ReuseUnit::reclaimLeastRecentStream()
     return freeList_.numFree() > before;
 }
 
-void
-ReuseUnit::fillFunnel(ReuseFunnel &funnel) const
+ReuseFunnel
+ReuseUnit::funnel() const
 {
-    funnel.logged = funnelLogged_;
-    funnel.covered = funnelCovered_;
-    funnel.tested = funnelTested_;
-    funnel.killKind = funnelKillKind_;
-    funnel.killNotExecuted = funnelKillNotExecuted_;
-    funnel.killRgid = funnelKillRgid_;
-    funnel.killRgidCapacity = funnelKillRgidCapacity_;
-    funnel.killBloom = funnelKillBloom_;
     // Derived stages: exact algebra over the first-time-test kills.
-    const std::uint64_t rgidKills = funnelKillKind_ +
-                                    funnelKillNotExecuted_ +
-                                    funnelKillRgid_ +
-                                    funnelKillRgidCapacity_;
-    mssr_assert(funnelTested_ >= rgidKills);
-    funnel.rgidPass = funnelTested_ - rgidKills;
-    mssr_assert(funnel.rgidPass >= funnelKillBloom_);
-    funnel.hazardPass = funnel.rgidPass - funnelKillBloom_;
-    funnel.reused = reuseSuccess_;
-    mssr_assert(funnel.hazardPass == funnel.reused,
-                "hazard-pass / reuse mismatch");
+    ReuseFunnel f = funnel_;
+    const std::uint64_t rgidKills = f.killKind + f.killNotExecuted +
+                                    f.killRgid + f.killRgidCapacity;
+    mssr_assert(f.tested >= rgidKills);
+    f.rgidPass = f.tested - rgidKills;
+    mssr_assert(f.rgidPass >= f.killBloom);
+    f.hazardPass = f.rgidPass - f.killBloom;
+    mssr_assert(f.hazardPass == f.reused, "hazard-pass / reuse mismatch");
+    return f;
 }
 
 void
@@ -596,15 +529,15 @@ ReuseUnit::reportStats(StatSet &stats) const
         stats.set("reuse.distance" + std::to_string(d),
                   static_cast<double>(distance_.bucket(d)));
     stats.set("reuse.tests", static_cast<double>(reuseTests_));
-    stats.set("reuse.success", static_cast<double>(reuseSuccess_));
+    stats.set("reuse.success", static_cast<double>(funnel_.reused));
     stats.set("reuse.loadsReused", static_cast<double>(reuseLoads_));
-    stats.set("reuse.failRgid", static_cast<double>(reuseFailRgid_));
+    stats.set("reuse.failRgid", static_cast<double>(failed_.killRgid));
     stats.set("reuse.failRgidCapacity",
-              static_cast<double>(reuseFailRgidCapacity_));
+              static_cast<double>(failed_.killRgidCapacity));
     stats.set("reuse.failNotExecuted",
-              static_cast<double>(reuseFailNotExecuted_));
-    stats.set("reuse.failKind", static_cast<double>(reuseFailKind_));
-    stats.set("reuse.failBloom", static_cast<double>(reuseFailBloom_));
+              static_cast<double>(failed_.killNotExecuted));
+    stats.set("reuse.failKind", static_cast<double>(failed_.killKind));
+    stats.set("reuse.failBloom", static_cast<double>(failed_.killBloom));
     stats.set("reuse.divergences", static_cast<double>(divergences_));
     stats.set("reuse.timeouts", static_cast<double>(timeouts_));
     stats.set("reuse.pressureReclaims",

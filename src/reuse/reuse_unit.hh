@@ -16,9 +16,8 @@
 
 #include "common/config.hh"
 #include "common/cpi_stack.hh"
-#include "common/profile.hh"
+#include "common/probe.hh"
 #include "common/stats.hh"
-#include "common/trace.hh"
 #include "core/dyn_inst.hh"
 #include "core/free_list.hh"
 #include "frontend/pred_block.hh"
@@ -60,7 +59,7 @@ class ReuseUnit
      * @param now current cycle (stamps the stream's capture time for
      *        the capture-to-reuse latency histogram).
      * @param branch_pc static PC of the mispredicted branch (stamps
-     *        the stream's origin for per-PC profiling; 0 = unknown,
+     *        the stream's origin for its probe events; 0 = unknown,
      *        only valid while no profile is attached).
      */
     void onBranchSquash(SeqNum branch_seq,
@@ -117,41 +116,26 @@ class ReuseUnit
     const RgidAllocator &rgids() const { return rgids_; }
 
     /**
-     * Attaches the owning core's event tracer (or null): reconvergence
-     * detections and per-instruction reuse-test verdicts are recorded
-     * with their failure reasons. The tracer carries the current cycle.
+     * Attaches the owning core's probe (or null): squash-log appends,
+     * reconvergence detections, coverage, session starts and every
+     * reuse-test verdict are emitted with the squash-log donor's seq
+     * and the origin branch PC of the stream involved. Must be attached
+     * before any squash is recorded so every stream carries its origin
+     * PC. The probe carries the current cycle.
      */
-    void setTracer(Tracer *tracer) { tracer_ = tracer; }
-
-    /**
-     * Attaches the owning core's per-PC profile (or null): squash-log
-     * population, reconvergence detections and reuse-test verdicts
-     * are attributed to the origin branch PC of the stream involved
-     * (common/profile.hh). Must be attached before any squash is
-     * recorded so every stream carries its origin PC.
-     */
-    void setProfile(PcProfile *profile) { profile_ = profile; }
-
-    /**
-     * Attaches the owning core's per-instruction lifecycle recorder
-     * (or null): squash-log appends, coverage hits, first reuse tests
-     * and adoptions are stamped onto the donor instruction's record,
-     * and adopters are marked salvaged (common/pipeview.hh). The
-     * recorder carries the current cycle.
-     */
-    void setPipeView(PipeView *pipeview) { pipeview_ = pipeview; }
+    void setProbe(Probe *probe) { probe_ = probe; }
 
     /** Successful reuses so far (interval stats). */
-    std::uint64_t successCount() const { return reuseSuccess_; }
+    std::uint64_t successCount() const { return funnel_.reused; }
 
     /**
-     * Fills the reuse-pipeline stages and kill reasons of @p funnel
-     * (logged .. reused; the caller owns the squashed and verify
-     * fields). The stage algebra is exact: rgidPass and hazardPass
-     * are derived from the first-time-test kill counters, and every
-     * hazard pass is a reuse.
+     * The reuse-pipeline stages and kill reasons (logged .. reused;
+     * squashed and the verify fields are zero, the core owns them).
+     * The stage algebra is exact: rgidPass and hazardPass are derived
+     * from the first-time-test kill counters, and every hazard pass is
+     * a reuse.
      */
-    void fillFunnel(ReuseFunnel &funnel) const;
+    ReuseFunnel funnel() const;
 
     void reportStats(StatSet &stats) const;
 
@@ -196,9 +180,7 @@ class ReuseUnit
 
     ReuseConfig cfg_;
     FreeList &freeList_;
-    Tracer *tracer_ = nullptr; //!< owning core's event sink (not owned)
-    PcProfile *profile_ = nullptr; //!< per-PC attribution (not owned)
-    PipeView *pipeview_ = nullptr; //!< per-inst lifecycle sink (not owned)
+    Probe *probe_ = nullptr; //!< owning core's probe (not owned)
     Wpb wpb_;
     SquashLog log_;
     RgidAllocator rgids_;
@@ -225,30 +207,24 @@ class ReuseUnit
     std::uint64_t reconvBeyondLog_ = 0;
     Histogram distance_{8};
     std::uint64_t reuseTests_ = 0;
-    std::uint64_t reuseSuccess_ = 0;
     std::uint64_t reuseLoads_ = 0;
-    std::uint64_t reuseFailRgid_ = 0;
-    std::uint64_t reuseFailRgidCapacity_ = 0;
-    std::uint64_t reuseFailNotExecuted_ = 0;
-    std::uint64_t reuseFailKind_ = 0;
-    std::uint64_t reuseFailBloom_ = 0;
+    /** Failed tests by reason (reuse.fail*), every test counted. */
+    struct
+    {
+        std::uint64_t killKind = 0, killNotExecuted = 0, killRgid = 0,
+                      killRgidCapacity = 0, killBloom = 0;
+    } failed_;
     std::uint64_t divergences_ = 0;
     std::uint64_t timeouts_ = 0;
     std::uint64_t pressureReclaims_ = 0;
     std::uint64_t streamsCaptured_ = 0;
 
-    // Funnel accounting (common/cpi_stack.hh). Each counter advances
-    // at most once per squash-log entry (via the entry's covered/
-    // tested flags), which is what keeps the funnel stages
-    // monotonically non-increasing by construction.
-    std::uint64_t funnelLogged_ = 0;
-    std::uint64_t funnelCovered_ = 0;
-    std::uint64_t funnelTested_ = 0;
-    std::uint64_t funnelKillKind_ = 0;
-    std::uint64_t funnelKillNotExecuted_ = 0;
-    std::uint64_t funnelKillRgid_ = 0;
-    std::uint64_t funnelKillRgidCapacity_ = 0;
-    std::uint64_t funnelKillBloom_ = 0;
+    // Funnel accounting (common/cpi_stack.hh): logged, covered,
+    // tested, reused and the first-test kills. Each advances at most
+    // once per squash-log entry (via the entry's covered/tested
+    // flags), which keeps the funnel stages monotonically
+    // non-increasing by construction.
+    ReuseFunnel funnel_;
     std::vector<Cycle> streamCaptureCycle_; //!< per-stream capture stamp
     std::vector<Addr> streamOriginPC_;      //!< per-stream origin branch
     Histogram reuseLag_{256};  //!< capture-to-reuse latency (cycles)

@@ -68,10 +68,9 @@ TEST(Tracer, RingWraparoundKeepsNewestEvents)
     EXPECT_EQ(t.capacity(), 8u);
     EXPECT_EQ(t.size(), 0u);
 
-    for (std::uint64_t i = 1; i <= 20; ++i) {
-        t.setCycle(i * 10);
-        t.record(TraceStage::Fetch, i, 0x1000 + i * 4);
-    }
+    for (std::uint64_t i = 1; i <= 20; ++i)
+        t.onEvent({.kind = TraceStage::Fetch, .cycle = i * 10, .seq = i,
+                   .pc = 0x1000 + i * 4});
     EXPECT_EQ(t.size(), 8u);
     EXPECT_EQ(t.recorded(), 20u);
     EXPECT_EQ(t.dropped(), 12u);
@@ -86,14 +85,14 @@ TEST(Tracer, RingWraparoundKeepsNewestEvents)
     EXPECT_EQ(t.size(), 0u);
     EXPECT_EQ(t.dropped(), 0u);
     EXPECT_EQ(t.capacity(), 8u);
-    t.record(TraceStage::Commit, 99, 0x42);
+    t.onEvent({.kind = TraceStage::Commit, .seq = 99, .pc = 0x42});
     ASSERT_EQ(t.size(), 1u);
     EXPECT_EQ(t.event(0).seq, 99u);
 
     // Text rendering reports the drop count after wraparound.
     Tracer small(2);
     for (std::uint64_t i = 0; i < 5; ++i)
-        small.record(TraceStage::Fetch, i, 0);
+        small.onEvent({.kind = TraceStage::Fetch, .seq = i});
     std::ostringstream text;
     small.writeText(text);
     EXPECT_NE(text.str().find("3 older events dropped"),
@@ -105,8 +104,9 @@ TEST(Tracer, RecordingNeverReallocates)
     Tracer t(64);
     const void *buf = t.bufferAddress();
     for (std::uint64_t i = 0; i < 10000; ++i)
-        t.record(TraceStage::Writeback, i, i * 4, ReuseOutcome::Reused,
-                 SquashReason::None, i);
+        t.onEvent({.kind = TraceStage::Writeback,
+                   .reuse = ReuseOutcome::Reused, .seq = i, .pc = i * 4,
+                   .arg = i});
     EXPECT_EQ(t.bufferAddress(), buf);
     EXPECT_EQ(t.capacity(), 64u);
     EXPECT_EQ(t.recorded(), 10000u);
@@ -162,7 +162,7 @@ TEST(Tracer, ChromeJsonParsesBack)
 
     // Multi-job export: one pid per job.
     Tracer other(16);
-    other.record(TraceStage::Fetch, 1, 0x100);
+    other.onEvent({.kind = TraceStage::Fetch, .seq = 1, .pc = 0x100});
     std::ostringstream multi;
     writeChromeJson(multi, {{"a", &tracer}, {"b", &other}});
     const JsonValue mroot = JsonParser(multi.str()).parse();
@@ -186,7 +186,7 @@ TEST(Tracer, ChromeJsonEscapesControlCharactersInLabels)
     // a tab or newline in it must come out as a JSON escape: a raw
     // control byte inside a string makes the whole file invalid JSON.
     Tracer tracer(16);
-    tracer.record(TraceStage::Fetch, 1, 0x100);
+    tracer.onEvent({.kind = TraceStage::Fetch, .seq = 1, .pc = 0x100});
     std::ostringstream os;
     writeChromeJson(os, {{"a\tb\nc", &tracer}});
     const std::string out = os.str();

@@ -116,7 +116,7 @@ def generate_fixtures(build, scratch):
     cmds = [
         # stats (rgid + baseline via --compare, with ff), profile, trace,
         # plus the telemetry artifacts: JSONL log and metrics textfile
-        "%s %s --compare --reuse rgid --interval 500 --fast-forward 2000 "
+        "%s %s --compare --reuse rgid --fast-forward 2000 "
         "--stats-out sync_s.json --profile-out sync_p.json "
         "--trace-out sync_t.json --log-level debug --log-out sync_log.jsonl "
         "--metrics-out sync_m.prom nested-mispred" % (run, small),

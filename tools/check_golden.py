@@ -12,9 +12,9 @@ Left out of the digests: `build_info` (in the stats JSON and the Kanata
 header line), and the host-timing keys of BENCH_batch.json. The jobs do
 not pass --stats-host-time, so nothing else varies between hosts.
 
-usage: check_golden.py --build BUILD [--golden FILE] [--work DIR]
-                       [--update]
+usage: check_golden.py --build BUILD [--work DIR] [--update]
 
+--work keeps the outputs there, to diff against another build's.
 --update rewrites the golden file from BUILD. A change that alters
 simulated output on purpose does that and says why.
 
@@ -135,6 +135,7 @@ def run(cmd, cwd, env):
 
 
 def case_digests(build, work):
+    build = build.resolve()
     mssr_run = str(build / "tools" / "mssr_run")
     env = clean_env()
     digests = {}
@@ -163,7 +164,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build", required=True, type=Path,
                     help="CMake build tree holding tools/ and bench/")
-    ap.add_argument("--golden", type=Path, default=GOLDEN)
     ap.add_argument("--work", type=Path,
                     help="keep the outputs in this (new) directory")
     ap.add_argument("--update", action="store_true",
@@ -178,12 +178,11 @@ def main():
             got = case_digests(opts.build, Path(tmp))
 
     if opts.update:
-        opts.golden.write_text(json.dumps(got, indent=2, sort_keys=True) +
-                               "\n")
-        print(f"check_golden: wrote {len(got)} digests to {opts.golden}")
+        GOLDEN.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+        print(f"check_golden: wrote {len(got)} digests to {GOLDEN}")
         return 0
 
-    want = json.loads(opts.golden.read_text())
+    want = json.loads(GOLDEN.read_text())
     bad = 0
     for key in sorted(set(want) | set(got)):
         if key not in got:

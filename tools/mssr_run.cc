@@ -58,7 +58,7 @@ printUsage(std::ostream &os, const char *argv0)
           "\n        [--sets S] [--ways W] [--predictor tage|"
           "gshare|bimodal]\n        [--max-insts N] [--scale G] "
           "[--iters I] [--jobs N] [--bloom]\n        [--trace] "
-          "[--trace-out FILE] [--interval K] [--stats-out FILE] "
+          "[--trace-out FILE] [--stats-out FILE] "
           "[--all-stats]\n        [--pipeview-out FILE] "
           "[--view-start-cycle C] [--view-cycles K]\n        "
           "[--profile-out FILE] "
@@ -102,8 +102,6 @@ help(const char *argv0)
         "stderr)\n"
         "  --trace-out FILE          write events as Chrome trace_event "
         "JSON (implies --trace)\n"
-        "  --interval K              sample interval stats every K "
-        "cycles\n"
         "  --pipeview-out FILE       write per-instruction pipeline "
         "lifecycles (with\n"
         "                            squash-reuse lanes) as a Kanata 0004 "
@@ -520,7 +518,6 @@ main(int argc, char **argv)
     std::uint64_t progressEvery = 0;
     std::uint64_t viewStartCycle = 0;
     std::uint64_t viewCycles = 0;
-    Cycle statsInterval = 0;
     bool viewStartSet = false;
     unsigned jobsOverride = 0;
     bool traceOn = false;
@@ -571,8 +568,6 @@ main(int argc, char **argv)
             jobsOverride = static_cast<unsigned>(
                 numValue(argv[0], arg, next(), 0,
                          std::numeric_limits<unsigned>::max()));
-        } else if (arg == "--interval") {
-            statsInterval = numValue(argv[0], arg, next());
         } else if (arg == "--stats-out") {
             statsOutFile = next();
         } else if (arg == "--profile-out") {
@@ -644,8 +639,6 @@ main(int argc, char **argv)
         if (spec.fastForward != 0)
             reject("sampling fast-forwards to each window itself; drop "
                    "--fast-forward");
-        if (statsInterval != 0)
-            reject("--interval is not supported inside sampled windows");
         if (traceOn)
             reject("per-window tracing is not supported; drop "
                    "--trace/--trace-out");
@@ -755,7 +748,6 @@ main(int argc, char **argv)
                                   : ~Cycle(0);
         auto addJob = [&](const ServeJobSpec &s, const isa::Program *prog) {
             SimConfig job_cfg = specConfig(s);
-            job_cfg.statsInterval = statsInterval;
             job_cfg.profiling = !profileOutFile.empty();
             if (traceOn) {
                 tracers.emplace_back();
