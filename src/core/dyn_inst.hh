@@ -42,7 +42,6 @@ struct DynInst
     // Branch prediction metadata (control instructions only).
     bool hasBranchInfo = false;
     BranchInfo branchInfo;
-    bool predTaken = false;
     Addr predNext = 0;          //!< predicted successor PC
 
     // Rename state.
@@ -54,18 +53,14 @@ struct DynInst
     Rgid oldDstRgid = 0;                //!< previous RGID of rd
 
     // Status flags.
-    bool renamed = false;
-    bool inIq = false;
-    bool issued = false;
     bool executed = false;      //!< produced its result value
     bool completed = false;     //!< done; eligible for commit
     bool squashed = false;
 
     // Memory state.
     Addr memAddr = 0;
-    bool addrReady = false;
-    int lqIdx = -1;
-    int sqIdx = -1;
+    int lqIdx = -1;             //!< load-queue ring slot; -1 = not queued
+    int sqIdx = -1;             //!< store-queue ring slot; -1 = not queued
 
     // Execution results.
     RegVal result = 0;
@@ -81,12 +76,6 @@ struct DynInst
     bool isLoad() const { return si.isLoad(); }
     bool isStore() const { return si.isStore(); }
     bool isControl() const { return si.isControl(); }
-
-    unsigned
-    numSrcs() const
-    {
-        return (si.hasRs1() ? 1u : 0u) + (si.hasRs2() ? 1u : 0u);
-    }
 };
 
 class DynInstPool;
@@ -124,8 +113,7 @@ class DynInstPtr
 
     /**
      * Takes the new reference before dropping the old one, so
-     * assigning a handle to itself (writebackStage's swap-remove of
-     * the last due event does) keeps the instruction alive.
+     * assigning a handle to itself keeps the instruction alive.
      */
     DynInstPtr &
     operator=(const DynInstPtr &other)

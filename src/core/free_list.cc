@@ -4,13 +4,13 @@ namespace mssr
 {
 
 FreeList::FreeList(unsigned num_regs, unsigned num_arch)
-    : state_(num_regs, PregState::Free)
+    : state_(num_regs, PregState::Free), free_(num_regs)
 {
     mssr_assert(num_arch <= num_regs);
     for (unsigned r = 0; r < num_arch; ++r)
         state_[r] = PregState::Arch;
     for (unsigned r = num_arch; r < num_regs; ++r)
-        free_.push_back(static_cast<PhysReg>(r));
+        free_.pushBack(static_cast<PhysReg>(r));
 }
 
 PhysReg
@@ -18,7 +18,7 @@ FreeList::alloc()
 {
     mssr_assert(!free_.empty(), "free list underflow");
     const PhysReg r = free_.front();
-    free_.pop_front();
+    free_.popFront();
     mssr_assert(state_[r] == PregState::Free);
     state_[r] = PregState::InFlight;
     return r;
@@ -30,7 +30,7 @@ FreeList::release(PhysReg r)
     mssr_assert(r < state_.size());
     mssr_assert(state_[r] != PregState::Free, "double free of preg ", r);
     state_[r] = PregState::Free;
-    free_.push_back(r);
+    free_.pushBack(r);
 }
 
 void

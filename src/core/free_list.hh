@@ -13,10 +13,10 @@
 #ifndef MSSR_CORE_FREE_LIST_HH
 #define MSSR_CORE_FREE_LIST_HH
 
-#include <deque>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace mssr
@@ -71,7 +71,7 @@ class FreeList
 
   private:
     std::vector<PregState> state_;
-    std::deque<PhysReg> free_;
+    Ring<PhysReg> free_; //!< FIFO: released registers go to the back
 };
 
 } // namespace mssr

@@ -6,7 +6,7 @@ namespace mssr
 {
 
 Lsq::Lsq(unsigned lq_entries, unsigned sq_entries)
-    : lqCapacity_(lq_entries), sqCapacity_(sq_entries)
+    : loads_(lq_entries), stores_(sq_entries)
 {
 }
 
@@ -14,32 +14,27 @@ void
 Lsq::insertLoad(const DynInstPtr &inst)
 {
     mssr_assert(!loadQueueFull(), "load queue overflow");
-    inst->lqIdx = 1; // membership marker; position found by seq search
-    loads_.push_back(LoadEntry{inst});
+    inst->lqIdx = static_cast<int>(loads_.pushBack(LoadEntry{inst}));
 }
 
 void
 Lsq::insertStore(const DynInstPtr &inst)
 {
     mssr_assert(!storeQueueFull(), "store queue overflow");
-    inst->sqIdx = 1;
-    stores_.push_back(StoreEntry{inst});
+    inst->sqIdx = static_cast<int>(stores_.pushBack(StoreEntry{inst}));
 }
 
 void
 Lsq::storeResolved(const DynInstPtr &inst, Addr addr, unsigned size,
                    RegVal data)
 {
-    for (auto &entry : stores_) {
-        if (entry.inst == inst) {
-            entry.addrValid = true;
-            entry.addr = addr;
-            entry.size = size;
-            entry.data = data;
-            return;
-        }
-    }
-    panic("storeResolved: store seq ", inst->seq, " not in SQ");
+    mssr_assert(inst->sqIdx >= 0 && stores_.slot(inst->sqIdx).inst == inst,
+                "storeResolved: store seq ", inst->seq, " not in SQ");
+    StoreEntry &entry = stores_.slot(inst->sqIdx);
+    entry.addrValid = true;
+    entry.addr = addr;
+    entry.size = size;
+    entry.data = data;
 }
 
 DynInstPtr
@@ -90,15 +85,12 @@ Lsq::searchForward(SeqNum load_seq, Addr addr, unsigned size)
 void
 Lsq::loadExecuted(const DynInstPtr &inst, Addr addr, unsigned size)
 {
-    for (auto &entry : loads_) {
-        if (entry.inst == inst) {
-            entry.executed = true;
-            entry.addr = addr;
-            entry.size = size;
-            return;
-        }
-    }
-    panic("loadExecuted: load seq ", inst->seq, " not in LQ");
+    mssr_assert(inst->lqIdx >= 0 && loads_.slot(inst->lqIdx).inst == inst,
+                "loadExecuted: load seq ", inst->seq, " not in LQ");
+    LoadEntry &entry = loads_.slot(inst->lqIdx);
+    entry.executed = true;
+    entry.addr = addr;
+    entry.size = size;
 }
 
 void
@@ -106,11 +98,11 @@ Lsq::squashAfter(SeqNum after_seq)
 {
     while (!loads_.empty() && loads_.back().inst->seq > after_seq) {
         loads_.back().inst->lqIdx = -1;
-        loads_.pop_back();
+        loads_.popBack();
     }
     while (!stores_.empty() && stores_.back().inst->seq > after_seq) {
         stores_.back().inst->sqIdx = -1;
-        stores_.pop_back();
+        stores_.popBack();
     }
 }
 
@@ -120,7 +112,7 @@ Lsq::commitStore(const DynInstPtr &inst)
     mssr_assert(!stores_.empty() && stores_.front().inst == inst,
                 "commitStore out of order");
     inst->sqIdx = -1;
-    stores_.pop_front();
+    stores_.popFront();
 }
 
 void
@@ -129,7 +121,7 @@ Lsq::commitLoad(const DynInstPtr &inst)
     mssr_assert(!loads_.empty() && loads_.front().inst == inst,
                 "commitLoad out of order");
     inst->lqIdx = -1;
-    loads_.pop_front();
+    loads_.popFront();
 }
 
 } // namespace mssr

@@ -6,14 +6,16 @@
  * the youngest older matching store; when a store resolves its address
  * it searches younger executed loads for overlap and reports memory-
  * order violations (XiangShan-style checking, paper section 3.8.1).
+ *
+ * Both queues are rings sized at construction. A queued instruction's
+ * lqIdx/sqIdx is its ring slot (-1 when not in the LSQ), so resolving
+ * a store or executing a load goes straight to its entry.
  */
 
 #ifndef MSSR_CORE_LSQ_HH
 #define MSSR_CORE_LSQ_HH
 
-#include <deque>
-#include <optional>
-
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "core/dyn_inst.hh"
 
@@ -38,8 +40,8 @@ class Lsq
   public:
     Lsq(unsigned lq_entries, unsigned sq_entries);
 
-    bool loadQueueFull() const { return loads_.size() >= lqCapacity_; }
-    bool storeQueueFull() const { return stores_.size() >= sqCapacity_; }
+    bool loadQueueFull() const { return loads_.full(); }
+    bool storeQueueFull() const { return stores_.full(); }
     std::size_t numLoads() const { return loads_.size(); }
     std::size_t numStores() const { return stores_.size(); }
 
@@ -99,10 +101,8 @@ class Lsq
         return a < b + bsz && b < a + asz;
     }
 
-    unsigned lqCapacity_;
-    unsigned sqCapacity_;
-    std::deque<LoadEntry> loads_;   //!< program order
-    std::deque<StoreEntry> stores_; //!< program order
+    Ring<LoadEntry> loads_;   //!< program order
+    Ring<StoreEntry> stores_; //!< program order
 };
 
 } // namespace mssr

@@ -1,6 +1,7 @@
 #include "core/o3cpu.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitops.hh"
 #include "common/log.hh"
@@ -17,15 +18,26 @@ O3Cpu::O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
       hierarchy_(cfg.core),
       bpu_(cfg.core, prog),
       ftq_(cfg.core.ftqEntries),
+      // Every fetched, unrenamed instruction belongs to a queued FTQ
+      // block, so the FTQ bounds the front pipe.
+      frontPipe_(cfg.core.ftqEntries *
+                 (cfg.core.fetchBlockBytes / InstBytes)),
       rob_(cfg.core.robEntries),
       freeList_(cfg.core.physRegs, NumArchRegs),
       regs_(cfg.core.physRegs),
-      iqInt_(cfg.core.intRvsEntries),
-      iqMem_(cfg.core.memRvsEntries),
+      iqInt_(cfg.core.intRvsEntries, cfg.core.physRegs),
+      iqMem_(cfg.core.memRvsEntries, cfg.core.physRegs),
       lsq_(cfg.core.loadQueueEntries, cfg.core.storeQueueEntries)
 {
     mssr_assert(cfg.core.physRegs > NumArchRegs,
                 "need more physical than architectural registers");
+    const CoreConfig &core = cfg.core;
+    const Cycle maxLatency =
+        std::max({core.l1dLatency + core.l2Latency + core.dramLatency,
+                  core.mulLatency, core.divLatency, core.aluLatency,
+                  core.branchLatency, 1u});
+    wbWheel_.resize(std::bit_ceil(maxLatency + 1));
+    wbMask_ = wbWheel_.size() - 1;
     if (cfg.profiling)
         profile_ = std::make_unique<PcProfile>();
     if (cfg.tracer || cfg.pipeview || profile_)
@@ -132,6 +144,39 @@ O3Cpu::srcsReady(const DynInstPtr &inst) const
 }
 
 void
+O3Cpu::writeReg(PhysReg reg, RegVal value)
+{
+    regs_.write(reg, value);
+    iqInt_.wakeup(reg);
+    iqMem_.wakeup(reg);
+}
+
+void
+O3Cpu::dispatch(IssueQueue &iq, const DynInstPtr &inst)
+{
+    // A load awaiting verification issues at once: it re-executes
+    // with the address its reuse recorded.
+    PhysReg waits[2];
+    unsigned n = 0;
+    if (!inst->verifyPending) {
+        if (inst->si.hasRs1() && !regs_.ready(inst->src[0]))
+            waits[n++] = inst->src[0];
+        if (inst->si.hasRs2() && !regs_.ready(inst->src[1]))
+            waits[n++] = inst->src[1];
+    }
+    iq.insert(inst, {waits, n});
+}
+
+void
+O3Cpu::scheduleWriteback(const DynInstPtr &inst, Cycle latency)
+{
+    mssr_assert(latency <= wbMask_, "writeback latency ", latency,
+                " beyond the ", wbWheel_.size(), "-cycle wheel");
+    wbWheel_[(cycle_ + std::max<Cycle>(latency, 1)) & wbMask_].push_back(
+        inst);
+}
+
+void
 O3Cpu::requestSquash(SeqNum after_seq, Addr redirect, DynInstPtr cause,
                      SquashReason reason)
 {
@@ -222,17 +267,8 @@ O3Cpu::commitStage()
 void
 O3Cpu::writebackStage()
 {
-    // Collect due events; process in sequence order for determinism.
-    std::vector<DynInstPtr> &due = wbDue_;
-    for (auto it = wbQueue_.begin(); it != wbQueue_.end();) {
-        if (it->when <= cycle_) {
-            due.push_back(it->inst);
-            *it = wbQueue_.back();
-            wbQueue_.pop_back();
-        } else {
-            ++it;
-        }
-    }
+    // This cycle's bucket, in sequence order for determinism.
+    std::vector<DynInstPtr> &due = wbWheel_[cycle_ & wbMask_];
     std::sort(due.begin(), due.end(),
               [](const DynInstPtr &a, const DynInstPtr &b) {
                   return a->seq < b->seq;
@@ -258,7 +294,7 @@ O3Cpu::writebackStage()
                 // Dependents consumed a stale value: flush younger
                 // instructions, fix this load's value in place.
                 ++verifyFailFlushes_;
-                regs_.write(inst->dst, inst->result);
+                writeReg(inst->dst, inst->result);
                 requestSquash(inst->seq, inst->pc + InstBytes, inst,
                               SquashReason::ReuseVerifyFail);
             }
@@ -271,7 +307,7 @@ O3Cpu::writebackStage()
             probe_->emit({.kind = ProbeKind::Writeback, .seq = inst->seq,
                           .pc = inst->pc, .arg = inst->result});
         if (inst->si.hasRd())
-            regs_.write(inst->dst, inst->result);
+            writeReg(inst->dst, inst->result);
         if (inst->isLoad())
             ++loadsExecuted_;
         if (inst->isControl() && inst->mispredicted) {
@@ -298,8 +334,7 @@ O3Cpu::executeBranch(const DynInstPtr &inst)
                            ? isa::evalTarget(inst->si, inst->pc, a)
                            : inst->pc + InstBytes;
     inst->mispredicted = inst->actualNext != inst->predNext;
-    wbQueue_.push_back(
-        WritebackEvent{cycle_ + cfg_.core.branchLatency, inst});
+    scheduleWriteback(inst, cfg_.core.branchLatency);
 }
 
 void
@@ -313,12 +348,11 @@ O3Cpu::executeLoad(const DynInstPtr &inst)
     const ForwardResult fwd = lsq_.searchForward(inst->seq, addr, size);
     if (fwd.kind == ForwardResult::Kind::Stall) {
         // Partial overlap with an older store: retry once it drains.
-        iqMem_.insert(inst);
+        dispatch(iqMem_, inst);
         return;
     }
 
     inst->memAddr = addr;
-    inst->addrReady = true;
     lsq_.loadExecuted(inst, addr, size);
 
     RegVal value;
@@ -336,7 +370,7 @@ O3Cpu::executeLoad(const DynInstPtr &inst)
     // A reused load awaiting verification stages the fresh value here;
     // writeback compares it with the reused one.
     inst->result = value;
-    wbQueue_.push_back(WritebackEvent{cycle_ + latency, inst});
+    scheduleWriteback(inst, latency);
 }
 
 void
@@ -347,7 +381,6 @@ O3Cpu::executeStore(const DynInstPtr &inst)
     const RegVal data = srcValue(inst, 1);
 
     inst->memAddr = addr;
-    inst->addrReady = true;
     inst->result = data;
     lsq_.storeResolved(inst, addr, size, data);
     if (reuse_)
@@ -359,13 +392,12 @@ O3Cpu::executeStore(const DynInstPtr &inst)
         requestSquash(victim->seq - 1, victim->pc, victim,
                       SquashReason::MemOrderViolation);
     }
-    wbQueue_.push_back(WritebackEvent{cycle_ + 1, inst});
+    scheduleWriteback(inst, 1);
 }
 
 void
 O3Cpu::executeInst(const DynInstPtr &inst)
 {
-    inst->issued = true;
     if (probe_)
         probe_->emit({.kind = ProbeKind::Issue, .seq = inst->seq,
                       .pc = inst->pc, .arg = inst->verifyPending});
@@ -382,33 +414,24 @@ O3Cpu::executeInst(const DynInstPtr &inst)
         const unsigned latency =
             inst->si.latency(cfg_.core.aluLatency, cfg_.core.mulLatency,
                              cfg_.core.divLatency, cfg_.core.branchLatency);
-        wbQueue_.push_back(WritebackEvent{cycle_ + latency, inst});
+        scheduleWriteback(inst, latency);
     }
 }
 
 void
 O3Cpu::issueStage()
 {
-    auto readyBranch = [&](const DynInstPtr &inst) {
-        return inst->isControl() && srcsReady(inst);
-    };
-    auto readyAlu = [&](const DynInstPtr &inst) {
-        return !inst->isControl() && srcsReady(inst);
-    };
-    auto readyMem = [&](const DynInstPtr &inst) {
-        return inst->verifyPending || srcsReady(inst);
-    };
-
     // Select all, then execute: executeLoad() re-inserts a stalled
     // load into iqMem_ while the selected loads execute.
-    auto issue = [&](IssueQueue &iq, unsigned width, auto &&ready) {
-        iq.selectReady(width, ready, issueBuf_);
+    using Pick = IssueQueue::Pick;
+    auto issue = [&](IssueQueue &iq, unsigned width, Pick pick) {
+        iq.select(width, pick, issueBuf_);
         for (const DynInstPtr &inst : issueBuf_)
             executeInst(inst);
     };
-    issue(iqInt_, cfg_.core.numBru, readyBranch);
-    issue(iqInt_, cfg_.core.numAlu, readyAlu);
-    issue(iqMem_, cfg_.core.numLsu, readyMem);
+    issue(iqInt_, cfg_.core.numBru, Pick::Control);
+    issue(iqInt_, cfg_.core.numAlu, Pick::NonControl);
+    issue(iqMem_, cfg_.core.numLsu, Pick::Any);
     issueBuf_.clear();
 }
 
@@ -515,7 +538,7 @@ O3Cpu::renameOne(const DynInstPtr &inst)
         inst->dst = reusedPreg;
         inst->dstRgid = reusedRgid;
         rat_.set(si.rd, reusedPreg, reusedRgid);
-        regs_.markReady(reusedPreg);
+        writeReg(reusedPreg, regs_.value(reusedPreg));
         inst->result = regs_.value(reusedPreg);
         inst->reusedValue = inst->result;
         inst->reused = true;
@@ -523,12 +546,11 @@ O3Cpu::renameOne(const DynInstPtr &inst)
         inst->completed = true;
         if (si.isLoad()) {
             inst->memAddr = reusedAddr;
-            inst->addrReady = true;
             lsq_.insertLoad(inst);
             lsq_.loadExecuted(inst, reusedAddr, si.memBytes());
             if (needVerify) {
                 inst->verifyPending = true;
-                iqMem_.insert(inst);
+                dispatch(iqMem_, inst);
             }
         }
     } else {
@@ -549,19 +571,18 @@ O3Cpu::renameOne(const DynInstPtr &inst)
             break;
           case isa::FuClass::Load:
             lsq_.insertLoad(inst);
-            iqMem_.insert(inst);
+            dispatch(iqMem_, inst);
             break;
           case isa::FuClass::Store:
             lsq_.insertStore(inst);
-            iqMem_.insert(inst);
+            dispatch(iqMem_, inst);
             break;
           default:
-            iqInt_.insert(inst);
+            dispatch(iqInt_, inst);
             break;
         }
     }
 
-    inst->renamed = true;
     if (probe_)
         probe_->emit({.kind = ProbeKind::Rename,
                       .reuse = inst->reused
@@ -582,16 +603,15 @@ O3Cpu::renameStage()
     unsigned n = 0;
     RenameOutcome stall = RenameOutcome::Renamed;
     while (n < cfg_.core.decodeWidth && !frontPipe_.empty() &&
-           frontPipeReady_.front() <= cycle_) {
-        const DynInstPtr &inst = frontPipe_.front();
+           frontPipe_.front().ready <= cycle_) {
+        const DynInstPtr &inst = frontPipe_.front().inst;
         stall = renameOne(inst);
         if (stall != RenameOutcome::Renamed)
             break;
         // Slot accounting: a dispatched slot is either normal work or
         // work salvaged from a squashed stream.
         cpi_.charge(inst->reused ? CpiCat::ReuseSalvaged : CpiCat::Base);
-        frontPipe_.pop_front();
-        frontPipeReady_.pop_front();
+        frontPipe_.popFront();
         ++n;
     }
 
@@ -654,7 +674,6 @@ O3Cpu::fetchStage()
             if (info.pc == pc) {
                 inst->hasBranchInfo = true;
                 inst->branchInfo = info;
-                inst->predTaken = info.predTaken;
                 if (info.predTaken)
                     inst->predNext = info.predTarget;
                 break;
@@ -665,8 +684,8 @@ O3Cpu::fetchStage()
             probe_->emit({.kind = ProbeKind::Fetch, .seq = inst->seq,
                           .pc = pc,
                           .aux = cycle_ + cfg_.core.frontendStages});
-        frontPipe_.push_back(inst);
-        frontPipeReady_.push_back(cycle_ + cfg_.core.frontendStages);
+        frontPipe_.pushBack(
+            FrontSlot{inst, cycle_ + cfg_.core.frontendStages});
         ++fetched_;
         ++n;
         if (inst->si.isHalt())
@@ -679,10 +698,10 @@ O3Cpu::bpuStage()
 {
     if (bpuStalled_ || ftq_.full())
         return;
-    const PredBlock block = bpu_.formBlock();
+    PredBlock &block = ftq_.allocate();
+    bpu_.formBlock(block);
     if (reuse_)
         reuse_->onBlockFormed(block);
-    ftq_.push(block);
     // Stall once a halt enters the block: there is no control flow
     // beyond it until a redirect proves this path wrong.
     const Addr end = block.endPC;
@@ -728,10 +747,10 @@ O3Cpu::applySquash()
                           .squash = squash.reason, .seq = inst->seq});
         };
         std::for_each(squashed.begin(), squashed.end(), killedInst);
-        std::for_each(frontPipe_.begin(), frontPipe_.end(), killedInst);
+        for (const FrontSlot &slot : frontPipe_)
+            killedInst(slot.inst);
     }
     frontPipe_.clear();
-    frontPipeReady_.clear();
 
     // 4. FTQ squash (also feeds the retire bookkeeping).
     ftq_.squashAfter(squash.cause->ftqId, squash.cause->pc);

@@ -20,7 +20,6 @@
 #define MSSR_CORE_O3CPU_HH
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "common/cpi_stack.hh"
 #include "common/probe.hh"
 #include "common/profile.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "core/dyn_inst.hh"
@@ -137,10 +137,11 @@ class O3Cpu
         SquashReason reason = SquashReason::None;
     };
 
-    struct WritebackEvent
+    /** A fetched instruction and the cycle it may reach rename. */
+    struct FrontSlot
     {
-        Cycle when = 0;
         DynInstPtr inst;
+        Cycle ready = 0;
     };
 
     // Pipeline stages (called in reverse order each tick).
@@ -174,7 +175,29 @@ class O3Cpu
     void executeStore(const DynInstPtr &inst);
     void executeBranch(const DynInstPtr &inst);
     RegVal srcValue(const DynInstPtr &inst, unsigned idx) const;
+    /**
+     * Whether every source of @p inst is ready: the reference the
+     * issue queues' ready bits must agree with (checked every cycle by
+     * tests/test_issue_queue.cc).
+     */
     bool srcsReady(const DynInstPtr &inst) const;
+    /**
+     * Writes @p value to @p reg, marks it ready and wakes the queued
+     * instructions waiting on it. Every site that makes a register
+     * ready goes through here: writeback, the rewrite after a failed
+     * load verification, and reuse or integration adopting a register
+     * at rename (which rewrites the value it already holds).
+     */
+    void writeReg(PhysReg reg, RegVal value);
+    /** Inserts @p inst into @p iq, waiting on its unready sources. */
+    void dispatch(IssueQueue &iq, const DynInstPtr &inst);
+    /**
+     * Queues @p inst's writeback @p latency cycles from now. This
+     * cycle's writeback has already run, so latency 0 means the next
+     * cycle. Panics beyond the wheel's reach (the longest latency any
+     * execute path can take).
+     */
+    void scheduleWriteback(const DynInstPtr &inst, Cycle latency);
     void requestSquash(SeqNum after_seq, Addr redirect, DynInstPtr cause,
                        SquashReason reason);
     void applySquash();
@@ -193,8 +216,7 @@ class O3Cpu
     BpuPipeline bpu_;
     Ftq ftq_;
     bool bpuStalled_ = false;
-    std::deque<DynInstPtr> frontPipe_;     //!< fetched, pre-rename
-    std::deque<Cycle> frontPipeReady_;     //!< per-inst rename-ready cycle
+    Ring<FrontSlot> frontPipe_;            //!< fetched, pre-rename
 
     // Backend.
     Rob rob_;
@@ -204,12 +226,15 @@ class O3Cpu
     IssueQueue iqInt_;
     IssueQueue iqMem_;
     Lsq lsq_;
-    std::vector<WritebackEvent> wbQueue_;
+    // Pending writebacks, one bucket per cycle: an event for cycle c
+    // sits in bucket c & wbMask_. The wheel spans the longest execute
+    // latency, so a bucket never mixes two cycles.
+    std::vector<std::vector<DynInstPtr>> wbWheel_;
+    Cycle wbMask_ = 0;
 
     // Scratch buffers reused every cycle or squash so the cycle loop
     // does not allocate. Each is empty between uses, so none keeps a
     // squashed or retired instruction alive.
-    std::vector<DynInstPtr> wbDue_;      //!< writebackStage: due events
     std::vector<DynInstPtr> issueBuf_;   //!< issueStage: selected insts
     std::vector<DynInstPtr> squashBuf_;  //!< applySquash: ROB walk
 

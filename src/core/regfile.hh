@@ -56,14 +56,6 @@ class PhysRegFile
         ready_[r] = 0;
     }
 
-    /** Marks ready without changing the value (squash-reuse adoption). */
-    void
-    markReady(PhysReg r)
-    {
-        mssr_assert(r < ready_.size());
-        ready_[r] = 1;
-    }
-
   private:
     std::vector<RegVal> values_;
     std::vector<std::uint8_t> ready_; //!< bytes: vector<bool> is slow

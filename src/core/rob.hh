@@ -10,9 +10,8 @@
 #ifndef MSSR_CORE_ROB_HH
 #define MSSR_CORE_ROB_HH
 
-#include <deque>
-
 #include "common/log.hh"
+#include "common/ring.hh"
 #include "core/dyn_inst.hh"
 
 namespace mssr
@@ -21,24 +20,23 @@ namespace mssr
 class Rob
 {
   public:
-    explicit Rob(unsigned capacity) : capacity_(capacity) {}
+    explicit Rob(unsigned capacity) : insts_(capacity) {}
 
-    bool full() const { return insts_.size() >= capacity_; }
+    bool full() const { return insts_.full(); }
     bool empty() const { return insts_.empty(); }
     std::size_t size() const { return insts_.size(); }
-    unsigned capacity() const { return capacity_; }
 
     void
     push(const DynInstPtr &inst)
     {
         mssr_assert(!full(), "ROB overflow");
         mssr_assert(insts_.empty() || inst->seq > insts_.back()->seq);
-        insts_.push_back(inst);
+        insts_.pushBack(inst);
     }
 
     const DynInstPtr &head() const { return insts_.front(); }
 
-    void popHead() { insts_.pop_front(); }
+    void popHead() { insts_.popFront(); }
 
     /**
      * Removes all instructions with seq > @p after_seq, youngest first,
@@ -50,19 +48,16 @@ class Rob
     {
         while (!insts_.empty() && insts_.back()->seq > after_seq) {
             undo(insts_.back());
-            insts_.pop_back();
+            insts_.popBack();
         }
     }
 
     /** Iteration support (oldest first). */
     auto begin() const { return insts_.begin(); }
     auto end() const { return insts_.end(); }
-    auto rbegin() const { return insts_.rbegin(); }
-    auto rend() const { return insts_.rend(); }
 
   private:
-    unsigned capacity_;
-    std::deque<DynInstPtr> insts_;
+    Ring<DynInstPtr> insts_;
 };
 
 } // namespace mssr

@@ -35,6 +35,11 @@ BpuPipeline::BpuPipeline(const CoreConfig &cfg, const isa::Program &prog)
       ras_(cfg.rasEntries),
       fetchPC_(prog.entry())
 {
+    mssr_assert(cfg.fetchBlockBytes >= InstBytes &&
+                    cfg.fetchBlockBytes / InstBytes <= MaxBlockInsts,
+                "fetchBlockBytes ", cfg.fetchBlockBytes,
+                " outside [", InstBytes, ", ", MaxBlockInsts * InstBytes,
+                "]");
 }
 
 bool
@@ -49,12 +54,12 @@ BpuPipeline::isRet(const isa::Inst &inst)
     return inst.op == isa::Op::JALR && inst.rd == 0 && inst.rs1 == 1;
 }
 
-PredBlock
-BpuPipeline::formBlock()
+void
+BpuPipeline::formBlock(PredBlock &block)
 {
-    PredBlock block;
     block.id = nextBlockId_++;
     block.startPC = fetchPC_;
+    block.branches.clear();
     ++blocksFormed_;
 
     const unsigned maxInsts = cfg_.fetchBlockBytes / InstBytes;
@@ -103,7 +108,7 @@ BpuPipeline::formBlock()
         if (isCall(inst))
             ras_.push(pc + InstBytes);
 
-        block.branches.push_back(info);
+        block.branches.pushBack(info);
         if (info.predTaken) {
             next = info.predTarget;
             break;
@@ -111,7 +116,6 @@ BpuPipeline::formBlock()
     }
     block.nextPC = next;
     fetchPC_ = next;
-    return block;
 }
 
 void

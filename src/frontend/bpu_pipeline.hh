@@ -27,10 +27,15 @@ namespace mssr
 class BpuPipeline
 {
   public:
+    /** Panics unless a block of cfg.fetchBlockBytes fits a PredBlock. */
     BpuPipeline(const CoreConfig &cfg, const isa::Program &prog);
 
-    /** Forms the next prediction block at the current fetch target. */
-    PredBlock formBlock();
+    /**
+     * Forms the next prediction block at the current fetch target into
+     * @p block, overwriting every field (the FTQ hands out its tail
+     * slot as is).
+     */
+    void formBlock(PredBlock &block);
 
     /** Current fetch target (start PC of the next block). */
     Addr fetchTarget() const { return fetchPC_; }

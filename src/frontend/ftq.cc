@@ -5,13 +5,15 @@
 namespace mssr
 {
 
-Ftq::Ftq(unsigned capacity) : capacity_(capacity) {}
+Ftq::Ftq(unsigned capacity) : entries_(capacity) {}
 
-void
-Ftq::push(const PredBlock &block)
+PredBlock &
+Ftq::allocate()
 {
     mssr_assert(!full(), "FTQ overflow");
-    entries_.push_back(Entry{block, 0});
+    Entry &entry = entries_.extendBack();
+    entry.fetched = 0;
+    return entry.block;
 }
 
 const PredBlock *
@@ -67,9 +69,11 @@ Ftq::squashAfter(std::uint64_t block_id, Addr keep_pc)
     // Truncate: the pivot block now ends at the redirecting inst.
     pivot.block.endPC = keep_pc;
     pivot.fetched = std::min(pivot.fetched, keep);
-    std::erase_if(pivot.block.branches,
-                  [&](const BranchInfo &b) { return b.pc > keep_pc; });
-    entries_.resize(idx + 1);
+    BranchList &branches = pivot.block.branches;
+    while (!branches.empty() && branches.back().pc > keep_pc)
+        branches.popBack(); // in PC order: the dropped ones are last
+    while (entries_.size() > idx + 1)
+        entries_.popBack();
 
     // Fetch cursor: the pivot is fully consumed (the redirecting
     // instruction was necessarily fetched to execute).
@@ -82,7 +86,7 @@ Ftq::retireUpTo(std::uint64_t block_id)
 {
     while (!entries_.empty() && entries_.front().block.id < block_id) {
         mssr_assert(fetchIdx_ > 0, "retiring unfetched FTQ block");
-        entries_.pop_front();
+        entries_.popFront();
         --fetchIdx_;
     }
 }

@@ -5,13 +5,16 @@
  * their branches retire or squash. The Wrong-Path Buffers are filled
  * from the ROB's squashed instructions (ReuseUnit::onBranchSquash),
  * not from the FTQ.
+ *
+ * The queue is a ring of capacity blocks allocated at construction:
+ * the BPU forms each block in its tail slot (allocate()), so a block
+ * is never copied on its way in.
  */
 
 #ifndef MSSR_FRONTEND_FTQ_HH
 #define MSSR_FRONTEND_FTQ_HH
 
-#include <deque>
-
+#include "common/ring.hh"
 #include "frontend/pred_block.hh"
 
 namespace mssr
@@ -22,12 +25,19 @@ class Ftq
   public:
     explicit Ftq(unsigned capacity);
 
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return entries_.full(); }
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }
 
-    /** Enqueues a newly formed prediction block. */
-    void push(const PredBlock &block);
+    /**
+     * Enqueues a slot for a new prediction block and returns the block,
+     * which still holds whatever the slot last held: the caller forms
+     * every field in place (BpuPipeline::formBlock).
+     */
+    PredBlock &allocate();
+
+    /** Enqueues a copy of @p block. */
+    void push(const PredBlock &block) { allocate() = block; }
 
     /** Oldest block not yet fully fetched, or nullptr. */
     const PredBlock *fetchHead() const;
@@ -60,8 +70,7 @@ class Ftq
         unsigned fetched = 0;   //!< instructions delivered to fetch
     };
 
-    unsigned capacity_;
-    std::deque<Entry> entries_;
+    Ring<Entry> entries_;
     std::size_t fetchIdx_ = 0;  //!< index of the block being fetched
     unsigned fetchOffset_ = 0;
 };

@@ -10,10 +10,11 @@
 #ifndef MSSR_FRONTEND_PRED_BLOCK_HH
 #define MSSR_FRONTEND_PRED_BLOCK_HH
 
-#include <vector>
+#include <array>
 
 #include "bpu/predictor.hh"
 #include "bpu/ras.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace mssr
@@ -30,6 +31,44 @@ struct BranchInfo
     Ras::Snapshot rasSnap;      //!< RAS state before this branch
 };
 
+/**
+ * Most instructions one block holds: a 32-byte fetch block of 4-byte
+ * instructions. BpuPipeline rejects a CoreConfig::fetchBlockBytes that
+ * would form longer blocks.
+ */
+inline constexpr unsigned MaxBlockInsts = 8;
+
+/**
+ * A block's branches in PC order, held inline (a block holds at most
+ * MaxBlockInsts of them), so forming or copying a block allocates
+ * nothing.
+ */
+class BranchList
+{
+  public:
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    const BranchInfo &operator[](std::size_t i) const { return items_[i]; }
+    const BranchInfo &back() const { return items_[size_ - 1]; }
+    const BranchInfo *begin() const { return items_.data(); }
+    const BranchInfo *end() const { return items_.data() + size_; }
+
+    void
+    pushBack(const BranchInfo &info)
+    {
+        mssr_assert(size_ < MaxBlockInsts, "branch list overflow");
+        items_[size_++] = info;
+    }
+
+    void popBack() { --size_; }
+    void clear() { size_ = 0; }
+
+  private:
+    std::array<BranchInfo, MaxBlockInsts> items_;
+    unsigned size_ = 0;
+};
+
 /** A prediction block (one FTQ entry / one WPB entry when squashed). */
 struct PredBlock
 {
@@ -37,7 +76,7 @@ struct PredBlock
     Addr startPC = 0;
     Addr endPC = 0;             //!< inclusive PC of the last instruction
     Addr nextPC = 0;            //!< predicted successor block start
-    std::vector<BranchInfo> branches;
+    BranchList branches;
 
     unsigned
     numInsts() const

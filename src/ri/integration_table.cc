@@ -1,7 +1,5 @@
 #include "ri/integration_table.hh"
 
-#include <deque>
-
 #include "common/bitops.hh"
 #include "common/log.hh"
 
@@ -57,10 +55,15 @@ IntegrationTable::evict(std::size_t idx, bool count_replacement)
 void
 IntegrationTable::cascadeInvalidate(PhysReg preg)
 {
-    std::deque<PhysReg> work{preg};
-    while (!work.empty()) {
-        const PhysReg p = work.front();
-        work.pop_front();
+    if (srcRefCount_[preg] == 0)
+        return; // nothing references preg: nearly every call from rename
+    // First in, first out: cascade_[head] is the next register whose
+    // referencing entries go; each one's dst joins the back.
+    std::vector<PhysReg> &work = cascade_;
+    work.clear();
+    work.push_back(preg);
+    for (std::size_t head = 0; head < work.size(); ++head) {
+        const PhysReg p = work[head];
         if (srcRefCount_[p] == 0)
             continue; // nothing references p: skip the table walk
         for (auto &e : entries_) {

@@ -122,6 +122,7 @@ class IntegrationTable
     std::vector<Entry> entries_;          //!< sets x ways
     std::vector<std::uint16_t> srcRefCount_; //!< per-preg source refs
     std::vector<std::uint64_t> replacements_;
+    std::vector<PhysReg> cascade_; //!< cascadeInvalidate's worklist
     std::uint64_t lruClock_ = 0;
 
     std::uint64_t insertions_ = 0;

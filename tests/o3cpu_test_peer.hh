@@ -8,6 +8,8 @@
 #define MSSR_TESTS_O3CPU_TEST_PEER_HH
 
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "core/o3cpu.hh"
 
@@ -16,7 +18,8 @@ namespace mssr
 
 /**
  * White-box access to O3Cpu internals for regression tests: the squash
- * arbiter and the in-flight instruction pool.
+ * arbiter, the in-flight instruction pool and the issue queues' ready
+ * bits.
  */
 struct O3CpuTestPeer
 {
@@ -68,13 +71,52 @@ struct O3CpuTestPeer
         std::set<const DynInst *> held;
         for (const DynInstPtr &inst : cpu.rob_)
             held.insert(inst.get());
-        for (const DynInstPtr &inst : cpu.frontPipe_)
-            held.insert(inst.get());
-        for (const auto &event : cpu.wbQueue_)
-            held.insert(event.inst.get());
+        for (const auto &slot : cpu.frontPipe_)
+            held.insert(slot.inst.get());
+        for (const auto &bucket : cpu.wbWheel_)
+            for (const DynInstPtr &inst : bucket)
+                held.insert(inst.get());
         if (cpu.pendingSquash_.cause)
             held.insert(cpu.pendingSquash_.cause.get());
         return held.size();
+    }
+
+    /** Queued entries readyMismatch() has seen, by ready bit. */
+    struct ReadyCount
+    {
+        std::uint64_t ready = 0;
+        std::uint64_t waiting = 0;
+    };
+
+    /**
+     * Compares every queued issue-queue entry's ready bit with what
+     * polling would decide: srcsReady(), or verifyPending for a load
+     * that re-executes to verify a reused value. Returns the first
+     * disagreement as text ("" when there is none) and counts the
+     * entries it compared into @p seen.
+     */
+    static std::string
+    readyMismatch(const O3Cpu &cpu, ReadyCount &seen)
+    {
+        std::string out;
+        auto check = [&](const char *queue) {
+            return [&, queue](const DynInstPtr &inst, bool ready) {
+                ++(ready ? seen.ready : seen.waiting);
+                const bool expect =
+                    inst->verifyPending || cpu.srcsReady(inst);
+                if (ready != expect && out.empty()) {
+                    std::ostringstream os;
+                    os << queue << " seq " << inst->seq << " pc 0x"
+                       << std::hex << inst->pc << std::dec
+                       << ": ready bit " << ready << ", sources say "
+                       << expect;
+                    out = os.str();
+                }
+            };
+        };
+        cpu.iqInt_.forEach(check("int"));
+        cpu.iqMem_.forEach(check("mem"));
+        return out;
     }
 };
 

@@ -36,7 +36,8 @@ TEST(BpuPipeline, BlockEndsAtFetchLimit)
     )");
     CoreConfig cfg = bimodalCfg();
     BpuPipeline bpu(cfg, prog);
-    const PredBlock b = bpu.formBlock();
+    PredBlock b;
+    bpu.formBlock(b);
     EXPECT_EQ(b.startPC, prog.codeBase());
     EXPECT_EQ(b.numInsts(), 8u);
     EXPECT_EQ(b.nextPC, prog.codeBase() + 8 * InstBytes);
@@ -54,7 +55,8 @@ TEST(BpuPipeline, BlockEndsAtPredictedTakenJump)
     )");
     CoreConfig cfg = bimodalCfg();
     BpuPipeline bpu(cfg, prog);
-    const PredBlock b = bpu.formBlock();
+    PredBlock b;
+    bpu.formBlock(b);
     EXPECT_EQ(b.numInsts(), 2u); // nop + j
     EXPECT_EQ(b.nextPC, prog.label("target"));
     ASSERT_EQ(b.branches.size(), 1u);
@@ -79,7 +81,8 @@ TEST(BpuPipeline, NotTakenBranchDoesNotEndBlock)
     )");
     CoreConfig cfg = bimodalCfg();
     BpuPipeline bpu(cfg, prog);
-    const PredBlock b = bpu.formBlock();
+    PredBlock b;
+    bpu.formBlock(b);
     EXPECT_EQ(b.numInsts(), 8u);
     ASSERT_EQ(b.branches.size(), 1u);
     EXPECT_FALSE(b.branches[0].predTaken);
@@ -95,7 +98,8 @@ TEST(BpuPipeline, RedirectRetrainsAndRetargets)
     )");
     CoreConfig cfg = bimodalCfg();
     BpuPipeline bpu(cfg, prog);
-    PredBlock b = bpu.formBlock();
+    PredBlock b;
+    bpu.formBlock(b);
     ASSERT_EQ(b.branches.size(), 1u);
     EXPECT_FALSE(b.branches[0].predTaken);
     // The branch was actually taken: redirect the frontend.
@@ -108,7 +112,7 @@ TEST(BpuPipeline, RedirectRetrainsAndRetargets)
         bpu.commitControl(b.branches[0].pc, prog.instAt(b.branches[0].pc),
                           true, target);
     bpu.redirectSimple(prog.codeBase());
-    b = bpu.formBlock();
+    bpu.formBlock(b);
     ASSERT_EQ(b.branches.size(), 1u);
     EXPECT_TRUE(b.branches[0].predTaken);
     EXPECT_EQ(b.nextPC, target);
@@ -125,9 +129,11 @@ TEST(BpuPipeline, RasPredictsReturn)
     )");
     CoreConfig cfg = bimodalCfg();
     BpuPipeline bpu(cfg, prog);
-    const PredBlock callBlock = bpu.formBlock();
+    PredBlock callBlock;
+    bpu.formBlock(callBlock);
     EXPECT_EQ(callBlock.nextPC, prog.label("func"));
-    const PredBlock retBlock = bpu.formBlock();
+    PredBlock retBlock;
+    bpu.formBlock(retBlock);
     ASSERT_EQ(retBlock.branches.size(), 1u);
     // The RAS supplies the return target: the instruction after call.
     EXPECT_EQ(retBlock.nextPC, prog.codeBase() + InstBytes);
@@ -144,13 +150,14 @@ TEST(BpuPipeline, JalrUsesBtbAfterTraining)
     CoreConfig cfg = bimodalCfg();
     BpuPipeline bpu(cfg, prog);
     // Untrained: falls through (no target knowledge).
-    PredBlock b = bpu.formBlock();
+    PredBlock b;
+    bpu.formBlock(b);
     EXPECT_EQ(b.nextPC, prog.codeBase() + InstBytes);
     // Commit-train the BTB, re-form: target predicted.
     bpu.commitControl(prog.codeBase(), prog.instAt(prog.codeBase()), true,
                       prog.label("dest"));
     bpu.redirectSimple(prog.codeBase());
-    b = bpu.formBlock();
+    bpu.formBlock(b);
     EXPECT_EQ(b.nextPC, prog.label("dest"));
 }
 
@@ -160,8 +167,19 @@ TEST(BpuPipeline, WrongPathOutsideCodeSynthesizesFullBlocks)
     CoreConfig cfg = bimodalCfg();
     BpuPipeline bpu(cfg, prog);
     bpu.redirectSimple(0xdead000);
-    const PredBlock b = bpu.formBlock();
+    PredBlock b;
+    bpu.formBlock(b);
     EXPECT_EQ(b.startPC, 0xdead000u);
     EXPECT_EQ(b.numInsts(), 8u);
     EXPECT_TRUE(b.branches.empty());
+}
+
+TEST(BpuPipeline, RejectsBlocksBeyondTheInlineBound)
+{
+    isa::Program prog = isa::assembleProgram("halt");
+    CoreConfig cfg = bimodalCfg();
+    cfg.fetchBlockBytes = (MaxBlockInsts + 1) * InstBytes;
+    EXPECT_THROW(BpuPipeline bpu(cfg, prog), SimPanic);
+    cfg.fetchBlockBytes = MaxBlockInsts * InstBytes;
+    EXPECT_NO_THROW(BpuPipeline bpu(cfg, prog));
 }

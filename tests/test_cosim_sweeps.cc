@@ -151,6 +151,54 @@ TEST_P(CoreSizingCosim, ArchitecturallyInvisible)
 INSTANTIATE_TEST_SUITE_P(Robs, CoreSizingCosim,
                          ::testing::Values(64u, 128u, 256u));
 
+// The issue queues, LSQ and FTQ too: a small core whose rings wrap and
+// fill all the time, and one whose issue queues span several 64-bit
+// ready-mask words.
+
+namespace
+{
+
+struct QueueSizing
+{
+    const char *name;
+    unsigned robEntries;
+    unsigned intRvsEntries;
+    unsigned memRvsEntries;
+    unsigned loadQueueEntries;
+    unsigned storeQueueEntries;
+    unsigned ftqEntries;
+};
+
+} // namespace
+
+class QueueSizingCosim : public ::testing::TestWithParam<QueueSizing>
+{
+};
+
+TEST_P(QueueSizingCosim, ArchitecturallyInvisible)
+{
+    const QueueSizing &q = GetParam();
+    workloads::WorkloadScale scale;
+    scale.iterations = 200;
+    const isa::Program prog =
+        workloads::buildWorkload("nested-mispred", scale);
+    SimConfig cfg = rgidConfig(4, 64);
+    cfg.core.robEntries = q.robEntries;
+    cfg.core.physRegs = q.robEntries + NumArchRegs;
+    cfg.core.intRvsEntries = q.intRvsEntries;
+    cfg.core.memRvsEntries = q.memRvsEntries;
+    cfg.core.loadQueueEntries = q.loadQueueEntries;
+    cfg.core.storeQueueEntries = q.storeQueueEntries;
+    cfg.core.ftqEntries = q.ftqEntries;
+    expectMatch(prog, cfg, std::string("queues ") + q.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Queues, QueueSizingCosim,
+    ::testing::Values(QueueSizing{"small", 8, 8, 6, 5, 4, 3},
+                      QueueSizing{"large", 256, 130, 96, 120, 100, 80}),
+    [](const auto &info) { return std::string(info.param.name); });
+
 // ---------------------------------------------------------------------
 // Sweep 5: predictor choice changes timing, never results.
 

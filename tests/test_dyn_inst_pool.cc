@@ -44,8 +44,8 @@ TEST(DynInstPool, SelfAssignmentKeepsTheSlot)
     DynInstPool pool;
     DynInstPtr a = pool.acquire();
     a->seq = 9;
-    // writebackStage's swap-remove `*it = wbQueue_.back()` assigns a
-    // handle to itself when the due event is the last one.
+    // Assigning a handle to itself, by copy or by move, must keep
+    // the instruction it holds.
     DynInstPtr &alias = a;
     a = alias;
     ASSERT_TRUE(a);
