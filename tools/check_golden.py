@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Golden digests for every mssr_run export.
+"""Golden digests for every mssr_run export and mssr_stats report.
 
-Runs a few small mssr_run jobs (--scale 6 --iters 150) and one
+Runs a few small mssr_run jobs (--scale 6 --iters 150), one sampled job
+and the full-detail run of the same job (--iters 2000), and one
 bench_smoke batch, hashes every file they write, and compares the
 digests with tests/golden/mssr_run_outputs.json. A change that moves
 any exported byte fails here: the stats registry (JSON and Prometheus),
-the per-PC profile (JSON and folded), the Kanata pipeview, the Chrome
-and text traces, and the interval series of BENCH_batch.json.
+the sampled stats and per-window runs, the per-PC profile (JSON and
+folded), the Kanata pipeview, the Chrome and text traces, and the
+interval series of BENCH_batch.json. The stdout of every mssr_stats
+mode over those files is digested too, so a reader that misparses or
+reprints a field fails as well.
 
 Left out of the digests: `build_info` (in the stats JSON and the Kanata
 header line), and the host-timing keys of BENCH_batch.json. The jobs do
@@ -58,6 +62,37 @@ CASES = {
     "fast-forward": ["--fast-forward", "3000", "--warm-bpu",
                      "nested-mispred"],
 }
+
+# One sampled job and the full-detail run of the same job, each run
+# once: sampled mode takes no profile, pipeview or trace sink.
+SAMPLED_SIZE = ["--scale", "6", "--iters", "2000", "--reuse", "rgid",
+                "--streams", "4", "--entries", "256"]
+
+SAMPLED_CASES = {
+    "sampled": ["--sample-period", "10000", "--sample-window", "2000",
+                "--stats-out", "stats.json",
+                "--sample-windows-out", "windows.json", "nested-mispred"],
+    "full": ["--stats-out", "stats.json", "nested-mispred"],
+}
+
+# Every mssr_stats mode over the files above, run from the work
+# directory. --annotate rebuilds the program at MSSR_SCALE/MSSR_ITERS,
+# so the reports run at the cases' size.
+REPORTS = {
+    "stats": ["rgid-compare/stats.json"],
+    "stats-ff": ["fast-forward/stats.json"],
+    "stats-diff": ["--diff", "regint/stats.json", "rgid-compare/stats.json"],
+    "sampled": ["sampled/stats.json"],
+    "sampled-windows": ["sampled/windows.json"],
+    "sampled-diff": ["--diff", "full/stats.json", "sampled/stats.json"],
+    "topn": ["--topn", "5", "rgid-compare/profile.json"],
+    "profile-diff": ["--diff", "regint/profile.json",
+                     "rgid-compare/profile.json"],
+    "annotate": ["--annotate", "nested-mispred", "rgid-compare/profile.json"],
+    "timeline": ["--timeline", "rgid-compare/pipeview.0_nested-mispred.kanata",
+                 "--start", "100", "--cycles", "60"],
+}
+REPORT_ENV = {"MSSR_SCALE": "6", "MSSR_ITERS": "150"}
 
 # BENCH_batch.json keys that measure the host, not the simulation.
 HOST_KEYS = re.compile(
@@ -149,6 +184,22 @@ def case_digests(build, work):
         for path in sorted(cwd.iterdir()):
             digests[f"{name}/{path.name}"] = digest(
                 drop_build_info(path.read_bytes()))
+
+    for name, args in SAMPLED_CASES.items():
+        cwd = work / name
+        cwd.mkdir(parents=True)
+        run([mssr_run] + SAMPLED_SIZE + args, cwd, env)
+        for path in sorted(cwd.iterdir()):
+            digests[f"{name}/{path.name}"] = digest(
+                drop_build_info(path.read_bytes()))
+
+    reports = work / "mssr_stats"
+    reports.mkdir()
+    for name, args in REPORTS.items():
+        proc = run([str(build / "tools" / "mssr_stats")] + args, work,
+                   dict(env, **REPORT_ENV))
+        (reports / f"{name}.txt").write_bytes(proc.stdout)
+        digests[f"mssr_stats/{name}.txt"] = digest(proc.stdout)
 
     cwd = work / "bench_smoke"
     cwd.mkdir()
