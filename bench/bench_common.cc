@@ -1,6 +1,5 @@
 #include "bench_common.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -10,6 +9,7 @@
 #include "common/frame.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
+#include "driver/job_record.hh"
 
 namespace mssr::bench
 {
@@ -131,35 +131,6 @@ Harness::job(const std::string &label, const std::string &workload,
     return j;
 }
 
-namespace
-{
-
-/**
- * Hottest branches of @p profile by total recovery slots (PC-ascending
- * tie-break, so the JSON stays deterministic). Empty when profiling
- * was off.
- */
-std::vector<BranchRecord>
-topBranches(const PcProfile &profile, std::size_t n)
-{
-    std::vector<BranchRecord> branches;
-    for (const BranchRecord *b : profile.branches().sortedByPc())
-        branches.push_back(*b);
-    std::sort(branches.begin(), branches.end(),
-              [](const BranchRecord &a, const BranchRecord &b) {
-                  const auto ra = a.branchRecoverySlots + a.flushRecoverySlots;
-                  const auto rb = b.branchRecoverySlots + b.flushRecoverySlots;
-                  if (ra != rb)
-                      return ra > rb;
-                  return a.pc < b.pc;
-              });
-    if (branches.size() > n)
-        branches.resize(n);
-    return branches;
-}
-
-} // namespace
-
 std::vector<RunResult>
 Harness::runBatch(const std::vector<BatchJob> &jobs)
 {
@@ -169,22 +140,8 @@ Harness::runBatch(const std::vector<BatchJob> &jobs)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const double ffKips =
-            results[i].ffHostSeconds > 0.0
-                ? static_cast<double>(results[i].ffInsts) /
-                      results[i].ffHostSeconds / 1e3
-                : 0.0;
-        records_.push_back({jobs[i].name, results[i].cycles,
-                            results[i].insts, results[i].ipc,
-                            results[i].hostSeconds, results[i].kips,
-                            results[i].dispatchWidth, results[i].ffInsts,
-                            results[i].ckptHit, results[i].ffHostSeconds,
-                            ffKips, results[i].phases,
-                            results[i].peakRssKb, results[i].cpi,
-                            results[i].funnel, results[i].intervals,
-                            topBranches(results[i].profile, 5)});
-    }
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        records_.push_back(benchResultRecord(jobs[i].name, results[i]));
     return results;
 }
 
@@ -204,56 +161,8 @@ Harness::writeJson() const
     os << "  \"jobs\": " << records_.size() << ",\n";
     os << "  \"wall_sec\": " << wallSeconds_ << ",\n";
     os << "  \"results\": [";
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        const Record &r = records_[i];
-        os << (i ? ",\n    " : "\n    ");
-        os << "{\"name\": \"" << jsonEscape(r.name)
-           << "\", \"cycles\": " << r.cycles << ", \"insts\": " << r.insts
-           << ", \"ipc\": " << r.ipc
-           << ", \"host_sec\": " << r.hostSec << ", \"kips\": " << r.kips
-           << ", \"dispatch_width\": " << r.dispatchWidth
-           << ", \"ff_insts\": " << r.ffInsts
-           << ", \"ckpt_hit\": " << (r.ckptHit ? "true" : "false")
-           << ", \"ff_host_sec\": " << r.ffHostSec
-           << ", \"ff_kips\": " << r.ffKips
-           << ", \"phase_warm_sec\": " << r.phases.warm
-           << ", \"phase_build_sec\": " << r.phases.build
-           << ", \"phase_detail_sec\": " << r.phases.detail
-           << ", \"phase_serialize_sec\": " << r.phases.serialize
-           << ", \"peak_rss_kb\": " << r.peakRssKb
-           << ", \"cpi\": ";
-        mssr::writeJson(os, r.cpi);
-        os << ", \"funnel\": ";
-        mssr::writeJson(os, r.funnel);
-        os << ", \"intervals\": [";
-        for (std::size_t k = 0; k < r.intervals.size(); ++k) {
-            const IntervalSample &s = r.intervals[k];
-            os << (k ? ", " : "")
-               << "{\"cycle_end\": " << s.cycleEnd
-               << ", \"cycles\": " << s.cycles
-               << ", \"commits\": " << s.commits
-               << ", \"squashed_insts\": " << s.squashedInsts
-               << ", \"squash_events\": " << s.squashEvents
-               << ", \"reuse_hits\": " << s.reuseHits
-               << ", \"ipc\": " << s.ipc
-               << ", \"wpb_occ\": " << s.wpbOccupancy
-               << ", \"slog_occ\": " << s.squashLogOccupancy
-               << ", \"cpi\": ";
-            mssr::writeJson(os, CpiStack{s.cpiSlots});
-            os << "}";
-        }
-        os << "], \"profile_top\": [";
-        for (std::size_t k = 0; k < r.profileTop.size(); ++k) {
-            const BranchRecord &b = r.profileTop[k];
-            os << (k ? ", " : "") << "{\"pc\": \"0x" << std::hex << b.pc
-               << std::dec << "\", \"mispredicts\": " << b.mispredicts
-               << ", \"squashed_insts\": " << b.squashedInsts
-               << ", \"recovery_slots\": "
-               << b.branchRecoverySlots + b.flushRecoverySlots
-               << ", \"reused\": " << b.reused << "}";
-        }
-        os << "]}";
-    }
+    for (std::size_t i = 0; i < records_.size(); ++i)
+        os << (i ? ",\n    " : "\n    ") << records_[i];
     os << "\n  ]\n}\n";
     logInfo("bench", "wrote ", path);
 }

@@ -113,7 +113,8 @@ enum class Baselines { None, Build };
 
 /**
  * Per-binary harness: owns the WorkloadSet and the BatchRunner,
- * records every executed job, and writes BENCH_batch.json on request
+ * renders every executed job's BENCH_batch.json result when its batch
+ * returns (driver/job_record.hh), and writes the file on request
  * (--json flag or MSSR_JSON environment variable).
  */
 class Harness
@@ -141,27 +142,6 @@ class Harness
   private:
     void writeJson() const;
 
-    struct Record
-    {
-        std::string name;
-        Cycle cycles;
-        std::uint64_t insts;
-        double ipc;
-        double hostSec;
-        double kips;
-        unsigned dispatchWidth;
-        std::uint64_t ffInsts;
-        bool ckptHit;
-        double ffHostSec;
-        double ffKips;
-        RunResult::HostPhaseSeconds phases;
-        std::int64_t peakRssKb;
-        CpiStack cpi;
-        ReuseFunnel funnel;
-        std::vector<IntervalSample> intervals;
-        std::vector<BranchRecord> profileTop;
-    };
-
     std::string benchName_;
     bool json_ = false;
     Cycle statsInterval_ = 0; //!< MSSR_INTERVAL; 0 disables sampling
@@ -169,7 +149,7 @@ class Harness
     std::uint64_t fastForward_ = 0; //!< MSSR_FF; shared warm-up prefix
     BatchRunner runner_;
     WorkloadSet set_;
-    std::vector<Record> records_;
+    std::vector<std::string> records_; //!< rendered results
     double wallSeconds_ = 0.0;
 };
 

@@ -6,9 +6,11 @@
  * BENCH_batch.json with the shared mini_json reader and checks the
  * schema: bench/threads/jobs/wall_sec plus per-result
  * name/cycles/insts/ipc/host_sec/kips/intervals, and that each
- * result's interval deltas sum exactly to its scalar counters. Exits
- * non-zero on any mismatch so CI notices a broken perf log before any
- * downstream tooling does.
+ * result's interval deltas sum exactly to its scalar counters. The
+ * CPI stacks and funnels go through the job-record readers
+ * (readCpiStack / readFunnel), which check the writer's invariants.
+ * Exits non-zero on any mismatch so CI notices a broken perf log
+ * before any downstream tooling does.
  */
 
 #include <cstdlib>
@@ -24,6 +26,7 @@
 using namespace mssr;
 using minijson::JsonParser;
 using minijson::JsonValue;
+using minijson::u64Field;
 
 namespace
 {
@@ -53,17 +56,16 @@ field(const JsonValue &obj, const std::string &key, JsonValue::Kind kind,
     return &it->second;
 }
 
-/** Checks a "cpi" object has every category key; returns the slot sum. */
-double
-checkCpiObject(const JsonValue &obj, const std::string &where)
+/** Runs a job-record reader, turning its rejection into a failure. */
+template <typename Read>
+void
+checkRead(const std::string &where, Read &&read)
 {
-    double sum = 0;
-    for (std::size_t i = 0; i < NumCpiCats; ++i) {
-        if (const auto *slot = field(obj, cpiCatKey(static_cast<CpiCat>(i)),
-                                     JsonValue::Number, where))
-            sum += slot->number;
+    try {
+        read();
+    } catch (const minijson::FormatError &e) {
+        check(false, where + ": " + e.what());
     }
-    return sum;
 }
 
 } // namespace
@@ -134,48 +136,26 @@ main(int argc, char **argv)
                     field(r, "dispatch_width", JsonValue::Number, "result");
                 const auto *cpi =
                     field(r, "cpi", JsonValue::Object, "result");
-                double cpiSum = 0;
-                if (cpi)
-                    cpiSum = checkCpiObject(*cpi, "result cpi");
+                CpiStack stack;
                 if (cpi && width && c)
-                    check(cpiSum == c->number * width->number,
-                          "CPI slots sum to cycles x dispatch width");
+                    checkRead("result cpi", [&] {
+                        stack = readCpiStack(*cpi, u64Field(r, "cycles"),
+                                             u64Field(r, "dispatch_width"));
+                    });
                 if (const auto *funnel =
-                        field(r, "funnel", JsonValue::Object, "result")) {
-                    const auto *stages = field(*funnel, "stages",
-                                               JsonValue::Object, "funnel");
-                    field(*funnel, "kills", JsonValue::Object, "funnel");
-                    field(*funnel, "verify_ok", JsonValue::Number,
-                          "funnel");
-                    field(*funnel, "verify_fail", JsonValue::Number,
-                          "funnel");
-                    if (stages) {
-                        double prev = -1;
-                        for (std::size_t i = 0; i < ReuseFunnel::NumStages;
-                             ++i) {
-                            const auto *stage =
-                                field(*stages, ReuseFunnel::stageKey(i),
-                                      JsonValue::Number, "funnel stages");
-                            if (!stage)
-                                continue;
-                            check(prev < 0 || stage->number <= prev,
-                                  std::string("funnel stage '") +
-                                      ReuseFunnel::stageKey(i) +
-                                      "' exceeds its predecessor");
-                            prev = stage->number;
-                        }
-                    }
-                }
+                        field(r, "funnel", JsonValue::Object, "result"))
+                    checkRead("result funnel", [&] { readFunnel(*funnel); });
                 const auto *intervals =
                     field(r, "intervals", JsonValue::Array, "result");
-                if (!c || !insts || !intervals)
+                if (!c || !insts || !width || !intervals)
                     continue;
                 // Interval deltas must reconcile exactly with the
                 // scalar counters of the run (the core flushes a final
                 // partial interval at halt).
                 check(!intervals->array.empty(),
                       "intervals sampled (MSSR_INTERVAL=500)");
-                double sumCycles = 0, sumCommits = 0, sumCpiSlots = 0;
+                double sumCycles = 0, sumCommits = 0;
+                CpiStack sumCpi;
                 for (const auto &s : intervals->array) {
                     check(s.kind == JsonValue::Object,
                           "interval is an object");
@@ -184,15 +164,18 @@ main(int argc, char **argv)
                           "squashed_insts", "squash_events", "reuse_hits",
                           "ipc", "wpb_occ", "slog_occ"})
                         field(s, key, JsonValue::Number, "interval");
-                    if (const auto *icpi =
-                            field(s, "cpi", JsonValue::Object, "interval"))
-                        sumCpiSlots +=
-                            checkCpiObject(*icpi, "interval cpi");
                     auto num = [&](const char *key) {
                         auto it = s.object.find(key);
                         return it == s.object.end() ? 0.0
                                                     : it->second.number;
                     };
+                    if (const auto *icpi =
+                            field(s, "cpi", JsonValue::Object, "interval"))
+                        checkRead("interval cpi", [&] {
+                            sumCpi += readCpiStack(
+                                *icpi, u64Field(s, "cycles"),
+                                u64Field(r, "dispatch_width"));
+                        });
                     sumCycles += num("cycles");
                     sumCommits += num("commits");
                 }
@@ -200,7 +183,7 @@ main(int argc, char **argv)
                       "interval cycle deltas sum to total cycles");
                 check(sumCommits == insts->number,
                       "interval commit deltas sum to total insts");
-                check(sumCpiSlots == cpiSum,
+                check(sumCpi == stack,
                       "interval CPI sub-stacks telescope to the run "
                       "stack");
             }

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "common/log.hh"
+#include "common/mini_json.hh"
 
 namespace mssr
 {
@@ -209,6 +210,47 @@ writeJson(std::ostream &os, const ReuseFunnel &funnel)
        << ", \"bloom\": " << funnel.killBloom
        << "}, \"verify_ok\": " << funnel.verifyOk
        << ", \"verify_fail\": " << funnel.verifyFail << "}";
+}
+
+CpiStack
+readCpiStack(const minijson::JsonValue &v, std::uint64_t cycles,
+             unsigned width)
+{
+    CpiStack out;
+    for (std::size_t i = 0; i < NumCpiCats; ++i)
+        out.slots[i] =
+            minijson::u64Field(v, cpiCatKey(static_cast<CpiCat>(i)));
+    if (out.total() != cycles * width)
+        throw minijson::FormatError(
+            "CPI slots do not sum to cycles x width");
+    return out;
+}
+
+ReuseFunnel
+readFunnel(const minijson::JsonValue &v)
+{
+    using minijson::JsonValue;
+    using minijson::u64Field;
+    ReuseFunnel out;
+    const JsonValue &stages = minijson::field(v, "stages", JsonValue::Object);
+    out.squashed = u64Field(stages, "squashed");
+    out.logged = u64Field(stages, "logged");
+    out.covered = u64Field(stages, "covered");
+    out.tested = u64Field(stages, "tested");
+    out.rgidPass = u64Field(stages, "rgid_pass");
+    out.hazardPass = u64Field(stages, "hazard_pass");
+    out.reused = u64Field(stages, "reused");
+    const JsonValue &kills = minijson::field(v, "kills", JsonValue::Object);
+    out.killKind = u64Field(kills, "kind");
+    out.killNotExecuted = u64Field(kills, "not_executed");
+    out.killRgid = u64Field(kills, "rgid");
+    out.killRgidCapacity = u64Field(kills, "rgid_capacity");
+    out.killBloom = u64Field(kills, "bloom");
+    out.verifyOk = u64Field(v, "verify_ok");
+    out.verifyFail = u64Field(v, "verify_fail");
+    if (!out.monotonic())
+        throw minijson::FormatError("funnel stages not monotonic");
+    return out;
 }
 
 void

@@ -36,6 +36,11 @@
 namespace mssr
 {
 
+namespace minijson
+{
+struct JsonValue;
+}
+
 /**
  * Where one dispatch slot of one cycle went. Categories follow the
  * classic top-down breakdown, specialized to this core:
@@ -178,14 +183,25 @@ struct ReuseFunnel
     bool operator==(const ReuseFunnel &) const = default;
 };
 
-/** @name Serialization helpers (bench JSON, --stats-out, Prometheus)
- * The JSON writers emit a single object (no trailing newline); the
- * Prometheus writer emits `# TYPE`-annotated gauge samples labelled
- * with @p run.
+/** @name JSON objects (job records, driver/job_record.hh)
+ * The writers emit a single object (no trailing newline). Each reader
+ * takes what its writer emits and throws minijson::FormatError naming
+ * a missing or mistyped key or the broken invariant: a CPI stack's
+ * slots must sum to @p cycles x @p width, a funnel's stages must
+ * never grow.
  */
 /// @{
 void writeJson(std::ostream &os, const CpiStack &stack);
 void writeJson(std::ostream &os, const ReuseFunnel &funnel);
+CpiStack readCpiStack(const minijson::JsonValue &v, std::uint64_t cycles,
+                      unsigned width);
+ReuseFunnel readFunnel(const minijson::JsonValue &v);
+/// @}
+
+/** @name Prometheus gauges (the stats .prom text)
+ * `# TYPE`-annotated gauge samples labelled with @p run.
+ */
+/// @{
 void writePrometheus(std::ostream &os, const std::string &run,
                      const CpiStack &stack);
 void writePrometheus(std::ostream &os, const std::string &run,

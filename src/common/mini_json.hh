@@ -1,17 +1,20 @@
 /**
  * @file
- * Minimal recursive-descent JSON reader: just enough to let tests and
- * the bench smoke check parse the simulator's own JSON output (the
- * BENCH_batch.json perf log and the Chrome trace_event export) and
+ * Minimal recursive-descent JSON reader: just enough to read the
+ * simulator's own JSON output back (job records, the BENCH_batch.json
+ * perf log, the Chrome trace_event export, serve requests) and
  * validate its schema. Not a general-purpose parser -- it accepts
  * exactly the JSON subset we emit (objects, arrays, strings with
- * backslash escapes, numbers, booleans, null).
+ * backslash escapes, numbers, booleans, null). field() and u64Field()
+ * are the typed member lookups every record reader shares.
  */
 
 #ifndef MSSR_COMMON_MINI_JSON_HH
 #define MSSR_COMMON_MINI_JSON_HH
 
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -205,6 +208,43 @@ class JsonParser
     std::string text_;
     std::size_t pos_ = 0;
 };
+
+/** A record whose shape or invariants are not its writer's. */
+struct FormatError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** Member @p key of @p obj, which must exist and be a @p kind. */
+inline const JsonValue &
+field(const JsonValue &obj, const std::string &key, JsonValue::Kind kind)
+{
+    const auto it = obj.object.find(key);
+    if (it == obj.object.end())
+        throw FormatError("missing field '" + key + "'");
+    if (it->second.kind != kind)
+        throw FormatError("field '" + key + "' has the wrong type");
+    return it->second;
+}
+
+/** @p v, the value of field @p key, as an unsigned integer. */
+inline std::uint64_t
+asU64(const JsonValue &v, const std::string &key)
+{
+    if (v.kind != JsonValue::Number)
+        throw FormatError("field '" + key + "' has the wrong type");
+    if (!(v.number >= 0.0 && v.number < 18446744073709551616.0) ||
+        v.number != std::floor(v.number))
+        throw FormatError("field '" + key + "' is not an unsigned integer");
+    return static_cast<std::uint64_t>(v.number);
+}
+
+/** Member @p key of @p obj as an unsigned integer. */
+inline std::uint64_t
+u64Field(const JsonValue &obj, const std::string &key)
+{
+    return asU64(field(obj, key, JsonValue::Number), key);
+}
 
 } // namespace mssr::minijson
 

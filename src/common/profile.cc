@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/mini_json.hh"
 #include "common/probe.hh"
 
 namespace mssr
@@ -30,6 +31,95 @@ hexPc(Addr pc)
     std::snprintf(buf, sizeof(buf), "0x%llx",
                   static_cast<unsigned long long>(pc));
     return buf;
+}
+
+using minijson::FormatError;
+using minijson::JsonValue;
+using minijson::u64Field;
+
+/** The "pc" member of @p obj, a hexPc string. */
+Addr
+readPc(const JsonValue &obj)
+{
+    const std::string &s =
+        minijson::field(obj, "pc", JsonValue::String).string;
+    if (s.size() < 3 || s.size() > 18 || s.compare(0, 2, "0x") != 0 ||
+        s.find_first_not_of("0123456789abcdef", 2) != std::string::npos)
+        throw FormatError("PC '" + s + "' is not a 0x hex string");
+    const Addr pc = std::stoull(s.substr(2), nullptr, 16);
+    if (pc == 0)
+        throw FormatError("PC 0 is not an instruction address");
+    return pc;
+}
+
+BranchRecord
+readBranch(const JsonValue &v)
+{
+    if (v.kind != JsonValue::Object)
+        throw FormatError("branch entry is not an object");
+    BranchRecord r;
+    r.pc = readPc(v);
+    r.mispredicts = u64Field(v, "mispredicts");
+    r.otherSquashes = u64Field(v, "other_squashes");
+    r.squashedInsts = u64Field(v, "squashed_insts");
+    r.branchRecoverySlots = u64Field(v, "branch_recovery_slots");
+    r.flushRecoverySlots = u64Field(v, "flush_recovery_slots");
+    const ReuseFunnel f =
+        readFunnel(minijson::field(v, "funnel", JsonValue::Object));
+    r.logged = f.logged;
+    r.covered = f.covered;
+    r.tested = f.tested;
+    r.reused = f.reused;
+    r.killKind = f.killKind;
+    r.killNotExecuted = f.killNotExecuted;
+    r.killRgid = f.killRgid;
+    r.killRgidCapacity = f.killRgidCapacity;
+    r.killBloom = f.killBloom;
+    // funnel() asserts its stage algebra, so check the kills fit under
+    // tested first; then the record must reproduce the written funnel.
+    const std::uint64_t rgidKills =
+        f.killKind + f.killNotExecuted + f.killRgid + f.killRgidCapacity;
+    if (rgidKills > f.tested || f.killBloom > f.tested - rgidKills)
+        throw FormatError("branch funnel kills exceed tested");
+    if (!(r.funnel() == f))
+        throw FormatError("branch funnel does not follow its counters");
+
+    const JsonValue &dist =
+        minijson::field(v, "reconv_dist", JsonValue::Array);
+    if (dist.array.size() != BranchRecord::NumDistBuckets)
+        throw FormatError("reconv_dist does not have " +
+                          std::to_string(BranchRecord::NumDistBuckets) +
+                          " buckets");
+    for (std::size_t i = 0; i < BranchRecord::NumDistBuckets; ++i)
+        r.reconvDist[i] = minijson::asU64(dist.array[i], "reconv_dist");
+
+    const JsonValue &partners =
+        minijson::field(v, "partners", JsonValue::Array);
+    if (partners.array.size() > BranchRecord::NumPartners)
+        throw FormatError("more than " +
+                          std::to_string(BranchRecord::NumPartners) +
+                          " partners");
+    for (std::size_t i = 0; i < partners.array.size(); ++i) {
+        const JsonValue &p = partners.array[i];
+        if (p.kind != JsonValue::Object)
+            throw FormatError("partner entry is not an object");
+        r.partnerPC[i] = readPc(p);
+        r.partnerCount[i] = u64Field(p, "count");
+    }
+    return r;
+}
+
+ReconvRecord
+readReconv(const JsonValue &v)
+{
+    if (v.kind != JsonValue::Object)
+        throw FormatError("reconv entry is not an object");
+    ReconvRecord r;
+    r.pc = readPc(v);
+    r.detections = u64Field(v, "detections");
+    r.sessions = u64Field(v, "sessions");
+    r.instsSalvaged = u64Field(v, "insts_salvaged");
+    return r;
 }
 
 } // namespace
@@ -217,6 +307,40 @@ writeJson(std::ostream &os, const PcProfile &profile)
         first = false;
     }
     os << "]}";
+}
+
+PcProfile
+readProfile(const JsonValue &v)
+{
+    PcProfile out;
+    for (const JsonValue &b :
+         minijson::field(v, "branches", JsonValue::Array).array) {
+        try {
+            const BranchRecord r = readBranch(b);
+            if (out.branches().find(r.pc))
+                throw FormatError("PC " + hexPc(r.pc) + " repeats");
+            out.add(r);
+        } catch (const FormatError &e) {
+            throw FormatError("branch record " +
+                              std::to_string(out.branches().size()) + ": " +
+                              e.what());
+        }
+    }
+    for (const JsonValue &r :
+         minijson::field(v, "reconv_points", JsonValue::Array).array) {
+        const ReconvRecord rec = readReconv(r);
+        if (out.reconvs().find(rec.pc))
+            throw FormatError("reconv PC " + hexPc(rec.pc) + " repeats");
+        out.add(rec);
+    }
+    // Reuses attributed to branches and salvage attributed to
+    // reconvergence points count the same instructions.
+    const std::uint64_t reused = out.total(&BranchRecord::reused);
+    if (reused != out.totalSalvaged())
+        throw FormatError("branch reuses (" + std::to_string(reused) +
+                          ") != reconv salvage (" +
+                          std::to_string(out.totalSalvaged()) + ")");
+    return out;
 }
 
 void

@@ -106,6 +106,13 @@ struct BranchRecord
      *  (lowest PC on ties); 0 when no detection was recorded. */
     Addr topPartner(std::uint64_t *count_out = nullptr) const;
 
+    /** Recovery slots of both kinds charged to this PC's squashes. */
+    std::uint64_t
+    recoverySlots() const
+    {
+        return branchRecoverySlots + flushRecoverySlots;
+    }
+
     /**
      * This branch's slice of the reuse funnel. squashed..tested and
      * the kill counters are stored; rgidPass/hazardPass/reused follow
@@ -287,6 +294,11 @@ class PcProfile
     /** Salvaged-instruction sum over all reconvergence records. */
     std::uint64_t totalSalvaged() const;
 
+    /** Adds a record read back from JSON (readProfile), whose PC is
+     *  nonzero and not yet recorded. */
+    void add(const BranchRecord &r) { branches_.at(r.pc) = r; }
+    void add(const ReconvRecord &r) { reconvs_.at(r.pc) = r; }
+
     bool
     operator==(const PcProfile &other) const
     {
@@ -303,11 +315,19 @@ class PcProfile
  * sorted by PC, no trailing newline); writeFolded emits one collapsed-
  * stack line per (branch, frame) pair -- `branchPC;reconvPC;category
  * slots` -- for flamegraph tooling (inferno / flamegraph.pl).
+ *
+ * readProfile reads a writeJson object back; a record's partners fill
+ * its partner slots in PC order. It throws minijson::FormatError on a
+ * missing or mistyped key, a PC that is not a nonzero 0x hex string or
+ * that repeats, a branch funnel that does not follow from the record's
+ * counters (BranchRecord::funnel), more than NumPartners partners, or
+ * branch reuses that differ from the reconvergence points' salvage.
  */
 /// @{
 void writeJson(std::ostream &os, const PcProfile &profile);
 void writeFolded(std::ostream &os, const PcProfile &profile,
                  const std::string &run);
+PcProfile readProfile(const minijson::JsonValue &v);
 /// @}
 
 } // namespace mssr

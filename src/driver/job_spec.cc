@@ -8,7 +8,6 @@
 
 #include "common/argparse.hh"
 #include "common/bitops.hh"
-#include "common/cpi_stack.hh"
 #include "common/frame.hh"
 #include "workloads/graph.hh"
 
@@ -287,48 +286,6 @@ validateJobSpec(const ServeJobSpec &s)
     if (s.warmBpu && s.fastForward == 0)
         return "warm_bpu requires fast_forward";
     return "";
-}
-
-std::string
-serveResultRecord(const ServeJobSpec &spec, const RunResult &r)
-{
-    // BENCH_batch.json per-result field spellings, deterministic
-    // fields only: host times, kips and cache-hit flags would break
-    // the submit-twice byte-identity the service guarantees.
-    std::ostringstream os;
-    os << "{\"name\": \"" << jsonEscape(spec.name) << "\", \"scheme\": \""
-       << spec.scheme << "\", \"cycles\": " << r.cycles << ", \"insts\": "
-       << r.insts << ", \"ipc\": " << r.ipc << ", \"dispatch_width\": "
-       << r.dispatchWidth << ", \"ff_insts\": " << r.ffInsts
-       << ", \"cpi\": ";
-    writeJson(os, r.cpi);
-    os << ", \"funnel\": ";
-    writeJson(os, r.funnel);
-    os << "}";
-    return os.str();
-}
-
-std::string
-serveSampledRecord(const ServeJobSpec &spec, const SampledRunResult &r)
-{
-    std::ostringstream os;
-    os << "{\"name\": \"" << jsonEscape(spec.name) << "\", \"scheme\": \""
-       << spec.scheme << "\", \"sample_period\": " << r.samplePeriod
-       << ", \"sample_window\": " << r.sampleWindow << ", \"windows\": "
-       << r.windows << ", \"total_insts\": " << r.totalInsts
-       << ", \"halted\": " << (r.halted ? "true" : "false")
-       << ", \"cycles\": " << r.cycles << ", \"insts\": " << r.insts
-       << ", \"ipc\": " << r.ipc << ", \"dispatch_width\": "
-       << r.dispatchWidth << ", \"cpi\": ";
-    writeJson(os, r.cpi);
-    os << ", \"funnel\": ";
-    writeJson(os, r.funnel);
-    os << ", \"ipc_est\": ";
-    writeJson(os, r.ipcEst);
-    os << ", \"reuse_rate_est\": ";
-    writeJson(os, r.reuseRateEst);
-    os << "}";
-    return os.str();
 }
 
 } // namespace mssr

@@ -11,6 +11,7 @@
  *
  * Adding a knob: one jobKeys() row plus one specConfig() line.
  * docs/FORMATS.md section "mssr-serve-v1" is the normative key list.
+ * A finished job's record is written by driver/job_record.hh.
  */
 
 #ifndef MSSR_DRIVER_JOB_SPEC_HH
@@ -131,15 +132,6 @@ workloads::WorkloadScale specScale(const ServeJobSpec &s);
  * (sampledJobError). Returns "" or the reason.
  */
 std::string validateJobSpec(const ServeJobSpec &s);
-
-/** One-line deterministic result record for a completed detailed job
- *  (BENCH_batch.json field spellings, host-side fields omitted). */
-std::string serveResultRecord(const ServeJobSpec &spec, const RunResult &r);
-
-/** The sampled-job counterpart: pooled totals plus the population
- *  estimates, deterministic fields only. */
-std::string serveSampledRecord(const ServeJobSpec &spec,
-                               const SampledRunResult &r);
 
 } // namespace mssr
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/metrics.hh"
+#include "common/mini_json.hh"
 
 namespace mssr
 {
@@ -68,6 +69,29 @@ writeJson(std::ostream &os, const SampleEstimate &e)
     if (e.n >= 2)
         os << ", \"stderr\": " << e.stdErr << ", \"ci95\": " << e.ci95;
     os << "}";
+}
+
+SampleEstimate
+readEstimate(const minijson::JsonValue &v)
+{
+    using minijson::JsonValue;
+    SampleEstimate e;
+    e.n = minijson::u64Field(v, "n");
+    // The writer's ladder: mean from one observation on, the spread
+    // pair from two. A record that breaks it was not written by us.
+    const bool mean = v.object.count("mean") != 0;
+    const bool spread = v.object.count("stderr") != 0;
+    if (mean != (e.n >= 1) || spread != (e.n >= 2) ||
+        (v.object.count("ci95") != 0) != spread)
+        throw minijson::FormatError(
+            "estimate fields inconsistent with its n");
+    if (mean)
+        e.mean = minijson::field(v, "mean", JsonValue::Number).number;
+    if (spread) {
+        e.stdErr = minijson::field(v, "stderr", JsonValue::Number).number;
+        e.ci95 = minijson::field(v, "ci95", JsonValue::Number).number;
+    }
+    return e;
 }
 
 std::string

@@ -70,6 +70,11 @@ SampleEstimate estimateFrom(const std::vector<double> &xs);
  */
 void writeJson(std::ostream &os, const SampleEstimate &e);
 
+/** Reads a writeJson(SampleEstimate) object back (absent fields stay
+ *  NaN). Throws minijson::FormatError on a missing or mistyped key, or
+ *  when the fields present do not match its `n`. */
+SampleEstimate readEstimate(const minijson::JsonValue &v);
+
 /**
  * The sampled-mode exclusion matrix as a queryable predicate: returns
  * the empty string when @p job can run under runSampled(), else the

@@ -76,7 +76,7 @@ isErrorReply(const std::string &reply)
 
 /** Required non-negative integer request field. */
 std::uint64_t
-u64Field(const JsonValue &obj, const std::string &key)
+requestU64(const JsonValue &obj, const std::string &key)
 {
     const auto it = obj.object.find(key);
     if (it == obj.object.end())
@@ -324,7 +324,7 @@ ServeCore::handleStatus(const JsonValue &req)
 {
     std::lock_guard<std::mutex> lk(mu_);
     if (req.object.count("batch")) {
-        const std::uint64_t id = u64Field(req, "batch");
+        const std::uint64_t id = requestU64(req, "batch");
         const Batch *b = findBatch(id);
         if (!b)
             return errorReply("unknown_batch",
@@ -348,10 +348,10 @@ ServeCore::handleStatus(const JsonValue &req)
 std::string
 ServeCore::handleResults(const JsonValue &req)
 {
-    const std::uint64_t id = u64Field(req, "batch");
+    const std::uint64_t id = requestU64(req, "batch");
     std::uint64_t since = 0;
     if (req.object.count("since"))
-        since = u64Field(req, "since");
+        since = requestU64(req, "since");
     std::lock_guard<std::mutex> lk(mu_);
     const Batch *b = findBatch(id);
     if (!b)
@@ -379,7 +379,7 @@ ServeCore::handleResults(const JsonValue &req)
 std::string
 ServeCore::handleCancel(const JsonValue &req)
 {
-    const std::uint64_t id = u64Field(req, "batch");
+    const std::uint64_t id = requestU64(req, "batch");
     std::lock_guard<std::mutex> lk(mu_);
     Batch *b = findBatch(id);
     if (!b)

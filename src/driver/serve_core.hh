@@ -42,7 +42,7 @@
 
 #include "common/mini_json.hh"
 #include "common/serve_journal.hh"
-#include "driver/job_spec.hh"
+#include "driver/job_record.hh"
 
 namespace mssr
 {

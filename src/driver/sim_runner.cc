@@ -108,9 +108,7 @@ runSim(const isa::Program &prog, const SimConfig &cfg, Memory *mem_out,
     out.intervals = cpu.intervals();
     if (cpu.profile())
         out.profile = *cpu.profile();
-    out.kips = out.hostSeconds > 0.0
-                   ? static_cast<double>(out.insts) / out.hostSeconds / 1e3
-                   : 0.0;
+    out.kips = kipsOf(out.insts, out.hostSeconds);
     for (unsigned r = 0; r < NumArchRegs; ++r)
         out.archRegs[r] = cpu.archReg(static_cast<ArchReg>(r));
     if (inspect)

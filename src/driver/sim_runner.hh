@@ -28,6 +28,15 @@
 namespace mssr
 {
 
+/** Kilo-instructions per host second: RunResult::kips and every
+ *  record's ff_kips. 0 when nothing was timed. */
+inline double
+kipsOf(std::uint64_t insts, double seconds)
+{
+    return seconds > 0.0 ? static_cast<double>(insts) / seconds / 1e3
+                         : 0.0;
+}
+
 /** Result of one simulation run. */
 struct RunResult
 {

@@ -34,14 +34,12 @@
 #include "analysis/report.hh"
 #include "common/argparse.hh"
 #include "common/build_info.hh"
-#include "common/cpi_stack.hh"
-#include "common/frame.hh"
 #include "common/log.hh"
 #include "common/pipeview.hh"
 #include "common/serialize.hh"
 #include "common/trace.hh"
 #include "driver/batch_runner.hh"
-#include "driver/job_spec.hh"
+#include "driver/job_record.hh"
 #include "isa/assembler.hh"
 #include "workloads/registry.hh"
 
@@ -205,25 +203,6 @@ pathValue(const char *argv0, const std::string &flag, std::string v,
 }
 
 /**
- * Header metadata for one job's mssr-pipeview-v1 file: the same
- * build_info block as the stats schema plus the job's identity and
- * reuse geometry, pre-rendered for PipeView::writeKanata to splice
- * into the header comment.
- */
-std::string
-pipeviewMetaFields(const BatchJob &job)
-{
-    std::ostringstream os;
-    os << "\"build_info\": " << buildInfoJson()
-       << ", \"config\": {\"name\": \"" << jsonEscape(job.name)
-       << "\", \"scheme\": \"" << toString(job.config.reuseKind)
-       << "\", \"streams\": " << job.config.reuse.numStreams
-       << ", \"entries\": " << job.config.reuse.squashLogEntriesPerStream
-       << ", \"dispatch_width\": " << job.config.core.decodeWidth << "}";
-    return os.str();
-}
-
-/**
  * Output file for job @p index of @p total. A single job writes
  * exactly the requested FILE; a multi-job batch derives one file per
  * job as "<stem>.<index>_<sanitized job name><ext>" — a pure function
@@ -248,202 +227,6 @@ pipeviewJobFile(const std::string &file, std::size_t index,
         .string();
 }
 
-/**
- * mssr-stats-v1: one object per executed run carrying the identity
- * (name/scheme/width), the headline numbers, the full CPI stack and
- * reuse funnel, and every scalar counter. tools/mssr_stats consumes
- * this format for tables and baseline-vs-MSSR diffs.
- */
-void
-writeStatsJson(std::ostream &os, const std::vector<BatchJob> &jobs,
-               const std::vector<RunResult> &results, bool host_time)
-{
-    os.precision(17); // counters round-trip exactly through stod
-    os << "{\n  \"schema\": \"mssr-stats-v1\",\n  \"build_info\": "
-       << buildInfoJson() << ",\n";
-    os << "  \"runs\": [";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunResult &r = results[i];
-        os << (i ? ",\n    " : "\n    ")
-           << "{\"name\": \"" << jsonEscape(jobs[i].name)
-           << "\", \"scheme\": \"" << toString(jobs[i].config.reuseKind)
-           << "\", \"dispatch_width\": " << r.dispatchWidth
-           << ", \"cycles\": " << r.cycles << ", \"insts\": " << r.insts
-           << ", \"ff_insts\": " << r.ffInsts;
-        // Ring-wraparound losses of the run's tracer: a stats consumer
-        // can tell how complete the companion --trace-out file is.
-        if (jobs[i].config.tracer)
-            os << ", \"dropped_events\": "
-               << jobs[i].config.tracer->dropped();
-        if (host_time) {
-            // Opt-in: host-side numbers vary run to run, so default
-            // stats files stay byte-identical across hosts and
-            // repeats (the documented determinism contract).
-            const double ffKips =
-                r.ffHostSeconds > 0.0
-                    ? static_cast<double>(r.ffInsts) / r.ffHostSeconds /
-                          1e3
-                    : 0.0;
-            os << ", \"ff_host_sec\": " << r.ffHostSeconds
-               << ", \"ff_kips\": " << ffKips
-               << ", \"host_phases\": {\"warm\": " << r.phases.warm
-               << ", \"build\": " << r.phases.build
-               << ", \"detail\": " << r.phases.detail
-               << ", \"serialize\": " << r.phases.serialize << "}"
-               << ", \"peak_rss_kb\": " << r.peakRssKb;
-        }
-        os << ", \"ipc\": " << r.ipc << ", \"cpi_slots\": ";
-        writeJson(os, r.cpi);
-        os << ", \"funnel\": ";
-        writeJson(os, r.funnel);
-        os << ", \"stats\": {";
-        bool first = true;
-        for (const auto &[key, value] : r.stats.scalars()) {
-            os << (first ? "" : ", ") << "\"" << jsonEscape(key)
-               << "\": " << value;
-            first = false;
-        }
-        os << "}}";
-    }
-    os << "\n  ]\n}\n";
-}
-
-/**
- * Sampled variant of writeStatsJson: the same mssr-stats-v1 run shape
- * (so every existing consumer still parses it), with the merged
- * window totals in the headline fields and a "sampling" object
- * carrying the design point and the per-metric population estimates.
- * ff_insts reports the instructions NOT simulated in detail, so
- * insts + ff_insts == sampling.total_insts. The merged "stats" map is
- * empty: scalar counters mix rates and counts, so pooling them
- * blindly would be wrong -- use --sample-windows-out for the
- * per-window counter sets. scan_host_sec/scan_disk_hits depend on the
- * host and the checkpoint-store state, so like ff_host_sec they are
- * emitted only under --stats-host-time, keeping default sampled
- * stats files byte-deterministic.
- */
-void
-writeSampledStatsJson(std::ostream &os, const std::vector<BatchJob> &jobs,
-                      const std::vector<SampledRunResult> &results,
-                      bool host_time)
-{
-    os.precision(17);
-    os << "{\n  \"schema\": \"mssr-stats-v1\",\n  \"build_info\": "
-       << buildInfoJson() << ",\n";
-    os << "  \"runs\": [";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const SampledRunResult &r = results[i];
-        os << (i ? ",\n    " : "\n    ")
-           << "{\"name\": \"" << jsonEscape(jobs[i].name)
-           << "\", \"scheme\": \"" << toString(jobs[i].config.reuseKind)
-           << "\", \"dispatch_width\": " << r.dispatchWidth
-           << ", \"cycles\": " << r.cycles << ", \"insts\": " << r.insts
-           << ", \"ff_insts\": " << r.totalInsts - r.insts;
-        if (host_time) {
-            const double scanKips =
-                r.scanHostSeconds > 0.0
-                    ? static_cast<double>(r.totalInsts) /
-                          r.scanHostSeconds / 1e3
-                    : 0.0;
-            os << ", \"ff_host_sec\": " << r.scanHostSeconds
-               << ", \"ff_kips\": " << scanKips;
-        }
-        os << ", \"ipc\": " << r.ipc << ", \"cpi_slots\": ";
-        writeJson(os, r.cpi);
-        os << ", \"funnel\": ";
-        writeJson(os, r.funnel);
-        os << ", \"stats\": {}, \"sampling\": {\"sample_period\": "
-           << r.samplePeriod << ", \"sample_window\": " << r.sampleWindow
-           << ", \"windows\": " << r.windows
-           << ", \"total_insts\": " << r.totalInsts
-           << ", \"halted\": " << (r.halted ? "true" : "false");
-        if (host_time)
-            os << ", \"scan_host_sec\": " << r.scanHostSeconds
-               << ", \"scan_disk_hits\": " << r.scanDiskHits;
-        os << ", \"estimates\": {\"ipc\": ";
-        writeJson(os, r.ipcEst);
-        os << ", \"reuse_rate\": ";
-        writeJson(os, r.reuseRateEst);
-        for (std::size_t c = 0; c < NumCpiCats; ++c) {
-            os << ", \"cpi_" << cpiCatKey(static_cast<CpiCat>(c))
-               << "\": ";
-            writeJson(os, r.cpiEst[c]);
-        }
-        os << "}}}";
-    }
-    os << "\n  ]\n}\n";
-}
-
-/**
- * --sample-windows-out: every detailed window as a full mssr-stats-v1
- * run named "<job>#w<i>" (window i's detailed region starts at
- * instruction i x sample_period; the run's own ff_insts records that
- * offset). Same format as writeStatsJson, so mssr_stats and every
- * other consumer work on window files unchanged.
- */
-void
-writeSampledWindowsJson(std::ostream &os, const std::vector<BatchJob> &jobs,
-                        const std::vector<SampledRunResult> &results,
-                        bool host_time)
-{
-    std::vector<BatchJob> windowJobs;
-    std::vector<RunResult> windowResults;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        for (std::size_t w = 0; w < results[i].windowResults.size(); ++w) {
-            BatchJob wj;
-            wj.name = jobs[i].name + "#w" + std::to_string(w);
-            wj.config = jobs[i].config;
-            windowJobs.push_back(std::move(wj));
-            windowResults.push_back(results[i].windowResults[w]);
-        }
-    }
-    writeStatsJson(os, windowJobs, windowResults, host_time);
-}
-
-/**
- * mssr-profile-v1: one object per executed run carrying the identity
- * and the full per-PC attribution (branch records sorted by PC,
- * reconvergence-point records sorted by PC). tools/mssr_stats
- * consumes this for --annotate/--topn listings and profile diffs.
- */
-void
-writeProfileJson(std::ostream &os, const std::vector<BatchJob> &jobs,
-                 const std::vector<RunResult> &results)
-{
-    os << "{\n  \"schema\": \"mssr-profile-v1\",\n  \"runs\": [";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ")
-           << "{\"name\": \"" << jsonEscape(jobs[i].name)
-           << "\", \"scheme\": \"" << toString(jobs[i].config.reuseKind)
-           << "\", \"dispatch_width\": " << results[i].dispatchWidth
-           << ", \"profile\": ";
-        writeJson(os, results[i].profile);
-        os << "}";
-    }
-    os << "\n  ]\n}\n";
-}
-
-/** Prometheus text exposition of the same numbers (one-shot scrape). */
-void
-writeStatsProm(std::ostream &os, const std::vector<BatchJob> &jobs,
-               const std::vector<RunResult> &results)
-{
-    os << "# TYPE mssr_cycles gauge\n"
-          "# TYPE mssr_insts gauge\n"
-          "# TYPE mssr_ipc gauge\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const std::string &run = jobs[i].name;
-        os << "mssr_cycles{run=\"" << run << "\"} " << results[i].cycles
-           << "\nmssr_insts{run=\"" << run << "\"} " << results[i].insts
-           << "\nmssr_ipc{run=\"" << run << "\"} " << results[i].ipc
-           << "\n";
-    }
-    for (std::size_t i = 0; i < results.size(); ++i)
-        writePrometheus(os, jobs[i].name, results[i].cpi);
-    for (std::size_t i = 0; i < results.size(); ++i)
-        writePrometheus(os, jobs[i].name, results[i].funnel);
-}
-
 void
 printSummary(const std::string &label, const RunResult &r)
 {
@@ -461,8 +244,7 @@ printSummary(const std::string &label, const RunResult &r)
         // gets a meaningful rate.
         if (r.ffHostSeconds > 0.0 && !r.ckptHit)
             std::cout << ", ff "
-                      << analysis::fixed(static_cast<double>(r.ffInsts) /
-                                             r.ffHostSeconds / 1e3,
+                      << analysis::fixed(kipsOf(r.ffInsts, r.ffHostSeconds),
                                          0)
                       << " kips";
         std::cout << ")";

@@ -37,19 +37,19 @@
  *       R reuse verdict, S salvaged) and x where a flush retires the
  *       row. Default window: 80 cycles from the first event.
  *
- * All modes re-verify invariants on load (slots sum to cycles x
- * width, funnel stages monotone) and exit non-zero when a file
- * violates them, so the CLI doubles as a schema/consistency checker
- * for CI.
+ * All modes read the files through the job-record readers
+ * (driver/job_record.hh), which re-verify the writers' invariants on
+ * load (slots sum to cycles x width, funnel stages monotone, estimate
+ * fields match their n, per-branch funnels follow their kills), so a
+ * file that violates them exits non-zero and the CLI doubles as a
+ * schema/consistency checker for CI.
  */
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -60,8 +60,7 @@
 #include "analysis/report.hh"
 #include "common/argparse.hh"
 #include "common/build_info.hh"
-#include "common/cpi_stack.hh"
-#include "common/mini_json.hh"
+#include "driver/job_record.hh"
 #include "isa/program.hh"
 #include "workloads/registry.hh"
 
@@ -88,429 +87,10 @@ usage()
     std::exit(2);
 }
 
-/**
- * One population estimate from a sampled run's "sampling.estimates"
- * block. The writer omits fields that are undefined (NaN is not valid
- * JSON): "mean" needs one window, "stderr"/"ci95" need two -- absent
- * fields stay NaN here and render as "n/a".
- */
-struct StatsEstimate
-{
-    std::uint64_t n = 0;
-    double mean = std::numeric_limits<double>::quiet_NaN();
-    double stdErr = std::numeric_limits<double>::quiet_NaN();
-    double ci95 = std::numeric_limits<double>::quiet_NaN();
-
-    /** True when a 95% CI exists and @p value lies inside it. */
-    bool
-    covers(double value) const
-    {
-        return !std::isnan(ci95) && value >= mean - ci95 &&
-               value <= mean + ci95;
-    }
-};
-
-/** The "sampling" block a sampled mssr_run writes per merged run. */
-struct StatsSampling
-{
-    std::uint64_t samplePeriod = 0;
-    std::uint64_t sampleWindow = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t totalInsts = 0;
-    bool halted = false;
-    StatsEstimate ipc;
-    StatsEstimate reuseRate;
-    std::array<StatsEstimate, NumCpiCats> cpi;
-};
-
-/** One run parsed back out of an mssr-stats-v1 file. */
-struct StatsRun
-{
-    std::string name;
-    std::string scheme;
-    unsigned width = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t insts = 0;
-    double ipc = 0.0;
-    std::uint64_t ffInsts = 0; //!< functional warm-up prefix length
-    double ffHostSec = 0.0;    //!< only with --stats-host-time files
-    double ffKips = 0.0;       //!< only with --stats-host-time files
-    CpiStack cpi;
-    ReuseFunnel funnel;
-    std::map<std::string, double> stats;
-    std::optional<StatsSampling> sampling; //!< sampled runs only
-};
-
 [[noreturn]] void
 malformed(const std::string &file, const std::string &what)
 {
     throw std::runtime_error(file + ": " + what);
-}
-
-const JsonValue &
-field(const std::string &file, const JsonValue &obj, const std::string &key,
-      JsonValue::Kind kind)
-{
-    const auto it = obj.object.find(key);
-    if (it == obj.object.end())
-        malformed(file, "missing field '" + key + "'");
-    if (it->second.kind != kind)
-        malformed(file, "field '" + key + "' has the wrong type");
-    return it->second;
-}
-
-std::uint64_t
-u64Field(const std::string &file, const JsonValue &obj,
-         const std::string &key)
-{
-    return static_cast<std::uint64_t>(
-        field(file, obj, key, JsonValue::Number).number);
-}
-
-ReuseFunnel
-parseFunnel(const std::string &file, const JsonValue &funnel)
-{
-    ReuseFunnel out;
-    const JsonValue &stages =
-        field(file, funnel, "stages", JsonValue::Object);
-    out.squashed = u64Field(file, stages, "squashed");
-    out.logged = u64Field(file, stages, "logged");
-    out.covered = u64Field(file, stages, "covered");
-    out.tested = u64Field(file, stages, "tested");
-    out.rgidPass = u64Field(file, stages, "rgid_pass");
-    out.hazardPass = u64Field(file, stages, "hazard_pass");
-    out.reused = u64Field(file, stages, "reused");
-    const JsonValue &kills = field(file, funnel, "kills", JsonValue::Object);
-    out.killKind = u64Field(file, kills, "kind");
-    out.killNotExecuted = u64Field(file, kills, "not_executed");
-    out.killRgid = u64Field(file, kills, "rgid");
-    out.killRgidCapacity = u64Field(file, kills, "rgid_capacity");
-    out.killBloom = u64Field(file, kills, "bloom");
-    out.verifyOk = u64Field(file, funnel, "verify_ok");
-    out.verifyFail = u64Field(file, funnel, "verify_fail");
-    return out;
-}
-
-StatsEstimate
-parseEstimate(const std::string &file, const JsonValue &est)
-{
-    StatsEstimate out;
-    out.n = u64Field(file, est, "n");
-    if (est.object.count("mean"))
-        out.mean = field(file, est, "mean", JsonValue::Number).number;
-    if (est.object.count("stderr"))
-        out.stdErr = field(file, est, "stderr", JsonValue::Number).number;
-    if (est.object.count("ci95"))
-        out.ci95 = field(file, est, "ci95", JsonValue::Number).number;
-    // The writer's contract: mean exists from one window on, the
-    // spread pair from two. A file that breaks the ladder was not
-    // produced by mssr_run.
-    if ((out.n >= 1) != !std::isnan(out.mean) ||
-        (out.n >= 2) != !std::isnan(out.ci95))
-        malformed(file, "estimate fields inconsistent with its n");
-    return out;
-}
-
-StatsSampling
-parseSampling(const std::string &file, const JsonValue &sampling)
-{
-    StatsSampling out;
-    out.samplePeriod = u64Field(file, sampling, "sample_period");
-    out.sampleWindow = u64Field(file, sampling, "sample_window");
-    out.windows = u64Field(file, sampling, "windows");
-    out.totalInsts = u64Field(file, sampling, "total_insts");
-    out.halted =
-        field(file, sampling, "halted", JsonValue::Bool).number != 0.0;
-    const JsonValue &ests =
-        field(file, sampling, "estimates", JsonValue::Object);
-    out.ipc =
-        parseEstimate(file, field(file, ests, "ipc", JsonValue::Object));
-    out.reuseRate = parseEstimate(
-        file, field(file, ests, "reuse_rate", JsonValue::Object));
-    for (std::size_t i = 0; i < NumCpiCats; ++i) {
-        const std::string key =
-            std::string("cpi_") + cpiCatKey(static_cast<CpiCat>(i));
-        out.cpi[i] =
-            parseEstimate(file, field(file, ests, key, JsonValue::Object));
-    }
-    if (out.sampleWindow == 0 || out.sampleWindow > out.samplePeriod)
-        malformed(file, "sampling window not in (0, period]");
-    return out;
-}
-
-StatsRun
-parseRun(const std::string &file, const JsonValue &run)
-{
-    if (run.kind != JsonValue::Object)
-        malformed(file, "run entry is not an object");
-    StatsRun out;
-    out.name = field(file, run, "name", JsonValue::String).string;
-    out.scheme = field(file, run, "scheme", JsonValue::String).string;
-    out.width =
-        static_cast<unsigned>(u64Field(file, run, "dispatch_width"));
-    out.cycles = u64Field(file, run, "cycles");
-    out.insts = u64Field(file, run, "insts");
-    out.ipc = field(file, run, "ipc", JsonValue::Number).number;
-
-    // Warm-up telemetry: ff_insts is always emitted; the host-time
-    // pair only when the file was written with --stats-host-time.
-    out.ffInsts = u64Field(file, run, "ff_insts");
-    if (run.object.count("ff_host_sec"))
-        out.ffHostSec =
-            field(file, run, "ff_host_sec", JsonValue::Number).number;
-    if (run.object.count("ff_kips"))
-        out.ffKips = field(file, run, "ff_kips", JsonValue::Number).number;
-
-    const JsonValue &cpi = field(file, run, "cpi_slots", JsonValue::Object);
-    for (std::size_t i = 0; i < NumCpiCats; ++i) {
-        const CpiCat cat = static_cast<CpiCat>(i);
-        out.cpi.charge(cat, u64Field(file, cpi, cpiCatKey(cat)));
-    }
-
-    out.funnel =
-        parseFunnel(file, field(file, run, "funnel", JsonValue::Object));
-
-    const JsonValue &stats = field(file, run, "stats", JsonValue::Object);
-    for (const auto &[key, value] : stats.object) {
-        if (value.kind != JsonValue::Number)
-            malformed(file, "stats scalar '" + key + "' is not a number");
-        out.stats[key] = value.number;
-    }
-
-    if (run.object.count("sampling"))
-        out.sampling = parseSampling(
-            file, field(file, run, "sampling", JsonValue::Object));
-
-    // Re-verify the accounting invariants: a file that fails them was
-    // not produced by a correct simulator build.
-    if (out.cpi.total() !=
-        out.cycles * static_cast<std::uint64_t>(out.width))
-        malformed(file, "run '" + out.name +
-                            "': CPI slots do not sum to cycles x width");
-    if (!out.funnel.monotonic())
-        malformed(file,
-                  "run '" + out.name + "': funnel stages not monotonic");
-    return out;
-}
-
-/** Parses @p file and returns its top-level object. */
-JsonValue
-loadRoot(const std::string &file)
-{
-    std::ifstream in(file);
-    if (!in)
-        malformed(file, "cannot open");
-    std::ostringstream text;
-    text << in.rdbuf();
-    const JsonValue root = minijson::JsonParser(text.str()).parse();
-    if (root.kind != JsonValue::Object)
-        malformed(file, "top level is not an object");
-    return root;
-}
-
-std::string
-schemaOf(const std::string &file, const JsonValue &root)
-{
-    return field(file, root, "schema", JsonValue::String).string;
-}
-
-std::vector<StatsRun>
-parseStatsRuns(const std::string &file, const JsonValue &root)
-{
-    if (schemaOf(file, root) != "mssr-stats-v1")
-        malformed(file, "not an mssr-stats-v1 file");
-    std::vector<StatsRun> runs;
-    for (const JsonValue &run :
-         field(file, root, "runs", JsonValue::Array).array)
-        runs.push_back(parseRun(file, run));
-    if (runs.empty())
-        malformed(file, "no runs");
-    return runs;
-}
-
-// ------------------------------------------------- mssr-profile-v1 side
-
-/** One branch record parsed back out of an mssr-profile-v1 file. */
-struct ProfileBranch
-{
-    Addr pc = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t otherSquashes = 0;
-    std::uint64_t squashedInsts = 0;
-    std::uint64_t branchRecoverySlots = 0;
-    std::uint64_t flushRecoverySlots = 0;
-    ReuseFunnel funnel;
-    std::vector<std::pair<Addr, std::uint64_t>> partners;
-
-    std::uint64_t
-    recoverySlots() const
-    {
-        return branchRecoverySlots + flushRecoverySlots;
-    }
-
-    Addr
-    topPartner() const
-    {
-        Addr best = 0;
-        std::uint64_t bestCount = 0;
-        for (const auto &[pc_, count_] : partners) {
-            if (count_ > bestCount || (count_ == bestCount && pc_ < best)) {
-                best = pc_;
-                bestCount = count_;
-            }
-        }
-        return best;
-    }
-};
-
-/** One reconvergence-point record from an mssr-profile-v1 file. */
-struct ProfileReconv
-{
-    Addr pc = 0;
-    std::uint64_t detections = 0;
-    std::uint64_t sessions = 0;
-    std::uint64_t instsSalvaged = 0;
-};
-
-struct ProfileRun
-{
-    std::string name;
-    std::string scheme;
-    unsigned width = 0;
-    std::vector<ProfileBranch> branches; //!< sorted by PC
-    std::vector<ProfileReconv> reconvs;  //!< sorted by PC
-
-    const ProfileBranch *
-    branchAt(Addr pc) const
-    {
-        for (const ProfileBranch &b : branches)
-            if (b.pc == pc)
-                return &b;
-        return nullptr;
-    }
-
-    const ProfileReconv *
-    reconvAt(Addr pc) const
-    {
-        for (const ProfileReconv &r : reconvs)
-            if (r.pc == pc)
-                return &r;
-        return nullptr;
-    }
-
-    std::uint64_t
-    totalSquashed() const
-    {
-        std::uint64_t sum = 0;
-        for (const ProfileBranch &b : branches)
-            sum += b.squashedInsts;
-        return sum;
-    }
-
-    std::uint64_t
-    totalRecoverySlots() const
-    {
-        std::uint64_t sum = 0;
-        for (const ProfileBranch &b : branches)
-            sum += b.recoverySlots();
-        return sum;
-    }
-
-    std::uint64_t
-    totalSalvaged() const
-    {
-        std::uint64_t sum = 0;
-        for (const ProfileReconv &r : reconvs)
-            sum += r.instsSalvaged;
-        return sum;
-    }
-};
-
-Addr
-pcField(const std::string &file, const JsonValue &obj)
-{
-    const std::string &s = field(file, obj, "pc", JsonValue::String).string;
-    if (s.size() < 3 || s[0] != '0' || s[1] != 'x')
-        malformed(file, "PC '" + s + "' is not a 0x hex string");
-    return static_cast<Addr>(std::strtoull(s.c_str() + 2, nullptr, 16));
-}
-
-ProfileRun
-parseProfileRun(const std::string &file, const JsonValue &run)
-{
-    if (run.kind != JsonValue::Object)
-        malformed(file, "run entry is not an object");
-    ProfileRun out;
-    out.name = field(file, run, "name", JsonValue::String).string;
-    out.scheme = field(file, run, "scheme", JsonValue::String).string;
-    out.width =
-        static_cast<unsigned>(u64Field(file, run, "dispatch_width"));
-    const JsonValue &profile =
-        field(file, run, "profile", JsonValue::Object);
-    for (const JsonValue &b :
-         field(file, profile, "branches", JsonValue::Array).array) {
-        if (b.kind != JsonValue::Object)
-            malformed(file, "branch entry is not an object");
-        ProfileBranch branch;
-        branch.pc = pcField(file, b);
-        branch.mispredicts = u64Field(file, b, "mispredicts");
-        branch.otherSquashes = u64Field(file, b, "other_squashes");
-        branch.squashedInsts = u64Field(file, b, "squashed_insts");
-        branch.branchRecoverySlots =
-            u64Field(file, b, "branch_recovery_slots");
-        branch.flushRecoverySlots =
-            u64Field(file, b, "flush_recovery_slots");
-        branch.funnel =
-            parseFunnel(file, field(file, b, "funnel", JsonValue::Object));
-        if (!branch.funnel.monotonic())
-            malformed(file, "run '" + out.name + "': branch funnel not "
-                            "monotonic");
-        for (const JsonValue &p :
-             field(file, b, "partners", JsonValue::Array).array) {
-            if (p.kind != JsonValue::Object)
-                malformed(file, "partner entry is not an object");
-            branch.partners.emplace_back(pcField(file, p),
-                                         u64Field(file, p, "count"));
-        }
-        out.branches.push_back(std::move(branch));
-    }
-    for (const JsonValue &r :
-         field(file, profile, "reconv_points", JsonValue::Array).array) {
-        if (r.kind != JsonValue::Object)
-            malformed(file, "reconv entry is not an object");
-        ProfileReconv reconv;
-        reconv.pc = pcField(file, r);
-        reconv.detections = u64Field(file, r, "detections");
-        reconv.sessions = u64Field(file, r, "sessions");
-        reconv.instsSalvaged = u64Field(file, r, "insts_salvaged");
-        out.reconvs.push_back(reconv);
-    }
-    // Re-verify the cross-record invariant: reuses attributed to
-    // branches and salvage attributed to reconvergence points count
-    // the same instructions.
-    std::uint64_t reused = 0;
-    for (const ProfileBranch &b : out.branches)
-        reused += b.funnel.reused;
-    if (reused != out.totalSalvaged())
-        malformed(file, "run '" + out.name + "': branch reuses (" +
-                            std::to_string(reused) +
-                            ") != reconv salvage (" +
-                            std::to_string(out.totalSalvaged()) + ")");
-    return out;
-}
-
-std::vector<ProfileRun>
-parseProfileRuns(const std::string &file, const JsonValue &root)
-{
-    if (schemaOf(file, root) != "mssr-profile-v1")
-        malformed(file, "not an mssr-profile-v1 file");
-    std::vector<ProfileRun> runs;
-    for (const JsonValue &run :
-         field(file, root, "runs", JsonValue::Array).array)
-        runs.push_back(parseProfileRun(file, run));
-    if (runs.empty())
-        malformed(file, "no runs");
-    return runs;
 }
 
 std::string
@@ -527,22 +107,23 @@ share(double fraction)
 }
 
 void
-printRun(const StatsRun &r)
+printRun(const StatsRun &run)
 {
-    analysis::banner(std::cout, r.name + " (" + r.scheme + ")");
+    const RunResult &r = run.result;
+    analysis::banner(std::cout, run.name + " (" + run.scheme + ")");
     std::cout << "cycles " << r.cycles << ", insts " << r.insts << ", IPC "
-              << analysis::fixed(r.ipc, 4) << ", dispatch width " << r.width
-              << "\n";
+              << analysis::fixed(r.ipc, 4) << ", dispatch width "
+              << r.dispatchWidth << "\n";
     if (r.ffInsts) {
         std::cout << "warm-up: " << r.ffInsts << " ff insts";
-        if (r.ffKips > 0.0)
-            std::cout << " at " << analysis::fixed(r.ffKips, 0)
-                      << " kips (" << analysis::fixed(r.ffHostSec, 3)
+        if (run.ffKips > 0.0)
+            std::cout << " at " << analysis::fixed(run.ffKips, 0)
+                      << " kips (" << analysis::fixed(r.ffHostSeconds, 3)
                       << "s host)";
         std::cout << "\n";
     }
-    if (r.sampling) {
-        const StatsSampling &s = *r.sampling;
+    if (run.sampling) {
+        const SampledRunResult &s = *run.sampling;
         std::cout << "sampled: " << s.windows << " windows x "
                   << s.sampleWindow << " insts, period " << s.samplePeriod
                   << ", " << s.totalInsts << " total insts ("
@@ -556,8 +137,9 @@ printRun(const StatsRun &r)
         const CpiCat cat = static_cast<CpiCat>(i);
         cpi.addRow({toString(cat), count(r.cpi[cat]),
                     share(r.cpi.fraction(cat)),
-                    analysis::fixed(
-                        r.cpi.cpiContribution(cat, r.insts, r.width), 4)});
+                    analysis::fixed(r.cpi.cpiContribution(cat, r.insts,
+                                                          r.dispatchWidth),
+                                    4)});
     }
     cpi.addRow({"total", count(r.cpi.total()), share(1.0),
                 analysis::fixed(r.insts ? static_cast<double>(r.cycles) /
@@ -586,33 +168,35 @@ printRun(const StatsRun &r)
     std::cout << "reused-load verification: " << r.funnel.verifyOk
               << " ok, " << r.funnel.verifyFail << " fail\n";
 
-    if (r.sampling) {
+    if (run.sampling) {
         // analysis::fixed renders NaN as "n/a", so single-window (no
         // spread) and zero-observation estimates degrade gracefully.
-        std::cout << "\npopulation estimates (95% CI over "
-                  << r.sampling->windows << " windows):\n";
+        const SampledRunResult &s = *run.sampling;
+        std::cout << "\npopulation estimates (95% CI over " << s.windows
+                  << " windows):\n";
         analysis::Table est({"metric", "n", "mean", "stderr", "ci95"});
         auto addEstimate = [&](const std::string &metric,
-                               const StatsEstimate &e) {
+                               const SampleEstimate &e) {
             est.addRow({metric, count(e.n), analysis::fixed(e.mean, 4),
                         analysis::fixed(e.stdErr, 4),
                         analysis::fixed(e.ci95, 4)});
         };
-        addEstimate("ipc", r.sampling->ipc);
-        addEstimate("reuse_rate", r.sampling->reuseRate);
+        addEstimate("ipc", s.ipcEst);
+        addEstimate("reuse_rate", s.reuseRateEst);
         for (std::size_t i = 0; i < NumCpiCats; ++i)
             addEstimate(std::string("cpi_") +
                             cpiCatKey(static_cast<CpiCat>(i)),
-                        r.sampling->cpi[i]);
+                        s.cpiEst[i]);
         est.print(std::cout);
     }
 }
 
-const StatsRun *
-matchRun(const std::vector<StatsRun> &base, const StatsRun &mssr,
-         std::size_t index)
+/** The run of @p base paired with run @p index of the other file. */
+template <typename Run>
+const Run *
+matchRun(const std::vector<Run> &base, const Run &mssr, std::size_t index)
 {
-    for (const StatsRun &b : base)
+    for (const Run &b : base)
         if (b.name == mssr.name)
             return &b;
     // Different labels on each side (e.g. "bfs" vs "bfs/baseline"):
@@ -621,10 +205,12 @@ matchRun(const std::vector<StatsRun> &base, const StatsRun &mssr,
 }
 
 void
-printDiff(const StatsRun &base, const StatsRun &mssr)
+printDiff(const StatsRun &baseRun, const StatsRun &mssrRun)
 {
-    analysis::banner(std::cout, mssr.name + ": " + base.scheme + " vs " +
-                                    mssr.scheme);
+    const RunResult &base = baseRun.result;
+    const RunResult &mssr = mssrRun.result;
+    analysis::banner(std::cout, mssrRun.name + ": " + baseRun.scheme +
+                                    " vs " + mssrRun.scheme);
     const std::int64_t recovered = static_cast<std::int64_t>(base.cycles) -
                                    static_cast<std::int64_t>(mssr.cycles);
     std::cout << "cycles " << base.cycles << " -> " << mssr.cycles
@@ -641,38 +227,38 @@ printDiff(const StatsRun &base, const StatsRun &mssr)
                   << ")";
     std::cout << "\n";
 
-    if (base.sampling.has_value() != mssr.sampling.has_value()) {
+    if (baseRun.sampling.has_value() != mssrRun.sampling.has_value()) {
         // Exactly one side is sampled: this is an accuracy check, not
         // an A-vs-B scheme comparison. Report how far the sampled IPC
         // estimate lands from the full-detail truth and whether the
         // truth falls inside the estimate's 95% confidence interval.
-        const StatsRun &sampled = base.sampling ? base : mssr;
-        const StatsRun &full = base.sampling ? mssr : base;
-        const StatsEstimate &e = sampled.sampling->ipc;
-        std::cout << "sampled-vs-full IPC: full " << analysis::fixed(
-                         full.ipc, 4) << ", sampled estimate "
+        const StatsRun &sampled = baseRun.sampling ? baseRun : mssrRun;
+        const double fullIpc = (baseRun.sampling ? mssr : base).ipc;
+        const SampleEstimate &e = sampled.sampling->ipcEst;
+        std::cout << "sampled-vs-full IPC: full "
+                  << analysis::fixed(fullIpc, 4) << ", sampled estimate "
                   << analysis::fixed(e.mean, 4);
-        if (!std::isnan(e.mean) && full.ipc > 0.0)
+        if (!std::isnan(e.mean) && fullIpc > 0.0)
             std::cout << " (error "
-                      << analysis::percent(e.mean / full.ipc - 1.0) << ")";
+                      << analysis::percent(e.mean / fullIpc - 1.0) << ")";
         if (!std::isnan(e.ci95))
             std::cout << "; full IPC "
-                      << (e.covers(full.ipc) ? "inside" : "OUTSIDE")
+                      << (e.covers(fullIpc) ? "inside" : "OUTSIDE")
                       << " the 95% CI +/- " << analysis::fixed(e.ci95, 4)
                       << " (n=" << e.n << ")";
         std::cout << "\n";
     }
     if (base.insts != mssr.insts)
-        std::cout << "note: committed-instruction counts differ (" <<
-            base.insts << " vs " << mssr.insts
+        std::cout << "note: committed-instruction counts differ ("
+                  << base.insts << " vs " << mssr.insts
                   << "); cycle and IPC deltas are not directly "
                      "equivalent\n";
     std::cout << "reused at rename: " << mssr.funnel.reused
               << " insts, salvaging "
               << mssr.cpi[CpiCat::ReuseSalvaged] << " dispatch slots\n\n";
 
-    analysis::Table t({"category", base.scheme + " slots",
-                       mssr.scheme + " slots", "delta", "CPI delta"});
+    analysis::Table t({"category", baseRun.scheme + " slots",
+                       mssrRun.scheme + " slots", "delta", "CPI delta"});
     for (std::size_t i = 0; i < NumCpiCats; ++i) {
         const CpiCat cat = static_cast<CpiCat>(i);
         const std::int64_t delta =
@@ -680,11 +266,12 @@ printDiff(const StatsRun &base, const StatsRun &mssr)
             static_cast<std::int64_t>(base.cpi[cat]);
         t.addRow({toString(cat), count(base.cpi[cat]), count(mssr.cpi[cat]),
                   std::to_string(delta),
-                  analysis::fixed(
-                      mssr.cpi.cpiContribution(cat, mssr.insts, mssr.width) -
-                          base.cpi.cpiContribution(cat, base.insts,
-                                                   base.width),
-                      4)});
+                  analysis::fixed(mssr.cpi.cpiContribution(
+                                      cat, mssr.insts, mssr.dispatchWidth) -
+                                      base.cpi.cpiContribution(
+                                          cat, base.insts,
+                                          base.dispatchWidth),
+                                  4)});
     }
     t.print(std::cout);
 }
@@ -704,25 +291,32 @@ slotCycles(std::uint64_t slots, unsigned width)
     return width ? slots / width : 0;
 }
 
+/** Recovery slots of both kinds over a profile's branch records. */
+std::uint64_t
+recoverySlots(const PcProfile &p)
+{
+    return p.total(&BranchRecord::branchRecoverySlots) +
+           p.total(&BranchRecord::flushRecoverySlots);
+}
+
 void
 printProfile(const ProfileRun &r, unsigned topn)
 {
     analysis::banner(std::cout,
                      r.name + " (" + r.scheme + ") per-PC profile");
-    const std::uint64_t squashed = r.totalSquashed();
+    const std::uint64_t squashed =
+        r.profile.total(&BranchRecord::squashedInsts);
     const std::uint64_t recCycles =
-        slotCycles(r.totalRecoverySlots(), r.width);
-    const std::uint64_t salvaged = r.totalSalvaged();
-    std::cout << r.branches.size() << " squash-cause PCs, "
-              << r.reconvs.size() << " reconvergence PCs; " << squashed
-              << " insts squashed, " << recCycles
+        slotCycles(recoverySlots(r.profile), r.width);
+    const std::uint64_t salvaged = r.profile.totalSalvaged();
+    std::cout << r.profile.branches().size() << " squash-cause PCs, "
+              << r.profile.reconvs().size() << " reconvergence PCs; "
+              << squashed << " insts squashed, " << recCycles
               << " recovery cycles, " << salvaged << " insts reused\n\n";
 
-    std::vector<const ProfileBranch *> hot;
-    for (const ProfileBranch &b : r.branches)
-        hot.push_back(&b);
+    std::vector<const BranchRecord *> hot = r.profile.branches().sortedByPc();
     std::sort(hot.begin(), hot.end(),
-              [](const ProfileBranch *a, const ProfileBranch *b) {
+              [](const BranchRecord *a, const BranchRecord *b) {
                   if (a->recoverySlots() != b->recoverySlots())
                       return a->recoverySlots() > b->recoverySlots();
                   if (a->squashedInsts != b->squashedInsts)
@@ -737,26 +331,25 @@ printProfile(const ProfileRun &r, unsigned topn)
                               "share", "reused", "coverage", "reconv @"});
     const double recTotal =
         recCycles ? static_cast<double>(recCycles) : 1.0;
-    for (const ProfileBranch *b : hot) {
+    for (const BranchRecord *b : hot) {
         const std::uint64_t cy = slotCycles(b->recoverySlots(), r.width);
         const Addr partner = b->topPartner();
         branches.addRow(
             {hex(b->pc), count(b->mispredicts), count(b->squashedInsts),
              count(cy), share(static_cast<double>(cy) / recTotal),
-             count(b->funnel.reused),
+             count(b->reused),
              share(b->squashedInsts
-                       ? static_cast<double>(b->funnel.reused) /
+                       ? static_cast<double>(b->reused) /
                              static_cast<double>(b->squashedInsts)
                        : 0.0),
              partner ? hex(partner) : std::string("-")});
     }
     branches.print(std::cout);
 
-    std::vector<const ProfileReconv *> points;
-    for (const ProfileReconv &p : r.reconvs)
-        points.push_back(&p);
+    std::vector<const ReconvRecord *> points =
+        r.profile.reconvs().sortedByPc();
     std::sort(points.begin(), points.end(),
-              [](const ProfileReconv *a, const ProfileReconv *b) {
+              [](const ReconvRecord *a, const ReconvRecord *b) {
                   if (a->instsSalvaged != b->instsSalvaged)
                       return a->instsSalvaged > b->instsSalvaged;
                   return a->pc < b->pc;
@@ -771,23 +364,13 @@ printProfile(const ProfileRun &r, unsigned topn)
         {"reconv", "detections", "sessions", "salvaged", "share"});
     const double salvTotal =
         salvaged ? static_cast<double>(salvaged) : 1.0;
-    for (const ProfileReconv *p : points) {
+    for (const ReconvRecord *p : points) {
         reconv.addRow({hex(p->pc), count(p->detections), count(p->sessions),
                        count(p->instsSalvaged),
                        share(static_cast<double>(p->instsSalvaged) /
                              salvTotal)});
     }
     reconv.print(std::cout);
-}
-
-const ProfileRun *
-matchProfileRun(const std::vector<ProfileRun> &base, const ProfileRun &mssr,
-                std::size_t index)
-{
-    for (const ProfileRun &b : base)
-        if (b.name == mssr.name)
-            return &b;
-    return index < base.size() ? &base[index] : nullptr;
 }
 
 /**
@@ -816,26 +399,26 @@ printProfileDiff(const ProfileRun &base, const ProfileRun &mssr,
         std::int64_t recovered() const { return baseCy - mssrCy + salvagedCy; }
     };
     std::vector<Row> rows;
-    for (const ProfileBranch &b : base.branches) {
-        const ProfileBranch *m = mssr.branchAt(b.pc);
-        rows.push_back({b.pc,
+    for (const BranchRecord *b : base.profile.branches().sortedByPc()) {
+        const BranchRecord *m = mssr.profile.branches().find(b->pc);
+        rows.push_back({b->pc,
                         static_cast<std::int64_t>(
-                            slotCycles(b.recoverySlots(), base.width)),
+                            slotCycles(b->recoverySlots(), base.width)),
                         static_cast<std::int64_t>(slotCycles(
                             m ? m->recoverySlots() : 0, mssr.width)),
                         static_cast<std::int64_t>(slotCycles(
-                            m ? m->funnel.reused : 0, mssr.width)),
-                        m ? m->funnel.reused : 0,
+                            m ? m->reused : 0, mssr.width)),
+                        m ? m->reused : 0,
                         m ? m->squashedInsts : 0});
     }
-    for (const ProfileBranch &m : mssr.branches)
-        if (!base.branchAt(m.pc))
-            rows.push_back({m.pc, 0,
+    for (const BranchRecord *m : mssr.profile.branches().sortedByPc())
+        if (!base.profile.branches().find(m->pc))
+            rows.push_back({m->pc, 0,
                             static_cast<std::int64_t>(slotCycles(
-                                m.recoverySlots(), mssr.width)),
+                                m->recoverySlots(), mssr.width)),
                             static_cast<std::int64_t>(
-                                slotCycles(m.funnel.reused, mssr.width)),
-                            m.funnel.reused, m.squashedInsts});
+                                slotCycles(m->reused, mssr.width)),
+                            m->reused, m->squashedInsts});
 
     std::int64_t recoveredTotal = 0, deltaTotal = 0, salvagedTotal = 0;
     for (const Row &row : rows) {
@@ -885,23 +468,22 @@ annotate(const ProfileRun &r, const std::string &prog_name,
 {
     analysis::banner(std::cout, prog_name + " annotated with " + r.name +
                                     " (" + r.scheme + ")");
-    const double squashTotal = r.totalSquashed()
-                                   ? static_cast<double>(r.totalSquashed())
-                                   : 1.0;
+    const std::uint64_t squashed =
+        r.profile.total(&BranchRecord::squashedInsts);
+    const double squashTotal = squashed ? static_cast<double>(squashed) : 1.0;
     const std::uint64_t recCyTotal =
-        slotCycles(r.totalRecoverySlots(), r.width);
+        slotCycles(recoverySlots(r.profile), r.width);
     const double recTotal =
         recCyTotal ? static_cast<double>(recCyTotal) : 1.0;
-    const double salvTotal = r.totalSalvaged()
-                                 ? static_cast<double>(r.totalSalvaged())
-                                 : 1.0;
+    const std::uint64_t salvaged = r.profile.totalSalvaged();
+    const double salvTotal = salvaged ? static_cast<double>(salvaged) : 1.0;
 
     for (Addr pc = prog.codeBase(); pc < prog.codeEnd(); pc += InstBytes) {
         std::string line = hex(pc);
         line.resize(std::max<std::size_t>(line.size() + 2, 10), ' ');
         line += isa::disasm(prog.instAt(pc), pc);
-        const ProfileBranch *b = r.branchAt(pc);
-        const ProfileReconv *p = r.reconvAt(pc);
+        const BranchRecord *b = r.profile.branches().find(pc);
+        const ReconvRecord *p = r.profile.reconvs().find(pc);
         if (b || p)
             line.resize(std::max<std::size_t>(line.size() + 2, 34), ' ');
         if (b) {
@@ -911,7 +493,7 @@ annotate(const ProfileRun &r, const std::string &prog_name,
                           squashTotal) +
                     "), recovery " + count(cy) + "cy (" +
                     share(static_cast<double>(cy) / recTotal) +
-                    "), reused " + count(b->funnel.reused);
+                    "), reused " + count(b->reused);
         }
         if (p) {
             line += " ;; reconv " + count(p->detections) + " det, salvaged " +
@@ -926,28 +508,28 @@ annotate(const ProfileRun &r, const std::string &prog_name,
     auto outside = [&](Addr pc) {
         return !(pc >= prog.codeBase() && pc < prog.codeEnd());
     };
-    for (const ProfileBranch &b : r.branches) {
-        if (!outside(b.pc))
+    for (const BranchRecord *b : r.profile.branches().sortedByPc()) {
+        if (!outside(b->pc))
             continue;
         if (!outsideHeader) {
             std::cout << "records outside the code image "
                          "(wrong-path fetch):\n";
             outsideHeader = true;
         }
-        std::cout << "  " << hex(b.pc) << " squash "
-                  << count(b.squashedInsts) << ", reused "
-                  << count(b.funnel.reused) << "\n";
+        std::cout << "  " << hex(b->pc) << " squash "
+                  << count(b->squashedInsts) << ", reused "
+                  << count(b->reused) << "\n";
     }
-    for (const ProfileReconv &p : r.reconvs) {
-        if (!outside(p.pc))
+    for (const ReconvRecord *p : r.profile.reconvs().sortedByPc()) {
+        if (!outside(p->pc))
             continue;
         if (!outsideHeader) {
             std::cout << "records outside the code image "
                          "(wrong-path fetch):\n";
             outsideHeader = true;
         }
-        std::cout << "  " << hex(p.pc) << " reconv, salvaged "
-                  << count(p.instsSalvaged) << "\n";
+        std::cout << "  " << hex(p->pc) << " reconv, salvaged "
+                  << count(p->instsSalvaged) << "\n";
     }
 }
 
@@ -1271,41 +853,41 @@ main(int argc, char **argv)
         if (!annotateProg.empty()) {
             if (diff || files.size() != 1)
                 usage();
-            const JsonValue root = loadRoot(files[0]);
+            const JsonValue root = loadRecordFile(files[0]);
             const isa::Program prog = workloads::buildWorkload(
                 annotateProg, workloads::WorkloadScale::fromEnv());
-            for (const ProfileRun &r : parseProfileRuns(files[0], root))
+            for (const ProfileRun &r : readProfileRuns(files[0], root))
                 annotate(r, annotateProg, prog);
             return 0;
         }
         if (diff) {
             if (files.size() != 2)
                 usage();
-            const JsonValue baseRoot = loadRoot(files[0]);
-            const JsonValue mssrRoot = loadRoot(files[1]);
-            if (schemaOf(files[0], baseRoot) !=
-                schemaOf(files[1], mssrRoot))
+            const JsonValue baseRoot = loadRecordFile(files[0]);
+            const JsonValue mssrRoot = loadRecordFile(files[1]);
+            if (recordSchema(files[0], baseRoot) !=
+                recordSchema(files[1], mssrRoot))
                 malformed(files[1], "schema differs from '" + files[0] +
                                         "' (cannot diff stats against a "
                                         "profile)");
             bool paired = false;
-            if (schemaOf(files[0], baseRoot) == "mssr-profile-v1") {
+            if (recordSchema(files[0], baseRoot) == "mssr-profile-v1") {
                 const std::vector<ProfileRun> base =
-                    parseProfileRuns(files[0], baseRoot);
+                    readProfileRuns(files[0], baseRoot);
                 const std::vector<ProfileRun> mssr =
-                    parseProfileRuns(files[1], mssrRoot);
+                    readProfileRuns(files[1], mssrRoot);
                 for (std::size_t i = 0; i < mssr.size(); ++i) {
                     if (const ProfileRun *b =
-                            matchProfileRun(base, mssr[i], i)) {
+                            matchRun(base, mssr[i], i)) {
                         printProfileDiff(*b, mssr[i], topn);
                         paired = true;
                     }
                 }
             } else {
                 const std::vector<StatsRun> base =
-                    parseStatsRuns(files[0], baseRoot);
+                    readStatsRuns(files[0], baseRoot);
                 const std::vector<StatsRun> mssr =
-                    parseStatsRuns(files[1], mssrRoot);
+                    readStatsRuns(files[1], mssrRoot);
                 for (std::size_t i = 0; i < mssr.size(); ++i) {
                     if (const StatsRun *b = matchRun(base, mssr[i], i)) {
                         printDiff(*b, mssr[i]);
@@ -1322,12 +904,12 @@ main(int argc, char **argv)
         }
         if (files.size() != 1)
             usage();
-        const JsonValue root = loadRoot(files[0]);
-        if (schemaOf(files[0], root) == "mssr-profile-v1") {
-            for (const ProfileRun &r : parseProfileRuns(files[0], root))
+        const JsonValue root = loadRecordFile(files[0]);
+        if (recordSchema(files[0], root) == "mssr-profile-v1") {
+            for (const ProfileRun &r : readProfileRuns(files[0], root))
                 printProfile(r, topn);
         } else {
-            for (const StatsRun &r : parseStatsRuns(files[0], root))
+            for (const StatsRun &r : readStatsRuns(files[0], root))
                 printRun(r);
         }
         return 0;
