@@ -253,44 +253,4 @@ readFunnel(const minijson::JsonValue &v)
     return out;
 }
 
-void
-writePrometheus(std::ostream &os, const std::string &run,
-                const CpiStack &stack)
-{
-    os << "# TYPE mssr_cpi_slots gauge\n";
-    for (std::size_t i = 0; i < NumCpiCats; ++i) {
-        os << "mssr_cpi_slots{run=\"" << run << "\",category=\""
-           << cpiCatKey(static_cast<CpiCat>(i)) << "\"} " << stack.slots[i]
-           << "\n";
-    }
-}
-
-void
-writePrometheus(std::ostream &os, const std::string &run,
-                const ReuseFunnel &funnel)
-{
-    os << "# TYPE mssr_funnel_stage gauge\n";
-    for (std::size_t i = 0; i < ReuseFunnel::NumStages; ++i) {
-        os << "mssr_funnel_stage{run=\"" << run << "\",stage=\""
-           << ReuseFunnel::stageKey(i) << "\"} " << funnel.stage(i) << "\n";
-    }
-    os << "# TYPE mssr_funnel_kills gauge\n";
-    const struct
-    {
-        const char *key;
-        std::uint64_t value;
-    } kills[] = {
-        {"kind", funnel.killKind},
-        {"not_executed", funnel.killNotExecuted},
-        {"rgid", funnel.killRgid},
-        {"rgid_capacity", funnel.killRgidCapacity},
-        {"bloom", funnel.killBloom},
-        {"verify_fail", funnel.verifyFail},
-    };
-    for (const auto &k : kills) {
-        os << "mssr_funnel_kills{run=\"" << run << "\",reason=\"" << k.key
-           << "\"} " << k.value << "\n";
-    }
-}
-
 } // namespace mssr

@@ -198,16 +198,6 @@ CpiStack readCpiStack(const minijson::JsonValue &v, std::uint64_t cycles,
 ReuseFunnel readFunnel(const minijson::JsonValue &v);
 /// @}
 
-/** @name Prometheus gauges (the stats .prom text)
- * `# TYPE`-annotated gauge samples labelled with @p run.
- */
-/// @{
-void writePrometheus(std::ostream &os, const std::string &run,
-                     const CpiStack &stack);
-void writePrometheus(std::ostream &os, const std::string &run,
-                     const ReuseFunnel &funnel);
-/// @}
-
 } // namespace mssr
 
 #endif // MSSR_COMMON_CPI_STACK_HH

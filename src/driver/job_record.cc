@@ -90,6 +90,23 @@ statsRun(std::ostream &os, bool first, const std::string &name,
     os << "}}";
 }
 
+/** @p s as a Prometheus label value: backslash, double quote and
+ *  newline escaped. */
+std::string
+promLabel(const std::string &s)
+{
+    std::string out;
+    for (const char c : s) {
+        if (c == '\\' || c == '"')
+            out += '\\';
+        if (c == '\n')
+            out += "\\n";
+        else
+            out += c;
+    }
+    return out;
+}
+
 /** The simulated fields a serve record and a bench result share. */
 void
 resultFields(std::ostream &os, const RunResult &r)
@@ -297,20 +314,48 @@ void
 writeStatsProm(std::ostream &os, const std::vector<BatchJob> &jobs,
                const std::vector<RunResult> &results)
 {
-    os << "# TYPE mssr_cycles gauge\n"
-          "# TYPE mssr_insts gauge\n"
-          "# TYPE mssr_ipc gauge\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const std::string &run = jobs[i].name;
-        os << "mssr_cycles{run=\"" << run << "\"} " << results[i].cycles
-           << "\nmssr_insts{run=\"" << run << "\"} " << results[i].insts
-           << "\nmssr_ipc{run=\"" << run << "\"} " << results[i].ipc
-           << "\n";
-    }
-    for (std::size_t i = 0; i < results.size(); ++i)
-        writePrometheus(os, jobs[i].name, results[i].cpi);
-    for (std::size_t i = 0; i < results.size(); ++i)
-        writePrometheus(os, jobs[i].name, results[i].funnel);
+    // The text exposition format: one TYPE line per family, then the
+    // family's samples as one group, run by run.
+    const auto family = [&](const char *name, const auto &samples) {
+        os << "# TYPE " << name << " gauge\n";
+        for (std::size_t i = 0; i < results.size(); ++i)
+            samples(name + ("{run=\"" + promLabel(jobs[i].name) + "\""),
+                    results[i]);
+    };
+    using Head = const std::string &;
+    family("mssr_cycles", [&](Head head, const RunResult &r) {
+        os << head << "} " << r.cycles << "\n";
+    });
+    family("mssr_insts", [&](Head head, const RunResult &r) {
+        os << head << "} " << r.insts << "\n";
+    });
+    family("mssr_ipc", [&](Head head, const RunResult &r) {
+        os << head << "} " << r.ipc << "\n";
+    });
+    family("mssr_cpi_slots", [&](Head head, const RunResult &r) {
+        for (std::size_t c = 0; c < NumCpiCats; ++c)
+            os << head << ",category=\""
+               << cpiCatKey(static_cast<CpiCat>(c)) << "\"} "
+               << r.cpi.slots[c] << "\n";
+    });
+    family("mssr_funnel_stage", [&](Head head, const RunResult &r) {
+        for (std::size_t i = 0; i < ReuseFunnel::NumStages; ++i)
+            os << head << ",stage=\"" << ReuseFunnel::stageKey(i) << "\"} "
+               << r.funnel.stage(i) << "\n";
+    });
+    family("mssr_funnel_kills", [&](Head head, const RunResult &r) {
+        const ReuseFunnel &f = r.funnel;
+        const std::pair<const char *, std::uint64_t> kills[] = {
+            {"kind", f.killKind},
+            {"not_executed", f.killNotExecuted},
+            {"rgid", f.killRgid},
+            {"rgid_capacity", f.killRgidCapacity},
+            {"bloom", f.killBloom},
+            {"verify_fail", f.verifyFail},
+        };
+        for (const auto &[reason, count] : kills)
+            os << head << ",reason=\"" << reason << "\"} " << count << "\n";
+    });
 }
 
 std::string

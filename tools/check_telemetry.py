@@ -3,12 +3,16 @@
 
 Validates a `--metrics-out` / MSSR_METRICS_OUT Prometheus textfile:
 
-1. The file parses as the text exposition format (every sample line
-   belongs to a `# TYPE`-declared metric, values are finite numbers,
-   histogram bucket counts are cumulative and end in +Inf == _count).
+1. The file parses as the text exposition format: every sample line
+   belongs to a `# TYPE`-declared metric, each family has one TYPE
+   line and its samples form one group, label values escape backslash,
+   double quote and newline, values are finite numbers, and histogram
+   bucket counts are cumulative and end in +Inf == _count.
 2. Every expected mssr_* metric family is present (the mssr_pool_*
    families only when the run built a thread pool — sequential runs
    legitimately omit them, but a run exposing any must expose all).
+   With --stats the file is a `mssr_run --stats-out X.prom` file
+   instead, and the six stats families are expected.
 3. With --bench BENCH_batch.json, the end-of-run counters reconcile
    EXACTLY with the final report: jobs done == number of result
    records, total instructions == sum of per-record "insts", and
@@ -16,7 +20,7 @@ Validates a `--metrics-out` / MSSR_METRICS_OUT Prometheus textfile:
    counters are maintained at job granularity, so any drift here means
    the telemetry lies about the run.
 
-Usage: check_telemetry.py PROM_FILE [--bench BENCH_batch.json]
+Usage: check_telemetry.py PROM_FILE [--stats] [--bench BENCH_batch.json]
 Exits non-zero (with a named diagnostic) on any violation.
 """
 
@@ -41,6 +45,16 @@ EXPECTED_FAMILIES = [
     "mssr_job_host_seconds",
 ]
 
+# The families of a --stats-out .prom file.
+STATS_FAMILIES = [
+    "mssr_cycles",
+    "mssr_insts",
+    "mssr_ipc",
+    "mssr_cpi_slots",
+    "mssr_funnel_stage",
+    "mssr_funnel_kills",
+]
+
 # Registered only when a thread pool is actually built; a sequential
 # batch (one job, or one hardware core) legitimately has none of them,
 # but a pooled run must expose all four.
@@ -52,11 +66,19 @@ POOL_FAMILIES = [
 ]
 
 
+# One label: its value escapes backslash, double quote and newline.
+LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
+SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
+                    r"(\{(?:%s(?:,%s)*,?)?\})?\s+(\S+)$" % (LABEL, LABEL))
+
+
 def parse_prom(path):
     """Returns ({family: type}, {sample_name_with_labels: value})."""
     types = {}
     samples = {}
     errors = []
+    done = set()    # families whose sample group has ended
+    current = None  # family of the group being read
     for lineno, raw in enumerate(open(path, encoding="utf-8"), 1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -68,12 +90,14 @@ def parse_prom(path):
                 errors.append("%s:%d: malformed TYPE line: %s"
                               % (path, lineno, line))
                 continue
+            if parts[2] in types:
+                errors.append("%s:%d: second TYPE line for %s"
+                              % (path, lineno, parts[2]))
             types[parts[2]] = parts[3]
             continue
         if line.startswith("#"):
             continue
-        m = re.match(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
-                     r"(\{[^}]*\})?\s+(\S+)$", line)
+        m = SAMPLE.match(line)
         if not m:
             errors.append("%s:%d: unparseable sample line: %s"
                           % (path, lineno, line))
@@ -92,6 +116,15 @@ def parse_prom(path):
         if family not in types and name not in types:
             errors.append("%s:%d: sample %s has no # TYPE declaration"
                           % (path, lineno, name))
+        if name in types:
+            family = name
+        if family != current:
+            if family in done:
+                errors.append("%s:%d: samples of %s are not in one group"
+                              % (path, lineno, family))
+            if current is not None:
+                done.add(current)
+            current = family
         samples[name + labels] = v
     return types, samples, errors
 
@@ -149,11 +182,13 @@ def main():
     ap.add_argument("prom_file")
     ap.add_argument("--bench", default=None,
                     help="BENCH_batch.json to reconcile counters against")
+    ap.add_argument("--stats", action="store_true",
+                    help="PROM_FILE is a mssr_run --stats-out .prom file")
     args = ap.parse_args()
 
     types, samples, errors = parse_prom(args.prom_file)
     errors += check_histograms(args.prom_file, types, samples)
-    for family in EXPECTED_FAMILIES:
+    for family in STATS_FAMILIES if args.stats else EXPECTED_FAMILIES:
         if family not in types:
             errors.append("%s: expected metric family %s is missing"
                           % (args.prom_file, family))
