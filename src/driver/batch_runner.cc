@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
-#include <filesystem>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -23,7 +22,8 @@ namespace mssr
 namespace
 {
 
-/** Lazily-registered batch/checkpoint-store instrumentation. */
+/** Lazily-registered batch instrumentation; the checkpoint-store
+ *  families register beside it (sim/checkpoint.hh). */
 struct BatchMetrics
 {
     Counter &jobsTotal;
@@ -32,15 +32,12 @@ struct BatchMetrics
     Counter &ckptHits;
     Gauge &jobsRunning;
     HistogramMetric &jobSeconds;
-    Counter &storeHits;
-    Counter &storeMisses;
-    Counter &storeBytesRead;
-    Counter &storeBytesWritten;
 
     static BatchMetrics &
     get()
     {
         MetricsRegistry &reg = MetricsRegistry::global();
+        registerCheckpointStoreMetrics();
         static BatchMetrics m{
             reg.counter("mssr_batch_jobs_total",
                         "Simulation jobs queued into batches"),
@@ -55,16 +52,6 @@ struct BatchMetrics
                       "Jobs currently in detailed simulation"),
             reg.histogram("mssr_job_host_seconds",
                           "Per-job detailed-simulation wall time"),
-            reg.counter("mssr_ckpt_store_hits_total",
-                        "Warm-up prefixes loaded from the on-disk "
-                        "checkpoint store"),
-            reg.counter("mssr_ckpt_store_misses_total",
-                        "Warm-up prefixes computed because the store "
-                        "had no match"),
-            reg.counter("mssr_ckpt_store_bytes_read_total",
-                        "Bytes read from the checkpoint store"),
-            reg.counter("mssr_ckpt_store_bytes_written_total",
-                        "Bytes written to the checkpoint store"),
         };
         return m;
     }
@@ -169,31 +156,17 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         if (stopped())
             break; // draining: the group's jobs will be skipped too
         const auto t0 = std::chrono::steady_clock::now();
-        std::string path;
+        std::optional<Checkpoint> stored;
         if (!ckptDir_.empty())
-            path = ckptDir_ + "/" +
-                   checkpointFileName(g.program->hash(), g.ffInsts);
-        if (!path.empty() && std::filesystem::exists(path)) {
-            // Present-but-invalid files throw SerializeError here:
-            // a stale or truncated cache must be surfaced, never
-            // silently recomputed.
-            g.ckpt = readCheckpoint(path);
-            g.diskHit = true;
-            metrics.storeHits.inc();
-            const auto bytes = std::filesystem::file_size(path);
-            metrics.storeBytesRead.inc(bytes);
-            logDebug("ckpt", "store hit ", path, " (", bytes, " bytes, ",
-                     g.jobIdx.size(), " job(s))");
+            stored =
+                loadStoredCheckpoint(ckptDir_, g.program->hash(), g.ffInsts);
+        g.diskHit = stored.has_value();
+        if (stored) {
+            g.ckpt = std::move(*stored);
         } else {
             g.ckpt = computeCheckpoint(*g.program, g.ffInsts, g.tier);
-            if (!path.empty()) {
-                writeCheckpoint(path, g.ckpt);
-                metrics.storeMisses.inc();
-                const auto bytes = std::filesystem::file_size(path);
-                metrics.storeBytesWritten.inc(bytes);
-                logDebug("ckpt", "store miss, wrote ", path, " (", bytes,
-                         " bytes, ", g.jobIdx.size(), " job(s))");
-            }
+            if (!ckptDir_.empty())
+                saveStoredCheckpoint(ckptDir_, g.ckpt);
         }
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - t0;

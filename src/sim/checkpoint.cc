@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "common/log.hh"
+#include "common/metrics.hh"
 #include "common/serialize.hh"
 #include "sim/memory.hh"
 
@@ -237,6 +239,83 @@ checkpointFileName(std::uint64_t program_hash, std::uint64_t ff_insts)
                   static_cast<unsigned long long>(program_hash),
                   static_cast<unsigned long long>(ff_insts));
     return buf;
+}
+
+namespace
+{
+
+/** The mssr_ckpt_store_* counters, registered on first use. */
+struct StoreMetrics
+{
+    Counter &hits;
+    Counter &misses;
+    Counter &bytesRead;
+    Counter &bytesWritten;
+
+    static StoreMetrics &
+    get()
+    {
+        MetricsRegistry &reg = MetricsRegistry::global();
+        static StoreMetrics m{
+            reg.counter("mssr_ckpt_store_hits_total",
+                        "Checkpoints loaded from the on-disk checkpoint "
+                        "store"),
+            reg.counter("mssr_ckpt_store_misses_total",
+                        "Checkpoints computed and written because the "
+                        "store had no match"),
+            reg.counter("mssr_ckpt_store_bytes_read_total",
+                        "Bytes read from the checkpoint store"),
+            reg.counter("mssr_ckpt_store_bytes_written_total",
+                        "Bytes written to the checkpoint store"),
+        };
+        return m;
+    }
+};
+
+} // namespace
+
+std::optional<Checkpoint>
+loadStoredCheckpoint(const std::string &dir, std::uint64_t program_hash,
+                     std::uint64_t ff_insts)
+{
+    const std::string path =
+        dir + "/" + checkpointFileName(program_hash, ff_insts);
+    if (!std::filesystem::exists(path))
+        return std::nullopt;
+    Checkpoint ckpt = readCheckpoint(path);
+    if (ckpt.programHash != program_hash)
+        throw SerializeError("store checkpoint '" + path +
+                             "' was taken from a different program");
+    if (ckpt.ffInsts != ff_insts)
+        throw SerializeError("store checkpoint '" + path +
+                             "' has fast-forward length " +
+                             std::to_string(ckpt.ffInsts) + ", expected " +
+                             std::to_string(ff_insts));
+    const auto bytes = std::filesystem::file_size(path);
+    StoreMetrics &m = StoreMetrics::get();
+    m.hits.inc();
+    m.bytesRead.inc(bytes);
+    logDebug("ckpt", "store hit ", path, " (", bytes, " bytes)");
+    return ckpt;
+}
+
+void
+saveStoredCheckpoint(const std::string &dir, const Checkpoint &ckpt)
+{
+    const std::string path =
+        dir + "/" + checkpointFileName(ckpt.programHash, ckpt.ffInsts);
+    writeCheckpoint(path, ckpt);
+    const auto bytes = std::filesystem::file_size(path);
+    StoreMetrics &m = StoreMetrics::get();
+    m.misses.inc();
+    m.bytesWritten.inc(bytes);
+    logDebug("ckpt", "store miss, wrote ", path, " (", bytes, " bytes)");
+}
+
+void
+registerCheckpointStoreMetrics()
+{
+    StoreMetrics::get();
 }
 
 } // namespace mssr

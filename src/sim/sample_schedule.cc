@@ -1,11 +1,9 @@
 #include "sim/sample_schedule.hh"
 
 #include <chrono>
-#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
-#include "common/serialize.hh"
 #include "isa/program.hh"
 #include "sim/fast_emu.hh"
 #include "sim/func_emu.hh"
@@ -42,25 +40,13 @@ scan(const isa::Program &prog, std::uint64_t period, FuncTier tier,
 
     for (std::uint64_t boundary = period;
          maxInsts == 0 || boundary < maxInsts; boundary += period) {
-        std::string path;
+        std::optional<Checkpoint> stored;
         if (!ckptDir.empty())
-            path = ckptDir + "/" +
-                   checkpointFileName(prog.hash(), boundary);
-        if (!path.empty() && std::filesystem::exists(path)) {
+            stored = loadStoredCheckpoint(ckptDir, prog.hash(), boundary);
+        if (stored) {
             // Store hit: restore instead of emulating up to the
-            // boundary. Present-but-invalid files throw SerializeError
-            // (surface stale caches, never silently recompute).
-            Checkpoint ckpt = readCheckpoint(path);
-            if (ckpt.programHash != prog.hash())
-                throw SerializeError(
-                    "store checkpoint '" + path +
-                    "' was taken from a different program");
-            if (ckpt.ffInsts != boundary)
-                throw SerializeError(
-                    "store checkpoint '" + path +
-                    "' has fast-forward length " +
-                    std::to_string(ckpt.ffInsts) + ", expected " +
-                    std::to_string(boundary));
+            // boundary.
+            Checkpoint &ckpt = *stored;
             ++sched.diskHits;
             emu.restoreState(ckpt); // registers, PC, instret and memory
             executed = ckpt.instret;
@@ -93,8 +79,8 @@ scan(const isa::Program &prog, std::uint64_t period, FuncTier tier,
             ckpt.producerTier = tier;
             ckpt.branchHist = hist.inOrder();
             ckpt.memHist = memh.inOrder();
-            if (!path.empty())
-                writeCheckpoint(path, ckpt);
+            if (!ckptDir.empty())
+                saveStoredCheckpoint(ckptDir, ckpt);
             sched.checkpoints.push_back(std::move(ckpt));
         }
     }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <numeric>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hh"
 #include "common/serialize.hh"
 #include "driver/sampled_runner.hh"
 #include "driver/sim_runner.hh"
@@ -198,6 +200,50 @@ TEST(Sampling, ScheduleStoreRoundTripIsByteDeterministic)
         EXPECT_TRUE(interp.checkpoints[i] == cold.checkpoints[i])
             << "cross-tier store hit diverged at boundary " << i;
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Sampling, SampledScanCountsStoreMissesAndHits)
+{
+    // The scan saves and loads through the same store paths as the
+    // shared warm-up, so its checkpoints count as store misses when
+    // cold and hits when warm, bytes included.
+    const isa::Program prog = testProgram();
+    const std::string dir = testing::TempDir() + "mssr_sample_store_metrics";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SimConfig cfg = rgidConfig(4, 64);
+    cfg.samplePeriod = 4000;
+    cfg.sampleWindow = 500;
+    const std::vector<BatchJob> jobs{{"s", &prog, cfg, {}}};
+    BatchRunner runner(1);
+    runner.setCheckpointDir(dir);
+
+    registerCheckpointStoreMetrics();
+    MetricsRegistry &reg = MetricsRegistry::global();
+    const auto counters = [&] {
+        return std::array<std::uint64_t, 4>{
+            reg.counter("mssr_ckpt_store_misses_total", "").value(),
+            reg.counter("mssr_ckpt_store_bytes_written_total", "").value(),
+            reg.counter("mssr_ckpt_store_hits_total", "").value(),
+            reg.counter("mssr_ckpt_store_bytes_read_total", "").value()};
+    };
+    const auto before = counters();
+    const std::uint64_t windows = runner.runSampled(jobs)[0].windows;
+    ASSERT_GE(windows, 2u);
+    const auto cold = counters();
+    EXPECT_EQ(cold[0] - before[0], windows - 1) << "cold misses";
+    EXPECT_GT(cold[1], before[1]) << "cold bytes written";
+    EXPECT_EQ(cold[2], before[2]) << "cold hits";
+    EXPECT_EQ(cold[3], before[3]) << "cold bytes read";
+
+    EXPECT_EQ(runner.runSampled(jobs)[0].scanDiskHits, windows - 1);
+    const auto warm = counters();
+    EXPECT_EQ(warm[0], cold[0]) << "warm misses";
+    EXPECT_EQ(warm[1], cold[1]) << "warm bytes written";
+    EXPECT_EQ(warm[2] - cold[2], windows - 1) << "warm hits";
+    EXPECT_EQ(warm[3] - cold[3], cold[1] - before[1])
+        << "warm bytes read equal the cold bytes written";
     std::filesystem::remove_all(dir);
 }
 
