@@ -110,8 +110,25 @@ Harness::~Harness()
 {
     logInfo("bench", "batch: ", records_.size(), " jobs on ", threads(),
             " threads, ", wallSeconds_, " s wall");
-    if (json_)
-        writeJson();
+    if (!json_)
+        return;
+    const char *path = "BENCH_batch.json";
+    std::ofstream os(path);
+    if (!os) {
+        warn("cannot write ", path);
+        return;
+    }
+    os << "{\n";
+    os << "  \"bench\": \"" << jsonEscape(benchName_) << "\",\n";
+    os << "  \"threads\": " << threads() << ",\n";
+    os << "  \"build_info\": " << buildInfoJson() << ",\n";
+    os << "  \"jobs\": " << records_.size() << ",\n";
+    os << "  \"wall_sec\": " << wallSeconds_ << ",\n";
+    os << "  \"results\": [";
+    for (std::size_t i = 0; i < records_.size(); ++i)
+        os << (i ? ",\n    " : "\n    ") << records_[i];
+    os << "\n  ]\n}\n";
+    logInfo("bench", "wrote ", path);
 }
 
 BatchJob
@@ -143,28 +160,6 @@ Harness::runBatch(const std::vector<BatchJob> &jobs)
     for (std::size_t i = 0; i < jobs.size(); ++i)
         records_.push_back(benchResultRecord(jobs[i].name, results[i]));
     return results;
-}
-
-void
-Harness::writeJson() const
-{
-    const char *path = "BENCH_batch.json";
-    std::ofstream os(path);
-    if (!os) {
-        warn("cannot write ", path);
-        return;
-    }
-    os << "{\n";
-    os << "  \"bench\": \"" << jsonEscape(benchName_) << "\",\n";
-    os << "  \"threads\": " << threads() << ",\n";
-    os << "  \"build_info\": " << buildInfoJson() << ",\n";
-    os << "  \"jobs\": " << records_.size() << ",\n";
-    os << "  \"wall_sec\": " << wallSeconds_ << ",\n";
-    os << "  \"results\": [";
-    for (std::size_t i = 0; i < records_.size(); ++i)
-        os << (i ? ",\n    " : "\n    ") << records_[i];
-    os << "\n  ]\n}\n";
-    logInfo("bench", "wrote ", path);
 }
 
 } // namespace mssr::bench

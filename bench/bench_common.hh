@@ -140,8 +140,6 @@ class Harness
     std::vector<RunResult> runBatch(const std::vector<BatchJob> &jobs);
 
   private:
-    void writeJson() const;
-
     std::string benchName_;
     bool json_ = false;
     Cycle statsInterval_ = 0; //!< MSSR_INTERVAL; 0 disables sampling

@@ -56,18 +56,6 @@ field(const JsonValue &obj, const std::string &key, JsonValue::Kind kind,
     return &it->second;
 }
 
-/** Runs a job-record reader, turning its rejection into a failure. */
-template <typename Read>
-void
-checkRead(const std::string &where, Read &&read)
-{
-    try {
-        read();
-    } catch (const minijson::FormatError &e) {
-        check(false, where + ": " + e.what());
-    }
-}
-
 } // namespace
 
 int
@@ -136,15 +124,15 @@ main(int argc, char **argv)
                     field(r, "dispatch_width", JsonValue::Number, "result");
                 const auto *cpi =
                     field(r, "cpi", JsonValue::Object, "result");
+                // The readers throw on a broken stack or funnel; the
+                // catch below records it.
                 CpiStack stack;
                 if (cpi && width && c)
-                    checkRead("result cpi", [&] {
-                        stack = readCpiStack(*cpi, u64Field(r, "cycles"),
-                                             u64Field(r, "dispatch_width"));
-                    });
+                    stack = readCpiStack(*cpi, u64Field(r, "cycles"),
+                                         u64Field(r, "dispatch_width"));
                 if (const auto *funnel =
                         field(r, "funnel", JsonValue::Object, "result"))
-                    checkRead("result funnel", [&] { readFunnel(*funnel); });
+                    readFunnel(*funnel);
                 const auto *intervals =
                     field(r, "intervals", JsonValue::Array, "result");
                 if (!c || !insts || !width || !intervals)
@@ -171,11 +159,8 @@ main(int argc, char **argv)
                     };
                     if (const auto *icpi =
                             field(s, "cpi", JsonValue::Object, "interval"))
-                        checkRead("interval cpi", [&] {
-                            sumCpi += readCpiStack(
-                                *icpi, u64Field(s, "cycles"),
-                                u64Field(r, "dispatch_width"));
-                        });
+                        sumCpi += readCpiStack(*icpi, u64Field(s, "cycles"),
+                                               u64Field(r, "dispatch_width"));
                     sumCycles += num("cycles");
                     sumCommits += num("commits");
                 }

@@ -100,38 +100,38 @@ CpiStack::operator+=(const CpiStack &other)
     return *this;
 }
 
+namespace
+{
+
+/** The funnel's stages in order: record key and counter. */
+const struct
+{
+    const char *key;
+    std::uint64_t ReuseFunnel::*count;
+} Stages[ReuseFunnel::NumStages] = {
+    {"squashed", &ReuseFunnel::squashed},
+    {"logged", &ReuseFunnel::logged},
+    {"covered", &ReuseFunnel::covered},
+    {"tested", &ReuseFunnel::tested},
+    {"rgid_pass", &ReuseFunnel::rgidPass},
+    {"hazard_pass", &ReuseFunnel::hazardPass},
+    {"reused", &ReuseFunnel::reused},
+};
+
+} // namespace
+
 std::uint64_t
 ReuseFunnel::stage(std::size_t i) const
 {
-    switch (i) {
-      case 0:
-        return squashed;
-      case 1:
-        return logged;
-      case 2:
-        return covered;
-      case 3:
-        return tested;
-      case 4:
-        return rgidPass;
-      case 5:
-        return hazardPass;
-      case 6:
-        return reused;
-    }
-    mssr_assert(false, "funnel stage index out of range");
-    return 0;
+    mssr_assert(i < NumStages, "funnel stage index out of range");
+    return this->*Stages[i].count;
 }
 
 const char *
 ReuseFunnel::stageKey(std::size_t i)
 {
-    static const char *const keys[NumStages] = {
-        "squashed",  "logged",      "covered", "tested",
-        "rgid_pass", "hazard_pass", "reused",
-    };
     mssr_assert(i < NumStages);
-    return keys[i];
+    return Stages[i].key;
 }
 
 bool
@@ -233,13 +233,8 @@ readFunnel(const minijson::JsonValue &v)
     using minijson::u64Field;
     ReuseFunnel out;
     const JsonValue &stages = minijson::field(v, "stages", JsonValue::Object);
-    out.squashed = u64Field(stages, "squashed");
-    out.logged = u64Field(stages, "logged");
-    out.covered = u64Field(stages, "covered");
-    out.tested = u64Field(stages, "tested");
-    out.rgidPass = u64Field(stages, "rgid_pass");
-    out.hazardPass = u64Field(stages, "hazard_pass");
-    out.reused = u64Field(stages, "reused");
+    for (const auto &[key, count] : Stages)
+        out.*count = u64Field(stages, key);
     const JsonValue &kills = minijson::field(v, "kills", JsonValue::Object);
     out.killKind = u64Field(kills, "kind");
     out.killNotExecuted = u64Field(kills, "not_executed");

@@ -183,12 +183,10 @@ struct ReuseFunnel
     bool operator==(const ReuseFunnel &) const = default;
 };
 
-/** @name JSON objects (job records, driver/job_record.hh)
- * The writers emit a single object (no trailing newline). Each reader
- * takes what its writer emits and throws minijson::FormatError naming
- * a missing or mistyped key or the broken invariant: a CPI stack's
- * slots must sum to @p cycles x @p width, a funnel's stages must
- * never grow.
+/** @name JSON objects (driver/job_record.hh)
+ * Each writer emits one object (no trailing newline). Its reader throws
+ * minijson::FormatError on a missing or mistyped key, on slots that do
+ * not sum to @p cycles x @p width, or on a funnel stage that grows.
  */
 /// @{
 void writeJson(std::ostream &os, const CpiStack &stack);

@@ -5,8 +5,8 @@
  * perf log, the Chrome trace_event export, serve requests) and
  * validate its schema. Not a general-purpose parser -- it accepts
  * exactly the JSON subset we emit (objects, arrays, strings with
- * backslash escapes, numbers, booleans, null). field() and u64Field()
- * are the typed member lookups every record reader shares.
+ * backslash escapes, numbers, booleans, null), plus the typed member
+ * lookups every record reader shares.
  */
 
 #ifndef MSSR_COMMON_MINI_JSON_HH

@@ -24,15 +24,6 @@ distBucket(unsigned inst_offset)
     return inst_offset == 0 ? 0 : b;
 }
 
-std::string
-hexPc(Addr pc)
-{
-    char buf[2 + 16 + 1];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(pc));
-    return buf;
-}
-
 using minijson::FormatError;
 using minijson::JsonValue;
 using minijson::u64Field;
@@ -109,20 +100,16 @@ readBranch(const JsonValue &v)
     return r;
 }
 
-ReconvRecord
-readReconv(const JsonValue &v)
-{
-    if (v.kind != JsonValue::Object)
-        throw FormatError("reconv entry is not an object");
-    ReconvRecord r;
-    r.pc = readPc(v);
-    r.detections = u64Field(v, "detections");
-    r.sessions = u64Field(v, "sessions");
-    r.instsSalvaged = u64Field(v, "insts_salvaged");
-    return r;
-}
-
 } // namespace
+
+std::string
+hexPc(Addr pc)
+{
+    char buf[2 + 16 + 1];
+    std::snprintf(buf, sizeof(buf), "0x%llx",
+                  static_cast<unsigned long long>(pc));
+    return buf;
+}
 
 void
 BranchRecord::noteDetection(Addr reconv_pc, unsigned inst_offset)
@@ -319,7 +306,7 @@ readProfile(const JsonValue &v)
             const BranchRecord r = readBranch(b);
             if (out.branches().find(r.pc))
                 throw FormatError("PC " + hexPc(r.pc) + " repeats");
-            out.add(r);
+            out.branches_.at(r.pc) = r;
         } catch (const FormatError &e) {
             throw FormatError("branch record " +
                               std::to_string(out.branches().size()) + ": " +
@@ -328,10 +315,16 @@ readProfile(const JsonValue &v)
     }
     for (const JsonValue &r :
          minijson::field(v, "reconv_points", JsonValue::Array).array) {
-        const ReconvRecord rec = readReconv(r);
+        if (r.kind != JsonValue::Object)
+            throw FormatError("reconv entry is not an object");
+        ReconvRecord rec;
+        rec.pc = readPc(r);
         if (out.reconvs().find(rec.pc))
             throw FormatError("reconv PC " + hexPc(rec.pc) + " repeats");
-        out.add(rec);
+        rec.detections = u64Field(r, "detections");
+        rec.sessions = u64Field(r, "sessions");
+        rec.instsSalvaged = u64Field(r, "insts_salvaged");
+        out.reconvs_.at(rec.pc) = rec;
     }
     // Reuses attributed to branches and salvage attributed to
     // reconvergence points count the same instructions.

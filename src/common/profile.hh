@@ -294,10 +294,6 @@ class PcProfile
     /** Salvaged-instruction sum over all reconvergence records. */
     std::uint64_t totalSalvaged() const;
 
-    /** Adds a record read back from JSON (readProfile), whose PC is
-     *  nonzero and not yet recorded. */
-    void add(const BranchRecord &r) { branches_.at(r.pc) = r; }
-    void add(const ReconvRecord &r) { reconvs_.at(r.pc) = r; }
 
     bool
     operator==(const PcProfile &other) const
@@ -306,9 +302,14 @@ class PcProfile
     }
 
   private:
+    friend PcProfile readProfile(const minijson::JsonValue &v);
+
     PcMap<BranchRecord> branches_;
     PcMap<ReconvRecord> reconvs_;
 };
+
+/** A PC as records spell it: "0x" and lowercase hex digits. */
+std::string hexPc(Addr pc);
 
 /** @name Serialization (mssr-profile-v1, collapsed stacks)
  * writeJson emits one profile object (branches/reconv_points arrays
@@ -316,11 +317,10 @@ class PcProfile
  * stack line per (branch, frame) pair -- `branchPC;reconvPC;category
  * slots` -- for flamegraph tooling (inferno / flamegraph.pl).
  *
- * readProfile reads a writeJson object back; a record's partners fill
- * its partner slots in PC order. It throws minijson::FormatError on a
- * missing or mistyped key, a PC that is not a nonzero 0x hex string or
- * that repeats, a branch funnel that does not follow from the record's
- * counters (BranchRecord::funnel), more than NumPartners partners, or
+ * readProfile reads a writeJson object back, partners in PC order. It
+ * throws minijson::FormatError on a missing or mistyped key, a PC that
+ * is not a nonzero 0x hex string or repeats, a branch funnel at odds
+ * with BranchRecord::funnel(), more than NumPartners partners, or
  * branch reuses that differ from the reconvergence points' salvage.
  */
 /// @{

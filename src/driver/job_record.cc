@@ -56,6 +56,18 @@ runCounters(std::ostream &os, double ipc, const CpiStack &cpi,
     writeJson(os, funnel);
 }
 
+/** A sampled run's design point and scan length, as both the stats
+ *  "sampling" block and the serve record spell them. */
+void
+samplingFields(std::ostream &os, const SampledRunResult &r)
+{
+    os << "\"sample_period\": " << r.samplePeriod
+       << ", \"sample_window\": " << r.sampleWindow
+       << ", \"windows\": " << r.windows
+       << ", \"total_insts\": " << r.totalInsts
+       << ", \"halted\": " << (r.halted ? "true" : "false");
+}
+
 /** One detailed stats-v1 run. */
 void
 statsRun(std::ostream &os, bool first, const std::string &name,
@@ -122,18 +134,6 @@ resultFields(std::ostream &os, const RunResult &r)
 
 // ------------------------------------------------------------ readers
 
-/** Calls @p read and prefixes any FormatError it throws with @p where. */
-template <typename Read>
-auto
-within(const std::string &where, Read &&read)
-{
-    try {
-        return read();
-    } catch (const FormatError &e) {
-        throw FormatError(where + ": " + e.what());
-    }
-}
-
 SampledRunResult
 readSampling(const JsonValue &v)
 {
@@ -157,63 +157,66 @@ readSampling(const JsonValue &v)
     return s;
 }
 
-StatsRun
-readStatsRun(const JsonValue &v)
+/** The stats-v1 fields of run @p v after its name and scheme. */
+void
+readStatsRun(const JsonValue &v, StatsRun &out)
 {
-    if (v.kind != JsonValue::Object)
-        throw FormatError("run entry is not an object");
-    StatsRun out;
-    out.name = field(v, "name", JsonValue::String).string;
-    within("run '" + out.name + "'", [&] {
-        out.scheme = field(v, "scheme", JsonValue::String).string;
-        RunResult &r = out.result;
-        r.dispatchWidth =
-            static_cast<unsigned>(u64Field(v, "dispatch_width"));
-        r.cycles = u64Field(v, "cycles");
-        r.insts = u64Field(v, "insts");
-        r.ffInsts = u64Field(v, "ff_insts");
-        r.ipc = field(v, "ipc", JsonValue::Number).number;
-        // Written only under --stats-host-time.
-        if (v.object.count("ff_host_sec"))
-            r.ffHostSeconds =
-                field(v, "ff_host_sec", JsonValue::Number).number;
-        if (v.object.count("ff_kips"))
-            out.ffKips = field(v, "ff_kips", JsonValue::Number).number;
-        r.cpi = readCpiStack(field(v, "cpi_slots", JsonValue::Object),
-                             r.cycles, r.dispatchWidth);
-        r.funnel = readFunnel(field(v, "funnel", JsonValue::Object));
-        for (const auto &[key, value] :
-             field(v, "stats", JsonValue::Object).object) {
-            if (value.kind != JsonValue::Number)
-                throw FormatError("stats scalar '" + key +
-                                  "' is not a number");
-            r.stats.set(key, value.number);
-        }
-        if (v.object.count("sampling"))
-            out.sampling =
-                readSampling(field(v, "sampling", JsonValue::Object));
-    });
-    return out;
+    RunResult &r = out.result;
+    r.dispatchWidth = static_cast<unsigned>(u64Field(v, "dispatch_width"));
+    r.cycles = u64Field(v, "cycles");
+    r.insts = u64Field(v, "insts");
+    r.ffInsts = u64Field(v, "ff_insts");
+    r.ipc = field(v, "ipc", JsonValue::Number).number;
+    // Written only under --stats-host-time.
+    if (v.object.count("ff_host_sec"))
+        r.ffHostSeconds = field(v, "ff_host_sec", JsonValue::Number).number;
+    if (v.object.count("ff_kips"))
+        out.ffKips = field(v, "ff_kips", JsonValue::Number).number;
+    r.cpi = readCpiStack(field(v, "cpi_slots", JsonValue::Object), r.cycles,
+                         r.dispatchWidth);
+    r.funnel = readFunnel(field(v, "funnel", JsonValue::Object));
+    for (const auto &[key, value] :
+         field(v, "stats", JsonValue::Object).object) {
+        if (value.kind != JsonValue::Number)
+            throw FormatError("stats scalar '" + key + "' is not a number");
+        r.stats.set(key, value.number);
+    }
+    if (v.object.count("sampling"))
+        out.sampling = readSampling(field(v, "sampling", JsonValue::Object));
 }
 
-/** The runs of @p root, which must be a @p schema file with one run
- *  or more, each read by @p readRun. */
-template <typename Run, typename ReadRun>
+/**
+ * The runs of @p root, which must be a @p schema file with one run or
+ * more: each run's name and scheme, then the rest through @p readRest.
+ * Diagnostics name the file, and the run once its name is read.
+ */
+template <typename Run, typename ReadRest>
 std::vector<Run>
 readRuns(const std::string &file, const JsonValue &root,
-         const std::string &schema, ReadRun readRun)
+         const std::string &schema, const ReadRest &readRest)
 {
-    return within(file, [&] {
+    std::vector<Run> runs;
+    std::string where = file;
+    try {
         if (field(root, "schema", JsonValue::String).string != schema)
             throw FormatError("not an " + schema + " file");
-        std::vector<Run> runs;
-        for (const JsonValue &run :
-             field(root, "runs", JsonValue::Array).array)
-            runs.push_back(readRun(run));
+        for (const JsonValue &v :
+             field(root, "runs", JsonValue::Array).array) {
+            if (v.kind != JsonValue::Object)
+                throw FormatError("run entry is not an object");
+            Run &run = runs.emplace_back();
+            run.name = field(v, "name", JsonValue::String).string;
+            where = file + ": run '" + run.name + "'";
+            run.scheme = field(v, "scheme", JsonValue::String).string;
+            readRest(v, run);
+            where = file;
+        }
         if (runs.empty())
             throw FormatError("no runs");
-        return runs;
-    });
+    } catch (const FormatError &e) {
+        throw FormatError(where + ": " + e.what());
+    }
+    return runs;
 }
 
 } // namespace
@@ -251,11 +254,8 @@ writeSampledStatsJson(std::ostream &os, const std::vector<BatchJob> &jobs,
                << ", \"ff_kips\": "
                << kipsOf(r.totalInsts, r.scanHostSeconds);
         runCounters(os, r.ipc, r.cpi, r.funnel);
-        os << ", \"stats\": {}, \"sampling\": {\"sample_period\": "
-           << r.samplePeriod << ", \"sample_window\": " << r.sampleWindow
-           << ", \"windows\": " << r.windows
-           << ", \"total_insts\": " << r.totalInsts
-           << ", \"halted\": " << (r.halted ? "true" : "false");
+        os << ", \"stats\": {}, \"sampling\": {";
+        samplingFields(os, r);
         if (host_time)
             os << ", \"scan_host_sec\": " << r.scanHostSeconds
                << ", \"scan_disk_hits\": " << r.scanDiskHits;
@@ -390,11 +390,9 @@ serveSampledRecord(const ServeJobSpec &spec, const SampledRunResult &r)
 {
     std::ostringstream os;
     os << "{\"name\": \"" << jsonEscape(spec.name) << "\", \"scheme\": \""
-       << spec.scheme << "\", \"sample_period\": " << r.samplePeriod
-       << ", \"sample_window\": " << r.sampleWindow << ", \"windows\": "
-       << r.windows << ", \"total_insts\": " << r.totalInsts
-       << ", \"halted\": " << (r.halted ? "true" : "false")
-       << ", \"cycles\": " << r.cycles << ", \"insts\": " << r.insts
+       << spec.scheme << "\", ";
+    samplingFields(os, r);
+    os << ", \"cycles\": " << r.cycles << ", \"insts\": " << r.insts
        << ", \"ipc\": " << r.ipc << ", \"dispatch_width\": "
        << r.dispatchWidth << ", \"cpi\": ";
     writeJson(os, r.cpi);
@@ -446,8 +444,8 @@ benchResultRecord(const std::string &name, const RunResult &r)
     os << "], \"profile_top\": [";
     bool first = true;
     for (const BranchRecord *b : top) {
-        os << (first ? "" : ", ") << "{\"pc\": \"0x" << std::hex << b->pc
-           << std::dec << "\", \"mispredicts\": " << b->mispredicts
+        os << (first ? "" : ", ") << "{\"pc\": \"" << hexPc(b->pc)
+           << "\", \"mispredicts\": " << b->mispredicts
            << ", \"squashed_insts\": " << b->squashedInsts
            << ", \"recovery_slots\": " << b->recoverySlots()
            << ", \"reused\": " << b->reused << "}";
@@ -474,9 +472,11 @@ loadRecordFile(const std::string &file)
 std::string
 recordSchema(const std::string &file, const JsonValue &root)
 {
-    return within(file, [&] {
+    try {
         return field(root, "schema", JsonValue::String).string;
-    });
+    } catch (const FormatError &e) {
+        throw FormatError(file + ": " + e.what());
+    }
 }
 
 std::vector<StatsRun>
@@ -489,19 +489,10 @@ std::vector<ProfileRun>
 readProfileRuns(const std::string &file, const JsonValue &root)
 {
     return readRuns<ProfileRun>(
-        file, root, "mssr-profile-v1", [](const JsonValue &v) {
-            if (v.kind != JsonValue::Object)
-                throw FormatError("run entry is not an object");
-            ProfileRun run;
-            run.name = field(v, "name", JsonValue::String).string;
-            within("run '" + run.name + "'", [&] {
-                run.scheme = field(v, "scheme", JsonValue::String).string;
-                run.width =
-                    static_cast<unsigned>(u64Field(v, "dispatch_width"));
-                run.profile =
-                    readProfile(field(v, "profile", JsonValue::Object));
-            });
-            return run;
+        file, root, "mssr-profile-v1",
+        [](const JsonValue &v, ProfileRun &run) {
+            run.width = static_cast<unsigned>(u64Field(v, "dispatch_width"));
+            run.profile = readProfile(field(v, "profile", JsonValue::Object));
         });
 }
 

@@ -1,22 +1,14 @@
 /**
  * @file
- * Job records: the one module that writes a finished job's record and
- * reads it back, so one place owns every key spelling, key order and
- * record invariant (docs/FORMATS.md is the normative list). The
- * output-side twin of driver/job_spec.hh. Records written here:
- *
- *  - mssr-stats-v1 runs: detailed, sampled and per-window
- *    (mssr_run --stats-out / --sample-windows-out), plus the stats
- *    `.prom` text;
- *  - mssr-profile-v1 runs (mssr_run --profile-out);
- *  - the job block of an mssr-pipeview-v1 header;
- *  - mssr-serve-v1 result records (mssr_serve, bench/perf);
- *  - BENCH_batch.json results (the bench harness).
- *
- * The objects inside a record -- CPI stack, funnel, estimate, profile
- * -- are written and read beside their types. The readers fill the
- * library's own types and reject a record that breaks its writer's
- * shape or invariants with a diagnostic, never with an assertion.
+ * Job records: the one module that writes a finished job's record --
+ * mssr-stats-v1 and mssr-profile-v1 runs, the stats `.prom` text, the
+ * Kanata header's job block, serve records and BENCH_batch.json
+ * results -- and reads it back, so one place owns every key spelling,
+ * key order and record invariant (docs/FORMATS.md). The output-side
+ * twin of driver/job_spec.hh. The CPI stack, funnel, estimate and
+ * profile objects are written and read beside their types. Readers
+ * fill the library's types and reject a record that breaks its
+ * writer's shape or invariants with a diagnostic, never an assertion.
  */
 
 #ifndef MSSR_DRIVER_JOB_RECORD_HH

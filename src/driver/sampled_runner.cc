@@ -78,16 +78,15 @@ readEstimate(const minijson::JsonValue &v)
     SampleEstimate e;
     e.n = minijson::u64Field(v, "n");
     // The writer's ladder: mean from one observation on, the spread
-    // pair from two. A record that breaks it was not written by us.
-    const bool mean = v.object.count("mean") != 0;
-    const bool spread = v.object.count("stderr") != 0;
-    if (mean != (e.n >= 1) || spread != (e.n >= 2) ||
-        (v.object.count("ci95") != 0) != spread)
+    // pair from two.
+    const auto has = [&](const char *key) { return v.object.count(key) != 0; };
+    if (has("mean") != (e.n >= 1) || has("stderr") != (e.n >= 2) ||
+        has("ci95") != (e.n >= 2))
         throw minijson::FormatError(
             "estimate fields inconsistent with its n");
-    if (mean)
+    if (e.n >= 1)
         e.mean = minijson::field(v, "mean", JsonValue::Number).number;
-    if (spread) {
+    if (e.n >= 2) {
         e.stdErr = minijson::field(v, "stderr", JsonValue::Number).number;
         e.ci95 = minijson::field(v, "ci95", JsonValue::Number).number;
     }

@@ -63,16 +63,13 @@ SampleEstimate estimateFrom(const std::vector<double> &xs);
 
 /**
  * One {"n", "mean", "stderr", "ci95"} estimate object, at the stream's
- * precision. NaN is not valid JSON, so each field appears only once it
- * is defined: "mean" needs one observation, "stderr"/"ci95" need two
- * (a single observation has no spread estimate). Consumers render
- * absent fields as "n/a".
+ * precision, and its reader. NaN is not valid JSON, so each field
+ * appears only once it is defined: "mean" needs one observation,
+ * "stderr"/"ci95" need two. Absent fields read back as NaN (rendered
+ * "n/a"); the reader throws minijson::FormatError on a missing or
+ * mistyped key or on fields that do not match `n`.
  */
 void writeJson(std::ostream &os, const SampleEstimate &e);
-
-/** Reads a writeJson(SampleEstimate) object back (absent fields stay
- *  NaN). Throws minijson::FormatError on a missing or mistyped key, or
- *  when the fields present do not match its `n`. */
 SampleEstimate readEstimate(const minijson::JsonValue &v);
 
 /**

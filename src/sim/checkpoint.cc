@@ -247,30 +247,26 @@ namespace
 /** The mssr_ckpt_store_* counters, registered on first use. */
 struct StoreMetrics
 {
-    Counter &hits;
-    Counter &misses;
-    Counter &bytesRead;
-    Counter &bytesWritten;
-
-    static StoreMetrics &
-    get()
-    {
-        MetricsRegistry &reg = MetricsRegistry::global();
-        static StoreMetrics m{
-            reg.counter("mssr_ckpt_store_hits_total",
-                        "Checkpoints loaded from the on-disk checkpoint "
-                        "store"),
-            reg.counter("mssr_ckpt_store_misses_total",
-                        "Checkpoints computed and written because the "
-                        "store had no match"),
-            reg.counter("mssr_ckpt_store_bytes_read_total",
-                        "Bytes read from the checkpoint store"),
-            reg.counter("mssr_ckpt_store_bytes_written_total",
-                        "Bytes written to the checkpoint store"),
-        };
-        return m;
-    }
+    MetricsRegistry &reg = MetricsRegistry::global();
+    Counter &hits = reg.counter(
+        "mssr_ckpt_store_hits_total",
+        "Checkpoints loaded from the on-disk checkpoint store");
+    Counter &misses = reg.counter(
+        "mssr_ckpt_store_misses_total",
+        "Checkpoints computed and written because the store had no match");
+    Counter &bytesRead = reg.counter("mssr_ckpt_store_bytes_read_total",
+                                     "Bytes read from the checkpoint store");
+    Counter &bytesWritten =
+        reg.counter("mssr_ckpt_store_bytes_written_total",
+                    "Bytes written to the checkpoint store");
 };
+
+StoreMetrics &
+storeMetrics()
+{
+    static StoreMetrics m;
+    return m;
+}
 
 } // namespace
 
@@ -283,16 +279,12 @@ loadStoredCheckpoint(const std::string &dir, std::uint64_t program_hash,
     if (!std::filesystem::exists(path))
         return std::nullopt;
     Checkpoint ckpt = readCheckpoint(path);
-    if (ckpt.programHash != program_hash)
+    if (ckpt.programHash != program_hash || ckpt.ffInsts != ff_insts)
         throw SerializeError("store checkpoint '" + path +
-                             "' was taken from a different program");
-    if (ckpt.ffInsts != ff_insts)
-        throw SerializeError("store checkpoint '" + path +
-                             "' has fast-forward length " +
-                             std::to_string(ckpt.ffInsts) + ", expected " +
-                             std::to_string(ff_insts));
+                             "' was not taken from this program at " +
+                             std::to_string(ff_insts) + " instructions");
     const auto bytes = std::filesystem::file_size(path);
-    StoreMetrics &m = StoreMetrics::get();
+    StoreMetrics &m = storeMetrics();
     m.hits.inc();
     m.bytesRead.inc(bytes);
     logDebug("ckpt", "store hit ", path, " (", bytes, " bytes)");
@@ -306,7 +298,7 @@ saveStoredCheckpoint(const std::string &dir, const Checkpoint &ckpt)
         dir + "/" + checkpointFileName(ckpt.programHash, ckpt.ffInsts);
     writeCheckpoint(path, ckpt);
     const auto bytes = std::filesystem::file_size(path);
-    StoreMetrics &m = StoreMetrics::get();
+    StoreMetrics &m = storeMetrics();
     m.misses.inc();
     m.bytesWritten.inc(bytes);
     logDebug("ckpt", "store miss, wrote ", path, " (", bytes, " bytes)");
@@ -315,7 +307,7 @@ saveStoredCheckpoint(const std::string &dir, const Checkpoint &ckpt)
 void
 registerCheckpointStoreMetrics()
 {
-    StoreMetrics::get();
+    storeMetrics();
 }
 
 } // namespace mssr

@@ -216,30 +216,17 @@ std::string checkpointFileName(std::uint64_t program_hash,
                                std::uint64_t ff_insts);
 
 /** @name The checkpoint store (--ckpt-dir)
- * A directory of checkpointFileName() files. BatchRunner's shared
- * warm-up and the sample-schedule scan both go through these two
- * paths, which name and validate the files, count the
- * mssr_ckpt_store_* metrics and log each access at debug level.
+ * The one load and one save path of the store, for the shared warm-up
+ * and the sampled scan alike: they name and validate the files, count
+ * the mssr_ckpt_store_* metrics (a found file is a hit, a save a miss)
+ * and log at debug level. A corrupt or mismatched file throws
+ * SerializeError: a stale store is surfaced, never recomputed.
  */
 /// @{
-
-/**
- * The store's checkpoint of (@p program_hash, @p ff_insts) in @p dir,
- * counted as a hit; nullopt when the store has none. A present file
- * that is corrupt, or was taken from another program or at another
- * length, throws SerializeError: a stale store is surfaced, never
- * silently recomputed.
- */
 std::optional<Checkpoint> loadStoredCheckpoint(const std::string &dir,
                                                std::uint64_t program_hash,
                                                std::uint64_t ff_insts);
-
-/** Writes @p ckpt, computed because the store had none, into @p dir;
- *  counted as a miss. */
 void saveStoredCheckpoint(const std::string &dir, const Checkpoint &ckpt);
-
-/** Registers the mssr_ckpt_store_* families, so every batch's metrics
- *  carry them even when no store is configured. */
 void registerCheckpointStoreMetrics();
 /// @}
 

@@ -433,8 +433,7 @@ main(int argc, char **argv)
         if (spec.warmBpu)
             reject("sampled windows always warm the predictor from the "
                    "prefix; drop --warm-bpu");
-        if (statsOutFile.size() >= 5 &&
-            statsOutFile.compare(statsOutFile.size() - 5, 5, ".prom") == 0)
+        if (statsOutFile.ends_with(".prom"))
             reject("sampled stats are JSON-only; --stats-out cannot be "
                    "a .prom file");
     }
@@ -624,10 +623,7 @@ main(int argc, char **argv)
             std::ofstream out(statsOutFile);
             if (!out)
                 fatal("cannot write stats file '", statsOutFile, "'");
-            const bool prom =
-                statsOutFile.size() >= 5 &&
-                statsOutFile.compare(statsOutFile.size() - 5, 5, ".prom") ==
-                    0;
+            const bool prom = statsOutFile.ends_with(".prom");
             if (prom)
                 writeStatsProm(out, jobs, results);
             else
@@ -642,10 +638,7 @@ main(int argc, char **argv)
             std::ofstream out(profileOutFile);
             if (!out)
                 fatal("cannot write profile file '", profileOutFile, "'");
-            const bool folded =
-                profileOutFile.size() >= 7 &&
-                profileOutFile.compare(profileOutFile.size() - 7, 7,
-                                       ".folded") == 0;
+            const bool folded = profileOutFile.ends_with(".folded");
             if (folded) {
                 // Single-run files match the documented 3-frame line
                 // format; multi-run files get a run-name root frame.

@@ -37,12 +37,10 @@
  *       R reuse verdict, S salvaged) and x where a flush retires the
  *       row. Default window: 80 cycles from the first event.
  *
- * All modes read the files through the job-record readers
- * (driver/job_record.hh), which re-verify the writers' invariants on
- * load (slots sum to cycles x width, funnel stages monotone, estimate
- * fields match their n, per-branch funnels follow their kills), so a
- * file that violates them exits non-zero and the CLI doubles as a
- * schema/consistency checker for CI.
+ * All modes read files through driver/job_record.hh, which re-verifies
+ * the writers' invariants on load (slots sum to cycles x width, funnel
+ * stages monotone, ...) and exits non-zero when a file violates them,
+ * so the CLI doubles as a schema/consistency checker for CI.
  */
 
 #include <algorithm>
@@ -53,7 +51,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -276,14 +273,6 @@ printDiff(const StatsRun &baseRun, const StatsRun &mssrRun)
     t.print(std::cout);
 }
 
-std::string
-hex(Addr pc)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << pc;
-    return os.str();
-}
-
 /** Slots converted to whole cycles of the run's dispatch width. */
 std::uint64_t
 slotCycles(std::uint64_t slots, unsigned width)
@@ -335,14 +324,14 @@ printProfile(const ProfileRun &r, unsigned topn)
         const std::uint64_t cy = slotCycles(b->recoverySlots(), r.width);
         const Addr partner = b->topPartner();
         branches.addRow(
-            {hex(b->pc), count(b->mispredicts), count(b->squashedInsts),
+            {hexPc(b->pc), count(b->mispredicts), count(b->squashedInsts),
              count(cy), share(static_cast<double>(cy) / recTotal),
              count(b->reused),
              share(b->squashedInsts
                        ? static_cast<double>(b->reused) /
                              static_cast<double>(b->squashedInsts)
                        : 0.0),
-             partner ? hex(partner) : std::string("-")});
+             partner ? hexPc(partner) : std::string("-")});
     }
     branches.print(std::cout);
 
@@ -365,8 +354,8 @@ printProfile(const ProfileRun &r, unsigned topn)
     const double salvTotal =
         salvaged ? static_cast<double>(salvaged) : 1.0;
     for (const ReconvRecord *p : points) {
-        reconv.addRow({hex(p->pc), count(p->detections), count(p->sessions),
-                       count(p->instsSalvaged),
+        reconv.addRow({hexPc(p->pc), count(p->detections),
+                       count(p->sessions), count(p->instsSalvaged),
                        share(static_cast<double>(p->instsSalvaged) /
                              salvTotal)});
     }
@@ -443,7 +432,7 @@ printProfileDiff(const ProfileRun &base, const ProfileRun &mssr,
                        mssr.scheme + " recov cy", "salvaged cy", "recovered",
                        "reused", "coverage"});
     for (const Row &row : rows) {
-        t.addRow({hex(row.pc), std::to_string(row.baseCy),
+        t.addRow({hexPc(row.pc), std::to_string(row.baseCy),
                   std::to_string(row.mssrCy),
                   std::to_string(row.salvagedCy),
                   std::to_string(row.recovered()), count(row.reused),
@@ -479,7 +468,7 @@ annotate(const ProfileRun &r, const std::string &prog_name,
     const double salvTotal = salvaged ? static_cast<double>(salvaged) : 1.0;
 
     for (Addr pc = prog.codeBase(); pc < prog.codeEnd(); pc += InstBytes) {
-        std::string line = hex(pc);
+        std::string line = hexPc(pc);
         line.resize(std::max<std::size_t>(line.size() + 2, 10), ' ');
         line += isa::disasm(prog.instAt(pc), pc);
         const BranchRecord *b = r.profile.branches().find(pc);
@@ -516,7 +505,7 @@ annotate(const ProfileRun &r, const std::string &prog_name,
                          "(wrong-path fetch):\n";
             outsideHeader = true;
         }
-        std::cout << "  " << hex(b->pc) << " squash "
+        std::cout << "  " << hexPc(b->pc) << " squash "
                   << count(b->squashedInsts) << ", reused "
                   << count(b->reused) << "\n";
     }
@@ -528,14 +517,12 @@ annotate(const ProfileRun &r, const std::string &prog_name,
                          "(wrong-path fetch):\n";
             outsideHeader = true;
         }
-        std::cout << "  " << hex(p->pc) << " reconv, salvaged "
+        std::cout << "  " << hexPc(p->pc) << " reconv, salvaged "
                   << count(p->instsSalvaged) << "\n";
     }
 }
 
 // ------------------------------------------------ mssr-pipeview-v1 side
-
-using Cycle = std::uint64_t;
 
 /** One closed stage interval of one instruction row. */
 struct TimelineStage
@@ -781,43 +768,33 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // A numeric flag's value, positive unless @p zero_ok.
+        auto number = [&](bool zero_ok) {
+            const std::string v = next();
+            const std::optional<std::uint64_t> n = parseU64(v);
+            if (!n || (*n == 0 && !zero_ok)) {
+                std::cerr << "mssr_stats: invalid value '" << v << "' for "
+                          << arg << " (expected "
+                          << (zero_ok ? "an unsigned" : "a positive")
+                          << " integer)\n";
+                usage();
+            }
+            return *n;
+        };
         if (arg == "--diff") {
             diff = true;
         } else if (arg == "--topn") {
-            const std::string v = next();
-            const std::optional<std::uint64_t> n = parseU64(v);
-            if (!n || *n == 0) {
-                std::cerr << "mssr_stats: invalid value '" << v
-                          << "' for --topn (expected a positive integer)\n";
-                usage();
-            }
             topn = static_cast<unsigned>(
-                std::min<std::uint64_t>(*n, 1u << 20));
+                std::min<std::uint64_t>(number(false), 1u << 20));
         } else if (arg == "--annotate") {
             annotateProg = next();
         } else if (arg == "--timeline") {
             timeline = true;
         } else if (arg == "--start") {
-            const std::string v = next();
-            const std::optional<std::uint64_t> n = parseU64(v);
-            if (!n) {
-                std::cerr << "mssr_stats: invalid value '" << v
-                          << "' for --start (expected an unsigned "
-                             "integer)\n";
-                usage();
-            }
-            timelineStart = *n;
+            timelineStart = number(true);
             timelineStartSet = true;
         } else if (arg == "--cycles") {
-            const std::string v = next();
-            const std::optional<std::uint64_t> n = parseU64(v);
-            if (!n || *n == 0) {
-                std::cerr << "mssr_stats: invalid value '" << v
-                          << "' for --cycles (expected a positive "
-                             "integer)\n";
-                usage();
-            }
-            timelineCycles = std::min<std::uint64_t>(*n, 1u << 20);
+            timelineCycles = std::min<std::uint64_t>(number(false), 1u << 20);
         } else if (arg == "--version") {
             std::cout << "mssr_stats " << buildInfoLine() << "\n";
             return 0;
