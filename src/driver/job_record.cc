@@ -1,7 +1,6 @@
 #include "driver/job_record.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -159,9 +158,8 @@ readSampling(const JsonValue &v)
 
 /** The stats-v1 fields of run @p v after its name and scheme. */
 void
-readStatsRun(const JsonValue &v, StatsRun &out)
+readStatsRun(const JsonValue &v, StatsRun &r)
 {
-    RunResult &r = out.result;
     r.dispatchWidth = static_cast<unsigned>(u64Field(v, "dispatch_width"));
     r.cycles = u64Field(v, "cycles");
     r.insts = u64Field(v, "insts");
@@ -171,7 +169,7 @@ readStatsRun(const JsonValue &v, StatsRun &out)
     if (v.object.count("ff_host_sec"))
         r.ffHostSeconds = field(v, "ff_host_sec", JsonValue::Number).number;
     if (v.object.count("ff_kips"))
-        out.ffKips = field(v, "ff_kips", JsonValue::Number).number;
+        r.ffKips = field(v, "ff_kips", JsonValue::Number).number;
     r.cpi = readCpiStack(field(v, "cpi_slots", JsonValue::Object), r.cycles,
                          r.dispatchWidth);
     r.funnel = readFunnel(field(v, "funnel", JsonValue::Object));
@@ -182,7 +180,7 @@ readStatsRun(const JsonValue &v, StatsRun &out)
         r.stats.set(key, value.number);
     }
     if (v.object.count("sampling"))
-        out.sampling = readSampling(field(v, "sampling", JsonValue::Object));
+        r.sampling = readSampling(field(v, "sampling", JsonValue::Object));
 }
 
 /**
@@ -453,30 +451,6 @@ benchResultRecord(const std::string &name, const RunResult &r)
     }
     os << "]}";
     return os.str();
-}
-
-JsonValue
-loadRecordFile(const std::string &file)
-{
-    std::ifstream in(file);
-    if (!in)
-        throw FormatError(file + ": cannot open");
-    std::ostringstream text;
-    text << in.rdbuf();
-    JsonValue root = minijson::JsonParser(text.str()).parse();
-    if (root.kind != JsonValue::Object)
-        throw FormatError(file + ": top level is not an object");
-    return root;
-}
-
-std::string
-recordSchema(const std::string &file, const JsonValue &root)
-{
-    try {
-        return field(root, "schema", JsonValue::String).string;
-    } catch (const FormatError &e) {
-        throw FormatError(file + ": " + e.what());
-    }
 }
 
 std::vector<StatsRun>

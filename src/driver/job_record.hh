@@ -59,14 +59,14 @@ std::string serveSampledRecord(const ServeJobSpec &spec,
 std::string benchResultRecord(const std::string &name, const RunResult &r);
 /// @}
 
-/** One run read back from an mssr-stats-v1 file. */
-struct StatsRun
+/** One run read back from an mssr-stats-v1 file: the RunResult fields
+ *  the run carries, plus what only the record holds. */
+struct StatsRun : RunResult
 {
     std::string name;
     std::string scheme;
-    RunResult result;    //!< the fields the run carries
     double ffKips = 0.0; //!< as written; 0 when absent
-    /** A sampled run's "sampling" block; its totals are in result. */
+    /** A sampled run's "sampling" block; its totals are the run's. */
     std::optional<SampledRunResult> sampling;
 };
 
@@ -80,16 +80,12 @@ struct ProfileRun
 };
 
 /** @name Readers
- * loadRecordFile throws "FILE: cannot open", the JSON parser's error
- * or "FILE: top level is not an object". The others throw
+ * The runs of a parsed record @p root read from @p file. They throw
  * minijson::FormatError "FILE: ..." when the file is not of their
  * schema, has no runs, or a run ("run 'NAME': ...") breaks its shape
  * or an invariant.
  */
 /// @{
-minijson::JsonValue loadRecordFile(const std::string &file);
-std::string recordSchema(const std::string &file,
-                         const minijson::JsonValue &root);
 std::vector<StatsRun> readStatsRuns(const std::string &file,
                                     const minijson::JsonValue &root);
 std::vector<ProfileRun> readProfileRuns(const std::string &file,

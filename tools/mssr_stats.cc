@@ -51,6 +51,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,31 @@ malformed(const std::string &file, const std::string &what)
     throw std::runtime_error(file + ": " + what);
 }
 
+/** Parses @p file and returns its top-level object. */
+JsonValue
+loadRoot(const std::string &file)
+{
+    std::ifstream in(file);
+    if (!in)
+        malformed(file, "cannot open");
+    std::ostringstream text;
+    text << in.rdbuf();
+    const JsonValue root = minijson::JsonParser(text.str()).parse();
+    if (root.kind != JsonValue::Object)
+        malformed(file, "top level is not an object");
+    return root;
+}
+
+std::string
+schemaOf(const std::string &file, const JsonValue &root)
+{
+    try {
+        return minijson::field(root, "schema", JsonValue::String).string;
+    } catch (const minijson::FormatError &e) {
+        malformed(file, e.what());
+    }
+}
+
 std::string
 count(std::uint64_t v)
 {
@@ -104,23 +130,22 @@ share(double fraction)
 }
 
 void
-printRun(const StatsRun &run)
+printRun(const StatsRun &r)
 {
-    const RunResult &r = run.result;
-    analysis::banner(std::cout, run.name + " (" + run.scheme + ")");
+    analysis::banner(std::cout, r.name + " (" + r.scheme + ")");
     std::cout << "cycles " << r.cycles << ", insts " << r.insts << ", IPC "
               << analysis::fixed(r.ipc, 4) << ", dispatch width "
               << r.dispatchWidth << "\n";
     if (r.ffInsts) {
         std::cout << "warm-up: " << r.ffInsts << " ff insts";
-        if (run.ffKips > 0.0)
-            std::cout << " at " << analysis::fixed(run.ffKips, 0)
+        if (r.ffKips > 0.0)
+            std::cout << " at " << analysis::fixed(r.ffKips, 0)
                       << " kips (" << analysis::fixed(r.ffHostSeconds, 3)
                       << "s host)";
         std::cout << "\n";
     }
-    if (run.sampling) {
-        const SampledRunResult &s = *run.sampling;
+    if (r.sampling) {
+        const SampledRunResult &s = *r.sampling;
         std::cout << "sampled: " << s.windows << " windows x "
                   << s.sampleWindow << " insts, period " << s.samplePeriod
                   << ", " << s.totalInsts << " total insts ("
@@ -165,12 +190,11 @@ printRun(const StatsRun &run)
     std::cout << "reused-load verification: " << r.funnel.verifyOk
               << " ok, " << r.funnel.verifyFail << " fail\n";
 
-    if (run.sampling) {
+    if (r.sampling) {
         // analysis::fixed renders NaN as "n/a", so single-window (no
         // spread) and zero-observation estimates degrade gracefully.
-        const SampledRunResult &s = *run.sampling;
-        std::cout << "\npopulation estimates (95% CI over " << s.windows
-                  << " windows):\n";
+        std::cout << "\npopulation estimates (95% CI over "
+                  << r.sampling->windows << " windows):\n";
         analysis::Table est({"metric", "n", "mean", "stderr", "ci95"});
         auto addEstimate = [&](const std::string &metric,
                                const SampleEstimate &e) {
@@ -178,12 +202,12 @@ printRun(const StatsRun &run)
                         analysis::fixed(e.stdErr, 4),
                         analysis::fixed(e.ci95, 4)});
         };
-        addEstimate("ipc", s.ipcEst);
-        addEstimate("reuse_rate", s.reuseRateEst);
+        addEstimate("ipc", r.sampling->ipcEst);
+        addEstimate("reuse_rate", r.sampling->reuseRateEst);
         for (std::size_t i = 0; i < NumCpiCats; ++i)
             addEstimate(std::string("cpi_") +
                             cpiCatKey(static_cast<CpiCat>(i)),
-                        s.cpiEst[i]);
+                        r.sampling->cpiEst[i]);
         est.print(std::cout);
     }
 }
@@ -202,12 +226,10 @@ matchRun(const std::vector<Run> &base, const Run &mssr, std::size_t index)
 }
 
 void
-printDiff(const StatsRun &baseRun, const StatsRun &mssrRun)
+printDiff(const StatsRun &base, const StatsRun &mssr)
 {
-    const RunResult &base = baseRun.result;
-    const RunResult &mssr = mssrRun.result;
-    analysis::banner(std::cout, mssrRun.name + ": " + baseRun.scheme +
-                                    " vs " + mssrRun.scheme);
+    analysis::banner(std::cout, mssr.name + ": " + base.scheme + " vs " +
+                                    mssr.scheme);
     const std::int64_t recovered = static_cast<std::int64_t>(base.cycles) -
                                    static_cast<std::int64_t>(mssr.cycles);
     std::cout << "cycles " << base.cycles << " -> " << mssr.cycles
@@ -224,38 +246,38 @@ printDiff(const StatsRun &baseRun, const StatsRun &mssrRun)
                   << ")";
     std::cout << "\n";
 
-    if (baseRun.sampling.has_value() != mssrRun.sampling.has_value()) {
+    if (base.sampling.has_value() != mssr.sampling.has_value()) {
         // Exactly one side is sampled: this is an accuracy check, not
         // an A-vs-B scheme comparison. Report how far the sampled IPC
         // estimate lands from the full-detail truth and whether the
         // truth falls inside the estimate's 95% confidence interval.
-        const StatsRun &sampled = baseRun.sampling ? baseRun : mssrRun;
-        const double fullIpc = (baseRun.sampling ? mssr : base).ipc;
+        const StatsRun &sampled = base.sampling ? base : mssr;
+        const StatsRun &full = base.sampling ? mssr : base;
         const SampleEstimate &e = sampled.sampling->ipcEst;
-        std::cout << "sampled-vs-full IPC: full "
-                  << analysis::fixed(fullIpc, 4) << ", sampled estimate "
+        std::cout << "sampled-vs-full IPC: full " << analysis::fixed(
+                         full.ipc, 4) << ", sampled estimate "
                   << analysis::fixed(e.mean, 4);
-        if (!std::isnan(e.mean) && fullIpc > 0.0)
+        if (!std::isnan(e.mean) && full.ipc > 0.0)
             std::cout << " (error "
-                      << analysis::percent(e.mean / fullIpc - 1.0) << ")";
+                      << analysis::percent(e.mean / full.ipc - 1.0) << ")";
         if (!std::isnan(e.ci95))
             std::cout << "; full IPC "
-                      << (e.covers(fullIpc) ? "inside" : "OUTSIDE")
+                      << (e.covers(full.ipc) ? "inside" : "OUTSIDE")
                       << " the 95% CI +/- " << analysis::fixed(e.ci95, 4)
                       << " (n=" << e.n << ")";
         std::cout << "\n";
     }
     if (base.insts != mssr.insts)
-        std::cout << "note: committed-instruction counts differ ("
-                  << base.insts << " vs " << mssr.insts
+        std::cout << "note: committed-instruction counts differ (" <<
+            base.insts << " vs " << mssr.insts
                   << "); cycle and IPC deltas are not directly "
                      "equivalent\n";
     std::cout << "reused at rename: " << mssr.funnel.reused
               << " insts, salvaging "
               << mssr.cpi[CpiCat::ReuseSalvaged] << " dispatch slots\n\n";
 
-    analysis::Table t({"category", baseRun.scheme + " slots",
-                       mssrRun.scheme + " slots", "delta", "CPI delta"});
+    analysis::Table t({"category", base.scheme + " slots",
+                       mssr.scheme + " slots", "delta", "CPI delta"});
     for (std::size_t i = 0; i < NumCpiCats; ++i) {
         const CpiCat cat = static_cast<CpiCat>(i);
         const std::int64_t delta =
@@ -263,12 +285,12 @@ printDiff(const StatsRun &baseRun, const StatsRun &mssrRun)
             static_cast<std::int64_t>(base.cpi[cat]);
         t.addRow({toString(cat), count(base.cpi[cat]), count(mssr.cpi[cat]),
                   std::to_string(delta),
-                  analysis::fixed(mssr.cpi.cpiContribution(
-                                      cat, mssr.insts, mssr.dispatchWidth) -
-                                      base.cpi.cpiContribution(
-                                          cat, base.insts,
-                                          base.dispatchWidth),
-                                  4)});
+                  analysis::fixed(
+                      mssr.cpi.cpiContribution(cat, mssr.insts,
+                                               mssr.dispatchWidth) -
+                          base.cpi.cpiContribution(cat, base.insts,
+                                                   base.dispatchWidth),
+                      4)});
     }
     t.print(std::cout);
 }
@@ -768,33 +790,43 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
-        // A numeric flag's value, positive unless @p zero_ok.
-        auto number = [&](bool zero_ok) {
-            const std::string v = next();
-            const std::optional<std::uint64_t> n = parseU64(v);
-            if (!n || (*n == 0 && !zero_ok)) {
-                std::cerr << "mssr_stats: invalid value '" << v << "' for "
-                          << arg << " (expected "
-                          << (zero_ok ? "an unsigned" : "a positive")
-                          << " integer)\n";
-                usage();
-            }
-            return *n;
-        };
         if (arg == "--diff") {
             diff = true;
         } else if (arg == "--topn") {
+            const std::string v = next();
+            const std::optional<std::uint64_t> n = parseU64(v);
+            if (!n || *n == 0) {
+                std::cerr << "mssr_stats: invalid value '" << v
+                          << "' for --topn (expected a positive integer)\n";
+                usage();
+            }
             topn = static_cast<unsigned>(
-                std::min<std::uint64_t>(number(false), 1u << 20));
+                std::min<std::uint64_t>(*n, 1u << 20));
         } else if (arg == "--annotate") {
             annotateProg = next();
         } else if (arg == "--timeline") {
             timeline = true;
         } else if (arg == "--start") {
-            timelineStart = number(true);
+            const std::string v = next();
+            const std::optional<std::uint64_t> n = parseU64(v);
+            if (!n) {
+                std::cerr << "mssr_stats: invalid value '" << v
+                          << "' for --start (expected an unsigned "
+                             "integer)\n";
+                usage();
+            }
+            timelineStart = *n;
             timelineStartSet = true;
         } else if (arg == "--cycles") {
-            timelineCycles = std::min<std::uint64_t>(number(false), 1u << 20);
+            const std::string v = next();
+            const std::optional<std::uint64_t> n = parseU64(v);
+            if (!n || *n == 0) {
+                std::cerr << "mssr_stats: invalid value '" << v
+                          << "' for --cycles (expected a positive "
+                             "integer)\n";
+                usage();
+            }
+            timelineCycles = std::min<std::uint64_t>(*n, 1u << 20);
         } else if (arg == "--version") {
             std::cout << "mssr_stats " << buildInfoLine() << "\n";
             return 0;
@@ -830,7 +862,7 @@ main(int argc, char **argv)
         if (!annotateProg.empty()) {
             if (diff || files.size() != 1)
                 usage();
-            const JsonValue root = loadRecordFile(files[0]);
+            const JsonValue root = loadRoot(files[0]);
             const isa::Program prog = workloads::buildWorkload(
                 annotateProg, workloads::WorkloadScale::fromEnv());
             for (const ProfileRun &r : readProfileRuns(files[0], root))
@@ -840,15 +872,15 @@ main(int argc, char **argv)
         if (diff) {
             if (files.size() != 2)
                 usage();
-            const JsonValue baseRoot = loadRecordFile(files[0]);
-            const JsonValue mssrRoot = loadRecordFile(files[1]);
-            if (recordSchema(files[0], baseRoot) !=
-                recordSchema(files[1], mssrRoot))
+            const JsonValue baseRoot = loadRoot(files[0]);
+            const JsonValue mssrRoot = loadRoot(files[1]);
+            if (schemaOf(files[0], baseRoot) !=
+                schemaOf(files[1], mssrRoot))
                 malformed(files[1], "schema differs from '" + files[0] +
                                         "' (cannot diff stats against a "
                                         "profile)");
             bool paired = false;
-            if (recordSchema(files[0], baseRoot) == "mssr-profile-v1") {
+            if (schemaOf(files[0], baseRoot) == "mssr-profile-v1") {
                 const std::vector<ProfileRun> base =
                     readProfileRuns(files[0], baseRoot);
                 const std::vector<ProfileRun> mssr =
@@ -881,8 +913,8 @@ main(int argc, char **argv)
         }
         if (files.size() != 1)
             usage();
-        const JsonValue root = loadRecordFile(files[0]);
-        if (recordSchema(files[0], root) == "mssr-profile-v1") {
+        const JsonValue root = loadRoot(files[0]);
+        if (schemaOf(files[0], root) == "mssr-profile-v1") {
             for (const ProfileRun &r : readProfileRuns(files[0], root))
                 printProfile(r, topn);
         } else {
