@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "cosim_triage.hh"
@@ -168,6 +169,16 @@ struct QueueSizing
     unsigned storeQueueEntries;
     unsigned ftqEntries;
 };
+
+// gtest would otherwise print the raw bytes, `name`'s address among
+// them, into each test's listed name, which then changes every run.
+void
+PrintTo(const QueueSizing &q, std::ostream *os)
+{
+    *os << '{' << q.robEntries << ", " << q.intRvsEntries << ", "
+        << q.memRvsEntries << ", " << q.loadQueueEntries << ", "
+        << q.storeQueueEntries << ", " << q.ftqEntries << '}';
+}
 
 } // namespace
 
