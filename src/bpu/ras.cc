@@ -20,12 +20,6 @@ Ras::pop()
     return out;
 }
 
-Addr
-Ras::top() const
-{
-    return stack_[top_];
-}
-
 Ras::Snapshot
 Ras::snapshot() const
 {

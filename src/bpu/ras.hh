@@ -28,7 +28,6 @@ class Ras
 
     void push(Addr return_addr);
     Addr pop();
-    Addr top() const;
 
     Snapshot snapshot() const;
     void restore(const Snapshot &snap);

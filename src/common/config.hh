@@ -16,7 +16,6 @@
 namespace mssr
 {
 
-class Tracer;
 class PipeView;
 struct Checkpoint;
 
@@ -200,21 +199,13 @@ struct SimConfig
      */
     /// @{
     /**
-     * Optional structured event tracer (common/trace.hh): records
-     * typed fetch/rename/issue/writeback/commit/squash/reuse-test/
-     * verify events into its ring buffer ("mssr_run --trace" uses
-     * this). Not owned; one tracer instruments exactly one core.
-     */
-    Tracer *tracer = nullptr;
-
-    /**
-     * Optional per-instruction lifecycle recorder (common/pipeview.hh):
-     * stamps the cycle of every pipeline step (fetch/decode/rename/
-     * issue/complete/commit/squash) plus the squash-reuse lanes
-     * (logged/covered/tested/reused/salvaged) per dynamic instruction,
-     * exportable as a Kanata log for the Konata visualizer ("mssr_run
-     * --pipeview-out" uses this). Not owned; one recorder instruments
-     * exactly one core.
+     * Optional event recorder (common/pipeview.hh): holds the probe's
+     * events of its window and renders them as the text trace, the
+     * Chrome trace or the Kanata pipeview, whose rows carry every
+     * pipeline step plus the squash-reuse lanes (logged/covered/
+     * tested/reused/salvaged) per dynamic instruction ("mssr_run
+     * --trace/--trace-out/--pipeview-out" use this). Not owned; one
+     * recorder instruments exactly one core.
      */
     PipeView *pipeview = nullptr;
 

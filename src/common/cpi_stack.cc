@@ -143,27 +143,6 @@ ReuseFunnel::monotonic() const
     return true;
 }
 
-ReuseFunnel
-ReuseFunnel::operator-(const ReuseFunnel &other) const
-{
-    ReuseFunnel out;
-    out.squashed = squashed - other.squashed;
-    out.logged = logged - other.logged;
-    out.covered = covered - other.covered;
-    out.tested = tested - other.tested;
-    out.rgidPass = rgidPass - other.rgidPass;
-    out.hazardPass = hazardPass - other.hazardPass;
-    out.reused = reused - other.reused;
-    out.killKind = killKind - other.killKind;
-    out.killNotExecuted = killNotExecuted - other.killNotExecuted;
-    out.killRgid = killRgid - other.killRgid;
-    out.killRgidCapacity = killRgidCapacity - other.killRgidCapacity;
-    out.killBloom = killBloom - other.killBloom;
-    out.verifyOk = verifyOk - other.verifyOk;
-    out.verifyFail = verifyFail - other.verifyFail;
-    return out;
-}
-
 ReuseFunnel &
 ReuseFunnel::operator+=(const ReuseFunnel &other)
 {

@@ -173,8 +173,6 @@ struct ReuseFunnel
     /** True when every stage count <= its predecessor's. */
     bool monotonic() const;
 
-    ReuseFunnel operator-(const ReuseFunnel &other) const;
-
     /** Counter-wise accumulation (merging sampled windows). The sum of
      *  per-window funnels stays monotonic: each stage's sum is a sum of
      *  stage-wise dominated terms. */

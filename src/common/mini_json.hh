@@ -7,6 +7,12 @@
  * exactly the JSON subset we emit (objects, arrays, strings with
  * backslash escapes, numbers, booleans, null), plus the typed member
  * lookups every record reader shares.
+ *
+ * It also reads outside input (serve request frames, journals, files
+ * handed to mssr_stats), so malformed text of any shape is rejected
+ * with a `JSON error at offset N: ...` runtime_error: nesting is
+ * bounded (kMaxDepth) so a deep frame cannot overflow the stack, and a
+ * number outside double range is an error, not a stod exception.
  */
 
 #ifndef MSSR_COMMON_MINI_JSON_HH
@@ -35,6 +41,10 @@ struct JsonValue
 class JsonParser
 {
   public:
+    /** Deepest array/object nesting accepted; the records the
+     *  simulator writes nest fewer than 10 levels. */
+    static constexpr unsigned kMaxDepth = 128;
+
     explicit JsonParser(std::string text) : text_(std::move(text)) {}
 
     JsonValue
@@ -84,10 +94,15 @@ class JsonParser
     value()
     {
         const char c = peek();
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth)
+                fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+            ++depth_;
+            JsonValue v = c == '{' ? object() : array();
+            --depth_;
+            return v;
+        }
         if (c == '"')
             return string();
         if (c == 't' || c == 'f')
@@ -200,13 +215,20 @@ class JsonParser
             ++end;
         if (end == pos_)
             fail("expected number");
-        v.number = std::stod(text_.substr(pos_, end - pos_));
+        try {
+            v.number = std::stod(text_.substr(pos_, end - pos_));
+        } catch (const std::out_of_range &) {
+            fail("number out of double range");
+        } catch (const std::invalid_argument &) {
+            fail("expected number");
+        }
         pos_ = end;
         return v;
     }
 
     std::string text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0; //!< arrays/objects open at pos_
 };
 
 /** A record whose shape or invariants are not its writer's. */

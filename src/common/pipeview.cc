@@ -5,80 +5,144 @@
 #include <ostream>
 #include <string_view>
 
+#include "common/frame.hh"
 #include "common/log.hh"
 #include "common/probe.hh"
 
 namespace mssr
 {
 
-void
-PipeView::count(std::uint64_t &counter, Cycle Record::*step,
-                const ProbeEvent &e)
+PipeView::PipeView(Feeds feeds) : feeds_(feeds)
 {
-    ++counter;
-    if (Record *r = find(e.seq))
-        r->*step = e.cycle;
+    if (!feeds_.kanata)
+        events_.reserve(kTraceEvents);
+}
+
+bool
+PipeView::inWindow(const ProbeEvent &e)
+{
+    const bool cycleIn = e.cycle >= winStart_ && e.cycle < winEnd_;
+    if (e.kind == ProbeKind::Fetch) {
+        if (cycleIn) {
+            if (firstSeq_ == 0)
+                firstSeq_ = e.seq;
+            lastSeq_ = e.seq;
+        }
+        return cycleIn;
+    }
+    if (e.seq == 0)
+        return cycleIn;
+    auto fetchedIn = [&](SeqNum seq) {
+        return firstSeq_ != 0 && seq >= firstSeq_ && seq <= lastSeq_;
+    };
+    return fetchedIn(e.seq) || fetchedIn(e.donorSeq);
 }
 
 void
 PipeView::onEvent(const ProbeEvent &e)
 {
     switch (e.kind) {
-      case ProbeKind::Fetch:
-        ++counts_.fetched;
-        if (e.cycle < winStart_ || e.cycle >= winEnd_)
-            return;
-        mssr_assert(records_.empty() || e.seq == records_.back().seq + 1,
-                    "pipeview records must hold one contiguous seq range");
-        records_.push_back({.seq = e.seq, .pc = e.pc, .fetch = e.cycle,
-                            .decode = e.aux});
-        return;
-      case ProbeKind::Rename:
-        return count(counts_.renamed, &Record::rename, e);
-      case ProbeKind::Issue:
-        return count(counts_.issued, &Record::issue, e);
-      case ProbeKind::Writeback:
-        return count(counts_.completed, &Record::complete, e);
-      case ProbeKind::Commit:
-        return count(counts_.committed, &Record::commit, e);
-      case ProbeKind::Logged:
-        return count(counts_.logged, &Record::logged, e);
-      case ProbeKind::Covered:
-        return count(counts_.covered, &Record::covered, e);
-      case ProbeKind::SquashInst:
-        ++counts_.squashed;
-        if (Record *r = find(e.seq)) {
-            r->squash = e.cycle;
-            r->squashReason = e.squash;
-        }
-        return;
+      case ProbeKind::Fetch: ++counts_.fetched; break;
+      case ProbeKind::Rename: ++counts_.renamed; break;
+      case ProbeKind::Issue: ++counts_.issued; break;
+      case ProbeKind::Writeback: ++counts_.completed; break;
+      case ProbeKind::Commit: ++counts_.committed; break;
+      case ProbeKind::SquashInst: ++counts_.squashed; break;
+      case ProbeKind::Logged: ++counts_.logged; break;
+      case ProbeKind::Covered: ++counts_.covered; break;
       case ProbeKind::ReuseTest:
         if (!e.firstTest)
-            return;
+            break;
         ++counts_.tested;
         countKill(counts_, e.reuse);
-        if (Record *r = find(e.donorSeq)) {
-            r->tested = e.cycle;
-            r->verdict = e.reuse;
-        }
-        if (!isReuse(e.reuse))
-            return;
-        // Adopter e.seq is salvaged: it skips re-execution, except a
-        // verify load, which re-issues as a verification op.
-        ++counts_.reused;
-        if (Record *r = find(e.donorSeq)) {
-            r->reuseDone = e.cycle;
-            r->adopterSeq = e.seq;
-        }
-        if (Record *r = find(e.seq)) {
-            r->salvage = e.cycle;
-            r->donorSeq = e.donorSeq;
-            r->needVerify = e.reuse == ReuseOutcome::ReusedNeedVerify;
-        }
-        return;
-      default:
-        return;
+        counts_.reused += isReuse(e.reuse);
+        break;
+      default: break;
     }
+
+    if (!inWindow(e))
+        return;
+    const bool traceEvent = e.kind <= ProbeKind::Verify;
+    recorded_ += traceEvent;
+    if (feeds_.kanata) {
+        events_.push_back(e);
+    } else if (traceEvent) {
+        if (events_.size() < kTraceEvents) {
+            events_.push_back(e);
+        } else {
+            events_[next_] = e;
+            next_ = next_ + 1 == kTraceEvents ? 0 : next_ + 1;
+        }
+    }
+}
+
+const PipeView::Record *
+PipeView::findRecord(const std::vector<Record> &rows, SeqNum seq)
+{
+    if (rows.empty() || seq < rows.front().seq)
+        return nullptr;
+    const std::uint64_t i = seq - rows.front().seq;
+    return i < rows.size() ? &rows[i] : nullptr;
+}
+
+std::vector<PipeView::Record>
+PipeView::records() const
+{
+    mssr_assert(feeds_.kanata, "only a Kanata recorder holds whole rows");
+    std::vector<Record> rows;
+    auto find = [&](SeqNum seq) {
+        return const_cast<Record *>(findRecord(rows, seq));
+    };
+    auto stamp = [&](Cycle Record::*step, const ProbeEvent &e) {
+        if (Record *r = find(e.seq))
+            r->*step = e.cycle;
+    };
+    for (const ProbeEvent &e : events_) {
+        switch (e.kind) {
+          case ProbeKind::Fetch:
+            mssr_assert(rows.empty() || e.seq == rows.back().seq + 1,
+                        "pipeview records must hold one contiguous seq "
+                        "range");
+            rows.push_back({.seq = e.seq, .pc = e.pc, .fetch = e.cycle,
+                            .decode = e.aux});
+            break;
+          case ProbeKind::Rename: stamp(&Record::rename, e); break;
+          case ProbeKind::Issue: stamp(&Record::issue, e); break;
+          case ProbeKind::Writeback: stamp(&Record::complete, e); break;
+          case ProbeKind::Commit: stamp(&Record::commit, e); break;
+          case ProbeKind::Logged: stamp(&Record::logged, e); break;
+          case ProbeKind::Covered: stamp(&Record::covered, e); break;
+          case ProbeKind::SquashInst:
+            if (Record *r = find(e.seq)) {
+                r->squash = e.cycle;
+                r->squashReason = e.squash;
+            }
+            break;
+          case ProbeKind::ReuseTest:
+            if (!e.firstTest)
+                break;
+            if (Record *r = find(e.donorSeq)) {
+                r->tested = e.cycle;
+                r->verdict = e.reuse;
+            }
+            if (!isReuse(e.reuse))
+                break;
+            // Adopter e.seq is salvaged: it skips re-execution, except
+            // a verify load, which re-issues as a verification op.
+            if (Record *r = find(e.donorSeq)) {
+                r->reuseDone = e.cycle;
+                r->adopterSeq = e.seq;
+            }
+            if (Record *r = find(e.seq)) {
+                r->salvage = e.cycle;
+                r->donorSeq = e.donorSeq;
+                r->needVerify = e.reuse == ReuseOutcome::ReusedNeedVerify;
+            }
+            break;
+          default: break;
+        }
+    }
+    return rows;
 }
 
 namespace
@@ -90,21 +154,6 @@ struct KanataEvent
     Cycle cycle;
     std::string text;
 };
-
-void
-appendHexPc(std::string &out, Addr pc)
-{
-    static const char digits[] = "0123456789abcdef";
-    char buf[16];
-    int n = 0;
-    do {
-        buf[n++] = digits[pc & 0xf];
-        pc >>= 4;
-    } while (pc != 0);
-    out += "0x";
-    while (n > 0)
-        out += buf[--n];
-}
 
 /** Short stage name for a reuse-test verdict (lane 2 marker). */
 const char *
@@ -124,9 +173,10 @@ verdictStage(ReuseOutcome verdict)
 
 } // namespace
 
-void
+std::size_t
 PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
 {
+    const std::vector<Record> rows = records();
     // Header: version line, then the mssr-pipeview-v1 comment
     // (docs/FORMATS.md section 11). Konata skips unknown/comment lines.
     os << "Kanata\t0004\n";
@@ -153,7 +203,7 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
        << ", \"kill_rgid_capacity\": " << counts_.killRgidCapacity
        << ", \"kill_bloom\": " << counts_.killBloom
        << ", \"reused\": " << counts_.reused
-       << "}, \"records\": " << records_.size() << "}\n";
+       << "}, \"records\": " << rows.size() << "}\n";
 
     std::vector<KanataEvent> evs;
     // Built by append (not operator+ chains: GCC 12's -Wrestrict
@@ -166,8 +216,8 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
     };
     auto num = [](std::uint64_t v) { return std::to_string(v); };
 
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        const Record &r = records_[i];
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const Record &r = rows[i];
         const std::string id = num(i);
 
         push(r.fetch, {"I\t", id, "\t", num(r.seq), "\t0"});
@@ -175,7 +225,7 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
         std::string label = "[";
         label += num(r.seq);
         label += "] ";
-        appendHexPc(label, r.pc);
+        label += hexPc(r.pc);
         if (r.salvage != NoStamp)
             label += r.needVerify ? " salvaged+verify" : " salvaged";
         push(r.fetch, {"L\t", id, "\t0\t", label});
@@ -183,7 +233,7 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
         std::string detail = "seq=";
         detail += num(r.seq);
         detail += " pc=";
-        appendHexPc(detail, r.pc);
+        detail += hexPc(r.pc);
         if (r.squash != NoStamp) {
             detail += " squash=";
             detail += toString(r.squashReason);
@@ -261,10 +311,10 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
             mark(r.salvage, 2, "Sv");
             // Kanata file ids are record indices; a donor fetched
             // before the window has none.
-            if (const Record *donor = findRecord(r.donorSeq))
+            if (const Record *donor = findRecord(rows, r.donorSeq))
                 push(r.salvage,
                      {"W\t", id, "\t",
-                      num(static_cast<std::uint64_t>(donor - records_.data())),
+                      num(static_cast<std::uint64_t>(donor - rows.data())),
                       "\t0"});
         }
 
@@ -294,6 +344,82 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
         }
         os << e.text << "\n";
     }
+    return rows.size();
+}
+
+
+void
+PipeView::writeText(std::ostream &os, std::size_t last_n) const
+{
+    const std::uint64_t printed = recorded_ - dropped();
+    std::uint64_t skip = last_n == 0 || last_n >= printed ? 0
+                                                          : printed - last_n;
+    forEachTraceEvent([&](const ProbeEvent &e) {
+        if (skip != 0) {
+            --skip;
+            return;
+        }
+        os << e.cycle << " " << toString(e.kind) << " [" << e.seq << "] "
+           << hexPc(e.pc);
+        if (e.reuse != ReuseOutcome::None)
+            os << " reuse=" << toString(e.reuse);
+        if (e.squash != SquashReason::None)
+            os << " squash=" << toString(e.squash);
+        if (e.arg != 0)
+            os << " arg=" << e.arg;
+        os << "\n";
+    });
+    if (dropped() != 0)
+        os << "(" << dropped() << " older events dropped by the "
+           << kTraceEvents << "-entry ring)\n";
+}
+
+void
+writeChromeJson(
+    std::ostream &os,
+    const std::vector<std::pair<std::string, const PipeView *>> &jobs)
+{
+    os << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [";
+    bool first = true;
+    auto sep = [&] {
+        os << (first ? "\n    " : ",\n    ");
+        first = false;
+    };
+    for (std::size_t pid = 0; pid < jobs.size(); ++pid) {
+        auto meta = [&](const char *name, unsigned tid,
+                        const std::string &value) {
+            sep();
+            os << "{\"name\": \"" << name << "\", \"ph\": \"M\", \"pid\": "
+               << pid << ", \"tid\": " << tid << ", \"args\": {\"name\": \""
+               << jsonEscape(value) << "\"}}";
+        };
+        meta("process_name", 0, jobs[pid].first);
+        for (unsigned k = 0; k <= static_cast<unsigned>(ProbeKind::Verify);
+             ++k)
+            meta("thread_name", k, toString(static_cast<ProbeKind>(k)));
+    }
+    for (std::size_t pid = 0; pid < jobs.size(); ++pid) {
+        jobs[pid].second->forEachTraceEvent([&](const ProbeEvent &e) {
+            sep();
+            os << "{\"name\": \"" << toString(e.kind)
+               << "\", \"cat\": \"pipeline\", \"ph\": \"X\", \"ts\": "
+               << e.cycle << ", \"dur\": 1, \"pid\": " << pid
+               << ", \"tid\": " << static_cast<unsigned>(e.kind)
+               << ", \"args\": {\"seq\": " << e.seq << ", \"pc\": \""
+               << hexPc(e.pc) << "\"";
+            if (e.reuse != ReuseOutcome::None)
+                os << ", \"reuse\": \"" << toString(e.reuse) << "\"";
+            if (e.squash != SquashReason::None)
+                os << ", \"squash\": \"" << toString(e.squash) << "\"";
+            os << ", \"arg\": " << e.arg << "}}";
+        });
+    }
+    // Dropped trace events per job (pid order): readers of a partial
+    // trace can tell how many older events were left out.
+    os << "\n  ],\n  \"dropped_events\": [";
+    for (std::size_t pid = 0; pid < jobs.size(); ++pid)
+        os << (pid == 0 ? "" : ", ") << jobs[pid].second->dropped();
+    os << "]\n}\n";
 }
 
 } // namespace mssr

@@ -3,11 +3,13 @@
  * One instrumentation probe for the simulated machine. The core and
  * the reuse unit report each observable step once, as a ProbeEvent
  * (common/trace.hh), through one Probe, which stamps the cycle and
- * hands the event to every attached sink: the Tracer, the PipeView
- * (common/pipeview.hh) and the PcProfile (common/profile.hh). Each sink
- * takes events through one onEvent() and skips the kinds it does not
- * record. A site holds a `Probe *` that is null when no sink is
- * attached, so a disabled site costs one branch and builds no event.
+ * hands the event to both of its sinks when attached: the PipeView
+ * (common/pipeview.hh, the recorder behind the text trace, the Chrome
+ * trace and the Kanata pipeview) and the PcProfile
+ * (common/profile.hh). Each sink takes events through one onEvent()
+ * and skips the kinds it does not record. A site holds a `Probe *`
+ * that is null when no sink is attached, so a disabled site costs one
+ * branch and builds no event.
  */
 
 #ifndef MSSR_COMMON_PROBE_HH
@@ -17,7 +19,6 @@
 
 #include "common/pipeview.hh"
 #include "common/profile.hh"
-#include "common/trace.hh"
 
 namespace mssr
 {
@@ -53,9 +54,9 @@ countKill(Tally &tally, ReuseOutcome verdict)
 class Probe
 {
   public:
-    /** Any sink may be null. */
-    Probe(Tracer *tracer, PipeView *pipeview, PcProfile *profile)
-        : tracer_(tracer), pipeview_(pipeview), profile_(profile)
+    /** Either sink may be null. */
+    Probe(PipeView *pipeview, PcProfile *profile)
+        : pipeview_(pipeview), profile_(profile)
     {
     }
 
@@ -67,8 +68,6 @@ class Probe
     emit(ProbeEvent e) const
     {
         e.cycle = cycle_;
-        if (tracer_)
-            tracer_->onEvent(e);
         if (pipeview_)
             pipeview_->onEvent(e);
         if (profile_)
@@ -76,7 +75,6 @@ class Probe
     }
 
   private:
-    Tracer *tracer_;
     PipeView *pipeview_;
     PcProfile *profile_;
     Cycle cycle_ = 0;

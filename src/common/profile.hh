@@ -264,7 +264,7 @@ PcMap<Record>::grow()
  * The per-run profile: branch (squash-cause) records plus
  * reconvergence-point records, filled from the core's probe events.
  * One PcProfile belongs to exactly one core (not thread-safe, like the
- * Tracer).
+ * PipeView).
  */
 class PcProfile
 {

@@ -11,12 +11,6 @@ StatSet::set(const std::string &name, double value)
     scalars_[name] = value;
 }
 
-void
-StatSet::add(const std::string &name, double delta)
-{
-    scalars_[name] += delta;
-}
-
 double
 StatSet::get(const std::string &name, double dflt) const
 {

@@ -151,9 +151,6 @@ class StatSet
     /** Sets (or overwrites) a scalar statistic. */
     void set(const std::string &name, double value);
 
-    /** Adds @p delta to a scalar (creating it at zero). */
-    void add(const std::string &name, double delta);
-
     /** Returns the scalar value, or @p dflt when absent. */
     double get(const std::string &name, double dflt = 0.0) const;
 

@@ -50,7 +50,7 @@ constexpr unsigned InstBytes = 4;
 
 /**
  * Why an instruction (and everything younger) was squashed. Lives with
- * the fundamental types so the tracer (common/) and the core (core/)
+ * the fundamental types so the probe (common/) and the core (core/)
  * can share it without a layering cycle.
  */
 enum class SquashReason

@@ -40,9 +40,8 @@ O3Cpu::O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
     wbMask_ = wbWheel_.size() - 1;
     if (cfg.profiling)
         profile_ = std::make_unique<PcProfile>();
-    if (cfg.tracer || cfg.pipeview || profile_)
-        probe_ = std::make_unique<Probe>(cfg.tracer, cfg.pipeview,
-                                         profile_.get());
+    if (cfg.pipeview || profile_)
+        probe_ = std::make_unique<Probe>(cfg.pipeview, profile_.get());
     switch (cfg.reuseKind) {
       case ReuseKind::Rgid:
         reuse_ = std::make_unique<ReuseUnit>(cfg.reuse, freeList_);

@@ -244,9 +244,9 @@ class O3Cpu
     std::vector<PhysReg> riBundleDsts_;  //!< pregs integrated this cycle
     unsigned riChainedThisCycle_ = 0;
 
-    // Observability. probe_ feeds the tracer and pipeview SimConfig
-    // attaches plus profile_; it is null when none is attached, so
-    // each instrumented site costs one branch.
+    // Observability. probe_ feeds the pipeview SimConfig attaches
+    // plus profile_; it is null when neither is attached, so each
+    // instrumented site costs one branch.
     std::unique_ptr<Probe> probe_;
     std::vector<IntervalSample> intervals_;
     struct IntervalMark

@@ -144,7 +144,7 @@ class BatchRunner
      * the first such job carries the scan's wall time.
      *
      * Throws std::invalid_argument for configs that cannot be sampled
-     * (zero/oversized window, fast-forward, tracer, profiling,
+     * (zero/oversized window, fast-forward, a pipeview, profiling,
      * interval stats, maxCycles or an inspect hook).
      */
     std::vector<SampledRunResult>

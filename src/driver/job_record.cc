@@ -6,6 +6,7 @@
 
 #include "common/build_info.hh"
 #include "common/frame.hh"
+#include "common/pipeview.hh"
 
 namespace mssr
 {
@@ -74,10 +75,10 @@ statsRun(std::ostream &os, bool first, const std::string &name,
 {
     runHead(os, first, name, cfg.reuseKind, r.dispatchWidth, r.cycles,
             r.insts, r.ffInsts);
-    // Ring-wraparound losses of the run's tracer: a stats consumer can
+    // Trace events the run's traces leave out: a stats consumer can
     // tell how complete the companion --trace-out file is.
-    if (cfg.tracer)
-        os << ", \"dropped_events\": " << cfg.tracer->dropped();
+    if (cfg.pipeview && cfg.pipeview->feeds().trace)
+        os << ", \"dropped_events\": " << cfg.pipeview->dropped();
     if (host_time) {
         // Opt-in: host-side numbers vary run to run, so default stats
         // files stay byte-identical across hosts and repeats (the

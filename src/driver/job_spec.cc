@@ -125,10 +125,12 @@ parseJobFlag(ServeJobSpec &s, const std::string &flag,
 std::uint64_t
 jsonU64(const std::string &key, const JsonValue &v)
 {
+    // The range check comes first: casting a double outside uint64_t's
+    // range is undefined behaviour.
     if (v.kind != JsonValue::Number || v.number < 0 ||
+        v.number > 9007199254740992.0 ||
         v.number != static_cast<double>(
-                        static_cast<std::uint64_t>(v.number)) ||
-        v.number > 9007199254740992.0)
+                        static_cast<std::uint64_t>(v.number)))
         throw std::invalid_argument("field '" + key +
                                     "' must be a non-negative integer");
     return static_cast<std::uint64_t>(v.number);

@@ -106,7 +106,7 @@ sampledJobError(const BatchJob &job)
     if (cfg.fastForwardInsts != 0 || cfg.checkpoint)
         return "sampling already fast-forwards to each window; drop the "
                "explicit fast-forward/checkpoint";
-    if (cfg.tracer)
+    if (cfg.pipeview)
         return "per-window tracing is not supported";
     if (cfg.profiling)
         return "per-window profiling is not supported";

@@ -425,13 +425,6 @@ ServeCore::handlePing()
 }
 
 void
-ServeCore::beginDrain()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    draining_ = true;
-}
-
-void
 ServeCore::beginShutdown()
 {
     {

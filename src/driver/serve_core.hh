@@ -84,9 +84,6 @@ class ServeCore
      */
     std::string handleRequest(const std::string &requestJson);
 
-    /** Stops accepting submits; everything else keeps working. */
-    void beginDrain();
-
     /**
      * Drain plus stop: in-flight jobs finish (and are journaled),
      * not-yet-started jobs stay queued for the next process. Called by

@@ -77,15 +77,6 @@ Program::writeData(Addr addr, const std::uint8_t *bytes, std::size_t n)
 }
 
 void
-Program::initData64(Addr addr, std::uint64_t value)
-{
-    std::uint8_t bytes[8];
-    for (int i = 0; i < 8; ++i)
-        bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
-    writeData(addr, bytes, 8);
-}
-
-void
 Program::initData64(Addr addr, const std::vector<std::int64_t> &values)
 {
     std::vector<std::uint8_t> bytes(values.size() * 8);

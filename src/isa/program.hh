@@ -100,8 +100,6 @@ class Program
     Addr allocData(const std::string &name, std::size_t bytes,
                    std::size_t align = 8);
 
-    /** Writes a 64-bit value into the data image at @p addr. */
-    void initData64(Addr addr, std::uint64_t value);
     /** Writes an array of 64-bit values starting at @p addr. */
     void initData64(Addr addr, const std::vector<std::int64_t> &values);
     /** Writes raw bytes at @p addr. */

@@ -96,13 +96,6 @@ Cache::probe(Addr addr) const
 }
 
 void
-Cache::invalidate(Addr addr)
-{
-    if (Line *line = findLine(addr))
-        line->valid = false;
-}
-
-void
 Cache::reportStats(StatSet &stats) const
 {
     stats.set(name_ + ".hits", static_cast<double>(hits_));

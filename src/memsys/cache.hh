@@ -45,9 +45,6 @@ class Cache
     /** True when @p addr currently hits, with no state change. */
     bool probe(Addr addr) const;
 
-    /** Invalidates the line containing @p addr if present. */
-    void invalidate(Addr addr);
-
     unsigned latency() const { return latency_; }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }

@@ -1,14 +1,14 @@
 /**
  * @file
  * Divergence triage for the co-simulation property tests: attaches a
- * bounded Tracer to the O3 run and, if the enclosing gtest assertion
- * block failed, dumps the last N pipeline events to stderr on scope
- * exit. A cosim mismatch report ("arch reg s3 differs") is otherwise
+ * bounded recorder (a PipeView feeding only the traces) to the O3 run
+ * and, if the enclosing gtest assertion block failed, dumps the last N
+ * trace events to stderr on scope exit. A cosim mismatch report ("arch reg s3 differs") is otherwise
  * the least debuggable failure in the suite -- the triage dump shows
  * what the pipeline was doing (reuse verdicts, squashes, verify
  * outcomes) right before the architectural state went wrong.
  *
- * Tracing must never change simulation results (asserted by
+ * Recording must never change simulation results (asserted by
  * test_trace.cc), so leaving it attached in every cosim run is free
  * correctness-wise and keeps the instrumentation honest.
  */
@@ -22,7 +22,7 @@
 #include <string>
 
 #include "common/config.hh"
-#include "common/trace.hh"
+#include "common/pipeview.hh"
 
 namespace mssr
 {
@@ -30,14 +30,14 @@ namespace mssr
 class CosimTriage
 {
   public:
-    /** Attaches an event tracer to @p cfg for the upcoming run. */
+    /** Attaches a bounded recorder to @p cfg for the upcoming run. */
     CosimTriage(const std::string &what, SimConfig &cfg)
         : what_(what),
-          tracer_(1 << 14),
+          view_({.trace = true}),
           failedBefore_(::testing::Test::HasFatalFailure() ||
                         ::testing::Test::HasNonfatalFailure())
     {
-        cfg.tracer = &tracer_;
+        cfg.pipeview = &view_;
     }
 
     ~CosimTriage()
@@ -50,8 +50,8 @@ class CosimTriage
             return;
         std::cerr << "=== cosim divergence triage: " << what_
                   << " (last " << kDumpEvents << " of "
-                  << tracer_.recorded() << " events) ===\n";
-        tracer_.writeText(std::cerr, kDumpEvents);
+                  << view_.recorded() << " events) ===\n";
+        view_.writeText(std::cerr, kDumpEvents);
         std::cerr << "=== end triage: " << what_ << " ===\n";
     }
 
@@ -62,7 +62,7 @@ class CosimTriage
     static constexpr std::size_t kDumpEvents = 64;
 
     std::string what_;
-    Tracer tracer_;
+    PipeView view_;
     bool failedBefore_;
 };
 

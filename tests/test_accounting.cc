@@ -152,7 +152,7 @@ TEST(Accounting, CpiStackDifferenceAndFractions)
     EXPECT_DOUBLE_EQ(empty.cpiContribution(CpiCat::Base, 0, 3), 0.0);
 }
 
-TEST(Accounting, FunnelStageKeysAndDifference)
+TEST(Accounting, FunnelStageKeysAndMonotonic)
 {
     ReuseFunnel f;
     f.squashed = 10;
@@ -167,11 +167,6 @@ TEST(Accounting, FunnelStageKeysAndDifference)
     EXPECT_STREQ(ReuseFunnel::stageKey(6), "reused");
     EXPECT_EQ(f.stage(0), 10u);
     EXPECT_EQ(f.stage(6), 2u);
-
-    ReuseFunnel g = f;
-    g.squashed = 25;
-    EXPECT_EQ((g - f).squashed, 15u);
-    EXPECT_EQ((g - f).reused, 0u);
 
     f.covered = 7; // exceeds logged
     EXPECT_FALSE(f.monotonic());

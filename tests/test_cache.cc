@@ -43,15 +43,6 @@ TEST(Cache, DirtyWritebacks)
     EXPECT_EQ(cache.writebacks(), 1u);
 }
 
-TEST(Cache, Invalidate)
-{
-    Cache cache("c", 1024, 4, 64, 1);
-    cache.access(0x4000, false);
-    EXPECT_TRUE(cache.probe(0x4000));
-    cache.invalidate(0x4000);
-    EXPECT_FALSE(cache.probe(0x4000));
-}
-
 TEST(Hierarchy, LatencyComposition)
 {
     CoreConfig cfg; // Table 3: L1 3c, L2 12c, DRAM 120c

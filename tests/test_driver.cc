@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/pipeview.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
 
@@ -77,18 +78,17 @@ TEST(Driver, PipelineTraceProducesEvents)
         addi t0, t0, 2
         halt
     )");
-    Tracer tracer(1024);
+    PipeView tracer({.trace = true});
     SimConfig cfg = baselineConfig();
-    cfg.tracer = &tracer;
+    cfg.pipeview = &tracer;
     runSim(prog, cfg);
 
     bool sawFetch = false, sawRename = false, sawCommit = false;
-    for (std::size_t i = 0; i < tracer.size(); ++i) {
-        const TraceEvent &e = tracer.event(i);
-        sawFetch |= e.stage == TraceStage::Fetch;
-        sawRename |= e.stage == TraceStage::Rename;
-        sawCommit |= e.stage == TraceStage::Commit;
-    }
+    tracer.forEachTraceEvent([&](const ProbeEvent &e) {
+        sawFetch |= e.kind == ProbeKind::Fetch;
+        sawRename |= e.kind == ProbeKind::Rename;
+        sawCommit |= e.kind == ProbeKind::Commit;
+    });
     EXPECT_TRUE(sawFetch);
     EXPECT_TRUE(sawRename);
     EXPECT_TRUE(sawCommit);
@@ -121,23 +121,22 @@ TEST(Driver, TraceShowsReuseAndSquash)
         blt s0, s1, loop
         halt
     )");
-    Tracer tracer(1 << 16);
+    PipeView tracer({.trace = true});
     SimConfig cfg = rgidConfig(4, 64);
-    cfg.tracer = &tracer;
+    cfg.pipeview = &tracer;
     const RunResult r = runSim(prog, cfg);
 
     bool sawSquash = false, sawReused = false, sawReuseTest = false;
-    for (std::size_t i = 0; i < tracer.size(); ++i) {
-        const TraceEvent &e = tracer.event(i);
-        if (e.stage == TraceStage::Squash) {
+    tracer.forEachTraceEvent([&](const ProbeEvent &e) {
+        if (e.kind == ProbeKind::Squash) {
             sawSquash = true;
             EXPECT_NE(e.squash, SquashReason::None);
         }
-        sawReuseTest |= e.stage == TraceStage::ReuseTest;
-        sawReused |= e.stage == TraceStage::Rename &&
+        sawReuseTest |= e.kind == ProbeKind::ReuseTest;
+        sawReused |= e.kind == ProbeKind::Rename &&
                      (e.reuse == ReuseOutcome::Reused ||
                       e.reuse == ReuseOutcome::ReusedNeedVerify);
-    }
+    });
     EXPECT_TRUE(sawSquash);
     if (r.stats.get("reuse.success") > 0) {
         EXPECT_TRUE(sawReuseTest);

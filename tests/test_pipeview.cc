@@ -86,7 +86,7 @@ TEST(PipeView, CountsReconcileExactlyWithCoreAndFunnel)
 
     // Every fetched instruction got a record (unwindowed), and the
     // verdict tallies partition the tested count.
-    EXPECT_EQ(view.numRecords(), c.fetched);
+    EXPECT_EQ(view.records().size(), c.fetched);
     EXPECT_EQ(c.tested, c.killKind + c.killNotExecuted + c.killRgid +
                             c.killRgidCapacity + c.killBloom + c.reused);
 }
@@ -113,8 +113,8 @@ TEST(PipeView, SalvagedInstructionSkipsReexecution)
     runWithView(prog, rgidConfig(4, 64), view);
 
     std::size_t salvaged = 0, donorsSeen = 0;
-    for (std::size_t i = 0; i < view.numRecords(); ++i) {
-        const PipeView::Record &r = view.record(i);
+    const std::vector<PipeView::Record> rows = view.records();
+    for (const PipeView::Record &r : rows) {
         if (r.salvage == PipeView::NoStamp)
             continue;
         ++salvaged;
@@ -127,7 +127,8 @@ TEST(PipeView, SalvagedInstructionSkipsReexecution)
             EXPECT_EQ(r.complete, PipeView::NoStamp);
         }
         // Its donor went squash -> squash log -> adopted.
-        const PipeView::Record *donor = view.findRecord(r.donorSeq);
+        const PipeView::Record *donor =
+            PipeView::findRecord(rows, r.donorSeq);
         ASSERT_NE(donor, nullptr);
         ++donorsSeen;
         EXPECT_NE(donor->squash, PipeView::NoStamp);
@@ -190,11 +191,12 @@ TEST(PipeView, WindowGatesRecordsButNotCounters)
     PipeView mid;
     mid.setWindow(100, 150);
     runWithView(prog, cfg, mid);
-    EXPECT_GT(mid.numRecords(), 0u);
-    EXPECT_LT(mid.numRecords(), full.numRecords());
-    for (std::size_t i = 0; i < mid.numRecords(); ++i) {
-        EXPECT_GE(mid.record(i).fetch, 100u);
-        EXPECT_LT(mid.record(i).fetch, 150u);
+    const std::vector<PipeView::Record> midRows = mid.records();
+    EXPECT_GT(midRows.size(), 0u);
+    EXPECT_LT(midRows.size(), full.records().size());
+    for (const PipeView::Record &row : midRows) {
+        EXPECT_GE(row.fetch, 100u);
+        EXPECT_LT(row.fetch, 150u);
     }
     // ...while every lifetime counter still matches the full run.
     EXPECT_EQ(mid.counts().fetched, full.counts().fetched);
@@ -206,21 +208,24 @@ TEST(PipeView, WindowGatesRecordsButNotCounters)
     PipeView late;
     late.setWindow(r.cycles + 1000, ~Cycle(0));
     runWithView(prog, cfg, late);
-    EXPECT_EQ(late.numRecords(), 0u);
+    EXPECT_EQ(late.records().size(), 0u);
     EXPECT_EQ(late.counts().committed, full.counts().committed);
 
     // Zero-length window: equally empty.
     PipeView empty;
     empty.setWindow(100, 100);
     runWithView(prog, cfg, empty);
-    EXPECT_EQ(empty.numRecords(), 0u);
+    EXPECT_EQ(empty.records().size(), 0u);
     EXPECT_EQ(empty.counts().reused, full.counts().reused);
 
     // Lookups outside the window (or before the run) return null.
-    EXPECT_EQ(empty.findRecord(1), nullptr);
-    EXPECT_EQ(PipeView().findRecord(1), nullptr);
-    ASSERT_GT(mid.numRecords(), 0u);
-    EXPECT_EQ(mid.findRecord(mid.record(0).seq), &mid.record(0));
+    EXPECT_EQ(PipeView::findRecord(empty.records(), 1), nullptr);
+    EXPECT_EQ(PipeView::findRecord(PipeView().records(), 1), nullptr);
+    ASSERT_GT(midRows.size(), 0u);
+    EXPECT_EQ(PipeView::findRecord(midRows, midRows[0].seq), &midRows[0]);
+    EXPECT_EQ(PipeView::findRecord(midRows, midRows[0].seq - 1), nullptr);
+    EXPECT_EQ(PipeView::findRecord(midRows, midRows.back().seq + 1),
+              nullptr);
 }
 
 TEST(PipeView, KanataOutputShape)

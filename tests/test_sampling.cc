@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/metrics.hh"
+#include "common/pipeview.hh"
 #include "common/serialize.hh"
 #include "driver/sampled_runner.hh"
 #include "driver/sim_runner.hh"
@@ -401,6 +402,11 @@ TEST(Sampling, SampledRunRejectsUnsupportedConfigs)
     EXPECT_THROW(sampled([](SimConfig &c) { c.maxCycles = 1000; }),
                  std::invalid_argument);
     EXPECT_THROW(sampled([](SimConfig &c) { c.profiling = true; }),
+                 std::invalid_argument);
+    // Every window copies the config, so a recorder would take every
+    // window's events.
+    PipeView view;
+    EXPECT_THROW(sampled([&](SimConfig &c) { c.pipeview = &view; }),
                  std::invalid_argument);
 }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -141,6 +142,33 @@ TEST(Frame, JsonEscapeCoversControlAndQuotes)
     EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
     EXPECT_EQ(jsonEscape("x\n\t"), "x\\n\\t");
     EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(MiniJson, RejectsDeepNestingAndOutOfRangeNumbers)
+{
+    // Request frames are outside input: nesting past the bound and a
+    // number past double range are JSON errors at their offset, not a
+    // stack overflow or a stod exception.
+    auto error = [](const std::string &text) -> std::string {
+        try {
+            minijson::JsonParser(text).parse();
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "parsed";
+    };
+    constexpr unsigned Max = minijson::JsonParser::kMaxDepth;
+    EXPECT_EQ(error(std::string(Max, '[') + std::string(Max, ']')),
+              "parsed");
+    EXPECT_EQ(error(std::string(Max + 1, '[') + std::string(Max + 1, ']')),
+              "JSON error at offset 128: nesting deeper than 128 levels");
+    EXPECT_EQ(error(std::string(100000, '[')),
+              "JSON error at offset 128: nesting deeper than 128 levels");
+    EXPECT_EQ(error("1e999"),
+              "JSON error at offset 0: number out of double range");
+    EXPECT_EQ(error("{\"seed\": -1e999}"),
+              "JSON error at offset 9: number out of double range");
+    EXPECT_EQ(error("[1, -]"), "JSON error at offset 4: expected number");
 }
 
 // ------------------------------------------------------------- job specs
@@ -455,7 +483,8 @@ TEST(ServeCore, QueueFullAndDrainingBackpressure)
     EXPECT_FALSE(okReply(full));
     EXPECT_EQ(strField(full, "error"), "queue_full");
 
-    core.beginDrain();
+    ASSERT_TRUE(okReply(
+        parseJson(core.handleRequest("{\"type\": \"drain\"}"))));
     const JsonValue drained = parseJson(core.handleRequest(
         "{\"type\": \"submit\", \"jobs\": "
         "[{\"workload\": \"nested-mispred\"}]}"));
@@ -474,15 +503,27 @@ TEST(ServeCore, OutOfRangeKnobIsInvalidJobAndNeverJournaled)
     o.journalPath = dir.file("journal.jsonl");
     {
         ServeCore core(o);
-        for (const char *job :
-             {"{\"workload\": \"bfs\", \"scale\": 25}",
-              "{\"workload\": \"nested-mispred\", \"scheme\": "
-              "\"regint\", \"sets\": 3}"}) {
+        // Numbers past uint64_t's range too: the range check must come
+        // before the cast (UBSan's float-cast-overflow catches a cast
+        // of 1e30).
+        for (const auto &[job, why] :
+             {std::pair{"{\"workload\": \"bfs\", \"scale\": 25}",
+                        "field 'scale' must be <= 24"},
+              std::pair{"{\"workload\": \"nested-mispred\", \"scheme\": "
+                        "\"regint\", \"sets\": 3}",
+                        "field 'sets' must be a power of two"},
+              std::pair{"{\"workload\": \"bfs\", \"seed\": 1e30}",
+                        "field 'seed' must be a non-negative integer"},
+              std::pair{"{\"workload\": \"bfs\", \"seed\": "
+                        "18446744073709551616}",
+                        "field 'seed' must be a non-negative integer"}}) {
             const JsonValue reply = parseJson(core.handleRequest(
                 std::string("{\"type\": \"submit\", \"jobs\": [") + job +
                 "]}"));
             EXPECT_FALSE(okReply(reply)) << job;
             EXPECT_EQ(strField(reply, "error"), "invalid_job") << job;
+            EXPECT_EQ(strField(reply, "message"), std::string("job 0: ") + why)
+                << job;
         }
         EXPECT_EQ(core.pendingJobs(), 0u);
     }

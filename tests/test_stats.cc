@@ -7,7 +7,7 @@
 
 using namespace mssr;
 
-TEST(StatSet, SetGetAdd)
+TEST(StatSet, SetGet)
 {
     StatSet s;
     EXPECT_FALSE(s.has("x"));
@@ -15,10 +15,8 @@ TEST(StatSet, SetGetAdd)
     s.set("x", 3.0);
     EXPECT_TRUE(s.has("x"));
     EXPECT_EQ(s.get("x"), 3.0);
-    s.add("x", 2.0);
+    s.set("x", 5.0); // set overwrites
     EXPECT_EQ(s.get("x"), 5.0);
-    s.add("fresh", 1.0); // add creates
-    EXPECT_EQ(s.get("fresh"), 1.0);
 }
 
 TEST(StatSet, DumpSortedByName)

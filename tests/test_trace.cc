@@ -1,9 +1,11 @@
 /**
- * Structured pipeline observability: ring-buffer semantics, exporter
- * round-trips through the mini_json reader, determinism of the event
- * stream across batch worker counts, zero allocation while recording,
- * no perturbation of simulation results, and exact reconciliation of
- * interval statistics with the end-of-run scalar counters.
+ * The recorder's traces (`--trace` text and `--trace-out` Chrome JSON,
+ * rendered by PipeView): the newest-events bound and its drop notes,
+ * exporter round-trips through the mini_json reader, determinism of
+ * the event stream across batch worker counts, zero allocation while
+ * recording, no perturbation of simulation results, the window rule,
+ * and exact reconciliation of interval statistics with the end-of-run
+ * scalar counters.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,7 @@
 #include <sstream>
 
 #include "common/mini_json.hh"
-#include "common/trace.hh"
+#include "common/pipeview.hh"
 #include "driver/batch_runner.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
@@ -53,76 +55,103 @@ squashyProgram(int iterations = 300)
 }
 
 bool
-sameEvent(const TraceEvent &a, const TraceEvent &b)
+sameEvent(const ProbeEvent &a, const ProbeEvent &b)
 {
     return a.cycle == b.cycle && a.seq == b.seq && a.pc == b.pc &&
-           a.arg == b.arg && a.stage == b.stage && a.reuse == b.reuse &&
+           a.arg == b.arg && a.kind == b.kind && a.reuse == b.reuse &&
            a.squash == b.squash;
 }
+
+/** The trace events @p view prints, oldest first. */
+std::vector<ProbeEvent>
+traceEvents(const PipeView &view)
+{
+    std::vector<ProbeEvent> out;
+    view.forEachTraceEvent([&](const ProbeEvent &e) { out.push_back(e); });
+    return out;
+}
+
+std::string
+text(const PipeView &view, std::size_t last_n = 0)
+{
+    std::ostringstream os;
+    view.writeText(os, last_n);
+    return os.str();
+}
+
+constexpr PipeView::Feeds TraceOnly{.trace = true};
+constexpr PipeView::Feeds KanataAndTrace{.kanata = true, .trace = true};
 
 } // namespace
 
 TEST(Tracer, RingWraparoundKeepsNewestEvents)
 {
-    Tracer t(8);
-    EXPECT_EQ(t.capacity(), 8u);
-    EXPECT_EQ(t.size(), 0u);
+    constexpr std::uint64_t N = PipeView::kTraceEvents + 12;
+    PipeView t(TraceOnly);
+    EXPECT_EQ(t.recorded(), 0u);
+    EXPECT_TRUE(traceEvents(t).empty());
 
-    for (std::uint64_t i = 1; i <= 20; ++i)
-        t.onEvent({.kind = TraceStage::Fetch, .cycle = i * 10, .seq = i,
-                   .pc = 0x1000 + i * 4});
-    EXPECT_EQ(t.size(), 8u);
-    EXPECT_EQ(t.recorded(), 20u);
+    // A Kanata recorder holds every event, the instruction-less and
+    // non-trace ones too, yet prints the same newest trace events.
+    PipeView full(KanataAndTrace);
+    for (std::uint64_t i = 1; i <= N; ++i) {
+        const ProbeEvent e{.kind = ProbeKind::Fetch, .cycle = i * 10,
+                           .seq = i, .pc = 0x1000 + i * 4};
+        t.onEvent(e);
+        full.onEvent(e);
+        full.onEvent({.kind = ProbeKind::Logged, .cycle = i * 10,
+                      .seq = i});
+    }
+    EXPECT_EQ(t.recorded(), N);
     EXPECT_EQ(t.dropped(), 12u);
-    // Oldest retained is seq 13, newest seq 20, strictly ordered.
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        EXPECT_EQ(t.event(i).seq, 13u + i);
-        EXPECT_EQ(t.event(i).cycle, (13u + i) * 10);
-        EXPECT_EQ(t.event(i).pc, 0x1000 + (13u + i) * 4);
+    const std::vector<ProbeEvent> kept = traceEvents(t);
+    ASSERT_EQ(kept.size(), PipeView::kTraceEvents);
+    // Oldest retained is seq 13, newest seq N, strictly ordered.
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+        EXPECT_EQ(kept[i].seq, 13u + i);
+        EXPECT_EQ(kept[i].cycle, (13u + i) * 10);
+        EXPECT_EQ(kept[i].pc, 0x1000 + (13u + i) * 4);
     }
 
-    t.clear();
-    EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.dropped(), 0u);
-    EXPECT_EQ(t.capacity(), 8u);
-    t.onEvent({.kind = TraceStage::Commit, .seq = 99, .pc = 0x42});
-    ASSERT_EQ(t.size(), 1u);
-    EXPECT_EQ(t.event(0).seq, 99u);
-
     // Text rendering reports the drop count after wraparound.
-    Tracer small(2);
-    for (std::uint64_t i = 0; i < 5; ++i)
-        small.onEvent({.kind = TraceStage::Fetch, .seq = i});
-    std::ostringstream text;
-    small.writeText(text);
-    EXPECT_NE(text.str().find("3 older events dropped"),
+    EXPECT_NE(text(t).find("(12 older events dropped by the 65536-entry "
+                           "ring)\n"),
               std::string::npos);
+    EXPECT_EQ(full.recorded(), N);
+    EXPECT_EQ(full.dropped(), 12u);
+    EXPECT_EQ(text(full), text(t));
+    EXPECT_EQ(text(full, 3), text(t, 3));
+    EXPECT_EQ(text(t, 3).substr(0, text(t, 3).find(' ')),
+              std::to_string((N - 2) * 10));
 }
 
 TEST(Tracer, RecordingNeverReallocates)
 {
-    Tracer t(64);
+    PipeView t(TraceOnly);
     const void *buf = t.bufferAddress();
-    for (std::uint64_t i = 0; i < 10000; ++i)
-        t.onEvent({.kind = TraceStage::Writeback,
+    const std::uint64_t insts = 2 * PipeView::kTraceEvents;
+    for (std::uint64_t i = 1; i <= insts; ++i) {
+        t.onEvent({.kind = ProbeKind::Fetch, .seq = i, .pc = i * 4});
+        t.onEvent({.kind = ProbeKind::Writeback,
                    .reuse = ReuseOutcome::Reused, .seq = i, .pc = i * 4,
                    .arg = i});
+    }
     EXPECT_EQ(t.bufferAddress(), buf);
-    EXPECT_EQ(t.capacity(), 64u);
-    EXPECT_EQ(t.recorded(), 10000u);
+    EXPECT_EQ(t.recorded(), 2 * insts);
+    EXPECT_EQ(t.dropped(), 2 * insts - PipeView::kTraceEvents);
 }
 
 TEST(Tracer, ChromeJsonParsesBack)
 {
     const isa::Program prog = squashyProgram();
-    Tracer tracer(1 << 15);
+    PipeView tracer(TraceOnly);
     SimConfig cfg = rgidConfig(4, 64);
-    cfg.tracer = &tracer;
+    cfg.pipeview = &tracer;
     runSim(prog, cfg);
-    ASSERT_GT(tracer.size(), 0u);
+    ASSERT_GT(tracer.recorded(), 0u);
 
     std::ostringstream os;
-    tracer.writeChromeJson(os, "squashy");
+    writeChromeJson(os, {{"squashy", &tracer}});
     const JsonValue root = JsonParser(os.str()).parse();
     ASSERT_EQ(root.kind, JsonValue::Object);
     const auto events = root.object.find("traceEvents");
@@ -156,13 +185,13 @@ TEST(Tracer, ChromeJsonParsesBack)
             }
         }
     }
-    EXPECT_EQ(complete, tracer.size());
+    EXPECT_EQ(complete, traceEvents(tracer).size());
     EXPECT_TRUE(sawProcessName);
     EXPECT_GT(metadata, 0u);
 
     // Multi-job export: one pid per job.
-    Tracer other(16);
-    other.onEvent({.kind = TraceStage::Fetch, .seq = 1, .pc = 0x100});
+    PipeView other(TraceOnly);
+    other.onEvent({.kind = ProbeKind::Fetch, .seq = 1, .pc = 0x100});
     std::ostringstream multi;
     writeChromeJson(multi, {{"a", &tracer}, {"b", &other}});
     const JsonValue mroot = JsonParser(multi.str()).parse();
@@ -170,7 +199,7 @@ TEST(Tracer, ChromeJsonParsesBack)
     for (const JsonValue &e : mroot.object.at("traceEvents").array)
         pids.insert(e.object.at("pid").number);
     EXPECT_EQ(pids, (std::set<double>{0.0, 1.0}));
-    // Ring-wraparound accounting: one entry per job, pid order.
+    // Dropped-event accounting: one entry per job, pid order.
     const auto mdrops = mroot.object.find("dropped_events");
     ASSERT_NE(mdrops, mroot.object.end());
     ASSERT_EQ(mdrops->second.array.size(), 2u);
@@ -185,8 +214,8 @@ TEST(Tracer, ChromeJsonEscapesControlCharactersInLabels)
     // A job label is user input (a workload name or an --asm path), so
     // a tab or newline in it must come out as a JSON escape: a raw
     // control byte inside a string makes the whole file invalid JSON.
-    Tracer tracer(16);
-    tracer.onEvent({.kind = TraceStage::Fetch, .seq = 1, .pc = 0x100});
+    PipeView tracer(TraceOnly);
+    tracer.onEvent({.kind = ProbeKind::Fetch, .seq = 1, .pc = 0x100});
     std::ostringstream os;
     writeChromeJson(os, {{"a\tb\nc", &tracer}});
     const std::string out = os.str();
@@ -218,49 +247,51 @@ TEST(Tracer, EventStreamIdenticalAcrossWorkerCounts)
         rgidConfig(4, 64), rgidConfig(1, 32), baselineConfig(),
         regIntConfig(64, 2)};
 
-    auto runWith = [&](unsigned workers, std::deque<Tracer> &tracers) {
+    auto runWith = [&](unsigned workers, std::deque<PipeView> &tracers) {
         std::vector<BatchJob> jobs;
         for (const SimConfig &cfg : cfgs) {
-            tracers.emplace_back(1 << 14);
+            tracers.emplace_back(TraceOnly);
             SimConfig jobCfg = cfg;
-            jobCfg.tracer = &tracers.back();
+            jobCfg.pipeview = &tracers.back();
             jobs.push_back(
                 {"job" + std::to_string(jobs.size()), &prog, jobCfg, {}});
         }
         BatchRunner(workers).run(jobs);
     };
 
-    std::deque<Tracer> seq, par;
+    std::deque<PipeView> seq, par;
     runWith(1, seq);
     runWith(4, par);
     ASSERT_EQ(seq.size(), par.size());
     for (std::size_t j = 0; j < seq.size(); ++j) {
         ASSERT_EQ(seq[j].recorded(), par[j].recorded()) << "job " << j;
-        ASSERT_EQ(seq[j].size(), par[j].size()) << "job " << j;
-        for (std::size_t i = 0; i < seq[j].size(); ++i)
-            ASSERT_TRUE(sameEvent(seq[j].event(i), par[j].event(i)))
+        const std::vector<ProbeEvent> a = traceEvents(seq[j]);
+        const std::vector<ProbeEvent> b = traceEvents(par[j]);
+        ASSERT_EQ(a.size(), b.size()) << "job " << j;
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_TRUE(sameEvent(a[i], b[i]))
                 << "job " << j << " event " << i;
     }
 }
 
 TEST(Tracer, TracingDoesNotPerturbSimulation)
 {
-    // Bit-identical architectural results and counters with tracing on,
-    // off, and with a tiny ring that wraps constantly.
-    const isa::Program prog = squashyProgram();
+    // Bit-identical architectural results and counters with recording
+    // off, holding every event, and in a ring that wraps.
+    const isa::Program prog = squashyProgram(3000);
     const SimConfig cfg = rgidConfig(4, 64);
 
     const RunResult off = runSim(prog, cfg);
 
-    Tracer big(1 << 15);
+    PipeView big(KanataAndTrace);
     SimConfig withBig = cfg;
-    withBig.tracer = &big;
+    withBig.pipeview = &big;
     const RunResult on = runSim(prog, withBig);
 
-    Tracer tiny(4);
-    SimConfig withTiny = cfg;
-    withTiny.tracer = &tiny;
-    const RunResult wrapped = runSim(prog, withTiny);
+    PipeView ring(TraceOnly);
+    SimConfig withRing = cfg;
+    withRing.pipeview = &ring;
+    const RunResult wrapped = runSim(prog, withRing);
 
     for (const RunResult *r : {&on, &wrapped}) {
         EXPECT_EQ(off.cycles, r->cycles);
@@ -268,7 +299,70 @@ TEST(Tracer, TracingDoesNotPerturbSimulation)
         EXPECT_EQ(off.archRegs, r->archRegs);
         EXPECT_EQ(off.stats.scalars(), r->stats.scalars());
     }
-    EXPECT_EQ(big.recorded(), tiny.recorded());
+    EXPECT_GT(ring.dropped(), 0u) << "the run must wrap the ring";
+    EXPECT_EQ(big.recorded(), ring.recorded());
+    EXPECT_EQ(text(big), text(ring));
+}
+
+TEST(Tracer, WindowHoldsEventsOfInstructionsFetchedInIt)
+{
+    // One window rule for every rendering: an event is held when an
+    // instruction it names (seq, or a reuse test's donorSeq) was
+    // fetched in [start, end); an instruction-less event when its
+    // cycle is. The unwindowed run's rows give every fetch cycle.
+    const isa::Program prog = squashyProgram();
+    const SimConfig cfg = rgidConfig(4, 64);
+    PipeView all(KanataAndTrace);
+    SimConfig allCfg = cfg;
+    allCfg.pipeview = &all;
+    runSim(prog, allCfg);
+    const std::vector<PipeView::Record> rows = all.records();
+    ASSERT_LT(all.recorded(), PipeView::kTraceEvents);
+
+    constexpr Cycle Start = 200, End = 260;
+    auto fetchedIn = [&](SeqNum seq) {
+        const PipeView::Record *r = PipeView::findRecord(rows, seq);
+        return r && r->fetch >= Start && r->fetch < End;
+    };
+    auto held = [&](const ProbeEvent &e) {
+        if (e.seq == 0)
+            return e.cycle >= Start && e.cycle < End;
+        return fetchedIn(e.seq) || fetchedIn(e.donorSeq);
+    };
+
+    for (const PipeView::Feeds feeds : {TraceOnly, KanataAndTrace}) {
+        PipeView win(feeds);
+        win.setWindow(Start, End);
+        SimConfig winCfg = cfg;
+        winCfg.pipeview = &win;
+        runSim(prog, winCfg);
+
+        std::set<ProbeKind> kinds;
+        bool outsideCycle = false;
+        const std::vector<ProbeEvent> got = traceEvents(win);
+        for (const ProbeEvent &e : got) {
+            EXPECT_TRUE(held(e)) << toString(e.kind) << " seq " << e.seq
+                                 << " cycle " << e.cycle;
+            kinds.insert(e.kind);
+            outsideCycle |= e.cycle >= End;
+        }
+        // Exactly the unwindowed run's events that the rule holds.
+        std::vector<ProbeEvent> want;
+        for (const ProbeEvent &e : traceEvents(all))
+            if (held(e))
+                want.push_back(e);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_TRUE(sameEvent(got[i], want[i])) << "event " << i;
+        // Held instructions are followed through retirement.
+        EXPECT_TRUE(outsideCycle);
+        EXPECT_TRUE(kinds.count(ProbeKind::Commit));
+        EXPECT_TRUE(kinds.count(ProbeKind::Squash));
+        EXPECT_EQ(win.recorded(), got.size());
+        EXPECT_EQ(win.dropped(), 0u);
+        // Counters ignore the window.
+        EXPECT_EQ(win.counts().committed, all.counts().committed);
+    }
 }
 
 TEST(IntervalStats, SumsReconcileWithScalarCounters)

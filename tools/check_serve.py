@@ -29,6 +29,11 @@ Modes:
                   a command line and its served job must simulate the
                   same machine, --compare baselines included.
 
+  deep-frame      Send a live server one frame of 100,000 `[` and
+                  require a `bad_request` reply, then a ping answered
+                  and a clean exit 0 on SIGTERM: no nesting depth in a
+                  request can overflow the server's stack.
+
 Usage:
   check_serve.py --serve BIN --submit BIN --mode MODE [--run BIN]
                  [--keep DIR]
@@ -39,6 +44,8 @@ import json
 import os
 import shutil
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -404,12 +411,54 @@ def mode_cli_match(opts, work):
     print("check_serve: cli-match ok")
 
 
+def recv_exact(conn, n):
+    data = b""
+    while len(data) < n:
+        chunk = conn.recv(n - len(data))
+        if not chunk:
+            fail(f"server closed the connection after {len(data)} of "
+                 f"{n} bytes")
+        data += chunk
+    return data
+
+
+def mode_deep_frame(opts, work):
+    sock = os.path.join(work, "serve.sock")
+    server = Server(opts.serve, sock, os.path.join(work, "journal.jsonl"),
+                    os.path.join(work, "results.jsonl"),
+                    os.path.join(work, "serve.prom"),
+                    os.path.join(work, "ckpt"), 1,
+                    os.path.join(work, "serve.log"))
+    try:
+        server.wait_ready(opts.submit)
+        payload = b"[" * 100000
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.settimeout(60)
+            conn.connect(sock)
+            conn.sendall(struct.pack("<I", len(payload)) + payload)
+            (length,) = struct.unpack("<I", recv_exact(conn, 4))
+            reply = json.loads(recv_exact(conn, length))
+        if reply.get("ok") is not False or \
+                reply.get("error") != "bad_request":
+            fail(f"deep frame not rejected as bad_request: {reply}")
+        server.wait_ready(opts.submit)  # still serving
+        server.proc.send_signal(signal.SIGTERM)
+        rc = server.proc.wait(timeout=120)
+        if rc != 0:
+            fail(f"server exited {rc} after SIGTERM")
+    finally:
+        if server.proc.poll() is None:
+            server.proc.kill()
+    print("check_serve: deep-frame ok")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--serve", required=True)
     ap.add_argument("--submit", required=True)
     ap.add_argument("--mode", required=True,
-                    choices=["double-submit", "resume", "cli-match"])
+                    choices=["double-submit", "resume", "cli-match",
+                             "deep-frame"])
     ap.add_argument("--run", help="mssr_run binary (cli-match)")
     ap.add_argument("--keep", help="copy the scratch dir here afterwards")
     opts = ap.parse_args()
@@ -422,6 +471,8 @@ def main():
             mode_double_submit(opts, work)
         elif opts.mode == "cli-match":
             mode_cli_match(opts, work)
+        elif opts.mode == "deep-frame":
+            mode_deep_frame(opts, work)
         else:
             mode_resume(opts, work)
     finally:

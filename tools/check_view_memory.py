@@ -1,19 +1,27 @@
 #!/usr/bin/env python3
-"""A pipeview cycle window bounds the viewer's memory.
+"""A recorder's window bounds its memory, and so does the trace's bound.
 
-Runs one mssr_run job twice: without a viewer, then with --pipeview-out
-and a 10-cycle --view-start-cycle/--view-cycles window. Both write
---stats-host-time stats, and their peak_rss_kb must differ by at most
-2 MiB. The windowed viewer keeps a few dozen records, so anything it
-stores per fetched instruction outside the window (1.5M of them here,
-4 bytes each is about 6 MB) shows up as the difference.
+Runs one mssr_run job without a recorder, then with each recorder
+rendering below, and compares the --stats-host-time peak_rss_kb of
+each run with the plain run of the same length:
+
+- a 10-cycle --view-start-cycle/--view-cycles window with
+  --pipeview-out, and the same window with --trace-out, may cost at
+  most 2 MiB. The windowed recorder holds a few dozen instructions'
+  events, so anything it stores per fetched instruction outside the
+  window (600k of them here) or allocates for events it never holds
+  shows up as the difference;
+- an unwindowed --trace, at --iters 3000 and at --iters 6000, may cost
+  at most 8 MiB at both lengths: the text trace prints the newest 64Ki
+  events, so its recorder must hold no more than those however long
+  the run is.
 
 Each job is started from a forked shell: ru_maxrss survives exec, so a
 job spawned straight from this script would report at least this
 interpreter's own peak.
 
 usage: check_view_memory.py --run MSSR_RUN
-Exit status: 0 within bound, 1 over it or a job failed.
+Exit status: 0 within every bound, 1 over one or a job failed.
 """
 
 import argparse
@@ -24,23 +32,37 @@ import subprocess
 import sys
 import tempfile
 
-JOB = ["--reuse", "rgid", "--scale", "6", "--iters", "6000",
-       "--stats-host-time"]
-WINDOW = ["--pipeview-out", "pv.kanata", "--view-start-cycle", "100",
-          "--view-cycles", "10"]
-MAX_KB = 2048
+JOB = ["--reuse", "rgid", "--scale", "6", "--stats-host-time"]
+WINDOW = ["--view-start-cycle", "100", "--view-cycles", "10"]
+WINDOW_MAX_KB = 2048
+TRACE_MAX_KB = 8192
+
+# (what, --iters, recorder flags, bound in KB)
+CHECKS = [
+    ("a 10-cycle --pipeview-out window", 6000,
+     ["--pipeview-out", "pv.kanata"] + WINDOW, WINDOW_MAX_KB),
+    ("a 10-cycle --trace-out window", 6000,
+     ["--trace-out", "trace.json"] + WINDOW, WINDOW_MAX_KB),
+    ("an unwindowed --trace at --iters 3000", 3000, ["--trace"],
+     TRACE_MAX_KB),
+    ("an unwindowed --trace at --iters 6000", 6000, ["--trace"],
+     TRACE_MAX_KB),
+]
 
 
-def peak_rss_kb(mssr_run, extra, cwd):
-    cmd = shlex.join([mssr_run] + JOB + ["--stats-out", "stats.json"] +
+def peak_rss_kb(mssr_run, iters, extra, cwd):
+    cmd = shlex.join([mssr_run] + JOB + ["--iters", str(iters),
+                                         "--stats-out", "stats.json"] +
                      extra + ["nested-mispred"])
     env = {k: v for k, v in os.environ.items() if not k.startswith("MSSR_")}
     # "; exit" keeps the shell from exec'ing the job in its own process.
-    proc = subprocess.run(["sh", "-c", f"{cmd} >/dev/null; exit $?"],
-                          cwd=cwd, env=env, stderr=subprocess.PIPE,
-                          text=True)
+    # The text trace goes to stderr, which only a failure needs.
+    proc = subprocess.run(
+        ["sh", "-c", f"{cmd} >/dev/null 2>err.txt; exit $?"], cwd=cwd,
+        env=env)
     if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
+        with open(os.path.join(cwd, "err.txt"), encoding="utf-8") as f:
+            sys.stderr.write(f.read()[-4000:])
         raise SystemExit(f"check_view_memory: FAIL: exit "
                          f"{proc.returncode}: {cmd}")
     with open(os.path.join(cwd, "stats.json"), encoding="utf-8") as f:
@@ -53,17 +75,25 @@ def main():
     opts = ap.parse_args()
 
     mssr_run = os.path.abspath(opts.run)
+    failed = False
+    plain = {}
     with tempfile.TemporaryDirectory() as tmp:
-        plain = peak_rss_kb(mssr_run, [], tmp)
-        windowed = peak_rss_kb(mssr_run, WINDOW, tmp)
-    diff = windowed - plain
-    print(f"check_view_memory: peak_rss_kb {plain} without a viewer, "
-          f"{windowed} with a 10-cycle window ({diff:+d} KB)")
-    if diff > MAX_KB:
-        print(f"check_view_memory: FAIL: the windowed viewer costs more "
-              f"than {MAX_KB} KB")
+        for what, iters, extra, bound in CHECKS:
+            if iters not in plain:
+                plain[iters] = peak_rss_kb(mssr_run, iters, [], tmp)
+            kb = peak_rss_kb(mssr_run, iters, extra, tmp)
+            diff = kb - plain[iters]
+            print(f"check_view_memory: peak_rss_kb {plain[iters]} without "
+                  f"a recorder, {kb} with {what} ({diff:+d} KB, bound "
+                  f"{bound} KB)")
+            if diff > bound:
+                print(f"check_view_memory: FAIL: {what} costs more than "
+                      f"{bound} KB")
+                failed = True
+    if failed:
         return 1
-    print("check_view_memory: window bounds the viewer")
+    print("check_view_memory: window bounds the viewer, and the trace's "
+          "bound does not grow with run length")
     return 0
 
 

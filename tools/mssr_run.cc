@@ -16,7 +16,7 @@
  * submitted to mssr_serve simulate the same machine, and a --compare
  * baseline is that spec with the reuse scheme switched off.
  *
- * Each job records into its own tracer, so tracing composes with
+ * Each job records into its own PipeView, so tracing composes with
  * parallel execution and the per-job event streams stay deterministic.
  */
 
@@ -37,7 +37,6 @@
 #include "common/log.hh"
 #include "common/pipeview.hh"
 #include "common/serialize.hh"
-#include "common/trace.hh"
 #include "driver/batch_runner.hh"
 #include "driver/job_record.hh"
 #include "isa/assembler.hh"
@@ -106,10 +105,10 @@ help(const char *argv0)
         "log for Konata;\n"
         "                            multi-job runs write "
         "FILE-stem.<i>_<job>.<ext>\n"
-        "  --view-start-cycle C      bound --trace-out/--pipeview-out "
-        "output to cycles\n"
-        "                            [C, C+K); simulated results are "
-        "unaffected\n"
+        "  --view-start-cycle C      bound trace/pipeview output to "
+        "instructions fetched\n"
+        "                            in cycles [C, C+K); simulated results "
+        "are unaffected\n"
         "  --view-cycles K           length of the output window "
         "(K >= 1)\n"
         "  --stats-out FILE          write mssr-stats-v1 JSON (.prom: "
@@ -518,29 +517,22 @@ main(int argc, char **argv)
                     workloads::buildWorkload(s.workload, specScale(s)));
 
         // One job per program, plus its baseline when comparing. Each
-        // job records into its own tracer, so tracing no longer forces
-        // sequential execution.
-        std::deque<Tracer> tracers; // stable addresses across push_back
-        std::deque<PipeView> pipeviews;
+        // job records into its own PipeView, so recording does not
+        // force sequential execution.
+        std::deque<PipeView> views; // stable addresses across push_back
         std::vector<BatchJob> jobs;
-        const bool viewWindowed = viewStartSet || viewCycles != 0;
+        const PipeView::Feeds feeds{.kanata = !pipeviewOutFile.empty(),
+                                    .trace = traceOn};
         const Cycle viewEnd = viewCycles != 0
                                   ? viewStartCycle + viewCycles
                                   : ~Cycle(0);
         auto addJob = [&](const ServeJobSpec &s, const isa::Program *prog) {
             SimConfig job_cfg = specConfig(s);
             job_cfg.profiling = !profileOutFile.empty();
-            if (traceOn) {
-                tracers.emplace_back();
-                if (viewWindowed)
-                    tracers.back().setWindow(viewStartCycle, viewEnd);
-                job_cfg.tracer = &tracers.back();
-            }
-            if (!pipeviewOutFile.empty()) {
-                pipeviews.emplace_back();
-                if (viewWindowed)
-                    pipeviews.back().setWindow(viewStartCycle, viewEnd);
-                job_cfg.pipeview = &pipeviews.back();
+            if (feeds.kanata || feeds.trace) {
+                views.emplace_back(feeds);
+                views.back().setWindow(viewStartCycle, viewEnd);
+                job_cfg.pipeview = &views.back();
             }
             jobs.push_back({s.name, prog, job_cfg, {}});
         };
@@ -656,23 +648,23 @@ main(int argc, char **argv)
         }
 
         if (traceOn) {
-            std::vector<std::pair<std::string, const Tracer *>> streams;
+            std::vector<std::pair<std::string, const PipeView *>> streams;
             for (const BatchJob &job : jobs)
-                streams.emplace_back(job.name, job.config.tracer);
+                streams.emplace_back(job.name, job.config.pipeview);
             if (!traceOutFile.empty()) {
                 std::ofstream out(traceOutFile);
                 if (!out)
                     fatal("cannot write trace file '", traceOutFile, "'");
                 writeChromeJson(out, streams);
                 std::uint64_t events = 0;
-                for (const Tracer &t : tracers)
-                    events += t.size();
+                for (const PipeView &v : views)
+                    events += v.recorded() - v.dropped();
                 std::cerr << "trace: wrote " << events << " events to "
                           << traceOutFile << "\n";
             } else {
-                for (const auto &[name, tracer] : streams) {
+                for (const auto &[name, view] : streams) {
                     std::cerr << "=== trace: " << name << " ===\n";
-                    tracer->writeText(std::cerr);
+                    view->writeText(std::cerr);
                 }
             }
         }
@@ -684,12 +676,11 @@ main(int argc, char **argv)
                 std::ofstream out(file);
                 if (!out)
                     fatal("cannot write pipeview file '", file, "'");
-                const PipeView &view = *jobs[i].config.pipeview;
-                view.writeKanata(out, pipeviewMetaFields(jobs[i]));
-                std::cerr << "pipeview: wrote " << view.numRecords()
-                          << " instruction record"
-                          << (view.numRecords() == 1 ? "" : "s") << " to "
-                          << file << "\n";
+                const std::size_t rows = jobs[i].config.pipeview->writeKanata(
+                    out, pipeviewMetaFields(jobs[i]));
+                std::cerr << "pipeview: wrote " << rows
+                          << " instruction record" << (rows == 1 ? "" : "s")
+                          << " to " << file << "\n";
             }
         }
 
