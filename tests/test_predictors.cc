@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -304,4 +305,119 @@ TEST(Tage, FoldedHistoriesSurviveRestore)
         tage.specUpdate(0x2000, rng.chance(0.5));
         expectFoldsCurrent(tage.specHist(), pairs, slots, 5000 + i);
     }
+}
+
+namespace
+{
+
+/** One predicted branch still in flight. */
+struct InFlight
+{
+    std::size_t pos;    //!< index into the correct-path stream
+    PredSnapshot snap;  //!< predictor state before this branch
+};
+
+/**
+ * The correct path of a synthetic program: runs of a small loop over
+ * @p num_pcs conditional branches, each biased, periodic, correlated
+ * with the previous outcome or closing the loop.
+ */
+std::vector<std::pair<Addr, bool>>
+referencePath(std::size_t length, unsigned num_pcs, Rng &rng)
+{
+    std::vector<std::pair<Addr, bool>> path;
+    std::vector<unsigned> visits(num_pcs, 0);
+    bool last = false;
+    while (path.size() < length) {
+        const unsigned first = static_cast<unsigned>(rng.below(num_pcs - 8));
+        const unsigned body = 2 + static_cast<unsigned>(rng.below(7));
+        const unsigned trips = 3 + static_cast<unsigned>(rng.below(60));
+        for (unsigned trip = 0; trip < trips; ++trip) {
+            for (unsigned k = 0; k < body; ++k) {
+                const unsigned b = first + k;
+                const Addr pc = 0x10000 + Addr(b) * 12;
+                bool taken;
+                switch (b % 4) {
+                  case 0: taken = rng.chance(b % 8 == 0 ? 0.5 : 0.9); break;
+                  case 1: taken = visits[b] % (2 + b % 11) < 2; break;
+                  case 2: taken = last != (b % 3 == 0); break;
+                  default: taken = rng.chance(0.1); break;
+                }
+                ++visits[b];
+                path.emplace_back(pc, taken);
+                last = taken;
+            }
+            const Addr loopPC = 0x10000 + Addr(first + body) * 12;
+            path.emplace_back(loopPC, trip + 1 < trips);
+            last = trip + 1 < trips;
+        }
+    }
+    path.resize(length);
+    return path;
+}
+
+} // namespace
+
+TEST(TageScL, ReferenceStreamDigest)
+{
+    // Drives the predictor as BpuPipeline does: snapshot, predict and
+    // specUpdate at prediction; commitUpdate in commit order; wrong-path
+    // runs after each misprediction, undone by restore plus the actual
+    // outcome; and now and then a restore that refetches younger
+    // branches (a non-branch squash). Every prediction, wrong-path ones
+    // included, goes into an FNV-1a digest, so a change to any index,
+    // tag, fold or counter update shows as a different digest.
+    Rng rng(2024);
+    const auto path = referencePath(300000, 400, rng);
+    TageScLPredictor pred;
+    std::uint64_t digest = 14695981039346656037ull;
+    std::uint64_t predictions = 0;
+    auto record = [&](bool taken) {
+        digest = (digest ^ (taken ? 1 : 0)) * 1099511628211ull;
+        ++predictions;
+    };
+
+    std::deque<InFlight> inflight;
+    std::size_t next = 0;
+    std::size_t committed = 0;
+    while (committed < path.size()) {
+        if (next < path.size()) {
+            const auto [pc, actual] = path[next];
+            InFlight f{next, pred.snapshot()};
+            const bool guess = pred.predict(pc);
+            record(guess);
+            pred.specUpdate(pc, guess);
+            if (guess != actual) {
+                const unsigned wrong = 1 + static_cast<unsigned>(rng.below(12));
+                for (unsigned w = 0; w < wrong; ++w) {
+                    const Addr wpc = 0x10000 + rng.below(400) * 12;
+                    pred.snapshot();
+                    const bool g = pred.predict(wpc);
+                    record(g);
+                    pred.specUpdate(wpc, g);
+                }
+                pred.restore(f.snap);
+                pred.specUpdate(pc, actual);
+            }
+            inflight.push_back(f);
+            ++next;
+        }
+        if (inflight.size() > 4 && rng.chance(0.002)) {
+            // Squash the youngest few and refetch them.
+            const std::size_t keep = 1 + rng.below(inflight.size() - 1);
+            pred.restore(inflight[keep].snap);
+            next = inflight[keep].pos;
+            inflight.resize(keep);
+        }
+        while (inflight.size() > 24 || (next == path.size() &&
+                                        !inflight.empty())) {
+            const auto [pc, actual] = path[inflight.front().pos];
+            pred.commitUpdate(pc, actual);
+            inflight.pop_front();
+            ++committed;
+        }
+    }
+    // Recorded from the predictor before its storage was repacked.
+    EXPECT_EQ(predictions, 732835u);
+    EXPECT_EQ(digest, 0x819cb3651eccab88ull);
 }
