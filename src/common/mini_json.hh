@@ -11,8 +11,9 @@
  * It also reads outside input (serve request frames, journals, files
  * handed to mssr_stats), so malformed text of any shape is rejected
  * with a `JSON error at offset N: ...` runtime_error: nesting is
- * bounded (kMaxDepth) so a deep frame cannot overflow the stack, and a
- * number outside double range is an error, not a stod exception.
+ * bounded (kMaxDepth) so a deep frame cannot overflow the stack, a
+ * number must match RFC 8259's grammar in full, and a number outside
+ * double range is an error, not a stod exception.
  */
 
 #ifndef MSSR_COMMON_MINI_JSON_HH
@@ -201,28 +202,67 @@ class JsonParser
         return JsonValue{};
     }
 
+    bool
+    at(char c) const
+    {
+        return pos_ < text_.size() && text_[pos_] == c;
+    }
+
+    bool
+    atDigit() const
+    {
+        return pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_]));
+    }
+
+    /** One or more digits; @p what names the part that needs them. */
+    void
+    digits(const char *what)
+    {
+        if (!atDigit())
+            fail(std::string("expected digit ") + what);
+        while (atDigit())
+            ++pos_;
+    }
+
+    /**
+     * RFC 8259's number grammar, exactly:
+     * -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. What follows
+     * the number is the caller's to check, so `[1-2]` fails at `-`.
+     */
     JsonValue
     number()
     {
-        JsonValue v;
-        v.kind = JsonValue::Number;
-        std::size_t end = pos_;
-        while (end < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-                text_[end] == '-' || text_[end] == '+' ||
-                text_[end] == '.' || text_[end] == 'e' ||
-                text_[end] == 'E'))
-            ++end;
-        if (end == pos_)
-            fail("expected number");
-        try {
-            v.number = std::stod(text_.substr(pos_, end - pos_));
-        } catch (const std::out_of_range &) {
-            fail("number out of double range");
-        } catch (const std::invalid_argument &) {
+        const std::size_t start = pos_;
+        if (at('-'))
+            ++pos_;
+        if (at('0')) {
+            ++pos_;
+        } else if (atDigit()) {
+            while (atDigit())
+                ++pos_;
+        } else {
+            pos_ = start;
             fail("expected number");
         }
-        pos_ = end;
+        if (at('.')) {
+            ++pos_;
+            digits("after decimal point");
+        }
+        if (at('e') || at('E')) {
+            ++pos_;
+            if (at('+') || at('-'))
+                ++pos_;
+            digits("in exponent");
+        }
+        JsonValue v;
+        v.kind = JsonValue::Number;
+        try {
+            v.number = std::stod(text_.substr(start, pos_ - start));
+        } catch (const std::out_of_range &) {
+            pos_ = start;
+            fail("number out of double range");
+        }
         return v;
     }
 

@@ -171,6 +171,42 @@ TEST(MiniJson, RejectsDeepNestingAndOutOfRangeNumbers)
     EXPECT_EQ(error("[1, -]"), "JSON error at offset 4: expected number");
 }
 
+TEST(MiniJson, AcceptsExactlyTheRfcNumberGrammar)
+{
+    // Each of these once parsed as a prefix of the number, with the
+    // rest of the run dropped silently.
+    auto error = [](const std::string &text) -> std::string {
+        try {
+            minijson::JsonParser(text).parse();
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "parsed";
+    };
+    EXPECT_EQ(error("[1-2]"), "JSON error at offset 2: expected ']'");
+    EXPECT_EQ(error("1.2.3"), "JSON error at offset 3: trailing garbage");
+    EXPECT_EQ(error("{\"seed\": 1e5e5}"),
+              "JSON error at offset 12: expected '}'");
+    EXPECT_EQ(error("[1..]"),
+              "JSON error at offset 3: expected digit after decimal point");
+    EXPECT_EQ(error("[+5]"), "JSON error at offset 1: expected number");
+    EXPECT_EQ(error("[01]"), "JSON error at offset 2: expected ']'");
+    EXPECT_EQ(error("[.5]"), "JSON error at offset 1: expected number");
+    EXPECT_EQ(error("[1e]"),
+              "JSON error at offset 3: expected digit in exponent");
+    EXPECT_EQ(error("[1.e5]"),
+              "JSON error at offset 3: expected digit after decimal point");
+    EXPECT_EQ(error("[--1]"), "JSON error at offset 1: expected number");
+
+    const minijson::JsonValue ok = minijson::JsonParser(
+        "[0, -0, 12, -3.25, 1e3, 2E-2, 6.5e+1, 0.5, 1234567890123]").parse();
+    ASSERT_EQ(ok.array.size(), 9u);
+    const double want[] = {0, -0.0, 12, -3.25, 1000, 0.02, 65, 0.5,
+                           1234567890123.0};
+    for (std::size_t i = 0; i < 9; ++i)
+        EXPECT_EQ(ok.array[i].number, want[i]) << i;
+}
+
 // ------------------------------------------------------------- job specs
 
 TEST(ServeJobSpec, ParsesDefaultsAndRoundTripsCanonically)
