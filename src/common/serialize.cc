@@ -52,7 +52,8 @@ crc32(const std::uint8_t *data, std::size_t n)
 
 SerialWriter::SerialWriter(const char magic[8], std::uint32_t version)
 {
-    buf_.insert(buf_.end(), magic, magic + MagicBytes);
+    for (std::size_t i = 0; i < MagicBytes; ++i)
+        u8(static_cast<std::uint8_t>(magic[i]));
     u32(version);
 }
 

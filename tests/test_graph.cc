@@ -15,8 +15,9 @@ TEST(Graph, KroneckerShape)
     for (std::uint32_t u = 0; u < g.numVertices; ++u) {
         for (std::size_t i = 0; i < g.adj[u].size(); ++i) {
             EXPECT_NE(g.adj[u][i], u);
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_LT(g.adj[u][i - 1], g.adj[u][i]);
+            }
         }
     }
 }
