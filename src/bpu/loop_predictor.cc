@@ -8,7 +8,8 @@ namespace mssr
 
 LoopPredictor::LoopPredictor(unsigned entries, unsigned conf_threshold,
                              unsigned min_trip)
-    : entries_(entries), confThreshold_(conf_threshold), minTrip_(min_trip)
+    : entries_(entries), indexBits_(log2floor(entries)),
+      confThreshold_(conf_threshold), minTrip_(min_trip)
 {
     mssr_assert(isPow2(entries));
 }
@@ -23,7 +24,7 @@ std::uint32_t
 LoopPredictor::tagOf(Addr pc) const
 {
     return static_cast<std::uint32_t>(
-        (pc / InstBytes) >> log2floor(entries_.size()));
+        (pc / InstBytes) >> indexBits_);
 }
 
 LoopPredictor::Prediction

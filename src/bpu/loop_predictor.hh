@@ -67,6 +67,7 @@ class LoopPredictor
     std::uint32_t tagOf(Addr pc) const;
 
     std::vector<Entry> entries_;
+    unsigned indexBits_;  //!< log2 of entries_.size()
     unsigned confThreshold_;
     unsigned minTrip_;
 };

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -25,12 +26,12 @@ namespace mssr
 
 /**
  * Opaque speculative-state snapshot saved per prediction block and
- * restored on pipeline redirect. Large enough for any predictor here
- * (TAGE keeps a 256-bit history plus loop-predictor speculative state).
+ * restored on pipeline redirect. Large enough for any predictor here:
+ * TAGE keeps its 256-bit history, gshare one word.
  */
 struct PredSnapshot
 {
-    std::array<std::uint64_t, 6> words{};
+    std::array<std::uint64_t, 4> words{};
 };
 
 /**
@@ -43,6 +44,13 @@ struct PredSnapshot
  * shift() updates every registered fold in O(1), in the manner of the
  * folded-history registers of Seznec and Michaud's TAGE, and setWords()
  * recomputes them when the words are restored from a snapshot.
+ *
+ * Registered folds of one width share 64-bit words, one lane each, so
+ * shift() rotates a word's lanes at once and XORs each history bit
+ * that leaves a fold into every lane it touches with one mask. The
+ * layout (a FoldSet) can be shared: TAGE's speculative and retired
+ * histories register the same pairs, so they keep one set and each
+ * holds only its lane words.
  */
 class GlobalHistory
 {
@@ -50,30 +58,48 @@ class GlobalHistory
     static constexpr unsigned Bits = 256;
     using Words = std::array<std::uint64_t, 4>;
 
+    GlobalHistory();
+
+    /**
+     * An empty history that shares @p other's registered folds. Each
+     * sharing history must register every pair, in the same order,
+     * before it shifts or reads any: TagePredictor::addFold does.
+     */
+    static GlobalHistory sharingFolds(const GlobalHistory &other);
+
     /** Shifts in one outcome (1 = taken) as the youngest bit. */
     void
     shift(bool taken)
     {
-        // Each fold rotates left by one and XORs in a term chosen by
-        // three bits: the history bit leaving it (history[len-1]), the
-        // parity of the bits crossing a word boundary (history[63],
-        // [127], [191] below len-1: fold() restarts at each word, so
-        // they land on position 0 instead of rotating on) and the new
-        // bit. The first two depend only on the length.
-        const std::uint64_t wrapParity[4] = {
-            0, words_[0] >> 63, (words_[0] ^ words_[1]) >> 63,
-            (words_[0] ^ words_[1] ^ words_[2]) >> 63};
-        for (Tap &t : taps_)
-            t.select = ((words_[t.outWord] >> t.outShift) & 1) |
-                       (wrapParity[t.wraps] << 1) | (taken ? 4 : 0);
-        for (Fold &f : folds_) {
-            const std::uint64_t v = (f.raw << 1) | (f.raw >> f.topShift);
-            f.raw = (v & f.mask) ^ f.terms[taps_[f.tap].select];
+        // Each fold rotates left by one and XORs in up to three terms:
+        // the new bit (at position 0), the history bit leaving it
+        // (history[len-1]) and the parity of the bits crossing a word
+        // boundary (history[63], [127], [191] below len-1: fold()
+        // restarts at each word, so they land on position 0 instead
+        // of rotating on).
+        const FoldSet &set = *set_;
+        const Words w = words_;
+        std::uint64_t on[Bits]; // all ones where the tap's bit is set
+        const std::size_t taps = set.taps.size();
+        for (std::size_t t = 0; t < taps; ++t)
+            on[t] = -((w[set.taps[t].word] >> set.taps[t].shift) & 1);
+        const std::uint64_t in = taken ? ~std::uint64_t(0) : 0;
+        const std::uint64_t *term = set.terms.data();
+        for (std::size_t i = 0, n = lanes_.size(); i < n; ++i) {
+            const LaneWord &l = set.words[i];
+            const std::uint64_t v = lanes_[i];
+            std::uint64_t next =
+                (((v << 1) & l.rotated) | ((v >> l.topShift) & l.low)) ^
+                (l.low & in) ^ l.constantTerm;
+            for (std::size_t t = 0; t < taps; ++t)
+                next ^= term[t] & on[t];
+            lanes_[i] = next;
+            term += taps;
         }
-        words_[3] = (words_[3] << 1) | (words_[2] >> 63);
-        words_[2] = (words_[2] << 1) | (words_[1] >> 63);
-        words_[1] = (words_[1] << 1) | (words_[0] >> 63);
-        words_[0] = (words_[0] << 1) | (taken ? 1 : 0);
+        words_[3] = (w[3] << 1) | (w[2] >> 63);
+        words_[2] = (w[2] << 1) | (w[1] >> 63);
+        words_[1] = (w[1] << 1) | (w[0] >> 63);
+        words_[0] = (w[0] << 1) | (taken ? 1 : 0);
     }
 
     /**
@@ -97,8 +123,32 @@ class GlobalHistory
     std::uint64_t
     folded(unsigned slot) const
     {
-        return folds_[slot].raw ^ folds_[slot].constant;
+        const Slot &s = set_->slots[slot];
+        return (lanes_[s.word] >> s.shift) & s.mask;
     }
+
+    /** Where a registered fold lives, for reading it with lane(). */
+    struct FoldRef
+    {
+        std::uint32_t word = 0;
+        std::uint32_t shift = 0;
+    };
+
+    /** The FoldRef of @p slot; the same in every history sharing it. */
+    FoldRef
+    ref(unsigned slot) const
+    {
+        const Slot &s = set_->slots[slot];
+        return {static_cast<std::uint32_t>(s.word),
+                static_cast<std::uint32_t>(s.shift)};
+    }
+
+    /**
+     * The fold at @p r in the low bits (its width), with other folds
+     * above them: a caller masks the result to at most that width.
+     * The table walks use it to skip folded()'s lookups and mask.
+     */
+    std::uint64_t lane(FoldRef r) const { return lanes_[r.word] >> r.shift; }
 
     std::uint64_t word(unsigned i) const { return words_[i]; }
     /**
@@ -129,37 +179,72 @@ class GlobalHistory
         return out & mask(out_bits);
     }
 
-    /** Where shift() reads the bits one history length depends on. */
-    struct Tap
-    {
-        unsigned len = 0;
-        unsigned outWord = 0;   //!< history[len-1] is bit outShift
-        unsigned outShift = 0;  //!<   of word outWord
-        unsigned wraps = 0;     //!< word boundaries below len-1
-        unsigned select = 0;    //!< this shift's term index (scratch)
-    };
-
     /**
-     * One registered fold. fold(len, bits) is raw ^ constant: raw
-     * XORs history bit p into position (p mod 64) mod bits, and
+     * One registered fold: a lane of @c bits bits at @c shift in lane
+     * word @c word that holds fold(len, bits). That is raw ^ constant:
+     * raw XORs history bit p into position (p mod 64) mod bits, and
      * constant collects fold()'s per-word 0x2b terms.
      */
-    struct Fold
+    struct Slot
     {
-        std::uint64_t raw = 0;
         std::uint64_t mask = 0;      //!< low @c bits bits
-        unsigned topShift = 0;       //!< bits - 1: rotate-left by one
-        unsigned tap = 0;            //!< index into taps_
-        /** XORed in after the rotation, indexed by Tap::select. */
-        std::array<std::uint64_t, 8> terms{};
-        std::uint64_t constant = 0;
+        std::uint64_t word = 0;
+        std::uint64_t shift = 0;
         unsigned len = 0;
         unsigned bits = 0;
     };
 
+    /** The lanes of one width that one 64-bit word holds. */
+    struct LaneWord
+    {
+        unsigned bits = 0;
+        unsigned lanes = 0;
+        std::uint64_t low = 0;       //!< bit 0 of every lane
+        std::uint64_t rotated = 0;   //!< lane bits but bit 0
+        /**
+         * rot(constant) ^ constant over the lanes: rotating a lane
+         * rotates its constant too, and this puts the constant back.
+         */
+        std::uint64_t constantTerm = 0;
+        unsigned topShift = 0;       //!< bits - 1
+    };
+
+    /**
+     * A history bit that, while set, XORs one mask into each lane word
+     * per shift: bit len-1 of each registered length (the bit leaving
+     * its folds) and bits 63, 127 and 191 (fold() wraps each to bit 0
+     * of the folds longer than it). XOR is linear, so a bit serving
+     * several folds takes the XOR of their masks, and a word-crossing
+     * parity is the sum of its bits' terms.
+     */
+    struct Tap
+    {
+        unsigned word = 0;   //!< the bit is bit @c shift
+        unsigned shift = 0;  //!<   of Words[word]
+    };
+
+    /** Registered folds and how shift() updates them. */
+    struct FoldSet
+    {
+        std::vector<Slot> slots;
+        std::vector<LaneWord> words;
+        std::vector<Tap> taps;
+        /** Per lane word, one mask per tap (words x taps). */
+        std::vector<std::uint64_t> terms;
+
+        /** Recomputes taps and terms from slots and words. */
+        void rebuildTaps();
+    };
+
+    explicit GlobalHistory(std::shared_ptr<FoldSet> set)
+        : set_(std::move(set))
+    {
+    }
+
     Words words_{};
-    std::vector<Tap> taps_;    //!< one per registered length
-    std::vector<Fold> folds_;  //!< indexed by slot
+    std::shared_ptr<FoldSet> set_;
+    std::vector<std::uint64_t> lanes_;  //!< per LaneWord
+    unsigned slots_ = 0;                //!< slots this history registered
 };
 
 /** Abstract conditional-branch direction predictor. */

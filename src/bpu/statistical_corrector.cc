@@ -1,5 +1,7 @@
 #include "bpu/statistical_corrector.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace mssr
@@ -8,11 +10,9 @@ namespace mssr
 StatisticalCorrector::StatisticalCorrector(const AddFold &add_fold,
                                            unsigned table_bits,
                                            std::vector<unsigned> hist_lens)
-    : tableBits_(table_bits), histLens_(std::move(hist_lens))
+    : tableBits_(table_bits), histLens_(std::move(hist_lens)),
+      tables_(histLens_.size() << tableBits_, 0)
 {
-    tables_.resize(histLens_.size());
-    for (auto &table : tables_)
-        table.resize(std::size_t(1) << tableBits_, 0);
     for (unsigned len : histLens_)
         foldSlots_.push_back(len > 0 ? add_fold(len, tableBits_) : 0);
 }
@@ -27,7 +27,7 @@ StatisticalCorrector::index(Addr pc, bool tage_pred,
                         (std::uint64_t(table) * 0x9e3);
     if (histLens_[table] > 0)
         idx ^= hist.folded(foldSlots_[table]);
-    return idx & mask(tableBits_);
+    return (std::size_t(table) << tableBits_) | (idx & mask(tableBits_));
 }
 
 int
@@ -35,8 +35,8 @@ StatisticalCorrector::confidence(Addr pc, bool tage_pred,
                                  const GlobalHistory &hist) const
 {
     int sum = 0;
-    for (unsigned t = 0; t < tables_.size(); ++t)
-        sum += 2 * tables_[t][index(pc, tage_pred, hist, t)] + 1;
+    for (unsigned t = 0; t < histLens_.size(); ++t)
+        sum += 2 * tables_[index(pc, tage_pred, hist, t)] + 1;
     return sum;
 }
 
@@ -46,15 +46,10 @@ StatisticalCorrector::train(Addr pc, bool tage_pred, bool taken,
 {
     // Counters learn "does the outcome agree with the TAGE prediction".
     const bool agree = taken == tage_pred;
-    for (unsigned t = 0; t < tables_.size(); ++t) {
-        std::int8_t &ctr = tables_[t][index(pc, tage_pred, hist, t)];
-        if (agree) {
-            if (ctr < 31)
-                ++ctr;
-        } else {
-            if (ctr > -32)
-                --ctr;
-        }
+    for (unsigned t = 0; t < histLens_.size(); ++t) {
+        std::int8_t &ctr = tables_[index(pc, tage_pred, hist, t)];
+        ctr = static_cast<std::int8_t>(agree ? std::min(ctr + 1, 31)
+                                             : std::max(ctr - 1, -32));
     }
 }
 

@@ -62,7 +62,9 @@ class StatisticalCorrector
     unsigned tableBits_;
     std::vector<unsigned> histLens_;
     std::vector<unsigned> foldSlots_;  //!< per table; unused for bias
-    std::vector<std::vector<std::int8_t>> tables_; //!< 6-bit signed
+    /** 6-bit signed counters; table t's entry i is at
+     *  (t << tableBits_) | i. */
+    std::vector<std::int8_t> tables_;
     int threshold_ = 5;
 };
 

@@ -84,34 +84,56 @@ class TagePredictor : public DirPredictor
     const GlobalHistory &retiredHist() const { return retiredHist_; }
 
   private:
+    /** One tagged-table entry, packed into four bytes. */
     struct Entry
     {
-        std::int8_t ctr = 0;       //!< 3-bit signed [-4, 3]
         std::uint16_t tag = 0;
+        std::int8_t ctr = 0;       //!< 3-bit signed [-4, 3]
         std::uint8_t useful = 0;   //!< 2-bit
     };
 
-    std::uint32_t tableIndex(Addr pc, const GlobalHistory &hist,
-                             unsigned table) const;
-    std::uint16_t tableTag(Addr pc, const GlobalHistory &hist,
-                           unsigned table) const;
-
-    /** History-fold slots one tagged table reads. */
-    struct FoldSlots
+    /**
+     * The history folds one tagged table reads; the same in both
+     * histories, which share their registered folds.
+     */
+    struct TableFolds
     {
-        unsigned index = 0;  //!< fold(len, tableBits)
-        unsigned tag = 0;    //!< fold(len, tagBits)
-        unsigned tag2 = 0;   //!< fold(len, tagBits - 1)
+        GlobalHistory::FoldRef index;  //!< fold(len, tableBits)
+        GlobalHistory::FoldRef tag;    //!< fold(len, tagBits)
+        GlobalHistory::FoldRef tag2;   //!< fold(len, tagBits - 1)
     };
 
+    /** Table @p t's entry at @p index. */
+    Entry &
+    entry(unsigned t, std::uint32_t index)
+    {
+        return tables_[(std::size_t(t) << cfg_.tableBits) | index];
+    }
+    const Entry &
+    entry(unsigned t, std::uint32_t index) const
+    {
+        return tables_[(std::size_t(t) << cfg_.tableBits) | index];
+    }
+
+    /** The base table's 2-bit counter at @p index. */
+    unsigned
+    baseCtr(std::size_t index) const
+    {
+        return (base_[index / 32] >> (2 * (index % 32))) & 3;
+    }
+    void trainBase(std::size_t index, bool taken);
+
     TageConfig cfg_;
-    std::vector<FoldSlots> foldSlots_;  //!< per tagged table
-    std::vector<std::vector<Entry>> tables_;
-    std::vector<std::uint8_t> base_;    //!< 2-bit counters
+    std::vector<TableFolds> folds_;     //!< per tagged table
+    /** Every tagged table, one after another: table t's entry i is
+     *  at (t << tableBits) | i. */
+    std::vector<Entry> tables_;
+    /** Base-table 2-bit counters, 32 to a word. */
+    std::vector<std::uint64_t> base_;
     GlobalHistory specHist_;
-    GlobalHistory retiredHist_;
+    GlobalHistory retiredHist_;         //!< shares specHist_'s folds
     std::int8_t useAltOnNa_ = 0;        //!< 4-bit signed
-    std::uint64_t trainCount_ = 0;
+    std::uint64_t untilUsefulReset_;    //!< trains left in this period
     std::uint32_t lfsr_ = 0xace1u;      //!< allocation tie-breaking
 };
 
