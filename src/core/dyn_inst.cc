@@ -7,7 +7,7 @@ DynInstPool::~DynInstPool()
 {
     // Idle slots are poisoned under AddressSanitizer; hand them back
     // to the allocator unpoisoned.
-    for (DynInstSlot *slot : free_)
+    for (DynInstSlot *slot = freeHead_; slot; slot = slot->nextFree)
         unpoison(slot);
 }
 
@@ -15,11 +15,10 @@ void
 DynInstPool::grow()
 {
     slots_.push_back(std::make_unique<DynInstSlot>());
-    slots_.back()->pool = this;
-    // Room for every slot, so recycling a slot never allocates.
-    free_.reserve(slots_.capacity());
-    free_.push_back(slots_.back().get());
-    poison(slots_.back().get());
+    DynInstSlot *slot = slots_.back().get();
+    slot->pool = this;
+    ++live_; // recycle() counts it back out
+    recycle(slot);
 }
 
 } // namespace mssr

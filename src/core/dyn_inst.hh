@@ -31,47 +31,57 @@
 namespace mssr
 {
 
-struct DynInst
+/**
+ * The fields of an in-flight instruction that the pool resets for
+ * every instruction it hands out; DynInst adds the branch metadata,
+ * which it does not. Largest fields first, so nothing is padded.
+ */
+struct DynInstState
 {
     // Identity.
     SeqNum seq = 0;
     Addr pc = 0;
     isa::Inst si;
     std::uint64_t ftqId = 0;
-
-    // Branch prediction metadata (control instructions only).
-    bool hasBranchInfo = false;
-    BranchInfo branchInfo;
     Addr predNext = 0;          //!< predicted successor PC
 
-    // Rename state.
-    PhysReg src[2] = {InvalidPhysReg, InvalidPhysReg};
-    PhysReg dst = InvalidPhysReg;
-    PhysReg oldDst = InvalidPhysReg;    //!< previous mapping of rd
-    Rgid srcRgid[2] = {0, 0};
-    Rgid dstRgid = 0;
-    Rgid oldDstRgid = 0;                //!< previous RGID of rd
-
-    // Status flags.
-    bool executed = false;      //!< produced its result value
-    bool completed = false;     //!< done; eligible for commit
-    bool squashed = false;
-
-    // Memory state.
+    // Memory state and execution results.
     Addr memAddr = 0;
+    RegVal result = 0;
+    Addr actualNext = 0;
+    RegVal reusedValue = 0;     //!< value adopted at reuse time
     int lqIdx = -1;             //!< load-queue ring slot; -1 = not queued
     int sqIdx = -1;             //!< store-queue ring slot; -1 = not queued
 
-    // Execution results.
-    RegVal result = 0;
+    // Rename state.
+    Rgid srcRgid[2] = {0, 0};
+    Rgid dstRgid = 0;
+    Rgid oldDstRgid = 0;                //!< previous RGID of rd
+    PhysReg src[2] = {InvalidPhysReg, InvalidPhysReg};
+    PhysReg dst = InvalidPhysReg;
+    PhysReg oldDst = InvalidPhysReg;    //!< previous mapping of rd
+
+    // Status flags.
+    bool hasBranchInfo = false; //!< DynInst::branchInfo is this one's
+    bool executed = false;      //!< produced its result value
+    bool completed = false;     //!< done; eligible for commit
+    bool squashed = false;
     bool actualTaken = false;
-    Addr actualNext = 0;
     bool mispredicted = false;
 
     // Squash reuse state.
     bool reused = false;            //!< completed via squash reuse
     bool verifyPending = false;     //!< reused load awaiting re-execute
-    RegVal reusedValue = 0;         //!< value adopted at reuse time
+};
+
+struct DynInst : DynInstState
+{
+    /**
+     * Prediction metadata (control instructions only). Fetch writes it
+     * and sets hasBranchInfo; the pool leaves it as the slot's last
+     * instruction left it, so it is read only under hasBranchInfo.
+     */
+    BranchInfo branchInfo;
 
     bool isLoad() const { return si.isLoad(); }
     bool isStore() const { return si.isStore(); }
@@ -86,6 +96,7 @@ struct DynInstSlot
     DynInst inst;
     std::uint32_t refs = 0;       //!< live DynInstPtr handles
     DynInstPool *pool = nullptr;  //!< owner the slot returns to
+    DynInstSlot *nextFree = nullptr; //!< next idle slot, while idle
 };
 
 /**
@@ -146,6 +157,13 @@ class DynInstPtr
         return a.slot_ == b.slot_;
     }
 
+    /** Exchanges the handles; no count changes. */
+    friend void
+    swap(DynInstPtr &a, DynInstPtr &b) noexcept
+    {
+        std::swap(a.slot_, b.slot_);
+    }
+
   private:
     friend class DynInstPool;
 
@@ -176,22 +194,26 @@ class DynInstPool
     DynInstPool(const DynInstPool &) = delete;
     DynInstPool &operator=(const DynInstPool &) = delete;
 
-    /** A default-initialised instruction with one handle. */
+    /**
+     * An instruction with one handle, its DynInstState fields at their
+     * defaults (branchInfo is left as it was; see DynInst).
+     */
     DynInstPtr
     acquire()
     {
-        if (free_.empty())
+        if (!freeHead_)
             grow();
-        DynInstSlot *slot = free_.back();
-        free_.pop_back();
+        DynInstSlot *slot = freeHead_;
+        freeHead_ = slot->nextFree;
         unpoison(slot);
-        slot->inst = DynInst{};
+        static_cast<DynInstState &>(slot->inst) = DynInstState{};
         slot->refs = 1;
+        ++live_;
         return DynInstPtr(slot);
     }
 
     /** Slots currently held by at least one handle. */
-    std::size_t live() const { return slots_.size() - free_.size(); }
+    std::size_t live() const { return live_; }
 
     /**
      * Slots ever allocated, which is the most that were live at once:
@@ -202,21 +224,25 @@ class DynInstPool
   private:
     friend class DynInstPtr;
 
+    /** Puts @p slot on top of the idle stack. */
     void
     recycle(DynInstSlot *slot)
     {
         poison(slot);
-        free_.push_back(slot);
+        slot->nextFree = freeHead_;
+        freeHead_ = slot;
+        --live_;
     }
 
-    /** Adds one slot to the free list (the only allocating path). */
+    /** Adds one idle slot (the only allocating path). */
     void grow();
 
+    /** Poisons the instruction; the bookkeeping stays readable. */
     static void
     poison([[maybe_unused]] DynInstSlot *slot)
     {
 #if defined(__SANITIZE_ADDRESS__)
-        __asan_poison_memory_region(slot, sizeof(*slot));
+        __asan_poison_memory_region(&slot->inst, sizeof(slot->inst));
 #endif
     }
 
@@ -224,12 +250,14 @@ class DynInstPool
     unpoison([[maybe_unused]] DynInstSlot *slot)
     {
 #if defined(__SANITIZE_ADDRESS__)
-        __asan_unpoison_memory_region(slot, sizeof(*slot));
+        __asan_unpoison_memory_region(&slot->inst, sizeof(slot->inst));
 #endif
     }
 
     std::vector<std::unique_ptr<DynInstSlot>> slots_;
-    std::vector<DynInstSlot *> free_;   //!< LIFO stack of idle slots
+    /** Idle slots, a LIFO stack linked through DynInstSlot::nextFree. */
+    DynInstSlot *freeHead_ = nullptr;
+    std::size_t live_ = 0;
 };
 
 inline void

@@ -171,8 +171,14 @@ O3Cpu::scheduleWriteback(const DynInstPtr &inst, Cycle latency)
 {
     mssr_assert(latency <= wbMask_, "writeback latency ", latency,
                 " beyond the ", wbWheel_.size(), "-cycle wheel");
-    wbWheel_[(cycle_ + std::max<Cycle>(latency, 1)) & wbMask_].push_back(
-        inst);
+    // Writeback takes a bucket in sequence order (for determinism), so
+    // a bucket is kept sorted as it fills; most arrivals are youngest.
+    std::vector<DynInstPtr> &bucket =
+        wbWheel_[(cycle_ + std::max<Cycle>(latency, 1)) & wbMask_];
+    bucket.push_back(inst);
+    for (std::size_t i = bucket.size() - 1;
+         i > 0 && bucket[i - 1]->seq > inst->seq; --i)
+        swap(bucket[i - 1], bucket[i]);
 }
 
 void
@@ -210,7 +216,9 @@ O3Cpu::commitStage()
 {
     unsigned n = 0;
     while (n < cfg_.core.commitWidth && !rob_.empty()) {
-        const DynInstPtr inst = rob_.head();
+        // A reference: the ROB keeps the instruction until popHead(),
+        // the last use of it.
+        const DynInstPtr &inst = rob_.head();
         if (!inst->completed || inst->verifyPending)
             break;
 
@@ -266,12 +274,8 @@ O3Cpu::commitStage()
 void
 O3Cpu::writebackStage()
 {
-    // This cycle's bucket, in sequence order for determinism.
+    // This cycle's bucket, in sequence order (see scheduleWriteback).
     std::vector<DynInstPtr> &due = wbWheel_[cycle_ & wbMask_];
-    std::sort(due.begin(), due.end(),
-              [](const DynInstPtr &a, const DynInstPtr &b) {
-                  return a->seq < b->seq;
-              });
 
     for (const DynInstPtr &inst : due) {
         if (inst->squashed)
@@ -683,11 +687,12 @@ O3Cpu::fetchStage()
             probe_->emit({.kind = ProbeKind::Fetch, .seq = inst->seq,
                           .pc = pc,
                           .aux = cycle_ + cfg_.core.frontendStages});
+        const bool halt = inst->si.isHalt();
         frontPipe_.pushBack(
-            FrontSlot{inst, cycle_ + cfg_.core.frontendStages});
+            FrontSlot{std::move(inst), cycle_ + cfg_.core.frontendStages});
         ++fetched_;
         ++n;
-        if (inst->si.isHalt())
+        if (halt)
             break; // nothing beyond a fetched halt
     }
 }
@@ -711,18 +716,17 @@ O3Cpu::bpuStage()
 void
 O3Cpu::applySquash()
 {
-    const PendingSquash squash = pendingSquash_;
-    pendingSquash_ = PendingSquash{};
+    const PendingSquash squash = std::exchange(pendingSquash_, {});
     mssr_assert(squash.valid);
     ++squashEvents_;
 
     // 1. ROB walk (youngest first): rename rollback.
     std::vector<DynInstPtr> &squashed = squashBuf_;
-    rob_.squashAfter(squash.afterSeq, [&](const DynInstPtr &inst) {
+    rob_.squashAfter(squash.afterSeq, [&](DynInstPtr &inst) {
         inst->squashed = true;
         if (inst->si.hasRd())
             rat_.set(inst->si.rd, inst->oldDst, inst->oldDstRgid);
-        squashed.push_back(inst);
+        squashed.push_back(std::move(inst));
     });
     std::reverse(squashed.begin(), squashed.end()); // oldest first
 
@@ -779,6 +783,8 @@ O3Cpu::applySquash()
 
     // 6. Frontend redirect with speculative-state repair.
     if (squash.reason == SquashReason::BranchMispredict) {
+        mssr_assert(squash.cause->hasBranchInfo,
+                    "mispredicted branch without prediction metadata");
         bpu_.redirect(squash.cause->branchInfo, squash.cause->actualTaken,
                       squash.redirectPC, squash.cause->si);
     } else {

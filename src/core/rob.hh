@@ -41,6 +41,7 @@ class Rob
     /**
      * Removes all instructions with seq > @p after_seq, youngest first,
      * invoking @p undo on each (rename rollback, resource release).
+     * @p undo gets the ROB's handle and may move it out.
      */
     template <typename UndoFn>
     void
