@@ -1,9 +1,8 @@
 #include "common/pipeview.hh"
 
 #include <algorithm>
-#include <initializer_list>
 #include <ostream>
-#include <string_view>
+#include <queue>
 
 #include "common/frame.hh"
 #include "common/log.hh"
@@ -148,11 +147,34 @@ PipeView::records() const
 namespace
 {
 
-/** One Kanata line pending emission, sorted by cycle (stable). */
-struct KanataEvent
+/**
+ * One Kanata line, kept unformatted until it is written. Lines go out
+ * by cycle, ties in the order rows and their lines were generated:
+ * (cycle, row, order).
+ */
+struct KanataLine
 {
     Cycle cycle;
-    std::string text;
+    std::uint32_t row;    //!< record index, the line's Kanata id
+    std::uint32_t order;  //!< position among the row's lines
+    char op;              //!< Kanata command: I, L, S, E, W or R
+    unsigned lane;        //!< L: 0 label / 1 detail; S, E: lane
+    const char *name;     //!< S, E: stage name
+    std::uint64_t arg;    //!< W: donor id; R: 0 retired / 1 flushed
+};
+
+/** Heap order for KanataLine: the top is the next line to write. */
+struct KanataLater
+{
+    bool
+    operator()(const KanataLine &a, const KanataLine &b) const
+    {
+        if (a.cycle != b.cycle)
+            return a.cycle > b.cycle;
+        if (a.row != b.row)
+            return a.row > b.row;
+        return a.order > b.order;
+    }
 };
 
 /** Short stage name for a reuse-test verdict (lane 2 marker). */
@@ -205,52 +227,83 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
        << ", \"reused\": " << counts_.reused
        << "}, \"records\": " << rows.size() << "}\n";
 
-    std::vector<KanataEvent> evs;
-    // Built by append (not operator+ chains: GCC 12's -Wrestrict
-    // false-positives on the rvalue concatenation overloads).
-    auto push = [&](Cycle c, std::initializer_list<std::string_view> parts) {
-        std::string text;
-        for (std::string_view part : parts)
-            text += part;
-        evs.push_back({c, std::move(text)});
+    // Each row's lines are generated in fetch order and merged by
+    // cycle through a heap, so only lines that a later row could still
+    // precede are held, and none as text. low[i] is no later than any
+    // line of rows i onward: a line at or before it can be written.
+    std::vector<Cycle> low(rows.size() + 1, NoStamp);
+    for (std::size_t i = rows.size(); i-- > 0;) {
+        const Record &r = rows[i];
+        Cycle first = low[i + 1];
+        for (Cycle c : {r.fetch, r.decode, r.rename, r.issue, r.complete,
+                        r.commit, r.logged, r.covered, r.tested, r.salvage})
+            first = std::min(first, c);
+        low[i] = first;
+    }
+
+    std::priority_queue<KanataLine, std::vector<KanataLine>, KanataLater>
+        pending;
+    bool first = true;
+    Cycle cur = 0;
+    auto write = [&](const KanataLine &l) {
+        if (first) {
+            os << "C=\t" << l.cycle << "\n";
+            cur = l.cycle;
+            first = false;
+        } else if (l.cycle != cur) {
+            os << "C\t" << (l.cycle - cur) << "\n";
+            cur = l.cycle;
+        }
+        const Record &r = rows[l.row];
+        os << l.op << '\t' << l.row << '\t';
+        switch (l.op) {
+          case 'I':
+            os << r.seq << "\t0";
+            break;
+          case 'L':
+            os << l.lane << '\t';
+            if (l.lane == 0) {
+                os << '[' << r.seq << "] " << hexPc(r.pc);
+                if (r.salvage != NoStamp)
+                    os << (r.needVerify ? " salvaged+verify" : " salvaged");
+            } else {
+                os << "seq=" << r.seq << " pc=" << hexPc(r.pc);
+                if (r.squash != NoStamp)
+                    os << " squash=" << toString(r.squashReason);
+                if (r.verdict != ReuseOutcome::None)
+                    os << " verdict=" << toString(r.verdict);
+                if (r.adopterSeq != 0)
+                    os << " adopter=" << r.adopterSeq;
+                if (r.donorSeq != 0)
+                    os << " donor=" << r.donorSeq;
+            }
+            break;
+          case 'S':
+          case 'E':
+            os << l.lane << '\t' << l.name;
+            break;
+          case 'W':
+            os << l.arg << "\t0";
+            break;
+          default: // 'R'
+            os << r.seq << '\t' << l.arg;
+            break;
+        }
+        os << '\n';
     };
-    auto num = [](std::uint64_t v) { return std::to_string(v); };
 
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Record &r = rows[i];
-        const std::string id = num(i);
+        std::uint32_t order = 0;
+        auto push = [&](Cycle c, char op, unsigned lane = 0,
+                        const char *name = nullptr, std::uint64_t arg = 0) {
+            pending.push({c, static_cast<std::uint32_t>(i), order++, op,
+                          lane, name, arg});
+        };
 
-        push(r.fetch, {"I\t", id, "\t", num(r.seq), "\t0"});
-
-        std::string label = "[";
-        label += num(r.seq);
-        label += "] ";
-        label += hexPc(r.pc);
-        if (r.salvage != NoStamp)
-            label += r.needVerify ? " salvaged+verify" : " salvaged";
-        push(r.fetch, {"L\t", id, "\t0\t", label});
-
-        std::string detail = "seq=";
-        detail += num(r.seq);
-        detail += " pc=";
-        detail += hexPc(r.pc);
-        if (r.squash != NoStamp) {
-            detail += " squash=";
-            detail += toString(r.squashReason);
-        }
-        if (r.verdict != ReuseOutcome::None) {
-            detail += " verdict=";
-            detail += toString(r.verdict);
-        }
-        if (r.adopterSeq != 0) {
-            detail += " adopter=";
-            detail += num(r.adopterSeq);
-        }
-        if (r.donorSeq != 0) {
-            detail += " donor=";
-            detail += num(r.donorSeq);
-        }
-        push(r.fetch, {"L\t", id, "\t1\t", detail});
+        push(r.fetch, 'I');
+        push(r.fetch, 'L', 0);
+        push(r.fetch, 'L', 1);
 
         // Lane 0: pipeline stages. Starts are non-decreasing by
         // construction; stamps at or past the termination cycle are
@@ -272,22 +325,19 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
                 if (s.start != NoStamp)
                     term = std::max(term, s.start + 1);
         }
-        std::vector<StageStamp> stages;
+        const StageStamp *prev = nullptr;
         for (const StageStamp &s : all) {
             if (s.start == NoStamp || s.start >= term)
                 continue;
-            if (!stages.empty() && s.start <= stages.back().start)
+            if (prev && s.start <= prev->start)
                 continue; // zero-length stage: merged into predecessor
-            stages.push_back(s);
+            if (prev)
+                push(s.start, 'E', 0, prev->name);
+            push(s.start, 'S', 0, s.name);
+            prev = &s;
         }
-        for (std::size_t k = 0; k < stages.size(); ++k) {
-            if (k > 0)
-                push(stages[k].start,
-                     {"E\t", id, "\t0\t", stages[k - 1].name});
-            push(stages[k].start, {"S\t", id, "\t0\t", stages[k].name});
-        }
-        if (!stages.empty())
-            push(term, {"E\t", id, "\t0\t", stages.back().name});
+        if (prev)
+            push(term, 'E', 0, prev->name);
 
         // Lanes 1/2: squash-log lifecycle and reuse-test verdicts,
         // width-1 markers. These outlive a squashed donor's flush, so
@@ -297,9 +347,8 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
         auto mark = [&](Cycle c, unsigned lane, const char *name) {
             if (c == NoStamp)
                 return;
-            const std::string ln = num(lane);
-            push(c, {"S\t", id, "\t", ln, "\t", name});
-            push(c + 1, {"E\t", id, "\t", ln, "\t", name});
+            push(c, 'S', lane, name);
+            push(c + 1, 'E', lane, name);
             lastMark = std::max(lastMark, c + 1);
         };
         mark(r.logged, 1, "Lg");
@@ -312,37 +361,24 @@ PipeView::writeKanata(std::ostream &os, const std::string &meta_fields) const
             // Kanata file ids are record indices; a donor fetched
             // before the window has none.
             if (const Record *donor = findRecord(rows, r.donorSeq))
-                push(r.salvage,
-                     {"W\t", id, "\t",
-                      num(static_cast<std::uint64_t>(donor - rows.data())),
-                      "\t0"});
+                push(r.salvage, 'W', 0, nullptr,
+                     static_cast<std::uint64_t>(donor - rows.data()));
         }
 
         if (committed)
-            push(term, {"R\t", id, "\t", num(r.seq), "\t0"});
+            push(term, 'R', 0, nullptr, 0);
         else if (squashed)
-            push(std::max(term, lastMark),
-                 {"R\t", id, "\t", num(r.seq), "\t1"});
+            push(std::max(term, lastMark), 'R', 0, nullptr, 1);
         // Still in flight at halt: no retire record.
-    }
 
-    std::stable_sort(evs.begin(), evs.end(),
-                     [](const KanataEvent &a, const KanataEvent &b) {
-                         return a.cycle < b.cycle;
-                     });
-
-    bool first = true;
-    Cycle cur = 0;
-    for (const KanataEvent &e : evs) {
-        if (first) {
-            os << "C=\t" << e.cycle << "\n";
-            cur = e.cycle;
-            first = false;
-        } else if (e.cycle != cur) {
-            os << "C\t" << (e.cycle - cur) << "\n";
-            cur = e.cycle;
+        while (!pending.empty() && pending.top().cycle <= low[i + 1]) {
+            write(pending.top());
+            pending.pop();
         }
-        os << e.text << "\n";
+    }
+    while (!pending.empty()) {
+        write(pending.top());
+        pending.pop();
     }
     return rows.size();
 }

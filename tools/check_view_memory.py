@@ -14,11 +14,17 @@ each run with the plain run of the same length:
 - an unwindowed --trace, at --iters 3000 and at --iters 6000, may cost
   at most 8 MiB at both lengths: the text trace prints the newest 64Ki
   events, so its recorder must hold no more than those however long
-  the run is.
+  the run is;
+- an unwindowed --pipeview-out at --iters 300 may raise the whole
+  process's maximum RSS, export included, by at most 48 MiB over the
+  plain run. The recorder holds every event of the run and the export
+  one record per fetched instruction (about 73k here); an export that
+  held its output lines as strings until the end cost about twice that.
 
 Each job is started from a forked shell: ru_maxrss survives exec, so a
 job spawned straight from this script would report at least this
-interpreter's own peak.
+interpreter's own peak. The whole-process maximum is read as that
+shell's children's ru_maxrss, in a fresh interpreter per job.
 
 usage: check_view_memory.py --run MSSR_RUN
 Exit status: 0 within every bound, 1 over one or a job failed.
@@ -37,34 +43,50 @@ WINDOW = ["--view-start-cycle", "100", "--view-cycles", "10"]
 WINDOW_MAX_KB = 2048
 TRACE_MAX_KB = 8192
 
-# (what, --iters, recorder flags, bound in KB)
+EXPORT_MAX_KB = 48 * 1024
+
+# (what, --iters, recorder flags, bound in KB, whole process?). The
+# stats' peak_rss_kb is taken at job end, before any export; the whole
+# process's maximum includes the export.
 CHECKS = [
     ("a 10-cycle --pipeview-out window", 6000,
-     ["--pipeview-out", "pv.kanata"] + WINDOW, WINDOW_MAX_KB),
+     ["--pipeview-out", "pv.kanata"] + WINDOW, WINDOW_MAX_KB, False),
     ("a 10-cycle --trace-out window", 6000,
-     ["--trace-out", "trace.json"] + WINDOW, WINDOW_MAX_KB),
+     ["--trace-out", "trace.json"] + WINDOW, WINDOW_MAX_KB, False),
     ("an unwindowed --trace at --iters 3000", 3000, ["--trace"],
-     TRACE_MAX_KB),
+     TRACE_MAX_KB, False),
     ("an unwindowed --trace at --iters 6000", 6000, ["--trace"],
-     TRACE_MAX_KB),
+     TRACE_MAX_KB, False),
+    ("an unwindowed --pipeview-out at --iters 300, export included", 300,
+     ["--pipeview-out", "pv.kanata"], EXPORT_MAX_KB, True),
 ]
 
+# Runs argv[1] through a shell and prints the largest child's maxrss.
+MAX_RSS = ("import resource, subprocess, sys; "
+           "code = subprocess.run(['sh', '-c', sys.argv[1]]).returncode; "
+           "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss); "
+           "sys.exit(code)")
 
-def peak_rss_kb(mssr_run, iters, extra, cwd):
+
+def peak_rss_kb(mssr_run, iters, extra, cwd, whole):
     cmd = shlex.join([mssr_run] + JOB + ["--iters", str(iters),
                                          "--stats-out", "stats.json"] +
                      extra + ["nested-mispred"])
     env = {k: v for k, v in os.environ.items() if not k.startswith("MSSR_")}
     # "; exit" keeps the shell from exec'ing the job in its own process.
     # The text trace goes to stderr, which only a failure needs.
+    shell = f"{cmd} >/dev/null 2>err.txt; exit $?"
     proc = subprocess.run(
-        ["sh", "-c", f"{cmd} >/dev/null 2>err.txt; exit $?"], cwd=cwd,
-        env=env)
+        [sys.executable, "-c", MAX_RSS, shell] if whole
+        else ["sh", "-c", shell],
+        cwd=cwd, env=env, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         with open(os.path.join(cwd, "err.txt"), encoding="utf-8") as f:
             sys.stderr.write(f.read()[-4000:])
         raise SystemExit(f"check_view_memory: FAIL: exit "
                          f"{proc.returncode}: {cmd}")
+    if whole:
+        return int(proc.stdout.split()[-1])
     with open(os.path.join(cwd, "stats.json"), encoding="utf-8") as f:
         return json.load(f)["runs"][0]["peak_rss_kb"]
 
@@ -78,14 +100,16 @@ def main():
     failed = False
     plain = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for what, iters, extra, bound in CHECKS:
-            if iters not in plain:
-                plain[iters] = peak_rss_kb(mssr_run, iters, [], tmp)
-            kb = peak_rss_kb(mssr_run, iters, extra, tmp)
-            diff = kb - plain[iters]
-            print(f"check_view_memory: peak_rss_kb {plain[iters]} without "
-                  f"a recorder, {kb} with {what} ({diff:+d} KB, bound "
-                  f"{bound} KB)")
+        for what, iters, extra, bound, whole in CHECKS:
+            if (iters, whole) not in plain:
+                plain[iters, whole] = peak_rss_kb(mssr_run, iters, [], tmp,
+                                                  whole)
+            base = plain[iters, whole]
+            kb = peak_rss_kb(mssr_run, iters, extra, tmp, whole)
+            diff = kb - base
+            print(f"check_view_memory: {'max RSS' if whole else 'peak_rss_kb'}"
+                  f" {base} without a recorder, {kb} with {what} "
+                  f"({diff:+d} KB, bound {bound} KB)")
             if diff > bound:
                 print(f"check_view_memory: FAIL: {what} costs more than "
                       f"{bound} KB")
