@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -282,6 +283,14 @@ struct QueueSizes
     unsigned intRvs;
     unsigned memRvs;
 };
+
+// gtest would otherwise print the raw bytes, `name`'s address among
+// them, into each test's listed name, which then changes every run.
+void
+PrintTo(const QueueSizes &q, std::ostream *os)
+{
+    *os << '{' << q.intRvs << ", " << q.memRvs << '}';
+}
 
 } // namespace
 
