@@ -89,6 +89,11 @@ PipeView::records() const
 {
     mssr_assert(feeds_.kanata, "only a Kanata recorder holds whole rows");
     std::vector<Record> rows;
+    // Exactly one row per fetch: growing by doubling would hold up to
+    // twice the rows while the export runs.
+    rows.reserve(std::count_if(
+        events_.begin(), events_.end(),
+        [](const ProbeEvent &e) { return e.kind == ProbeKind::Fetch; }));
     auto find = [&](SeqNum seq) {
         return const_cast<Record *>(findRecord(rows, seq));
     };
