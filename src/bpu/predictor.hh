@@ -71,12 +71,12 @@ class GlobalHistory
     void
     shift(bool taken)
     {
-        // Each fold rotates left by one and XORs in up to three terms:
-        // the new bit (at position 0), the history bit leaving it
-        // (history[len-1]) and the parity of the bits crossing a word
-        // boundary (history[63], [127], [191] below len-1: fold()
-        // restarts at each word, so they land on position 0 instead
-        // of rotating on).
+        // Each fold rotates left by one and XORs in the new bit (at
+        // position 0), the history bit leaving it (history[len-1]) and
+        // the bits crossing a word boundary below len-1 (history[63],
+        // [127], [191]: fold() restarts at each word, so they land on
+        // position 0 instead of rotating on). Lanes rotate a word at a
+        // time; each tap XORs its mask into a word while its bit is set.
         const FoldSet &set = *set_;
         const Words w = words_;
         std::uint64_t on[Bits]; // all ones where the tap's bit is set
@@ -139,8 +139,7 @@ class GlobalHistory
     ref(unsigned slot) const
     {
         const Slot &s = set_->slots[slot];
-        return {static_cast<std::uint32_t>(s.word),
-                static_cast<std::uint32_t>(s.shift)};
+        return {s.word, s.shift};
     }
 
     /**
@@ -188,8 +187,8 @@ class GlobalHistory
     struct Slot
     {
         std::uint64_t mask = 0;      //!< low @c bits bits
-        std::uint64_t word = 0;
-        std::uint64_t shift = 0;
+        std::uint32_t word = 0;
+        std::uint32_t shift = 0;
         unsigned len = 0;
         unsigned bits = 0;
     };

@@ -417,7 +417,8 @@ TEST(TageScL, ReferenceStreamDigest)
             ++committed;
         }
     }
-    // Recorded from the predictor before its storage was repacked.
+    // Recorded from the reference implementation (2505c2e): any
+    // storage or layout change must leave every prediction as it was.
     EXPECT_EQ(predictions, 732835u);
     EXPECT_EQ(digest, 0x819cb3651eccab88ull);
 }

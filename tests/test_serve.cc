@@ -144,19 +144,29 @@ TEST(Frame, JsonEscapeCoversControlAndQuotes)
     EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
+namespace
+{
+
+/** minijson's error message for @p text, or "parsed". */
+std::string
+jsonError(const std::string &text)
+{
+    try {
+        minijson::JsonParser(text).parse();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "parsed";
+}
+
+} // namespace
+
 TEST(MiniJson, RejectsDeepNestingAndOutOfRangeNumbers)
 {
     // Request frames are outside input: nesting past the bound and a
     // number past double range are JSON errors at their offset, not a
     // stack overflow or a stod exception.
-    auto error = [](const std::string &text) -> std::string {
-        try {
-            minijson::JsonParser(text).parse();
-        } catch (const std::runtime_error &e) {
-            return e.what();
-        }
-        return "parsed";
-    };
+    const auto error = jsonError;
     constexpr unsigned Max = minijson::JsonParser::kMaxDepth;
     EXPECT_EQ(error(std::string(Max, '[') + std::string(Max, ']')),
               "parsed");
@@ -173,16 +183,9 @@ TEST(MiniJson, RejectsDeepNestingAndOutOfRangeNumbers)
 
 TEST(MiniJson, AcceptsExactlyTheRfcNumberGrammar)
 {
-    // Each of these once parsed as a prefix of the number, with the
-    // rest of the run dropped silently.
-    auto error = [](const std::string &text) -> std::string {
-        try {
-            minijson::JsonParser(text).parse();
-        } catch (const std::runtime_error &e) {
-            return e.what();
-        }
-        return "parsed";
-    };
+    // Each of these is malformed after a valid number prefix, which
+    // must not be taken for the whole value.
+    const auto error = jsonError;
     EXPECT_EQ(error("[1-2]"), "JSON error at offset 2: expected ']'");
     EXPECT_EQ(error("1.2.3"), "JSON error at offset 3: trailing garbage");
     EXPECT_EQ(error("{\"seed\": 1e5e5}"),
