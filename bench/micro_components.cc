@@ -27,11 +27,11 @@ BM_ReconvOverlapCheck(benchmark::State &state)
 {
     const unsigned entries = static_cast<unsigned>(state.range(0));
     WpbStream stream;
-    stream.valid = true;
     stream.vpn = 0x1;
     for (unsigned i = 0; i < entries; ++i)
         stream.entries.push_back(
-            WpbEntry{true, 0x1000 + i * 0x20, 0x101c + i * 0x20});
+            WpbEntry{0x1000 + i * 0x20, 0x101c + i * 0x20});
+    stream.numEntries = entries;
     Rng rng(1);
     for (auto _ : state) {
         const Addr start = 0x1000 + (rng.next() & 0x7e0);

@@ -143,6 +143,18 @@ ReuseFunnel::monotonic() const
     return true;
 }
 
+bool
+ReuseFunnel::derivePasses()
+{
+    const std::uint64_t rgidKills =
+        killKind + killNotExecuted + killRgid + killRgidCapacity;
+    if (rgidKills > tested || killBloom > tested - rgidKills)
+        return false;
+    rgidPass = tested - rgidKills;
+    hazardPass = rgidPass - killBloom;
+    return true;
+}
+
 ReuseFunnel &
 ReuseFunnel::operator+=(const ReuseFunnel &other)
 {

@@ -173,6 +173,14 @@ struct ReuseFunnel
     /** True when every stage count <= its predecessor's. */
     bool monotonic() const;
 
+    /**
+     * The stage algebra: rgidPass = tested - (killKind +
+     * killNotExecuted + killRgid + killRgidCapacity) and hazardPass =
+     * rgidPass - killBloom. @return false, leaving both passes as they
+     * were, when the kills do not fit under tested.
+     */
+    bool derivePasses();
+
     /** Counter-wise accumulation (merging sampled windows). The sum of
      *  per-window funnels stays monotonic: each stage's sum is a sum of
      *  stage-wise dominated terms. */

@@ -68,9 +68,7 @@ readBranch(const JsonValue &v)
     r.killBloom = f.killBloom;
     // funnel() asserts its stage algebra, so check the kills fit under
     // tested first; then the record must reproduce the written funnel.
-    const std::uint64_t rgidKills =
-        f.killKind + f.killNotExecuted + f.killRgid + f.killRgidCapacity;
-    if (rgidKills > f.tested || f.killBloom > f.tested - rgidKills)
+    if (ReuseFunnel derived = f; !derived.derivePasses())
         throw FormatError("branch funnel kills exceed tested");
     if (!(r.funnel() == f))
         throw FormatError("branch funnel does not follow its counters");
@@ -219,13 +217,9 @@ BranchRecord::funnel() const
     f.killRgid = killRgid;
     f.killRgidCapacity = killRgidCapacity;
     f.killBloom = killBloom;
-    const std::uint64_t rgidKills =
-        killKind + killNotExecuted + killRgid + killRgidCapacity;
-    mssr_assert(tested >= rgidKills, "per-branch funnel stage algebra");
-    f.rgidPass = tested - rgidKills;
-    mssr_assert(f.rgidPass >= killBloom, "per-branch funnel stage algebra");
-    f.hazardPass = f.rgidPass - killBloom;
     f.reused = reused;
+    const bool fits = f.derivePasses();
+    mssr_assert(fits, "per-branch funnel stage algebra");
     return f;
 }
 

@@ -10,16 +10,15 @@
  *
  * via "left aligner" and "right aligner" comparator banks producing
  * two bit-masks that are ANDed and priority-encoded; the reconvergence
- * PC is max(start_pc_head, start_pc_wpb). This module implements
- * exactly that dataflow (masks included) so the logic can be unit
- * tested and so the complexity model can mirror its tree structure.
+ * PC is max(start_pc_head, start_pc_wpb). The model computes the
+ * priority encoder's answer with a scan of the filled prefix that stops
+ * at the first overlapping entry, for any buffer size; the complexity
+ * model (analysis/complexity_model) estimates the comparator and
+ * encoder trees analytically.
  */
 
 #ifndef MSSR_REUSE_RECONV_DETECTOR_HH
 #define MSSR_REUSE_RECONV_DETECTOR_HH
-
-#include <cstdint>
-#include <vector>
 
 #include "reuse/wpb.hh"
 
@@ -39,17 +38,9 @@ struct ReconvHit
 class ReconvDetector
 {
   public:
-    /** Left aligner: mask[i] = (head_start <= end_pc[i]) & valid[i]. */
-    static std::uint64_t leftAlignerMask(const WpbStream &stream,
-                                         Addr head_start);
-
-    /** Right aligner: mask[i] = (head_end >= start_pc[i]) & valid[i]. */
-    static std::uint64_t rightAlignerMask(const WpbStream &stream,
-                                          Addr head_end);
-
     /**
-     * Full per-stream check: VPN compare (when restricted), aligner
-     * masks, AND, priority encode, exact-PC computation and conversion
+     * Full per-stream check: VPN compare (when restricted), the first
+     * entry both aligners accept, exact-PC computation and conversion
      * to an instruction offset from the start of the stream.
      */
     static ReconvHit match(const WpbStream &stream, Addr head_start,

@@ -13,50 +13,35 @@ ReuseUnit::ReuseUnit(const ReuseConfig &cfg, FreeList &free_list)
       wpb_(cfg.numStreams, cfg.wpbEntriesPerStream, cfg.restrictVpn),
       log_(cfg.numStreams, cfg.squashLogEntriesPerStream),
       rgids_(cfg.rgidBits),
-      bloom_(cfg.bloomBits, cfg.bloomHashes),
-      streamCaptureCycle_(cfg.numStreams, 0),
-      streamOriginPC_(cfg.numStreams, 0)
+      bloom_(cfg.bloomBits, cfg.bloomHashes)
 {
-}
-
-bool
-ReuseUnit::streamInstPC(const WpbStream &stream, unsigned index,
-                        Addr &pc_out)
-{
-    unsigned remaining = index;
-    for (unsigned i = 0; i < stream.numEntries; ++i) {
-        const WpbEntry &e = stream.entries[i];
-        const unsigned n =
-            static_cast<unsigned>((e.endPC - e.startPC) / InstBytes + 1);
-        if (remaining < n) {
-            pc_out = e.startPC + remaining * InstBytes;
-            return true;
-        }
-        remaining -= n;
-    }
-    return false;
-}
-
-bool
-ReuseUnit::streamInSession(unsigned s) const
-{
-    for (const Session &session : sessions_)
-        if (session.stream == s)
-            return true;
-    return false;
 }
 
 void
-ReuseUnit::releaseStream(unsigned s)
+ReuseUnit::Session::advance(const WpbStream &wpb, unsigned n)
 {
-    SquashLogStream &stream = log_.stream(s);
-    for (unsigned i = 0; i < stream.numEntries; ++i) {
-        SquashLogEntry &e = stream.entries[i];
-        if (e.valid && e.reserved && !e.consumed) {
-            freeList_.release(e.destPreg);
-            e.consumed = true;
-        }
+    fetchOffset += n;
+    while (fetchEntry < wpb.numEntries &&
+           fetchOffset >= wpb.entries[fetchEntry].numInsts()) {
+        fetchOffset -= wpb.entries[fetchEntry].numInsts();
+        ++fetchEntry;
     }
+}
+
+void
+ReuseUnit::dropStream(unsigned s)
+{
+    mssr_assert(!wpb_.stream(s).inSession, "dropping a stream in session");
+    // The free list is a FIFO: release order decides which register
+    // rename allocates next.
+    const SquashLogStream &stream = log_.stream(s);
+    for (unsigned i = 0; i < stream.numEntries; ++i) {
+        const SquashLogEntry &e = stream.entries[i];
+        if (e.reserved && !e.consumed)
+            freeList_.release(e.destPreg);
+    }
+    wpb_.invalidate(s);
+    log_.clearStream(s);
 }
 
 void
@@ -64,10 +49,9 @@ ReuseUnit::endFrontSession()
 {
     mssr_assert(!sessions_.empty());
     const unsigned s = sessions_.front().stream;
-    releaseStream(s);
-    wpb_.invalidate(s);
-    log_.clearStream(s);
     sessions_.pop_front();
+    wpb_.stream(s).inSession = false;
+    dropStream(s);
     renameActive_ = false;
     renameCursor_ = 0;
 }
@@ -75,6 +59,8 @@ ReuseUnit::endFrontSession()
 void
 ReuseUnit::clearSessions()
 {
+    for (const Session &session : sessions_)
+        wpb_.stream(session.stream).inSession = false;
     sessions_.clear();
     renameActive_ = false;
     renameCursor_ = 0;
@@ -96,31 +82,28 @@ ReuseUnit::onBranchSquash(SeqNum branch_seq,
 
     // Recycle the round-robin victim stream first.
     const unsigned victim = wpb_.nextStream();
-    releaseStream(victim);
-    log_.clearStream(victim);
+    dropStream(victim);
 
     // Reconstruct the squashed path as contiguous fetch-block ranges
     // (<= fetch-block size), oldest first.
     ranges_.clear();
-    constexpr unsigned MaxBlockInsts = 8; // 32B / 4B
     for (const auto &inst : squashed) {
-        const bool extend =
-            !ranges_.empty() &&
-            ranges_.back().endPC + InstBytes == inst->pc &&
-            (ranges_.back().endPC - ranges_.back().startPC) / InstBytes + 1 <
-                MaxBlockInsts;
+        const bool extend = !ranges_.empty() &&
+                            ranges_.back().endPC + InstBytes == inst->pc &&
+                            ranges_.back().numInsts() < MaxBlockInsts;
         if (extend) {
             ranges_.back().endPC = inst->pc;
         } else {
-            ranges_.push_back(WpbEntry{true, inst->pc, inst->pc});
+            ranges_.push_back(WpbEntry{inst->pc, inst->pc});
         }
     }
 
     const unsigned s = wpb_.writeStream(ranges_, branch_seq, squashEvents_);
     mssr_assert(s == victim);
     ++streamsCaptured_;
-    streamCaptureCycle_[s] = now;
-    streamOriginPC_[s] = branch_pc;
+    WpbStream &captured = wpb_.stream(s);
+    captured.captureCycle = now;
+    captured.originPC = branch_pc;
 
     // Populate the Squash Log and apply reservation policy (1): only
     // executed instructions keep their physical registers.
@@ -175,11 +158,8 @@ ReuseUnit::onOtherSquash(const std::vector<DynInstPtr> &squashed,
         if (inst->si.hasRd())
             freeList_.release(inst->dst);
     if (invalidate_all) {
-        for (unsigned s = 0; s < wpb_.numStreams(); ++s) {
-            releaseStream(s);
-            log_.clearStream(s);
-        }
-        wpb_.invalidateAll();
+        for (unsigned s = 0; s < wpb_.numStreams(); ++s)
+            dropStream(s);
         bloom_.reset();
     }
 }
@@ -196,7 +176,7 @@ ReuseUnit::detect(Addr start_pc, Addr end_pc)
     // streams already claimed by a queued session are skipped.
     order_.clear();
     for (unsigned s = 0; s < wpb_.numStreams(); ++s)
-        if (wpb_.stream(s).valid && !streamInSession(s))
+        if (wpb_.stream(s).numEntries > 0 && !wpb_.stream(s).inSession)
             order_.push_back(s);
     std::sort(order_.begin(), order_.end(), [&](unsigned a, unsigned b) {
         return wpb_.stream(a).squashEventIndex >
@@ -204,7 +184,7 @@ ReuseUnit::detect(Addr start_pc, Addr end_pc)
     });
 
     for (unsigned s : order_) {
-        const WpbStream &stream = wpb_.stream(s);
+        WpbStream &stream = wpb_.stream(s);
         const ReconvHit hit = ReconvDetector::match(
             stream, start_pc, end_pc, cfg_.restrictVpn);
         if (!hit.found)
@@ -231,7 +211,7 @@ ReuseUnit::detect(Addr start_pc, Addr end_pc)
         distance_.sample(std::min<std::uint64_t>(distance, 7));
         if (probe_)
             probe_->emit({.kind = ProbeKind::Reconv, .pc = hit.reconvPC,
-                          .arg = distance, .originPC = streamOriginPC_[s],
+                          .arg = distance, .originPC = stream.originPC,
                           .aux = hit.instOffset});
 
         // Funnel: the entries this session can reach are now covered
@@ -246,17 +226,24 @@ ReuseUnit::detect(Addr start_pc, Addr end_pc)
             ++funnel_.covered;
             if (probe_)
                 probe_->emit({.kind = ProbeKind::Covered, .seq = entry.seq,
-                              .originPC = streamOriginPC_[s]});
+                              .originPC = stream.originPC});
         }
 
         Session session;
         session.stream = s;
         session.startCursor = hit.instOffset;
         session.reconvPC = hit.reconvPC;
-        // The detection block itself is covered up to its end.
-        session.fetchAhead = static_cast<unsigned>(
-            (end_pc - hit.reconvPC) / InstBytes + 1);
+        // The IFU cursor starts at the reconvergence point and moves
+        // past the detection block: one instruction for each of its
+        // PCs from the reconvergence point to its end.
+        session.fetchEntry = hit.entryIdx;
+        session.fetchOffset = static_cast<unsigned>(
+            (hit.reconvPC - stream.entries[hit.entryIdx].startPC) /
+            InstBytes);
+        session.advance(stream, static_cast<unsigned>(
+                                    (end_pc - hit.reconvPC) / InstBytes + 1));
         sessions_.push_back(session);
+        stream.inSession = true;
         return;
     }
 }
@@ -275,17 +262,17 @@ ReuseUnit::onBlockFormed(const PredBlock &block)
         const unsigned blockInsts = block.numInsts();
         // Project the stream's instruction PCs against the block's.
         while (index < blockInsts) {
-            Addr expect = 0;
-            const unsigned streamIdx = fs.startCursor + fs.fetchAhead;
-            if (!streamInstPC(stream, streamIdx, expect)) {
+            if (fs.fetchEntry >= stream.numEntries) {
                 fs.fetchDone = true; // coverage exhausted
                 break;
             }
+            const Addr expect = stream.entries[fs.fetchEntry].startPC +
+                                fs.fetchOffset * InstBytes;
             if (expect != block.startPC + index * InstBytes) {
                 fs.fetchDone = true; // diverged
                 break;
             }
-            ++fs.fetchAhead;
+            fs.advance(stream, 1);
             ++index;
         }
         if (!fs.fetchDone)
@@ -305,12 +292,10 @@ ReuseUnit::processRename(const DynInstPtr &inst,
     // Stream aging and the 1024-instruction reconvergence timeout.
     for (unsigned s = 0; s < wpb_.numStreams(); ++s) {
         WpbStream &stream = wpb_.stream(s);
-        if (!stream.valid || streamInSession(s))
+        if (stream.numEntries == 0 || stream.inSession)
             continue;
         if (++stream.ageInsts > cfg_.reconvTimeoutInsts) {
-            releaseStream(s);
-            wpb_.invalidate(s);
-            log_.clearStream(s);
+            dropStream(s);
             ++timeouts_;
         }
     }
@@ -338,7 +323,7 @@ ReuseUnit::processRename(const DynInstPtr &inst,
             continue; // try the next queued session for this inst
         }
         SquashLogEntry &entry = stream.entries[renameCursor_];
-        if (!entry.valid || entry.pc != inst->pc) {
+        if (entry.pc != inst->pc) {
             // The corrected stream diverged from the squashed stream:
             // policy (4) releases the remaining reservations.
             ++divergences_;
@@ -417,7 +402,7 @@ ReuseUnit::processRename(const DynInstPtr &inst,
             freeList_.adopt(entry.destPreg);
             entry.consumed = true;
             ++funnel_.reused;
-            reuseLag_.sample(now - streamCaptureCycle_[front.stream]);
+            reuseLag_.sample(now - wpb_.stream(front.stream).captureCycle);
             if (entry.isLoad)
                 ++reuseLoads_;
             advice.reuse = true;
@@ -444,7 +429,7 @@ ReuseUnit::processRename(const DynInstPtr &inst,
                           .firstTest = firstTest, .seq = inst->seq,
                           .pc = inst->pc, .arg = entry.destPreg,
                           .donorSeq = entry.seq,
-                          .originPC = streamOriginPC_[front.stream],
+                          .originPC = wpb_.stream(front.stream).originPC,
                           .aux = front.reconvPC});
 
         if (exhausted)
@@ -469,7 +454,7 @@ ReuseUnit::reclaimLeastRecentStream()
     int best = -1;
     for (unsigned s = 0; s < wpb_.numStreams(); ++s) {
         const WpbStream &stream = wpb_.stream(s);
-        if (!stream.valid)
+        if (stream.numEntries == 0)
             continue;
         if (best < 0 || stream.squashEventIndex <
                             wpb_.stream(best).squashEventIndex) {
@@ -478,21 +463,19 @@ ReuseUnit::reclaimLeastRecentStream()
     }
     if (best < 0)
         return false;
+    const unsigned victim = static_cast<unsigned>(best);
     const std::size_t before = freeList_.numFree();
-    // Drop any queued sessions on the reclaimed stream.
-    for (std::size_t i = 0; i < sessions_.size();) {
-        if (sessions_[i].stream == static_cast<unsigned>(best)) {
-            if (i == 0)
-                renameActive_ = false;
-            sessions_.erase(sessions_.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        } else {
-            ++i;
-        }
+    // Drop the queued session on the reclaimed stream, if any.
+    if (wpb_.stream(victim).inSession) {
+        const auto it = std::find_if(
+            sessions_.begin(), sessions_.end(),
+            [&](const Session &session) { return session.stream == victim; });
+        if (it == sessions_.begin())
+            renameActive_ = false;
+        sessions_.erase(it);
+        wpb_.stream(victim).inSession = false;
     }
-    releaseStream(static_cast<unsigned>(best));
-    wpb_.invalidate(static_cast<unsigned>(best));
-    log_.clearStream(static_cast<unsigned>(best));
+    dropStream(victim);
     ++pressureReclaims_;
     return freeList_.numFree() > before;
 }
@@ -500,14 +483,9 @@ ReuseUnit::reclaimLeastRecentStream()
 ReuseFunnel
 ReuseUnit::funnel() const
 {
-    // Derived stages: exact algebra over the first-time-test kills.
     ReuseFunnel f = funnel_;
-    const std::uint64_t rgidKills = f.killKind + f.killNotExecuted +
-                                    f.killRgid + f.killRgidCapacity;
-    mssr_assert(f.tested >= rgidKills);
-    f.rgidPass = f.tested - rgidKills;
-    mssr_assert(f.rgidPass >= f.killBloom);
-    f.hazardPass = f.rgidPass - f.killBloom;
+    const bool fits = f.derivePasses();
+    mssr_assert(fits, "reuse funnel kills exceed tested");
     mssr_assert(f.hazardPass == f.reused, "hazard-pass / reuse mismatch");
     return f;
 }

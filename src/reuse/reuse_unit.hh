@@ -132,8 +132,8 @@ class ReuseUnit
      * The reuse-pipeline stages and kill reasons (logged .. reused;
      * squashed and the verify fields are zero, the core owns them).
      * The stage algebra is exact: rgidPass and hazardPass are derived
-     * from the first-time-test kill counters, and every hazard pass is
-     * a reuse.
+     * from the first-time-test kill counters (derivePasses), and every
+     * hazard pass is a reuse.
      */
     ReuseFunnel funnel() const;
 
@@ -156,20 +156,24 @@ class ReuseUnit
         unsigned startCursor = 0; //!< first Squash Log entry to test
         Addr reconvPC = 0;
         bool fetchDone = false;   //!< IFU stopped extending coverage
-        unsigned fetchAhead = 0;  //!< insts matched by the IFU so far
+        // IFU cursor: the squashed-stream instruction the next fetched
+        // one must match, as a WPB entry and an instruction offset in
+        // it. Coverage is exhausted once fetchEntry reaches numEntries.
+        unsigned fetchEntry = 0;
+        unsigned fetchOffset = 0;
+
+        /** Moves the IFU cursor @p n instructions along @p wpb. */
+        void advance(const WpbStream &wpb, unsigned n);
     };
 
-    /** PC of squashed-stream instruction @p index, if covered. */
-    static bool streamInstPC(const WpbStream &stream, unsigned index,
-                             Addr &pc_out);
+    /**
+     * Drops stream @p s, which no session may hold: releases its
+     * unconsumed reservations in log order, then empties its WPB and
+     * Squash Log streams.
+     */
+    void dropStream(unsigned s);
 
-    /** True when stream @p s is referenced by a queued session. */
-    bool streamInSession(unsigned s) const;
-
-    /** Releases every unconsumed reserved preg of stream @p s. */
-    void releaseStream(unsigned s);
-
-    /** Ends the front session, invalidating its stream. */
+    /** Ends the front session, dropping its stream. */
     void endFrontSession();
 
     /** Clears all sessions (squash / full invalidation). */
@@ -225,8 +229,6 @@ class ReuseUnit
     // flags), which keeps the funnel stages monotonically
     // non-increasing by construction.
     ReuseFunnel funnel_;
-    std::vector<Cycle> streamCaptureCycle_; //!< per-stream capture stamp
-    std::vector<Addr> streamOriginPC_;      //!< per-stream origin branch
     Histogram reuseLag_{256};  //!< capture-to-reuse latency (cycles)
 };
 

@@ -21,7 +21,6 @@ SquashLog::clearStream(unsigned s)
     mssr_assert(s < streams_.size());
     SquashLogStream &stream = streams_[s];
     std::fill_n(stream.entries.begin(), stream.numEntries, SquashLogEntry{});
-    stream.valid = false;
     stream.numEntries = 0;
 }
 
@@ -32,10 +31,7 @@ SquashLog::append(unsigned s, const SquashLogEntry &entry)
     SquashLogStream &stream = streams_[s];
     if (stream.numEntries >= entriesPerStream_)
         return false;
-    stream.entries[stream.numEntries] = entry;
-    stream.entries[stream.numEntries].valid = true;
-    ++stream.numEntries;
-    stream.valid = true;
+    stream.entries[stream.numEntries++] = entry;
     return true;
 }
 
@@ -43,7 +39,7 @@ bool
 SquashLog::allUnoccupied() const
 {
     for (const auto &s : streams_)
-        if (s.valid)
+        if (s.numEntries > 0)
             return false;
     return true;
 }
@@ -53,8 +49,7 @@ SquashLog::occupancy() const
 {
     std::size_t n = 0;
     for (const auto &s : streams_)
-        if (s.valid)
-            n += s.numEntries;
+        n += s.numEntries;
     return static_cast<double>(n) /
            static_cast<double>(streams_.size() * entriesPerStream_);
 }

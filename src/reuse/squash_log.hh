@@ -27,7 +27,6 @@ namespace mssr
 /** One squashed instruction's reuse metadata. */
 struct SquashLogEntry
 {
-    bool valid = false;
     bool executed = false;      //!< result value available in destPreg
     bool reserved = false;      //!< destPreg parked in Reserved state
     bool consumed = false;      //!< reused or reservation released
@@ -64,14 +63,14 @@ struct SquashLogEntry
  * One squashed stream's log.
  *
  * Invariant: every slot at or past numEntries is a default-constructed
- * SquashLogEntry. SquashLog::append() writes slots in order and every
- * path that drops a stream goes through SquashLog::clearStream(), so
- * clearing, releasing and scanning a stream touch only the filled
- * prefix entries[0, numEntries), never the configured capacity.
+ * SquashLogEntry, so a stream is live exactly when numEntries > 0.
+ * SquashLog::append() writes slots in order and every path that drops a
+ * stream goes through SquashLog::clearStream(), so clearing, releasing
+ * and scanning a stream touch only the filled prefix
+ * entries[0, numEntries), never the configured capacity.
  */
 struct SquashLogStream
 {
-    bool valid = false;
     std::vector<SquashLogEntry> entries;
     unsigned numEntries = 0;    //!< filled prefix of entries
 };
@@ -103,7 +102,7 @@ class SquashLog
      */
     bool append(unsigned s, const SquashLogEntry &entry);
 
-    /** True when no stream holds valid entries (RGID reset trigger). */
+    /** True when no stream holds entries (RGID reset trigger). */
     bool allUnoccupied() const;
 
     /** Logged entries / total entry slots, in [0, 1] (interval stats). */

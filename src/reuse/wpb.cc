@@ -11,8 +11,7 @@ WpbStream::numInsts() const
 {
     unsigned n = 0;
     for (unsigned i = 0; i < numEntries; ++i)
-        n += static_cast<unsigned>(
-            (entries[i].endPC - entries[i].startPC) / InstBytes + 1);
+        n += entries[i].numInsts();
     return n;
 }
 
@@ -52,12 +51,9 @@ Wpb::writeStream(const std::vector<WpbEntry> &ranges,
             break; // capacity: younger blocks are discarded
         if (restrictVpn_ && bits(range.startPC, 47, 12) != stream.vpn)
             break; // single-page restriction (section 3.4)
-        stream.entries[filled] = range;
-        stream.entries[filled].valid = true;
-        ++filled;
+        stream.entries[filled++] = range;
     }
     stream.numEntries = filled;
-    stream.valid = filled > 0;
     return s;
 }
 
@@ -65,25 +61,14 @@ void
 Wpb::invalidate(unsigned s)
 {
     mssr_assert(s < streams_.size());
-    WpbStream &stream = streams_[s];
-    for (unsigned i = 0; i < stream.numEntries; ++i)
-        stream.entries[i].valid = false;
-    stream.numEntries = 0;
-    stream.valid = false;
-}
-
-void
-Wpb::invalidateAll()
-{
-    for (unsigned s = 0; s < numStreams(); ++s)
-        invalidate(s);
+    streams_[s].numEntries = 0;
 }
 
 bool
 Wpb::anyValid() const
 {
     for (const auto &s : streams_)
-        if (s.valid)
+        if (s.numEntries > 0)
             return true;
     return false;
 }
@@ -91,11 +76,10 @@ Wpb::anyValid() const
 double
 Wpb::occupancy() const
 {
-    std::size_t valid = 0;
+    std::size_t filled = 0;
     for (const auto &s : streams_)
-        if (s.valid)
-            valid += s.numEntries;
-    return static_cast<double>(valid) /
+        filled += s.numEntries;
+    return static_cast<double>(filled) /
            static_cast<double>(streams_.size() * entriesPerStream_);
 }
 

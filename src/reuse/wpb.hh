@@ -21,30 +21,38 @@ namespace mssr
 /** One WPB entry: a contiguous squashed fetch-block range. */
 struct WpbEntry
 {
-    bool valid = false;
     Addr startPC = 0;
     Addr endPC = 0;   //!< inclusive
+
+    /** Instructions in the range. */
+    unsigned
+    numInsts() const
+    {
+        return static_cast<unsigned>((endPC - startPC) / InstBytes + 1);
+    }
 };
 
 /**
- * One squashed stream in the WPB.
+ * One squashed stream in the WPB, with the reuse unit's record of
+ * where it came from.
  *
  * Invariant: entries[0, numEntries) are valid and every slot at or past
  * numEntries is invalid (its PCs may be left over from a longer earlier
- * write). Wpb::invalidate() clears only the old prefix and
- * Wpb::writeStream() invalidates, then fills slots in order, so
- * everything that walks a stream stops at numEntries instead of the
- * configured capacity.
+ * write), so a stream is live exactly when numEntries > 0. Everything
+ * that walks a stream stops at numEntries instead of the configured
+ * capacity.
  */
 struct WpbStream
 {
-    bool valid = false;
     std::vector<WpbEntry> entries;
     unsigned numEntries = 0;         //!< filled prefix of entries
     Addr vpn = 0;                    //!< PC[47:12] when VPN-restricted
     SeqNum originBranchSeq = 0;      //!< branch whose squash made this
+    Addr originPC = 0;               //!< that branch's PC (probe events)
     std::uint64_t squashEventIndex = 0;
+    Cycle captureCycle = 0;          //!< cycle of that squash
     std::uint64_t ageInsts = 0;      //!< renamed insts since creation
+    bool inSession = false;          //!< held by a queued reuse session
 
     /** Total instructions covered by the filled entries. */
     unsigned numInsts() const;
@@ -82,16 +90,13 @@ class Wpb
     /** Stream index the next writeStream() call will overwrite. */
     unsigned nextStream() const { return writePtr_; }
 
-    /** Invalidates stream @p s, clearing its filled prefix. */
+    /** Invalidates stream @p s: it holds no entries. */
     void invalidate(unsigned s);
 
-    /** Invalidates all streams. */
-    void invalidateAll();
-
-    /** True when any stream holds valid entries. */
+    /** True when any stream holds entries. */
     bool anyValid() const;
 
-    /** Valid entries / total entry slots, in [0, 1] (interval stats). */
+    /** Filled entries / total entry slots, in [0, 1] (interval stats). */
     double occupancy() const;
 
     bool restrictVpn() const { return restrictVpn_; }

@@ -12,11 +12,10 @@ makeStream(std::initializer_list<std::pair<Addr, Addr>> blocks,
            Addr vpn_pc = 0)
 {
     WpbStream stream;
-    stream.valid = true;
     for (auto [s, e] : blocks)
-        stream.entries.push_back(WpbEntry{true, s, e});
+        stream.entries.push_back(WpbEntry{s, e});
     stream.numEntries = static_cast<unsigned>(stream.entries.size());
-    // Pad to a fixed size with invalid entries as the hardware would.
+    // Pad to a fixed size with unfilled slots as the hardware would.
     while (stream.entries.size() < 8)
         stream.entries.push_back(WpbEntry{});
     stream.vpn = (vpn_pc ? vpn_pc : blocks.begin()->first) >> 12;
@@ -25,16 +24,25 @@ makeStream(std::initializer_list<std::pair<Addr, Addr>> blocks,
 
 } // namespace
 
-TEST(ReconvDetector, AlignerMasks)
+TEST(ReconvDetector, AlignerBoundaries)
 {
     const WpbStream s = makeStream({{0x1000, 0x101c}, {0x1040, 0x105c}});
-    // head_start below both ends -> both bits set in the left mask.
-    EXPECT_EQ(ReconvDetector::leftAlignerMask(s, 0x0800), 0b11u);
-    // head_start above the first block's end -> only entry 1.
-    EXPECT_EQ(ReconvDetector::leftAlignerMask(s, 0x1020), 0b10u);
-    // head_end below both starts -> right mask empty.
-    EXPECT_EQ(ReconvDetector::rightAlignerMask(s, 0x0800), 0u);
-    EXPECT_EQ(ReconvDetector::rightAlignerMask(s, 0x1040), 0b11u);
+    // head_start below both ends: the left aligner accepts both
+    // entries, so the first one wins.
+    ReconvHit hit = ReconvDetector::match(s, 0x0800, 0x1040, false);
+    EXPECT_TRUE(hit.found);
+    EXPECT_EQ(hit.entryIdx, 0u);
+    EXPECT_EQ(hit.reconvPC, 0x1000u);
+    // head_start above the first block's end: only entry 1 is left.
+    hit = ReconvDetector::match(s, 0x1020, 0x1040, false);
+    EXPECT_TRUE(hit.found);
+    EXPECT_EQ(hit.entryIdx, 1u);
+    EXPECT_EQ(hit.reconvPC, 0x1040u);
+    EXPECT_EQ(hit.instOffset, 8u);
+    // head_end below both starts: the right aligner accepts neither.
+    EXPECT_FALSE(ReconvDetector::match(s, 0x0700, 0x0800, false).found);
+    // Above the first block's end and below the second's start.
+    EXPECT_FALSE(ReconvDetector::match(s, 0x1020, 0x103c, false).found);
 }
 
 TEST(ReconvDetector, ExactOverlapDetection)
@@ -101,21 +109,22 @@ TEST(ReconvDetector, SingleInstructionBlockAtHeadStart)
     EXPECT_EQ(hit.instOffset, 8u); // all of block 0, none of block 1
 }
 
-TEST(ReconvDetector, AlignerMaskExactEquality)
+TEST(ReconvDetector, AlignerExactEquality)
 {
     const WpbStream s = makeStream({{0x1000, 0x101c}});
     // Inclusive boundaries: head_start == endPC and head_end ==
     // startPC are overlaps, one instruction wide.
-    EXPECT_EQ(ReconvDetector::leftAlignerMask(s, 0x101c), 0b1u);
-    EXPECT_EQ(ReconvDetector::leftAlignerMask(s, 0x1020), 0u);
-    EXPECT_EQ(ReconvDetector::rightAlignerMask(s, 0x1000), 0b1u);
-    EXPECT_EQ(ReconvDetector::rightAlignerMask(s, 0x0ffc), 0u);
-    // Both masks agree at the single-instruction overlap, so match()
-    // hits the last instruction of the entry.
-    const ReconvHit hit = ReconvDetector::match(s, 0x101c, 0x1038, false);
+    ReconvHit hit = ReconvDetector::match(s, 0x101c, 0x1038, false);
     EXPECT_TRUE(hit.found);
-    EXPECT_EQ(hit.reconvPC, 0x101cu);
+    EXPECT_EQ(hit.reconvPC, 0x101cu); // last instruction of the entry
     EXPECT_EQ(hit.instOffset, 7u);
+    hit = ReconvDetector::match(s, 0x0fe4, 0x1000, false);
+    EXPECT_TRUE(hit.found);
+    EXPECT_EQ(hit.reconvPC, 0x1000u); // first instruction of the entry
+    EXPECT_EQ(hit.instOffset, 0u);
+    // One instruction past either boundary misses.
+    EXPECT_FALSE(ReconvDetector::match(s, 0x1020, 0x103c, false).found);
+    EXPECT_FALSE(ReconvDetector::match(s, 0x0fe0, 0x0ffc, false).found);
 }
 
 TEST(ReconvDetector, VpnRestrictedMismatchIgnoresOverlap)
@@ -144,22 +153,24 @@ TEST(ReconvDetector, PriorityEncoderFirstAmongSeveral)
 
 TEST(ReconvDetector, InvalidStreamNeverMatches)
 {
+    // A stream with no filled entries is invalid, whatever its slots
+    // still hold.
     WpbStream s = makeStream({{0x1000, 0x101c}});
-    s.valid = false;
+    s.numEntries = 0;
     EXPECT_FALSE(ReconvDetector::match(s, 0x1000, 0x101c, false).found);
 }
 
-TEST(ReconvDetector, LargeStreamScanMatchesMaskPathOnFilledPrefix)
+TEST(ReconvDetector, FilledPrefixBoundsMatchAtAnySize)
 {
-    // The same ranges in an 8-entry WPB (aligner-mask path) and a
-    // 1024-entry WPB (>64-entry scan), each first written with six
-    // blocks and then rewritten with four: slots 4 and 5 keep the old
-    // blocks' PCs past the filled prefix.
+    // The same ranges in an 8-entry WPB and a 1024-entry WPB (the
+    // Figure-10 upper-bound size), each first written with six blocks
+    // and then rewritten with four: slots 4 and 5 keep the old blocks'
+    // PCs past the filled prefix.
     auto blocksFrom = [](unsigned n) {
         std::vector<WpbEntry> out;
         for (unsigned i = 0; i < n; ++i) {
             const Addr start = 0x1000 + i * 0x1000;
-            out.push_back(WpbEntry{true, start, start + 7 * InstBytes});
+            out.push_back(WpbEntry{start, start + 7 * InstBytes});
         }
         return out;
     };

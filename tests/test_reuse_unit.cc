@@ -56,6 +56,56 @@ class ReuseUnitTest : public ::testing::Test
         return inst;
     }
 
+    /**
+     * Squashes an executed ALU instruction (source RGID 1, destination
+     * RGID @p dst_rgid) at each of @p pcs, oldest first.
+     * @return their destination registers.
+     */
+    std::vector<PhysReg>
+    squashPath(SeqNum branch_seq, const std::vector<Addr> &pcs,
+               Rgid dst_rgid)
+    {
+        std::vector<DynInstPtr> path;
+        std::vector<PhysReg> pregs;
+        for (Addr pc : pcs) {
+            path.push_back(
+                squashedAlu(branch_seq + 1 + path.size(), pc, 5, 6, 1,
+                            dst_rgid));
+            pregs.push_back(path.back()->dst);
+        }
+        unit->onBranchSquash(branch_seq, path);
+        return pregs;
+    }
+
+    /** Renames the corrected-path copy of a squashPath() instruction. */
+    ReuseAdvice
+    renameAt(Addr pc)
+    {
+        auto inst = pool.acquire();
+        inst->pc = pc;
+        inst->si = isa::Inst{isa::Op::ADDI, 5, 6, 0, 1};
+        const Rgid cur[2] = {1, 0};
+        return unit->processRename(inst, cur);
+    }
+
+    /**
+     * A squashed path in four WPB entries: [0x2000, 0x201c] and
+     * [0x2020, 0x2024] (split at the fetch-block size), then past gaps
+     * [0x3000, 0x3008] and [0x4000, 0x4004] -- 15 instructions.
+     */
+    static std::vector<Addr>
+    multiEntryPath()
+    {
+        std::vector<Addr> pcs;
+        for (Addr pc = 0x2000; pc <= 0x2024; pc += InstBytes)
+            pcs.push_back(pc);
+        for (Addr pc = 0x3000; pc <= 0x3008; pc += InstBytes)
+            pcs.push_back(pc);
+        for (Addr pc = 0x4000; pc <= 0x4004; pc += InstBytes)
+            pcs.push_back(pc);
+        return pcs;
+    }
+
     PredBlock
     blockAt(Addr start, unsigned insts)
     {
@@ -84,7 +134,7 @@ TEST_F(ReuseUnitTest, CaptureReservesExecutedDestinations)
     // Policy (1): executed kept, unexecuted released.
     EXPECT_EQ(freeList.state(p1), PregState::Reserved);
     EXPECT_EQ(freeList.state(p2), PregState::Free);
-    EXPECT_TRUE(unit->wpb().stream(0).valid);
+    EXPECT_GT(unit->wpb().stream(0).numEntries, 0u);
     EXPECT_EQ(unit->squashLog().stream(0).numEntries, 2u);
 }
 
@@ -140,7 +190,7 @@ TEST_F(ReuseUnitTest, DivergenceInvalidatesStream)
     divergent->si = isa::Inst{isa::Op::NOP, 0, 0, 0, 0};
     const Rgid none[2] = {0, 0};
     EXPECT_FALSE(unit->processRename(divergent, none).reuse);
-    EXPECT_FALSE(unit->wpb().stream(0).valid);
+    EXPECT_EQ(unit->wpb().stream(0).numEntries, 0u);
     EXPECT_EQ(freeList.state(pb), PregState::Free);
 }
 
@@ -174,7 +224,7 @@ TEST_F(ReuseUnitTest, TimeoutReleasesStream)
     const Rgid cur[2] = {0, 0};
     for (int i = 0; i < 6; ++i)
         unit->processRename(unrelated, cur);
-    EXPECT_FALSE(unit->wpb().stream(0).valid);
+    EXPECT_EQ(unit->wpb().stream(0).numEntries, 0u);
     EXPECT_EQ(freeList.state(preg), PregState::Free);
 }
 
@@ -319,4 +369,84 @@ TEST_F(ReuseUnitTest, ChainedSessionsAcrossStreams)
     const ReuseAdvice adv1 = unit->processRename(i1, cur1);
     EXPECT_TRUE(adv1.reuse);
     EXPECT_EQ(adv1.dstRgid, 1u); // from the older stream
+}
+
+TEST_F(ReuseUnitTest, SessionFollowsStreamAcrossWpbEntries)
+{
+    build(/*streams*/ 2, /*log*/ 16);
+    squashPath(10, multiEntryPath(), /*dst*/ 2);
+    ASSERT_EQ(unit->wpb().stream(0).numEntries, 4u);
+    // A newer stream over the later blocks: detection on any of them
+    // would pick it first and cover more entries.
+    squashPath(30, {0x3000, 0x3004, 0x3008, 0x4000, 0x4004, 0x4008, 0x400c},
+               /*dst*/ 3);
+    ASSERT_EQ(unit->wpb().stream(1).numEntries, 2u);
+
+    // Detection in the middle of the first entry, with a block that
+    // runs on into the second: path instructions 4..14 are covered.
+    unit->onBlockFormed(blockAt(0x2010, 6));
+    EXPECT_EQ(unit->funnel().covered, 11u);
+    // A block that matches the third entry and carries the IFU into
+    // the fourth: no detection.
+    unit->onBlockFormed(blockAt(0x3000, 3));
+    EXPECT_EQ(unit->funnel().covered, 11u);
+    // Partial match: the fourth entry ends after 0x4004. No detection
+    // on this block either.
+    unit->onBlockFormed(blockAt(0x4000, 4));
+    EXPECT_EQ(unit->funnel().covered, 11u);
+    // Detection resumes with the next block, on the newer stream.
+    unit->onBlockFormed(blockAt(0x4008, 2));
+    EXPECT_EQ(unit->funnel().covered, 13u);
+
+    // Rename reuses the first stream's covered instructions, then the
+    // newer stream's from its reconvergence PC (told apart by their
+    // destination RGIDs).
+    std::vector<Addr> fromFirst;
+    for (Addr pc = 0x2010; pc <= 0x2024; pc += InstBytes)
+        fromFirst.push_back(pc);
+    for (Addr pc : {0x3000, 0x3004, 0x3008, 0x4000, 0x4004})
+        fromFirst.push_back(pc);
+    for (Addr pc : fromFirst) {
+        const ReuseAdvice advice = renameAt(pc);
+        EXPECT_TRUE(advice.reuse) << std::hex << pc;
+        EXPECT_EQ(advice.dstRgid, 2u) << std::hex << pc;
+    }
+    for (Addr pc : {0x4008, 0x400c}) {
+        const ReuseAdvice advice = renameAt(pc);
+        EXPECT_TRUE(advice.reuse) << std::hex << pc;
+        EXPECT_EQ(advice.dstRgid, 3u) << std::hex << pc;
+    }
+    EXPECT_EQ(unit->funnel().reused, 13u);
+}
+
+TEST_F(ReuseUnitTest, DivergentBlockResumesDetection)
+{
+    build(/*streams*/ 2, /*log*/ 16);
+    const std::vector<PhysReg> pregs =
+        squashPath(10, multiEntryPath(), /*dst*/ 2);
+    squashPath(30, {0x5000, 0x5004}, /*dst*/ 3);
+
+    unit->onBlockFormed(blockAt(0x2010, 6));
+    EXPECT_EQ(unit->funnel().covered, 11u);
+    unit->onBlockFormed(blockAt(0x3000, 3));
+    EXPECT_EQ(unit->funnel().covered, 11u);
+    // The IFU expects 0x4000: a block that diverges at its first
+    // instruction is checked for a new reconvergence at once.
+    unit->onBlockFormed(blockAt(0x5000, 2));
+    EXPECT_EQ(unit->funnel().covered, 13u);
+
+    for (Addr pc = 0x2010; pc <= 0x2024; pc += InstBytes)
+        EXPECT_TRUE(renameAt(pc).reuse) << std::hex << pc;
+    for (Addr pc = 0x3000; pc <= 0x3008; pc += InstBytes)
+        EXPECT_TRUE(renameAt(pc).reuse) << std::hex << pc;
+    // 0x5000 diverges from the first stream at rename, which releases
+    // its last two reservations, and starts the second session.
+    for (Addr pc : {0x5000, 0x5004}) {
+        const ReuseAdvice advice = renameAt(pc);
+        EXPECT_TRUE(advice.reuse) << std::hex << pc;
+        EXPECT_EQ(advice.dstRgid, 3u) << std::hex << pc;
+    }
+    EXPECT_EQ(freeList.state(pregs[13]), PregState::Free);
+    EXPECT_EQ(freeList.state(pregs[14]), PregState::Free);
+    EXPECT_EQ(unit->funnel().reused, 11u);
 }

@@ -23,8 +23,8 @@ TEST(SquashLog, StreamsAreIndependent)
     SquashLogEntry e;
     e.pc = 0xaaa0;
     log.append(0, e);
-    EXPECT_TRUE(log.stream(0).valid);
-    EXPECT_FALSE(log.stream(1).valid);
+    EXPECT_EQ(log.stream(0).numEntries, 1u);
+    EXPECT_EQ(log.stream(1).numEntries, 0u);
     e.pc = 0xbbb0;
     log.append(1, e);
     EXPECT_EQ(log.stream(0).entries[0].pc, 0xaaa0u);
@@ -38,9 +38,8 @@ TEST(SquashLog, ClearStream)
     e.reserved = true;
     log.append(0, e);
     log.clearStream(0);
-    EXPECT_FALSE(log.stream(0).valid);
+    // The stream and its slot 0 are invalid.
     EXPECT_EQ(log.stream(0).numEntries, 0u);
-    EXPECT_FALSE(log.stream(0).entries[0].valid);
     EXPECT_FALSE(log.stream(0).entries[0].reserved);
 }
 
@@ -72,9 +71,8 @@ TEST(SquashLog, ClearResetsFilledPrefixForShorterRefill)
         ASSERT_TRUE(log.append(0, e));
     }
     const SquashLogStream &stream = log.stream(0);
-    ASSERT_EQ(stream.numEntries, 3u);
+    ASSERT_EQ(stream.numEntries, 3u); // slots 0-2 valid
     for (unsigned i = 0; i < 3; ++i) {
-        EXPECT_TRUE(stream.entries[i].valid);
         EXPECT_EQ(stream.entries[i].pc, 0x2000u + i * InstBytes);
         EXPECT_FALSE(stream.entries[i].covered);
         EXPECT_FALSE(stream.entries[i].tested);
@@ -109,8 +107,8 @@ TEST(SquashLog, EntryFieldsRoundTrip)
     e.hasDest = true;
     e.executed = true;
     log.append(0, e);
+    ASSERT_EQ(log.stream(0).numEntries, 1u); // slot 0 valid
     const SquashLogEntry &r = log.stream(0).entries[0];
-    EXPECT_TRUE(r.valid);
     EXPECT_EQ(r.pc, 0x1234u);
     EXPECT_EQ(r.op, isa::Op::ADD);
     EXPECT_EQ(r.srcRgid[1], 6u);

@@ -12,7 +12,7 @@ ranges(std::initializer_list<std::pair<Addr, Addr>> list)
 {
     std::vector<WpbEntry> out;
     for (auto [s, e] : list)
-        out.push_back(WpbEntry{true, s, e});
+        out.push_back(WpbEntry{s, e});
     return out;
 }
 
@@ -22,8 +22,8 @@ blocks(unsigned n, Addr base)
 {
     std::vector<WpbEntry> out;
     for (unsigned i = 0; i < n; ++i)
-        out.push_back(WpbEntry{true, base + i * 0x100,
-                               base + i * 0x100 + InstBytes});
+        out.push_back(
+            WpbEntry{base + i * 0x100, base + i * 0x100 + InstBytes});
     return out;
 }
 
@@ -47,8 +47,7 @@ TEST(Wpb, CapacityDropsYoungerBlocks)
                             {0x3000, 0x301c}}),
                     1, 1);
     const WpbStream &s = wpb.stream(0);
-    EXPECT_TRUE(s.entries[0].valid);
-    EXPECT_TRUE(s.entries[1].valid);
+    EXPECT_EQ(s.numEntries, 2u); // slots 0 and 1 filled
     EXPECT_EQ(s.entries[1].startPC, 0x2000u);
     EXPECT_EQ(s.numInsts(), 16u); // 2 blocks x 8 insts
 }
@@ -59,8 +58,7 @@ TEST(Wpb, VpnRestrictionTruncatesAtPageBoundary)
     // Second block on a different 4K page: dropped.
     wpb.writeStream(ranges({{0x1000, 0x101c}, {0x5000, 0x501c}}), 1, 1);
     const WpbStream &s = wpb.stream(0);
-    EXPECT_TRUE(s.entries[0].valid);
-    EXPECT_FALSE(s.entries[1].valid);
+    EXPECT_EQ(s.numEntries, 1u); // slot 0 filled, slot 1 not
     EXPECT_EQ(s.vpn, 0x1u);
 }
 
@@ -73,7 +71,8 @@ TEST(Wpb, InvalidateAndAnyValid)
     wpb.invalidate(0);
     EXPECT_FALSE(wpb.anyValid());
     wpb.writeStream(ranges({{0x1000, 0x1000}}), 2, 2);
-    wpb.invalidateAll();
+    EXPECT_TRUE(wpb.anyValid());
+    wpb.invalidate(1);
     EXPECT_FALSE(wpb.anyValid());
 }
 
@@ -81,7 +80,7 @@ TEST(Wpb, EmptyRangesLeaveStreamInvalid)
 {
     Wpb wpb(2, 4, false);
     wpb.writeStream({}, 5, 1);
-    EXPECT_FALSE(wpb.stream(0).valid);
+    EXPECT_EQ(wpb.stream(0).numEntries, 0u);
 }
 
 TEST(Wpb, StreamInstCount)
@@ -94,20 +93,17 @@ TEST(Wpb, StreamInstCount)
 TEST(Wpb, ShorterRewriteClearsOldPrefix)
 {
     // A full stream rewritten with fewer ranges: no slot past the new
-    // fill may stay valid, so a clear that stops one slot short shows.
+    // fill may stay valid, so a fill count left at the old length shows.
     constexpr unsigned Cap = 8;
     Wpb wpb(1, Cap, false);
     wpb.writeStream(blocks(Cap, 0x1000), 1, 1);
     ASSERT_EQ(wpb.stream(0).numEntries, Cap);
     wpb.writeStream(blocks(3, 0x8000), 2, 2);
     const WpbStream &s = wpb.stream(0);
+    // Slots 0-2 valid, slots 3-7 invalid.
     ASSERT_EQ(s.numEntries, 3u);
-    for (unsigned i = 0; i < s.numEntries; ++i) {
-        EXPECT_TRUE(s.entries[i].valid);
+    for (unsigned i = 0; i < s.numEntries; ++i)
         EXPECT_EQ(s.entries[i].startPC, 0x8000u + i * 0x100);
-    }
-    for (unsigned i = s.numEntries; i < Cap; ++i)
-        EXPECT_FALSE(s.entries[i].valid) << "slot " << i;
     EXPECT_EQ(s.numInsts(), 6u);
     EXPECT_DOUBLE_EQ(wpb.occupancy(), 3.0 / Cap);
 }
@@ -121,10 +117,7 @@ TEST(Wpb, InvalidateClearsPartlyFilledStream)
     EXPECT_DOUBLE_EQ(wpb.occupancy(), 7.0 / (2 * Cap));
     wpb.invalidate(0);
     const WpbStream &s = wpb.stream(0);
-    EXPECT_FALSE(s.valid);
-    EXPECT_EQ(s.numEntries, 0u);
-    for (unsigned i = 0; i < Cap; ++i)
-        EXPECT_FALSE(s.entries[i].valid) << "slot " << i;
+    EXPECT_EQ(s.numEntries, 0u); // the stream and every slot invalid
     EXPECT_EQ(s.numInsts(), 0u);
     EXPECT_DOUBLE_EQ(wpb.occupancy(), 2.0 / (2 * Cap));
     // The other stream is untouched.
