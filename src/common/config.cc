@@ -1,7 +1,16 @@
 #include "common/config.hh"
 
+#include <algorithm>
+
 namespace mssr
 {
+
+void
+ReuseConfig::setLogEntries(unsigned log_entries)
+{
+    squashLogEntriesPerStream = log_entries;
+    wpbEntriesPerStream = std::max(1u, log_entries / 4);
+}
 
 std::string
 toString(ReuseKind kind)

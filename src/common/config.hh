@@ -69,7 +69,6 @@ struct CoreConfig
     unsigned loadQueueEntries = 96;
     unsigned storeQueueEntries = 96;
     unsigned physRegs = 256;
-    unsigned ratCheckpoints = 32;
 
     // Memory hierarchy (Table 3).
     unsigned l1dSizeBytes = 64 * 1024;
@@ -111,6 +110,12 @@ struct ReuseConfig
                                           //!< re-execute verification
     unsigned bloomBits = 1024;            //!< Bloom filter size
     unsigned bloomHashes = 2;
+
+    /**
+     * Sets P = @p log_entries squash-log entries per stream and the
+     * P/4 (min 1) WPB fetch blocks they imply (paper section 4.1.2).
+     */
+    void setLogEntries(unsigned log_entries);
 };
 
 /** Register Integration baseline configuration (paper section 4.1.2). */

@@ -1,6 +1,5 @@
 #include "driver/job_spec.hh"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -239,12 +238,8 @@ specConfig(const ServeJobSpec &s)
         s.funcTier == "fast" ? FuncTier::Fast : FuncTier::Interpreter;
     if (s.streams)
         cfg.reuse.numStreams = s.streams;
-    if (s.entries) {
-        // P squash-log entries per stream imply P/4 (min 1) WPB fetch
-        // blocks (paper section 4.1.2).
-        cfg.reuse.squashLogEntriesPerStream = s.entries;
-        cfg.reuse.wpbEntriesPerStream = std::max(1u, s.entries / 4);
-    }
+    if (s.entries)
+        cfg.reuse.setLogEntries(s.entries);
     if (s.sets)
         cfg.regint.sets = s.sets;
     if (s.ways)

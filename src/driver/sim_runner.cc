@@ -136,8 +136,7 @@ rgidConfig(unsigned streams, unsigned log_entries, std::uint64_t max_insts)
     SimConfig cfg;
     cfg.reuseKind = ReuseKind::Rgid;
     cfg.reuse.numStreams = streams;
-    cfg.reuse.squashLogEntriesPerStream = log_entries;
-    cfg.reuse.wpbEntriesPerStream = std::max(1u, log_entries / 4);
+    cfg.reuse.setLogEntries(log_entries);
     cfg.maxInsts = max_insts;
     return cfg;
 }

@@ -172,8 +172,8 @@ SimConfig baselineConfig(std::uint64_t max_insts = 0);
 
 /**
  * Convenience: Multi-Stream Squash Reuse configuration with @p streams
- * streams and @p log_entries squash-log entries per stream. Following
- * section 4.1.2 the WPB gets log_entries/4 fetch-block entries.
+ * streams and @p log_entries squash-log entries per stream, and the
+ * WPB size they imply (ReuseConfig::setLogEntries).
  */
 SimConfig rgidConfig(unsigned streams, unsigned log_entries,
                      std::uint64_t max_insts = 0);
