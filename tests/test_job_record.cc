@@ -227,7 +227,11 @@ TEST(JobRecord, SampledRunReadsBackAsWritten)
     EXPECT_EQ(s.windows, want.windows);
     EXPECT_EQ(s.totalInsts, want.totalInsts);
     EXPECT_EQ(s.halted, want.halted);
+    // Every instruction of the run is either simulated in detail or
+    // fast-forwarded, and every window gives one IPC sample.
+    EXPECT_EQ(got.insts + got.ffInsts, s.totalInsts);
     expectSameEstimate(s.ipcEst, want.ipcEst, "ipc, n >= 2");
+    EXPECT_EQ(s.ipcEst.n, s.windows);
     expectSameEstimate(s.reuseRateEst, want.reuseRateEst, "n = 0");
     for (std::size_t c = 0; c < NumCpiCats; ++c)
         expectSameEstimate(s.cpiEst[c], want.cpiEst[c],
@@ -239,6 +243,7 @@ TEST(JobRecord, SampledRunReadsBackAsWritten)
     const std::vector<StatsRun> w =
         readStatsRuns("windows", parse(windows.str()));
     ASSERT_EQ(w.size(), want.windowResults.size());
+    EXPECT_EQ(w.size(), s.windows);
     for (std::size_t i = 0; i < w.size(); ++i) {
         const RunResult &wr = want.windowResults[i];
         EXPECT_EQ(w[i].name, "nested-mispred#w" + std::to_string(i));
