@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Golden digests for every mssr_run export and mssr_stats report.
 
-Runs a few small mssr_run jobs (--scale 6 --iters 150), one sampled job
-and the full-detail run of the same job (--iters 2000), and one
-bench_smoke batch, hashes every file they write, and compares the
-digests with tests/golden/mssr_run_outputs.json. A change that moves
-any exported byte fails here: the stats registry (JSON and Prometheus),
-the sampled stats and per-window runs, the per-PC profile (JSON and
-folded), the Kanata pipeview, the Chrome and text traces, and the
-interval series of BENCH_batch.json. The stdout of every mssr_stats
-mode over those files is digested too, so a reader that misparses or
-reprints a field fails as well.
+Runs a few small mssr_run jobs (--scale 6 --iters 150), one sampled job,
+the full-detail run of the same job and a sampled --compare run through
+a checkpoint store (--iters 2000), and one bench_smoke batch, hashes
+every file they write (the store's checkpoint files included), and
+compares the digests with tests/golden/mssr_run_outputs.json. A change
+that moves any exported byte fails here: the stats registry (JSON and
+Prometheus), the sampled stats and per-window runs, the checkpoint
+files, the per-PC profile (JSON and folded), the Kanata pipeview, the
+Chrome and text traces, and the interval series of BENCH_batch.json.
+The stdout of every mssr_stats mode over those files is digested too,
+so a reader that misparses or reprints a field fails as well.
 
 Left out of the digests: `build_info` (in the stats JSON and the Kanata
 header line), and the host-timing keys of BENCH_batch.json. The jobs do
@@ -73,6 +74,14 @@ SAMPLED_CASES = {
                 "--stats-out", "stats.json",
                 "--sample-windows-out", "windows.json", "nested-mispred"],
     "full": ["--stats-out", "stats.json", "nested-mispred"],
+    # Two design points (rgid 4x256 and its baseline) on one schedule:
+    # every window after the first starts from a checkpoint both share,
+    # and the store's checkpoint files are digested too.
+    "sampled-compare": ["--sample-period", "10000", "--sample-window",
+                        "2000", "--compare", "--ckpt-dir", "ckpt",
+                        "--stats-out", "stats.json",
+                        "--sample-windows-out", "windows.json",
+                        "nested-mispred"],
 }
 
 # Every mssr_stats mode over the files above, run from the work
@@ -189,8 +198,8 @@ def case_digests(build, work):
         cwd = work / name
         cwd.mkdir(parents=True)
         run([mssr_run] + SAMPLED_SIZE + args, cwd, env)
-        for path in sorted(cwd.iterdir()):
-            digests[f"{name}/{path.name}"] = digest(
+        for path in sorted(p for p in cwd.rglob("*") if p.is_file()):
+            digests[f"{name}/{path.relative_to(cwd).as_posix()}"] = digest(
                 drop_build_info(path.read_bytes()))
 
     reports = work / "mssr_stats"
