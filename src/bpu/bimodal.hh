@@ -25,6 +25,12 @@ class BimodalPredictor : public DirPredictor
     void restore(const PredSnapshot &snap) override {}
     void commitUpdate(Addr pc, bool taken) override;
 
+    std::unique_ptr<DirPredictor>
+    clone() const override
+    {
+        return std::make_unique<BimodalPredictor>(*this);
+    }
+
   private:
     std::size_t index(Addr pc) const;
 

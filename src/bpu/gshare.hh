@@ -26,6 +26,12 @@ class GsharePredictor : public DirPredictor
     void restore(const PredSnapshot &snap) override;
     void commitUpdate(Addr pc, bool taken) override;
 
+    std::unique_ptr<DirPredictor>
+    clone() const override
+    {
+        return std::make_unique<GsharePredictor>(*this);
+    }
+
   private:
     std::size_t index(Addr pc, std::uint64_t hist) const;
 

@@ -266,6 +266,13 @@ class DirPredictor
 
     /** Trains with a retired branch outcome; updates retired history. */
     virtual void commitUpdate(Addr pc, bool taken) = 0;
+
+    /**
+     * An independent copy: tables, histories and speculative state.
+     * A TAGE copy shares its source's fold layout (GlobalHistory's
+     * FoldSet), which no one changes once the predictor is built.
+     */
+    virtual std::unique_ptr<DirPredictor> clone() const = 0;
 };
 
 } // namespace mssr

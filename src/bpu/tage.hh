@@ -58,6 +58,12 @@ class TagePredictor : public DirPredictor
     void restore(const PredSnapshot &snap) override;
     void commitUpdate(Addr pc, bool taken) override;
 
+    std::unique_ptr<DirPredictor>
+    clone() const override
+    {
+        return std::make_unique<TagePredictor>(*this);
+    }
+
     /** The global history a table walk reads. */
     enum class History { Speculative, Retired };
 

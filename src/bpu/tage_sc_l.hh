@@ -28,6 +28,12 @@ class TageScLPredictor : public DirPredictor
     void restore(const PredSnapshot &snap) override;
     void commitUpdate(Addr pc, bool taken) override;
 
+    std::unique_ptr<DirPredictor>
+    clone() const override
+    {
+        return std::make_unique<TageScLPredictor>(*this);
+    }
+
   private:
     TagePredictor tage_;
     LoopPredictor loop_;

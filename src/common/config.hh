@@ -85,6 +85,8 @@ struct CoreConfig
     unsigned mulLatency = 3;
     unsigned divLatency = 12;
     unsigned branchLatency = 1;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/log.hh"
@@ -10,13 +11,48 @@
 namespace mssr
 {
 
+WarmState::WarmState(const SimConfig &cfg, const isa::Program &prog,
+                     const Checkpoint *snapshot)
+    : bpu(cfg.core, prog), caches(cfg.core)
+{
+    if (!snapshot)
+        return;
+    if (cfg.warmBpu) {
+        // Replay the prefix's recorded control outcomes through the
+        // commit-update path: trains the conditional predictor and the
+        // BTB exactly as committing those branches would have.
+        for (const BranchOutcome &rec : snapshot->branchHist)
+            bpu.commitControl(rec.pc, prog.instAt(rec.pc), rec.taken,
+                              rec.next);
+    }
+    if (cfg.warmCaches) {
+        // Replay the prefix's recorded data accesses through the
+        // normal access path so the window starts with the prefix's
+        // working set resident, then reset the hierarchy's counters:
+        // warm-up traffic must never appear in window stats.
+        for (const MemAccess &rec : snapshot->memHist) {
+            if (rec.isStore)
+                caches.storeAccess(rec.addr);
+            else
+                caches.loadLatency(rec.addr);
+        }
+        caches.resetStats();
+    }
+}
+
 O3Cpu::O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
              const Checkpoint *snapshot)
+    : O3Cpu(cfg, prog, mem, snapshot, WarmState(cfg, prog, snapshot))
+{
+}
+
+O3Cpu::O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
+             const Checkpoint *snapshot, WarmState warm)
     : cfg_(cfg),
       prog_(prog),
       mem_(mem),
-      hierarchy_(cfg.core),
-      bpu_(cfg.core, prog),
+      hierarchy_(std::move(warm.caches)),
+      bpu_(std::move(warm.bpu)),
       ftq_(cfg.core.ftqEntries),
       // Every fetched, unrenamed instruction belongs to a queued FTQ
       // block, so the FTQ bounds the front pipe.
@@ -71,27 +107,6 @@ O3Cpu::O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
     for (unsigned r = 0; r < NumArchRegs; ++r) {
         regs_.write(static_cast<PhysReg>(r), snapshot->regs[r]);
         archState_[r] = snapshot->regs[r];
-    }
-    if (cfg.warmBpu) {
-        // Replay the prefix's recorded control outcomes through the
-        // commit-update path: trains the conditional predictor and the
-        // BTB exactly as committing those branches would have.
-        for (const BranchOutcome &rec : snapshot->branchHist)
-            bpu_.commitControl(rec.pc, prog_.instAt(rec.pc), rec.taken,
-                               rec.next);
-    }
-    if (cfg.warmCaches) {
-        // Replay the prefix's recorded data accesses through the
-        // normal access path so the window starts with the prefix's
-        // working set resident, then reset the hierarchy's counters:
-        // warm-up traffic must never appear in window stats.
-        for (const MemAccess &rec : snapshot->memHist) {
-            if (rec.isStore)
-                hierarchy_.storeAccess(rec.addr);
-            else
-                hierarchy_.loadLatency(rec.addr);
-        }
-        hierarchy_.resetStats();
     }
     bpu_.redirectSimple(snapshot->pc);
     if (snapshot->halted)

@@ -50,6 +50,31 @@ namespace mssr
 
 struct Checkpoint;
 
+/**
+ * The part of a core's start state that a snapshot's recorded history
+ * trains: the branch prediction pipeline (direction predictor and
+ * BTB) and the L1/L2 caches. It depends only on the program, the
+ * snapshot, SimConfig::core and the two warm flags, so design points
+ * that agree on all five can start from one state: runSampled builds
+ * it once per checkpoint and core configuration and copies it into
+ * each window's core. A copy shares nothing with its source but the
+ * program.
+ */
+struct WarmState
+{
+    /**
+     * Builds the state from reset, then replays @p snapshot's branch
+     * history through the commit path (when @p cfg.warmBpu) and its
+     * data accesses through the caches (when @p cfg.warmCaches). A
+     * null @p snapshot leaves it cold.
+     */
+    WarmState(const SimConfig &cfg, const isa::Program &prog,
+              const Checkpoint *snapshot);
+
+    BpuPipeline bpu;
+    MemHierarchy caches;
+};
+
 class O3Cpu
 {
   public:
@@ -60,11 +85,19 @@ class O3Cpu
      *        starts at the snapshot's PC with the snapshot's register
      *        file; the caller must have restored the snapshot's memory
      *        image into @p mem already (Checkpoint::restoreMemory),
-     *        and SimConfig::warmBpu selects whether the snapshot's
-     *        recorded branch history pre-trains the predictor.
+     *        and SimConfig::warmBpu / warmCaches select whether the
+     *        snapshot's recorded history pre-trains the predictor and
+     *        the caches (WarmState).
      */
     O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
           const Checkpoint *snapshot = nullptr);
+
+    /**
+     * Starts from @p warm instead of building it, which must be what
+     * WarmState(cfg, prog, snapshot) would build.
+     */
+    O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
+          const Checkpoint *snapshot, WarmState warm);
 
     /** Advances one cycle. */
     void tick();

@@ -7,6 +7,7 @@
 #include <exception>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -102,6 +103,17 @@ struct PrefixGroup
 std::vector<RunResult>
 BatchRunner::run(const std::vector<BatchJob> &jobs) const
 {
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    return runInOrder(jobs, order, {});
+}
+
+std::vector<RunResult>
+BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
+                        const std::vector<std::size_t> &order,
+                        const std::function<WarmState(std::size_t)> &warm)
+    const
+{
     std::vector<RunResult> results(jobs.size());
     if (jobs.empty())
         return results;
@@ -183,9 +195,12 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
         if (stopped())
             return; // drained before start: default result, no hook
         metrics.jobsRunning.add(1);
+        std::function<WarmState()> warmOf;
+        if (warm)
+            warmOf = [&warm, i] { return warm(i); };
         try {
             results[i] = runSim(*jobs[i].program, configs[i], nullptr,
-                                jobs[i].inspect);
+                                jobs[i].inspect, warmOf);
         } catch (...) {
             metrics.jobsRunning.sub(1);
             throw;
@@ -199,14 +214,14 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
             jobDone_(i, results[i]);
     };
     if (threads_ == 1 || jobs.size() == 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
+        for (const std::size_t i : order)
             runOne(i);
     } else {
         std::exception_ptr firstError;
         std::mutex errorMutex;
         {
             ThreadPool pool(std::min<std::size_t>(threads_, jobs.size()));
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
+            for (const std::size_t i : order) {
                 pool.submit([&, i] {
                     try {
                         runOne(i);

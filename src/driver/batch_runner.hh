@@ -151,6 +151,17 @@ class BatchRunner
     runSampled(const std::vector<BatchJob> &jobs) const;
 
   private:
+    /**
+     * run() with the detailed runs started in @p order (a permutation
+     * of the job indices) and, when @p warm is set, job i's WarmState
+     * taken from @p warm(i). Results and the completion hook keep the
+     * submission indices.
+     */
+    std::vector<RunResult>
+    runInOrder(const std::vector<BatchJob> &jobs,
+               const std::vector<std::size_t> &order,
+               const std::function<WarmState(std::size_t)> &warm) const;
+
     unsigned threads_;
     std::string ckptDir_;
     double progressEvery_ = 0.0;

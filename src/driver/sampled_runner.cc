@@ -1,12 +1,16 @@
 #include "driver/sampled_runner.hh"
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
 
+#include "common/log.hh"
 #include "common/metrics.hh"
 #include "common/mini_json.hh"
 
@@ -133,6 +137,62 @@ validateSampledJob(const BatchJob &job)
                                     why);
 }
 
+/** The jobs sampling one (program, period, maxInsts), and their scan. */
+struct ScheduleGroup
+{
+    SampleSchedule sched;
+    std::vector<std::size_t> jobIdx; //!< submission order; [0] owns the scan
+};
+
+/**
+ * One WarmState and the windows that start from it. The first take()
+ * builds it, every take() but the last copies it, and the last moves
+ * it out, so the state is dropped after its last user. Workers may
+ * call take() concurrently.
+ */
+class WarmShare
+{
+  public:
+    /** @p window is the first window the state serves. */
+    explicit WarmShare(const BatchJob &window) : window_(window) {}
+
+    /**
+     * Whether a window of the same program and checkpoint under
+     * @p cfg starts from this state: the same core and warm flags.
+     */
+    bool
+    serves(const SimConfig &cfg) const
+    {
+        const SimConfig &own = window_.config;
+        return cfg.core == own.core && cfg.warmBpu == own.warmBpu &&
+               cfg.warmCaches == own.warmCaches;
+    }
+
+    void addUser() { ++users_; }
+
+    WarmState
+    take()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        mssr_assert(users_ > 0, "warm state taken by more windows than "
+                                "it serves");
+        if (!state_)
+            state_.emplace(window_.config, *window_.program,
+                           window_.config.checkpoint);
+        if (--users_ > 0)
+            return *state_;
+        WarmState last = std::move(*state_);
+        state_.reset();
+        return last;
+    }
+
+  private:
+    const BatchJob &window_;
+    unsigned users_ = 0;
+    std::mutex mutex_;
+    std::optional<WarmState> state_;
+};
+
 } // namespace
 
 std::vector<SampledRunResult>
@@ -152,31 +212,33 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
     // before any detailed work is spent.
     using ScheduleKey =
         std::tuple<const isa::Program *, std::uint64_t, std::uint64_t>;
-    std::map<ScheduleKey, SampleSchedule> schedules;
-    std::map<ScheduleKey, std::size_t> scheduleOwner;
+    std::map<ScheduleKey, std::size_t> groupOf;
+    std::vector<ScheduleGroup> groups;
+    std::vector<std::size_t> jobGroup(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SimConfig &cfg = jobs[i].config;
         const ScheduleKey key{jobs[i].program, cfg.samplePeriod,
                               cfg.maxInsts};
-        if (schedules.count(key))
-            continue;
-        schedules.emplace(key,
-                          buildSampleSchedule(*jobs[i].program,
-                                              cfg.samplePeriod, cfg.funcTier,
-                                              ckptDir_, cfg.maxInsts));
-        scheduleOwner.emplace(key, i);
+        const auto [it, fresh] = groupOf.try_emplace(key, groups.size());
+        if (fresh)
+            groups.push_back({buildSampleSchedule(*jobs[i].program,
+                                                  cfg.samplePeriod,
+                                                  cfg.funcTier, ckptDir_,
+                                                  cfg.maxInsts),
+                              {}});
+        groups[it->second].jobIdx.push_back(i);
+        jobGroup[i] = it->second;
     }
 
-    // Phase 1 -- expand each job into its detailed-window jobs. The
-    // whole expansion runs through run() as one batch, so windows of
-    // different jobs interleave freely across the pool.
+    // Phase 1 -- expand each job into its detailed-window jobs, job
+    // by job (window jobs are indexed in that order: results and the
+    // completion hook use it). The whole expansion runs as one batch,
+    // so windows of different jobs interleave freely across the pool.
     std::vector<BatchJob> windowJobs;
     std::vector<std::size_t> firstWindowJob(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SimConfig &cfg = jobs[i].config;
-        const ScheduleKey key{jobs[i].program, cfg.samplePeriod,
-                              cfg.maxInsts};
-        const SampleSchedule &sched = schedules.at(key);
+        const SampleSchedule &sched = groups[jobGroup[i]].sched;
         firstWindowJob[i] = windowJobs.size();
         for (std::uint64_t w = 0; w < sched.windows(); ++w) {
             const std::uint64_t offset = w * cfg.samplePeriod;
@@ -211,7 +273,38 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
         }
     }
 
-    std::vector<RunResult> windowResults = run(windowJobs);
+    // The windows start window-major within each schedule: window w
+    // of every job on it back to back. Those windows start from one
+    // checkpoint, so the warm state it trains is built once per core
+    // configuration and warm flags, copied into each window's core,
+    // and dropped after its last user: at most about one state is
+    // live per busy worker.
+    std::deque<WarmShare> shares; // deque: a share never moves
+    std::vector<std::size_t> shareOf(windowJobs.size());
+    std::vector<std::size_t> order;
+    order.reserve(windowJobs.size());
+    for (const ScheduleGroup &g : groups) {
+        for (std::uint64_t w = 0; w < g.sched.windows(); ++w) {
+            const std::size_t firstShare = shares.size();
+            for (const std::size_t i : g.jobIdx) {
+                const std::size_t k = firstWindowJob[i] + w;
+                std::size_t s = firstShare;
+                while (s < shares.size() &&
+                       !shares[s].serves(windowJobs[k].config))
+                    ++s;
+                if (s == shares.size())
+                    shares.emplace_back(windowJobs[k]);
+                shares[s].addUser();
+                shareOf[k] = s;
+                order.push_back(k);
+            }
+        }
+    }
+
+    std::vector<RunResult> windowResults =
+        runInOrder(windowJobs, order, [&](std::size_t k) {
+            return shares[shareOf[k]].take();
+        });
     // Window jobs ran through run() above, so the batch counters
     // (jobs done, insts) already include them; this counter tracks
     // sampled-window completions specifically.
@@ -223,16 +316,15 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
     // Phase 2 -- deterministic merge, in window order, on this thread.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SimConfig &cfg = jobs[i].config;
-        const ScheduleKey key{jobs[i].program, cfg.samplePeriod,
-                              cfg.maxInsts};
-        const SampleSchedule &sched = schedules.at(key);
+        const ScheduleGroup &group = groups[jobGroup[i]];
+        const SampleSchedule &sched = group.sched;
         SampledRunResult &out = results[i];
         out.samplePeriod = cfg.samplePeriod;
         out.sampleWindow = cfg.sampleWindow;
         out.windows = sched.windows();
         out.totalInsts = sched.totalInsts;
         out.halted = sched.halted;
-        if (scheduleOwner.at(key) == i) {
+        if (group.jobIdx.front() == i) {
             out.scanHostSeconds = sched.hostSeconds;
             out.scanDiskHits = sched.diskHits;
         }

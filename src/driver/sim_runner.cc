@@ -41,7 +41,8 @@ computeCheckpoint(const isa::Program &prog, std::uint64_t ffInsts,
 
 RunResult
 runSim(const isa::Program &prog, const SimConfig &cfg, Memory *mem_out,
-       const std::function<void(const O3Cpu &)> &inspect)
+       const std::function<void(const O3Cpu &)> &inspect,
+       const std::function<WarmState()> &warm)
 {
     const auto start = std::chrono::steady_clock::now();
     Memory local;
@@ -86,7 +87,8 @@ runSim(const isa::Program &prog, const SimConfig &cfg, Memory *mem_out,
     out.phases.warm =
         std::chrono::duration<double>(warmDone - start).count();
 
-    O3Cpu cpu(cfg, prog, mem, snapshot);
+    O3Cpu cpu(cfg, prog, mem, snapshot,
+              warm ? warm() : WarmState(cfg, prog, snapshot));
     const auto buildDone = std::chrono::steady_clock::now();
     out.phases.build =
         std::chrono::duration<double>(buildDone - warmDone).count();

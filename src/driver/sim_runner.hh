@@ -142,10 +142,15 @@ struct RunResult
  * @param inspect optional: called with the finished core before it is
  *        destroyed (for harnesses that need unit internals, e.g. the
  *        Figure-3 replacement heatmap).
+ * @param warm optional: supplies the core's WarmState, which must be
+ *        the one runSim would build for this program, snapshot and
+ *        config (runSampled shares one among design points). Called
+ *        once, inside the build phase. Unset, runSim builds it.
  */
 RunResult runSim(const isa::Program &prog, const SimConfig &cfg,
                  Memory *mem_out = nullptr,
-                 const std::function<void(const O3Cpu &)> &inspect = {});
+                 const std::function<void(const O3Cpu &)> &inspect = {},
+                 const std::function<WarmState()> &warm = {});
 
 /**
  * Computes the fast-forward snapshot for @p prog after @p ffInsts

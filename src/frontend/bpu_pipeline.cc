@@ -28,7 +28,7 @@ makePredictor(const CoreConfig &cfg)
 } // namespace
 
 BpuPipeline::BpuPipeline(const CoreConfig &cfg, const isa::Program &prog)
-    : cfg_(cfg),
+    : blockInsts_(cfg.fetchBlockBytes / InstBytes),
       prog_(prog),
       predictor_(makePredictor(cfg)),
       btb_(cfg.btbEntries, 4),
@@ -40,6 +40,19 @@ BpuPipeline::BpuPipeline(const CoreConfig &cfg, const isa::Program &prog)
                 "fetchBlockBytes ", cfg.fetchBlockBytes,
                 " outside [", InstBytes, ", ", MaxBlockInsts * InstBytes,
                 "]");
+}
+
+BpuPipeline::BpuPipeline(const BpuPipeline &other)
+    : blockInsts_(other.blockInsts_),
+      prog_(other.prog_),
+      predictor_(other.predictor_->clone()),
+      btb_(other.btb_),
+      ras_(other.ras_),
+      fetchPC_(other.fetchPC_),
+      nextBlockId_(other.nextBlockId_),
+      blocksFormed_(other.blocksFormed_),
+      condPredictions_(other.condPredictions_)
+{
 }
 
 bool
@@ -62,10 +75,9 @@ BpuPipeline::formBlock(PredBlock &block)
     block.branches.clear();
     ++blocksFormed_;
 
-    const unsigned maxInsts = cfg_.fetchBlockBytes / InstBytes;
     Addr pc = fetchPC_;
     Addr next = fetchPC_;
-    for (unsigned i = 0; i < maxInsts; ++i, pc += InstBytes) {
+    for (unsigned i = 0; i < blockInsts_; ++i, pc += InstBytes) {
         block.endPC = pc;
         next = pc + InstBytes;
         if (!prog_.hasInst(pc)) {

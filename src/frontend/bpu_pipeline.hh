@@ -31,6 +31,13 @@ class BpuPipeline
     BpuPipeline(const CoreConfig &cfg, const isa::Program &prog);
 
     /**
+     * A copy that shares nothing with @p other but the program: its
+     * own predictor (DirPredictor::clone), BTB, RAS and fetch target.
+     */
+    BpuPipeline(const BpuPipeline &other);
+    BpuPipeline(BpuPipeline &&) = default;
+
+    /**
      * Forms the next prediction block at the current fetch target into
      * @p block, overwriting every field (the FTQ hands out its tail
      * slot as is).
@@ -72,7 +79,7 @@ class BpuPipeline
     /** True when @p inst pops a return address (return). */
     static bool isRet(const isa::Inst &inst);
 
-    const CoreConfig &cfg_;
+    unsigned blockInsts_;          //!< instructions per fetch block
     const isa::Program &prog_;
     std::unique_ptr<DirPredictor> predictor_;
     Btb btb_;

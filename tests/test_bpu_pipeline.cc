@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "frontend/bpu_pipeline.hh"
 #include "isa/assembler.hh"
 
@@ -182,4 +184,52 @@ TEST(BpuPipeline, RejectsBlocksBeyondTheInlineBound)
     EXPECT_THROW(BpuPipeline bpu(cfg, prog), SimPanic);
     cfg.fetchBlockBytes = MaxBlockInsts * InstBytes;
     EXPECT_NO_THROW(BpuPipeline bpu(cfg, prog));
+}
+
+TEST(BpuPipeline, CopySharesNothingWithItsSource)
+{
+    // A copy starts with its source's training, then goes its own way:
+    // retraining the source, or destroying it and the config it was
+    // built from, leaves the copy forming the blocks a pipeline
+    // trained like the source at the copy forms. (Each predictor's
+    // clone is tested on its own in test_predictors.cc.)
+    isa::Program prog = isa::assembleProgram(R"(
+        beq t0, t1, far
+        jalr t1, 0(t0)
+    far:
+        halt
+    )");
+    const Addr beq = prog.codeBase();
+    const Addr jalr = beq + InstBytes;
+    const auto train = [&](BpuPipeline &bpu, bool taken, Addr jalrTarget) {
+        for (int i = 0; i < 8; ++i) {
+            bpu.commitControl(beq, prog.instAt(beq), taken,
+                              taken ? prog.label("far") : jalr);
+            bpu.commitControl(jalr, prog.instAt(jalr), true, jalrTarget);
+        }
+    };
+    const auto nextPC = [](BpuPipeline &bpu, Addr from) {
+        bpu.redirectSimple(from);
+        PredBlock b;
+        bpu.formBlock(b);
+        return b.nextPC;
+    };
+    BpuPipeline reference(bimodalCfg(), prog);
+    train(reference, true, prog.label("far"));
+
+    std::optional<BpuPipeline> source;
+    {
+        const CoreConfig scoped = bimodalCfg();
+        source.emplace(scoped, prog);
+    }
+    train(*source, true, prog.label("far"));
+    BpuPipeline copy(*source);
+    train(*source, false, beq);
+    // The retrained source now forms other blocks than the reference,
+    // so a copy sharing its predictor or BTB would too.
+    ASSERT_NE(nextPC(*source, beq), nextPC(reference, beq));
+    ASSERT_NE(nextPC(*source, jalr), nextPC(reference, jalr));
+    source.reset();
+    EXPECT_EQ(nextPC(copy, beq), nextPC(reference, beq));
+    EXPECT_EQ(nextPC(copy, jalr), nextPC(reference, jalr));
 }

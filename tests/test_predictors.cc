@@ -1,6 +1,6 @@
 /**
  * Direction-predictor behaviour tests: learnability of simple
- * patterns, speculative-history snapshot/restore, and the expected
+ * patterns, speculative-history snapshot/restore, clones, and the expected
  * capability ordering (TAGE handles history-correlated patterns that
  * bimodal cannot).
  */
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -421,4 +422,57 @@ TEST(TageScL, ReferenceStreamDigest)
     // storage or layout change must leave every prediction as it was.
     EXPECT_EQ(predictions, 732835u);
     EXPECT_EQ(digest, 0x819cb3651eccab88ull);
+}
+
+TEST(Predictors, CloneGoesItsOwnWay)
+{
+    // A clone predicts as its source would have from the moment it was
+    // made, whatever the source learns afterwards and after the source
+    // is gone. Each stream is run in order (accuracy()'s way) and its
+    // predictions digested.
+    Rng rng(25);
+    const auto path = referencePath(30000, 64, rng);
+    const auto third = static_cast<std::ptrdiff_t>(path.size() / 3);
+    const std::vector<std::pair<Addr, bool>> before(path.begin(),
+                                                    path.begin() + third);
+    std::vector<std::pair<Addr, bool>> inverted = before;
+    for (auto &[pc, taken] : inverted)
+        taken = !taken;
+    const std::vector<std::pair<Addr, bool>> after(path.begin() + third,
+                                                   path.end());
+    const auto drive = [](DirPredictor &pred,
+                          const std::vector<std::pair<Addr, bool>> &stream) {
+        std::uint64_t digest = 14695981039346656037ull;
+        for (const auto &[pc, taken] : stream) {
+            digest = (digest ^ (pred.predict(pc) ? 1 : 0)) * 1099511628211ull;
+            pred.specUpdate(pc, taken);
+            pred.commitUpdate(pc, taken);
+        }
+        return digest;
+    };
+
+    const std::vector<std::function<std::unique_ptr<DirPredictor>()>> kinds =
+        {[] { return std::make_unique<BimodalPredictor>(); },
+         [] { return std::make_unique<GsharePredictor>(); },
+         [] { return std::make_unique<TagePredictor>(); },
+         [] { return std::make_unique<TageScLPredictor>(); }};
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        std::unique_ptr<DirPredictor> reference = kinds[k]();
+        drive(*reference, before);
+        // Learning the inverted stream changes what the reference's
+        // twin predicts afterwards, so a clone sharing state would show.
+        std::unique_ptr<DirPredictor> retrained = kinds[k]();
+        drive(*retrained, before);
+        drive(*retrained, inverted);
+
+        std::unique_ptr<DirPredictor> source = kinds[k]();
+        drive(*source, before);
+        std::unique_ptr<DirPredictor> clone = source->clone();
+        drive(*source, inverted);
+        source.reset();
+
+        const std::uint64_t want = drive(*reference, after);
+        EXPECT_NE(drive(*retrained, after), want) << "kind " << k;
+        EXPECT_EQ(drive(*clone, after), want) << "kind " << k;
+    }
 }

@@ -2,7 +2,8 @@
  * Sampled simulation engine: Student-t critical values, population
  * estimates, the checkpoint schedule scan (boundary edge cases,
  * store reuse, history rings), the sampled batch runner's
- * determinism / merge invariants / config rejection, the functional
+ * determinism / merge invariants / config rejection, its shared warm
+ * states and completion-hook indices, the functional
  * cache-warming replay, and the interval-flush regression (a run
  * halting exactly on a stats-interval boundary must not emit a
  * zero-cycle trailing sample).
@@ -10,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -72,6 +76,62 @@ expectSampledIdentical(const SampledRunResult &a, const SampledRunResult &b,
         EXPECT_EQ(a.windowResults[w].insts, b.windowResults[w].insts)
             << what << " window " << w;
     }
+}
+
+/** Equality of two window runs' deterministic fields. */
+void
+expectRunIdentical(const RunResult &a, const RunResult &b,
+                   const std::string &what)
+{
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.insts, b.insts) << what;
+    EXPECT_EQ(a.archRegs, b.archRegs) << what;
+    EXPECT_TRUE(a.cpi == b.cpi) << what << " CPI stack";
+    EXPECT_TRUE(a.funnel == b.funnel) << what << " funnel";
+    EXPECT_EQ(a.stats.scalars(), b.stats.scalars()) << what << " stats";
+}
+
+/**
+ * Four design points sampling one program: the baseline, RGID and RI
+ * share a core configuration; the bimodal-predictor point does not,
+ * so it must never start from their warm state.
+ */
+std::vector<BatchJob>
+designPoints(const isa::Program &prog)
+{
+    SimConfig bimodal = rgidConfig(4, 64);
+    bimodal.core.predictor = BranchPredictorKind::Bimodal;
+    std::vector<BatchJob> jobs = {
+        {"none", &prog, baselineConfig(), {}},
+        {"rgid", &prog, rgidConfig(4, 64), {}},
+        {"regint", &prog, regIntConfig(64, 4), {}},
+        {"bimodal", &prog, bimodal, {}},
+    };
+    for (BatchJob &j : jobs) {
+        j.config.samplePeriod = 4000;
+        j.config.sampleWindow = 500;
+    }
+    return jobs;
+}
+
+/** Window @p w's config as runSampled builds it for @p job. */
+SimConfig
+windowConfig(const BatchJob &job, const SampleSchedule &sched,
+             std::uint64_t w)
+{
+    SimConfig cfg = job.config;
+    cfg.samplePeriod = 0;
+    cfg.sampleWindow = 0;
+    const std::uint64_t offset = w * job.config.samplePeriod;
+    cfg.maxInsts = std::min(job.config.sampleWindow,
+                            sched.totalInsts - offset);
+    if (w > 0) {
+        cfg.fastForwardInsts = offset;
+        cfg.checkpoint = &sched.checkpoints[w - 1];
+        cfg.warmBpu = true;
+        cfg.warmCaches = true;
+    }
+    return cfg;
 }
 
 } // namespace
@@ -377,6 +437,80 @@ TEST(Sampling, SampledMergeInvariantsHold)
     // The pooled CPI stack keeps the accounting identity.
     EXPECT_EQ(r.cpi.total(),
               static_cast<std::uint64_t>(r.cycles) * r.dispatchWidth);
+}
+
+TEST(Sampling, WindowsStartFromTheirOwnDesignPointsWarmState)
+{
+    const isa::Program prog = testProgram();
+    const std::vector<BatchJob> jobs = designPoints(prog);
+    const SampleSchedule sched = buildSampleSchedule(prog, 4000);
+    ASSERT_GT(sched.windows(), 2u);
+
+    // Each window on its own: runSim builds its warm state itself.
+    std::vector<std::vector<RunResult>> alone(jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        for (std::uint64_t w = 0; w < sched.windows(); ++w)
+            alone[j].push_back(
+                runSim(prog, windowConfig(jobs[j], sched, w)));
+
+    // Started from the TAGE-SC-L points' state, the bimodal core runs
+    // other windows, so a state shared across cores would show.
+    std::uint64_t misshared = 0;
+    for (std::uint64_t w = 1; w < sched.windows(); ++w) {
+        const SimConfig tage = windowConfig(jobs[1], sched, w);
+        const RunResult r =
+            runSim(prog, windowConfig(jobs[3], sched, w), nullptr, {},
+                   [&] { return WarmState(tage, prog, tage.checkpoint); });
+        misshared += r.stats.scalars() != alone[3][w].stats.scalars();
+    }
+    EXPECT_GT(misshared, 0u);
+
+    for (const unsigned workers : {1u, 4u}) {
+        const std::vector<SampledRunResult> got =
+            BatchRunner(workers).runSampled(jobs);
+        ASSERT_EQ(got.size(), jobs.size());
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            ASSERT_EQ(got[j].windowResults.size(), sched.windows());
+            for (std::uint64_t w = 0; w < sched.windows(); ++w)
+                expectRunIdentical(got[j].windowResults[w], alone[j][w],
+                                   jobs[j].name + " window " +
+                                       std::to_string(w) + " at " +
+                                       std::to_string(workers) +
+                                       " worker(s)");
+        }
+    }
+}
+
+TEST(Sampling, CompletionHookReportsWindowsJobMajor)
+{
+    // The windows run window-major, but the hook numbers them job by
+    // job: index k is job j's window w for k = (windows before job j)
+    // + w.
+    const isa::Program prog = testProgram();
+    const std::vector<BatchJob> jobs = designPoints(prog);
+    for (const unsigned workers : {1u, 4u}) {
+        BatchRunner runner(workers);
+        std::mutex mutex;
+        std::map<std::size_t, RunResult> reported;
+        runner.setJobDone([&](std::size_t k, const RunResult &r) {
+            std::lock_guard<std::mutex> lock(mutex);
+            EXPECT_TRUE(reported.emplace(k, r).second)
+                << "window " << k << " reported twice";
+        });
+        const std::vector<SampledRunResult> got = runner.runSampled(jobs);
+        std::size_t k = 0;
+        for (std::size_t j = 0; j < got.size(); ++j) {
+            for (std::size_t w = 0; w < got[j].windowResults.size();
+                 ++w, ++k) {
+                ASSERT_TRUE(reported.count(k)) << "window " << k;
+                expectRunIdentical(reported.at(k), got[j].windowResults[w],
+                                   "hook index " + std::to_string(k) +
+                                       " at " + std::to_string(workers) +
+                                       " worker(s)");
+            }
+        }
+        EXPECT_EQ(reported.size(), k);
+    }
 }
 
 TEST(Sampling, SampledRunRejectsUnsupportedConfigs)
