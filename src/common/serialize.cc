@@ -13,21 +13,30 @@ namespace mssr
 namespace
 {
 
-/** Lazily built CRC-32 lookup table (reflected 0xEDB88320). */
-const std::array<std::uint32_t, 256> &
-crcTable()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/**
+ * Lazily built slice-by-8 CRC-32 tables (reflected 0xEDB88320):
+ * table 0 is the bytewise table, and table k gives a byte's CRC
+ * followed by k zero bytes.
+ */
+const CrcTables &
+crcTables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (std::size_t k = 1; k < t.size(); ++k)
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
         return t;
     }();
-    return table;
+    return tables;
 }
 
 constexpr std::size_t MagicBytes = 8;
@@ -41,10 +50,20 @@ constexpr std::size_t SectionTrailerBytes = 4;
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t n)
 {
-    const auto &table = crcTable();
+    const CrcTables &t = crcTables();
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+    // Eight bytes a step: the CRC folds into the first four, and byte
+    // j's lookup in table 7 - j carries it past the bytes after it.
+    for (; n >= 8; data += 8, n -= 8) {
+        const std::uint32_t lo = c ^ getLe<std::uint32_t>(data);
+        const std::uint32_t hi = getLe<std::uint32_t>(data + 4);
+        c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+            t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++data, --n)
+        c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -66,15 +85,13 @@ SerialWriter::u8(std::uint8_t v)
 void
 SerialWriter::u32(std::uint32_t v)
 {
-    for (unsigned i = 0; i < 4; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    putLe(append(4), v);
 }
 
 void
 SerialWriter::u64(std::uint64_t v)
 {
-    for (unsigned i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    putLe(append(8), v);
 }
 
 void
@@ -82,6 +99,14 @@ SerialWriter::bytes(const std::uint8_t *data, std::size_t n)
 {
     if (n != 0)
         buf_.insert(buf_.end(), data, data + n);
+}
+
+std::uint8_t *
+SerialWriter::append(std::size_t n)
+{
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
 }
 
 void
@@ -100,8 +125,7 @@ SerialWriter::endSection()
     mssr_assert(inSection_, "serialize: endSection without beginSection");
     inSection_ = false;
     const std::uint64_t len = buf_.size() - sectionStart_;
-    for (unsigned i = 0; i < 8; ++i)
-        buf_[sectionStart_ - 8 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    putLe(buf_.data() + sectionStart_ - 8, len);
     // The CRC covers the whole section -- tag, patched length and
     // payload -- so corruption anywhere in it is caught, not just in
     // the payload bytes.
@@ -191,31 +215,29 @@ SerialReader::u8()
 std::uint32_t
 SerialReader::u32()
 {
-    need(4);
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= std::uint32_t{buf_[pos_++]} << (8 * i);
-    return v;
+    return getLe<std::uint32_t>(take(4));
 }
 
 std::uint64_t
 SerialReader::u64()
 {
-    need(8);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= std::uint64_t{buf_[pos_++]} << (8 * i);
-    return v;
+    return getLe<std::uint64_t>(take(8));
 }
 
 void
 SerialReader::bytes(std::uint8_t *out, std::size_t n)
 {
-    if (n == 0)
-        return;
+    if (n != 0)
+        std::memcpy(out, take(n), n);
+}
+
+const std::uint8_t *
+SerialReader::take(std::size_t n)
+{
     need(n);
-    std::memcpy(out, buf_.data() + pos_, n);
+    const std::uint8_t *at = buf_.data() + pos_;
     pos_ += n;
+    return at;
 }
 
 std::string
@@ -236,9 +258,7 @@ SerialReader::enterSection()
                              "' overruns the file (truncated?)");
     const std::size_t payload = pos_;
     const std::size_t end = payload + static_cast<std::size_t>(len);
-    std::uint32_t stored = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        stored |= std::uint32_t{buf_[end + i]} << (8 * i);
+    const std::uint32_t stored = getLe<std::uint32_t>(buf_.data() + end);
     if (crc32(buf_.data() + header,
               SectionHeaderBytes + static_cast<std::size_t>(len)) != stored)
         throw SerializeError("CRC mismatch in section '" + tag + "'");

@@ -11,8 +11,9 @@
  *     [4-byte tag][u64 payload bytes][payload][u32 CRC32]
  *
  * All multi-byte integers are little-endian regardless of host
- * endianness (values are assembled byte-by-byte, never memcpy'd), so
- * a checkpoint written on any machine restores on any other. Every
+ * endianness (values are assembled byte-by-byte, never memcpy'd: see
+ * putLe/getLe), so a checkpoint written on any machine restores on
+ * any other. Every
  * section carries a CRC32 of its tag, length and payload, so a flip
  * of any byte anywhere in the file is detected; the reader validates
  * magic, version, section bounds and CRC before handing out a single
@@ -43,6 +44,26 @@ class SerializeError : public std::runtime_error
 /** CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant). */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t n);
 
+/** Stores @p v at @p p as sizeof(T) little-endian bytes. */
+template <typename T>
+inline void
+putLe(std::uint8_t *p, T v)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Loads a T from sizeof(T) little-endian bytes at @p p. */
+template <typename T>
+inline T
+getLe(const std::uint8_t *p)
+{
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(p[i]) << (8 * i);
+    return v;
+}
+
 /**
  * Builds a sectioned binary image in memory. Typical use:
  *
@@ -65,6 +86,13 @@ class SerialWriter
     void u64(std::uint64_t v);
     void bytes(const std::uint8_t *data, std::size_t n);
     /// @}
+
+    /**
+     * Appends @p n bytes for the caller to fill (putLe) and returns
+     * where they start: a run of records is encoded in one step. The
+     * pointer is valid until the next write.
+     */
+    std::uint8_t *append(std::size_t n);
 
     /** Opens a section with a 4-character tag. Sections cannot nest. */
     void beginSection(const char tag[4]);
@@ -115,6 +143,13 @@ class SerialReader
     std::uint64_t u64();
     void bytes(std::uint8_t *out, std::size_t n);
     /// @}
+
+    /**
+     * Consumes @p n bytes and returns where they start, for decoding
+     * a run of records in one step (getLe). Throws like the
+     * accessors.
+     */
+    const std::uint8_t *take(std::size_t n);
 
     /**
      * Opens the next section: validates the header fits, the payload

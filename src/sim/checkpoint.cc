@@ -25,10 +25,30 @@ constexpr std::uint32_t CkptVersion = 2;
 constexpr std::uint64_t TierCodeFast = 0;
 constexpr std::uint64_t TierCodeInterp = 1;
 
+/** BHST bytes per record: pc, next PC, taken. */
+constexpr std::size_t BranchRecordBytes = 8 + 8 + 1;
+/** MEMH bytes per record: one word (see writeCheckpoint). */
+constexpr std::size_t MemRecordBytes = 8;
+
 std::uint64_t
 tierCode(FuncTier tier)
 {
     return tier == FuncTier::Interpreter ? TierCodeInterp : TierCodeFast;
+}
+
+/**
+ * A history ring's records oldest to newest. @p head is the oldest
+ * record once the ring is full, and 0 until then.
+ */
+template <typename T>
+std::vector<T>
+oldestFirst(const std::vector<T> &recs, std::size_t head)
+{
+    std::vector<T> out;
+    out.reserve(recs.size());
+    out.insert(out.end(), recs.begin() + head, recs.end());
+    out.insert(out.end(), recs.begin(), recs.begin() + head);
+    return out;
 }
 
 } // namespace
@@ -36,29 +56,13 @@ tierCode(FuncTier tier)
 std::vector<BranchOutcome>
 BranchHistory::inOrder() const
 {
-    std::vector<BranchOutcome> out;
-    out.reserve(recs_.size());
-    if (recs_.size() < cap_) {
-        out = recs_;
-    } else {
-        for (std::size_t i = 0; i < recs_.size(); ++i)
-            out.push_back(recs_[(head_ + i) % cap_]);
-    }
-    return out;
+    return oldestFirst(recs_, head_);
 }
 
 std::vector<MemAccess>
 MemHistory::inOrder() const
 {
-    std::vector<MemAccess> out;
-    out.reserve(recs_.size());
-    if (recs_.size() < cap_) {
-        out = recs_;
-    } else {
-        for (std::size_t i = 0; i < recs_.size(); ++i)
-            out.push_back(recs_[(head_ + i) % cap_]);
-    }
-    return out;
+    return oldestFirst(recs_, head_);
 }
 
 void
@@ -127,10 +131,12 @@ writeCheckpoint(const std::string &path, const Checkpoint &ckpt)
 
     w.beginSection("BHST");
     w.u64(ckpt.branchHist.size());
+    std::uint8_t *out = w.append(ckpt.branchHist.size() * BranchRecordBytes);
     for (const BranchOutcome &b : ckpt.branchHist) {
-        w.u64(b.pc);
-        w.u64(b.next);
-        w.u8(b.taken ? 1 : 0);
+        putLe(out, b.pc);
+        putLe(out + 8, b.next);
+        out[16] = b.taken ? 1 : 0;
+        out += BranchRecordBytes;
     }
     w.endSection();
 
@@ -139,8 +145,11 @@ writeCheckpoint(const std::string &path, const Checkpoint &ckpt)
     // One word per record: the store bit rides in bit 0 under the
     // left-shifted address (warming is line-granular, so the top
     // address bit carries no information worth a second field).
-    for (const MemAccess &a : ckpt.memHist)
-        w.u64((a.addr << 1) | (a.isStore ? 1 : 0));
+    out = w.append(ckpt.memHist.size() * MemRecordBytes);
+    for (const MemAccess &a : ckpt.memHist) {
+        putLe(out, (a.addr << 1) | (a.isStore ? 1 : 0));
+        out += MemRecordBytes;
+    }
     w.endSection();
 
     w.writeFile(path);
@@ -193,30 +202,32 @@ readCheckpoint(const std::string &path)
             page = true;
         } else if (tag == "BHST") {
             const std::uint64_t n = r.u64();
-            if (n > r.remaining() / 17) // 8 + 8 + 1 bytes per record
+            if (n > r.remaining() / BranchRecordBytes)
                 throw SerializeError(
                     "branch-history count exceeds section size");
-            ckpt.branchHist.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) {
-                BranchOutcome b;
-                b.pc = r.u64();
-                b.next = r.u64();
-                b.taken = r.u8() != 0;
-                ckpt.branchHist.push_back(b);
+            ckpt.branchHist.resize(static_cast<std::size_t>(n));
+            const std::uint8_t *in = r.take(ckpt.branchHist.size() *
+                                            BranchRecordBytes);
+            for (BranchOutcome &b : ckpt.branchHist) {
+                b.pc = getLe<std::uint64_t>(in);
+                b.next = getLe<std::uint64_t>(in + 8);
+                b.taken = in[16] != 0;
+                in += BranchRecordBytes;
             }
             bhst = true;
         } else if (tag == "MEMH") {
             const std::uint64_t n = r.u64();
-            if (n > r.remaining() / 8)
+            if (n > r.remaining() / MemRecordBytes)
                 throw SerializeError(
                     "memory-history count exceeds section size");
-            ckpt.memHist.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const std::uint64_t word = r.u64();
-                MemAccess a;
+            ckpt.memHist.resize(static_cast<std::size_t>(n));
+            const std::uint8_t *in =
+                r.take(ckpt.memHist.size() * MemRecordBytes);
+            for (MemAccess &a : ckpt.memHist) {
+                const std::uint64_t word = getLe<std::uint64_t>(in);
                 a.addr = word >> 1;
                 a.isStore = (word & 1) != 0;
-                ckpt.memHist.push_back(a);
+                in += MemRecordBytes;
             }
             memh = true;
         } else {

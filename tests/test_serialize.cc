@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "sim/checkpoint.hh"
 #include "sim/func_emu.hh"
@@ -84,6 +85,30 @@ TEST(Serialize, Crc32MatchesIeeeReferenceVector)
                                 '9'};
     EXPECT_EQ(crc32(msg, sizeof msg), 0xCBF43926u);
     EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Serialize, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset)
+{
+    // The definition, one bit at a time: the eight-byte steps and the
+    // byte tail must agree with it whatever the length and alignment.
+    const auto reference = [](const std::uint8_t *p, std::size_t n) {
+        std::uint32_t c = 0xFFFFFFFFu;
+        for (std::size_t i = 0; i < n; ++i) {
+            c ^= p[i];
+            for (int k = 0; k < 8; ++k)
+                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        }
+        return c ^ 0xFFFFFFFFu;
+    };
+    Rng rng(25);
+    std::vector<std::uint8_t> buf(8 + 256);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t n = 0; n <= 256; ++n)
+            ASSERT_EQ(crc32(buf.data() + offset, n),
+                      reference(buf.data() + offset, n))
+                << "offset " << offset << ", length " << n;
 }
 
 TEST(Serialize, PrimitivesRoundTrip)
