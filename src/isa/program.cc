@@ -27,6 +27,7 @@ Program::append(const Inst &inst)
 {
     const Addr pc = codeEnd();
     insts_.push_back(inst);
+    changed();
     return pc;
 }
 
@@ -74,6 +75,7 @@ Program::writeData(Addr addr, const std::uint8_t *bytes, std::size_t n)
         chunk.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         chunk[i] = bytes[i];
+    changed();
 }
 
 void
@@ -118,6 +120,8 @@ fnv1a(std::uint64_t &h, std::uint64_t v)
 std::uint64_t
 Program::hash() const
 {
+    if (const std::uint64_t memo = hash_.value.load(std::memory_order_relaxed))
+        return memo;
     std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a offset basis
     fnv1a(h, codeBase_);
     fnv1a(h, entry_);
@@ -138,6 +142,7 @@ Program::hash() const
             h *= 0x100000001b3ull;
         }
     }
+    hash_.value.store(h, std::memory_order_relaxed);
     return h;
 }
 

@@ -8,6 +8,7 @@
 #ifndef MSSR_ISA_PROGRAM_HH
 #define MSSR_ISA_PROGRAM_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -42,7 +43,12 @@ class Program
     /// @{
     Addr codeBase() const { return codeBase_; }
     Addr entry() const { return entry_; }
-    void setEntry(Addr pc) { entry_ = pc; }
+    void
+    setEntry(Addr pc)
+    {
+        entry_ = pc;
+        changed();
+    }
 
     std::size_t numInsts() const { return insts_.size(); }
     Addr codeEnd() const { return codeBase_ + insts_.size() * InstBytes; }
@@ -115,11 +121,38 @@ class Program
      * identically, which is what keys the checkpoint cache: a
      * checkpoint taken from one program is only valid for a program
      * with the same hash. Labels are excluded (they are assembler
-     * metadata, not machine state).
+     * metadata, not machine state). Computed once and remembered
+     * until the next change to the program.
      */
     std::uint64_t hash() const;
 
   private:
+    /**
+     * hash()'s memo: 0 until computed (a content hash of 0 is just
+     * recomputed). Atomic, so concurrent const readers may fill it;
+     * a copy carries it.
+     */
+    struct HashMemo
+    {
+        mutable std::atomic<std::uint64_t> value{0};
+
+        HashMemo() = default;
+        HashMemo(const HashMemo &other)
+            : value(other.value.load(std::memory_order_relaxed))
+        {
+        }
+        HashMemo &
+        operator=(const HashMemo &other)
+        {
+            value.store(other.value.load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+            return *this;
+        }
+    };
+
+    /** Forgets hash(): every mutator of hashed content calls it. */
+    void changed() { hash_.value.store(0, std::memory_order_relaxed); }
+
     Addr codeBase_;
     Addr entry_;
     Addr dataBase_;
@@ -128,6 +161,7 @@ class Program
     std::vector<Inst> insts_;
     std::map<std::string, Addr> labels_;
     std::map<Addr, std::vector<std::uint8_t>> dataChunks_;
+    HashMemo hash_;
 
     /** Merges @p bytes at @p addr into the data image. */
     void writeData(Addr addr, const std::uint8_t *bytes, std::size_t n);

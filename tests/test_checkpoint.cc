@@ -235,3 +235,38 @@ TEST(Checkpoint, ProgramHashDiscriminatesAndIsStable)
     const isa::Program a3 = workloads::buildWorkload("bfs", scaled);
     EXPECT_NE(a1.hash(), a3.hash()) << "scale change must change the key";
 }
+
+TEST(Checkpoint, ProgramHashFollowsEveryChange)
+{
+    // hash() is remembered, so each change must make it hash the new
+    // content: what a program built with that content, and never
+    // hashed before, gives.
+    const auto build = [](unsigned changes) {
+        isa::Program p = testProgram("bfs");
+        if (changes > 0)
+            p.setEntry(p.entry() + InstBytes);
+        if (changes > 1)
+            p.initData64(p.dataBase(), {42});
+        if (changes > 2)
+            p.initBytes(p.dataBase() + 8, {7, 9});
+        if (changes > 3)
+            p.append(p.instAt(p.entry()));
+        return p;
+    };
+    isa::Program p = build(0);
+    std::uint64_t before = p.hash();
+    for (unsigned changes = 1; changes <= 4; ++changes) {
+        switch (changes) {
+          case 1: p.setEntry(p.entry() + InstBytes); break;
+          case 2: p.initData64(p.dataBase(), {42}); break;
+          case 3: p.initBytes(p.dataBase() + 8, {7, 9}); break;
+          default: p.append(p.instAt(p.entry())); break;
+        }
+        const std::uint64_t after = p.hash();
+        EXPECT_NE(after, before) << "change " << changes;
+        EXPECT_EQ(after, build(changes).hash()) << "change " << changes;
+        before = after;
+    }
+    const isa::Program copy = p;
+    EXPECT_EQ(copy.hash(), before) << "a copy keeps the content's hash";
+}
