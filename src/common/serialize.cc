@@ -195,21 +195,10 @@ SerialReader::readFile(const std::string &path)
     return data;
 }
 
-void
-SerialReader::need(std::size_t n) const
-{
-    const std::size_t limit = inSection_ ? sectionEnd_ : buf_.size();
-    if (pos_ + n > limit)
-        throw SerializeError(inSection_
-                                 ? "read past end of section"
-                                 : "read past end of file");
-}
-
 std::uint8_t
 SerialReader::u8()
 {
-    need(1);
-    return buf_[pos_++];
+    return *take(1);
 }
 
 std::uint32_t
@@ -234,7 +223,11 @@ SerialReader::bytes(std::uint8_t *out, std::size_t n)
 const std::uint8_t *
 SerialReader::take(std::size_t n)
 {
-    need(n);
+    const std::size_t limit = inSection_ ? sectionEnd_ : buf_.size();
+    if (pos_ + n > limit)
+        throw SerializeError(inSection_
+                                 ? "read past end of section"
+                                 : "read past end of file");
     const std::uint8_t *at = buf_.data() + pos_;
     pos_ += n;
     return at;

@@ -170,8 +170,6 @@ class SerialReader
     std::size_t remaining() const;
 
   private:
-    void need(std::size_t n) const;
-
     std::vector<std::uint8_t> buf_;
     std::size_t pos_ = 0;
     std::size_t sectionEnd_ = 0; //!< payload end of the open section

@@ -40,6 +40,13 @@ WarmState::WarmState(const SimConfig &cfg, const isa::Program &prog,
     }
 }
 
+bool
+WarmState::sameState(const SimConfig &a, const SimConfig &b)
+{
+    return a.core == b.core && a.warmBpu == b.warmBpu &&
+           a.warmCaches == b.warmCaches;
+}
+
 O3Cpu::O3Cpu(const SimConfig &cfg, const isa::Program &prog, Memory &mem,
              const Checkpoint *snapshot)
     : O3Cpu(cfg, prog, mem, snapshot, WarmState(cfg, prog, snapshot))

@@ -71,6 +71,12 @@ struct WarmState
     WarmState(const SimConfig &cfg, const isa::Program &prog,
               const Checkpoint *snapshot);
 
+    /**
+     * Whether @p a and @p b build the same state from one program and
+     * snapshot: they agree on every field the constructor reads.
+     */
+    static bool sameState(const SimConfig &a, const SimConfig &b);
+
     BpuPipeline bpu;
     MemHierarchy caches;
 };

@@ -96,7 +96,10 @@ class BatchRunner
      * shared-warm-up attribution fields (ckptHit, ffHostSeconds) are
      * finalized only after run() returns, so the callback sees every
      * grouped job as a plain hit -- deterministic, simulated fields
-     * are all final. Cleared by passing an empty function.
+     * are all final. Under runSampled() the hook fires once per
+     * window, with the window's job-major index (the jobs in
+     * submission order, then each job's windows), whatever order the
+     * windows ran in. Cleared by passing an empty function.
      */
     using JobDoneFn = std::function<void(std::size_t, const RunResult &)>;
     void setJobDone(JobDoneFn fn) { jobDone_ = std::move(fn); }
@@ -141,7 +144,10 @@ class BatchRunner
      * are merged in window order on the calling thread -- so sampled
      * results, estimates included, are byte-identical at any worker
      * count. Jobs sharing (program, period, maxInsts) share one scan;
-     * the first such job carries the scan's wall time.
+     * the first such job carries the scan's wall time. Their windows
+     * run window-major (window w of each such job back to back), and
+     * those with equal core configurations start from one WarmState,
+     * built once and copied into each core.
      *
      * Throws std::invalid_argument for configs that cannot be sampled
      * (zero/oversized window, fast-forward, a pipeview, profiling,

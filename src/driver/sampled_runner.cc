@@ -156,16 +156,12 @@ class WarmShare
     /** @p window is the first window the state serves. */
     explicit WarmShare(const BatchJob &window) : window_(window) {}
 
-    /**
-     * Whether a window of the same program and checkpoint under
-     * @p cfg starts from this state: the same core and warm flags.
-     */
+    /** Whether a window of the same program and checkpoint under
+     *  @p cfg starts from this state. */
     bool
     serves(const SimConfig &cfg) const
     {
-        const SimConfig &own = window_.config;
-        return cfg.core == own.core && cfg.warmBpu == own.warmBpu &&
-               cfg.warmCaches == own.warmCaches;
+        return WarmState::sameState(cfg, window_.config);
     }
 
     void addUser() { ++users_; }

@@ -92,7 +92,8 @@ struct RunResult
     /**
      * Where hostSeconds went, phase by phase: `warm` is the
      * functional prefix (compute or checkpoint validate + memory
-     * restore), `build` is core construction, `detail` is the
+     * restore), `build` is core construction (building, copying or
+     * moving in its WarmState included), `detail` is the
      * detailed cpu.run() loop, `serialize` is result extraction
      * (stats, CPI stack, profile, inspect hook). hostSeconds ==
      * warm + build + detail by construction; serialize happens after

@@ -75,9 +75,10 @@ BpuPipeline::formBlock(PredBlock &block)
     block.branches.clear();
     ++blocksFormed_;
 
+    const unsigned maxInsts = blockInsts_;
     Addr pc = fetchPC_;
     Addr next = fetchPC_;
-    for (unsigned i = 0; i < blockInsts_; ++i, pc += InstBytes) {
+    for (unsigned i = 0; i < maxInsts; ++i, pc += InstBytes) {
         block.endPC = pc;
         next = pc + InstBytes;
         if (!prog_.hasInst(pc)) {
