@@ -13,12 +13,11 @@
  * All multi-byte integers are little-endian regardless of host
  * endianness (values are assembled byte-by-byte, never memcpy'd: see
  * putLe/getLe), so a checkpoint written on any machine restores on
- * any other. Every
- * section carries a CRC32 of its tag, length and payload, so a flip
- * of any byte anywhere in the file is detected; the reader validates
- * magic, version, section bounds and CRC before handing out a single
- * byte, and throws SerializeError -- never crashes, never partially
- * populates caller state -- on any mismatch.
+ * any other. Every section carries a CRC32 of its tag, length and
+ * payload, so a flip of any byte anywhere in the file is detected;
+ * the reader validates magic, version, section bounds and CRC before
+ * handing out a single byte, and throws SerializeError -- never
+ * crashes, never partially populates caller state -- on any mismatch.
  */
 
 #ifndef MSSR_COMMON_SERIALIZE_HH

@@ -301,9 +301,9 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
         runInOrder(windowJobs, order, [&](std::size_t k) {
             return shares[shareOf[k]].take();
         });
-    // Window jobs ran through run() above, so the batch counters
-    // (jobs done, insts) already include them; this counter tracks
-    // sampled-window completions specifically.
+    // Window jobs ran through the batch engine above, so the batch
+    // counters (jobs done, insts) already include them; this counter
+    // tracks sampled-window completions specifically.
     MetricsRegistry::global()
         .counter("mssr_sampled_windows_done_total",
                  "Detailed sample windows completed")
