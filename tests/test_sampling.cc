@@ -2,11 +2,11 @@
  * Sampled simulation engine: Student-t critical values, population
  * estimates, the checkpoint schedule scan (boundary edge cases,
  * store reuse, history rings), the sampled batch runner's
- * determinism / merge invariants / config rejection, its shared warm
- * states and completion-hook indices, the functional
- * cache-warming replay, and the interval-flush regression (a run
- * halting exactly on a stats-interval boundary must not emit a
- * zero-cycle trailing sample).
+ * determinism / merge invariants / config rejection / shared warm
+ * states / completion-hook indices, the functional cache-warming
+ * replay, and the interval-flush regression (a run halting exactly
+ * on a stats-interval boundary must not emit a zero-cycle trailing
+ * sample).
  */
 
 #include <gtest/gtest.h>
