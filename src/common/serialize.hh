@@ -43,21 +43,27 @@ class SerializeError : public std::runtime_error
 /** CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant). */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t n);
 
-/** Stores @p v at @p p as sizeof(T) little-endian bytes. */
+/**
+ * Stores @p v at @p p as sizeof(T) little-endian bytes. Unrolled, the
+ * byte stores merge into one store on a little-endian host.
+ */
 template <typename T>
 inline void
 putLe(std::uint8_t *p, T v)
 {
+#pragma GCC unroll 8
     for (std::size_t i = 0; i < sizeof(T); ++i)
         p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-/** Loads a T from sizeof(T) little-endian bytes at @p p. */
+/** Loads a T from sizeof(T) little-endian bytes at @p p (one load
+ *  on a little-endian host, as putLe). */
 template <typename T>
 inline T
 getLe(const std::uint8_t *p)
 {
     T v = 0;
+#pragma GCC unroll 8
     for (std::size_t i = 0; i < sizeof(T); ++i)
         v |= static_cast<T>(p[i]) << (8 * i);
     return v;
