@@ -87,7 +87,6 @@ Harness::Harness(int argc, char **argv, std::string benchName,
     : benchName_(std::move(benchName)), set_(names)
 {
     json_ = jsonRequested(argc, argv);
-    statsInterval_ = envU64("MSSR_INTERVAL", 0);
     profile_ = envFlag("MSSR_PROFILE");
     fastForward_ = envU64("MSSR_FF", 0);
     runner_.setProgressEvery(
@@ -139,8 +138,6 @@ Harness::job(const std::string &label, const std::string &workload,
     j.name = label;
     j.program = &set_.program(workload);
     j.config = cfg;
-    if (statsInterval_ != 0)
-        j.config.statsInterval = statsInterval_;
     if (profile_)
         j.config.profiling = true;
     if (fastForward_ != 0)

@@ -11,8 +11,6 @@
  *   MSSR_SEED   workload RNG seed
  *   MSSR_JOBS   batch worker threads (default: hardware concurrency)
  *   MSSR_JSON   1/true/empty (or --json passed): write BENCH_batch.json
- *   MSSR_INTERVAL  sample interval stats every K cycles; the samples
- *               are carried on every record of BENCH_batch.json
  *   MSSR_PROFILE  enable the per-PC profiler on every job; each
  *               BENCH_batch.json record then carries its hottest
  *               branches ("profile_top", sorted by recovery slots)
@@ -142,7 +140,6 @@ class Harness
   private:
     std::string benchName_;
     bool json_ = false;
-    Cycle statsInterval_ = 0; //!< MSSR_INTERVAL; 0 disables sampling
     bool profile_ = false;    //!< MSSR_PROFILE; per-PC profiler on jobs
     std::uint64_t fastForward_ = 0; //!< MSSR_FF; shared warm-up prefix
     BatchRunner runner_;

@@ -226,15 +226,6 @@ struct SimConfig
     /// @}
 
     /**
-     * Interval statistics: when nonzero, sample IPC, reuse rate,
-     * squashes and WPB/Squash-Log occupancy every statsInterval
-     * cycles into RunResult::intervals (a final partial interval is
-     * flushed at end of run so the deltas sum to the scalar
-     * counters). 0 disables sampling.
-     */
-    Cycle statsInterval = 0;
-
-    /**
      * @name Statistical sampling (SMARTS-style)
      * When samplePeriod is nonzero, BatchRunner::runSampled() runs the
      * program end-to-end on the functional tier, drops a checkpoint
@@ -245,7 +236,7 @@ struct SimConfig
      * runSim() itself ignores both knobs: a sampled run is a batch of
      * ordinary window runs plus deterministic aggregation.
      * sampleWindow must be in (0, samplePeriod]; the window jobs must
-     * not themselves fast-forward, trace, profile or interval-sample.
+     * not themselves fast-forward, trace or profile.
      */
     /// @{
     std::uint64_t samplePeriod = 0; //!< insts between window starts (0 = off)

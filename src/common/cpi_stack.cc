@@ -80,18 +80,6 @@ CpiStack::fraction(CpiCat cat) const
                           static_cast<double>(sum);
 }
 
-CpiStack
-CpiStack::operator-(const CpiStack &other) const
-{
-    CpiStack out;
-    for (std::size_t i = 0; i < NumCpiCats; ++i) {
-        mssr_assert(slots[i] >= other.slots[i],
-                    "CpiStack difference would underflow");
-        out.slots[i] = slots[i] - other.slots[i];
-    }
-    return out;
-}
-
 CpiStack &
 CpiStack::operator+=(const CpiStack &other)
 {

@@ -106,9 +106,6 @@ struct CpiStack
     /** Fraction of all slots charged to @p cat (0 when empty). */
     double fraction(CpiCat cat) const;
 
-    /** Element-wise difference (interval deltas, A-vs-B diffs). */
-    CpiStack operator-(const CpiStack &other) const;
-
     /** Element-wise accumulation (merging sampled windows). */
     CpiStack &operator+=(const CpiStack &other);
 

@@ -24,7 +24,7 @@
  * squashed insts == core.squashedInsts, reused == reuse.success, and
  * branch/flush recovery slots == the CPI stack's BranchRecovery/
  * FlushRecovery categories -- exactly, with no "other" PC bucket.
- * The profile is one of the three sinks of the core's probe
+ * The profile is one of the two sinks of the core's probe
  * (common/probe.hh): under SimConfig::profiling the core owns one and
  * hands it every probe event through onEvent().
  */

@@ -1,8 +1,7 @@
 /**
  * @file
  * The probe's event vocabulary -- what kind of step a ProbeEvent
- * reports, the reuse-test verdicts and the event record itself -- and
- * the interval-statistics sample carried on RunResult.
+ * reports, the reuse-test verdicts and the event record itself.
  *
  * The core and the reuse unit report every observable step as one
  * ProbeEvent through their probe (common/probe.hh), which hands it to
@@ -96,28 +95,6 @@ struct ProbeEvent
     SeqNum donorSeq = 0;     //!< squash-log donor of a reuse test
     Addr originPC = 0;       //!< branch whose squash captured the stream
     std::uint64_t aux = 0;   //!< second kind-specific payload
-};
-
-/**
- * One interval-statistics sample: deltas over the last `cycles`
- * simulated cycles plus instantaneous structure occupancies. The
- * deltas of all samples of a run sum exactly to the end-of-run scalar
- * counters (the core flushes a final partial interval at halt).
- */
-struct IntervalSample
-{
-    Cycle cycleEnd = 0;               //!< cycle at which the sample was taken
-    Cycle cycles = 0;                 //!< interval length (may be short at end)
-    std::uint64_t commits = 0;        //!< instructions committed in interval
-    std::uint64_t squashedInsts = 0;  //!< instructions squashed in interval
-    std::uint64_t squashEvents = 0;   //!< pipeline flushes in interval
-    std::uint64_t reuseHits = 0;      //!< successful reuses/integrations
-    double ipc = 0.0;                 //!< commits / cycles
-    double wpbOccupancy = 0.0;        //!< WPB valid entries / capacity [0,1]
-    double squashLogOccupancy = 0.0;  //!< Squash Log entries / capacity [0,1]
-    /** Per-category dispatch slots charged within this interval (same
-     *  order as CpiCat); sums to `cycles x dispatchWidth`. */
-    std::array<std::uint64_t, NumCpiCats> cpiSlots{};
 };
 
 } // namespace mssr

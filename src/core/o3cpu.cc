@@ -845,8 +845,6 @@ O3Cpu::tick()
     if (pendingSquash_.valid)
         applySquash();
     ++cycle_;
-    if (cfg_.statsInterval != 0 && cycle_ % cfg_.statsInterval == 0)
-        sampleInterval();
 
     if (cycle_ - lastCommitCycle_ > 200000)
         panic("no commit progress for 200000 cycles at cycle ", cycle_,
@@ -861,69 +859,6 @@ O3Cpu::run()
             break;
         tick();
     }
-    // Flush the final partial interval (the halting tick does not
-    // advance cycle_, so its commits land here) -- the interval sums
-    // then reconcile exactly with the scalar counters.
-    if (cfg_.statsInterval != 0)
-        sampleInterval(/*flush=*/true);
-}
-
-std::uint64_t
-O3Cpu::reuseHitsNow() const
-{
-    if (reuse_)
-        return reuse_->successCount();
-    if (ri_)
-        return ri_->integrations();
-    return 0;
-}
-
-void
-O3Cpu::sampleInterval(bool flush)
-{
-    IntervalSample s;
-    s.cycleEnd = cycle_;
-    s.cycles = cycle_ - intervalMark_.cycle;
-    s.commits = commits_ - intervalMark_.commits;
-    s.squashedInsts = squashedInsts_ - intervalMark_.squashedInsts;
-    s.squashEvents = squashEvents_ - intervalMark_.squashEvents;
-    s.reuseHits = reuseHitsNow() - intervalMark_.reuseHits;
-    if (s.cycles == 0 && s.commits == 0 && s.squashedInsts == 0 &&
-        s.squashEvents == 0 && s.reuseHits == 0)
-        return; // empty flush: nothing happened since the last boundary
-    if (flush && s.cycles == 0 && !intervals_.empty()) {
-        // The run halted exactly on an interval boundary: the halting
-        // tick committed instructions without advancing cycle_ (tick()
-        // returns before ++cycle_ once halted). Emitting that residue
-        // as its own interval would create a zero-cycle trailing
-        // sample, so fold it into the last real interval instead; the
-        // interval sums still reconcile with the scalar counters.
-        IntervalSample &last = intervals_.back();
-        last.commits += s.commits;
-        last.squashedInsts += s.squashedInsts;
-        last.squashEvents += s.squashEvents;
-        last.reuseHits += s.reuseHits;
-        const CpiStack cpiResidue = cpi_ - intervalMark_.cpi;
-        for (std::size_t i = 0; i < NumCpiCats; ++i)
-            last.cpiSlots[i] += cpiResidue.slots[i];
-        last.ipc = last.cycles == 0 ? 0.0
-                                    : static_cast<double>(last.commits) /
-                                          static_cast<double>(last.cycles);
-        intervalMark_ = IntervalMark{cycle_, commits_, squashedInsts_,
-                                     squashEvents_, reuseHitsNow(), cpi_};
-        return;
-    }
-    s.ipc = s.cycles == 0 ? 0.0
-                          : static_cast<double>(s.commits) /
-                                static_cast<double>(s.cycles);
-    if (reuse_) {
-        s.wpbOccupancy = reuse_->wpb().occupancy();
-        s.squashLogOccupancy = reuse_->squashLog().occupancy();
-    }
-    s.cpiSlots = (cpi_ - intervalMark_.cpi).slots;
-    intervals_.push_back(s);
-    intervalMark_ = IntervalMark{cycle_, commits_, squashedInsts_,
-                                 squashEvents_, reuseHitsNow(), cpi_};
 }
 
 ReuseFunnel

@@ -130,17 +130,6 @@ class O3Cpu
     StatSet stats() const;
 
     /**
-     * Interval-statistics samples collected so far (every
-     * SimConfig::statsInterval cycles; empty when disabled). run()
-     * flushes a final partial interval so the deltas sum exactly to
-     * the end-of-run counters.
-     */
-    const std::vector<IntervalSample> &intervals() const
-    {
-        return intervals_;
-    }
-
-    /**
      * Dispatch-slot cycle accounting: every cycle charges exactly
      * decodeWidth slots to exactly one category each, so
      * cpiStack().total() == cycles() x decodeWidth at all times.
@@ -202,13 +191,6 @@ class O3Cpu
     };
 
     // Helpers.
-    /** Closes the current stats interval. @p flush marks the final
-     *  end-of-run call: a zero-cycle residue (the halting tick's
-     *  commits) is folded into the last interval instead of being
-     *  emitted as a bogus zero-cycle trailing interval. */
-    void sampleInterval(bool flush = false);
-    /** Reuse successes so far under whichever scheme is active. */
-    std::uint64_t reuseHitsNow() const;
     void executeInst(const DynInstPtr &inst);
     void executeLoad(const DynInstPtr &inst);
     void executeStore(const DynInstPtr &inst);
@@ -287,17 +269,6 @@ class O3Cpu
     // plus profile_; it is null when neither is attached, so each
     // instrumented site costs one branch.
     std::unique_ptr<Probe> probe_;
-    std::vector<IntervalSample> intervals_;
-    struct IntervalMark
-    {
-        Cycle cycle = 0;
-        std::uint64_t commits = 0;
-        std::uint64_t squashedInsts = 0;
-        std::uint64_t squashEvents = 0;
-        std::uint64_t reuseHits = 0;
-        CpiStack cpi;
-    };
-    IntervalMark intervalMark_;            //!< counters at last boundary
 
     // Cycle accounting (see cpiStack()). recoveryReason_ tracks the
     // reason of the last squash until the corrected path reaches

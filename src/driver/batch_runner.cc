@@ -105,18 +105,21 @@ BatchRunner::run(const std::vector<BatchJob> &jobs) const
 {
     std::vector<std::size_t> order(jobs.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
-    return runInOrder(jobs, order, {});
+    std::vector<RunResult> results(jobs.size());
+    runInOrder(jobs, order, results, {}, {});
+    return results;
 }
 
-std::vector<RunResult>
+void
 BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
                         const std::vector<std::size_t> &order,
-                        const std::function<WarmState(std::size_t)> &warm)
+                        std::vector<RunResult> &results,
+                        const std::function<WarmState(std::size_t)> &warm,
+                        const std::function<void(std::size_t)> &landed)
     const
 {
-    std::vector<RunResult> results(jobs.size());
     if (jobs.empty())
-        return results;
+        return;
 
     // Telemetry is observational only: every counter bump and
     // progress line happens outside the simulated machine, so results
@@ -147,6 +150,8 @@ BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
     std::map<std::pair<const isa::Program *, std::uint64_t>, std::size_t>
         groupOf;
     std::deque<PrefixGroup> groups; // deque: &g.ckpt stays stable
+    // The group each job paid the prefix of: its first member's.
+    std::vector<const PrefixGroup *> paidBy(jobs.size(), nullptr);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (configs[i].fastForwardInsts == 0 || configs[i].checkpoint)
             continue;
@@ -158,12 +163,10 @@ BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
             groups.back().program = jobs[i].program;
             groups.back().ffInsts = configs[i].fastForwardInsts;
             groups.back().tier = configs[i].funcTier;
+            paidBy[i] = &groups.back();
         }
         groups[it->second].jobIdx.push_back(i);
     }
-    const auto stopped = [this] {
-        return stopFlag_ && stopFlag_->load(std::memory_order_relaxed);
-    };
     for (PrefixGroup &g : groups) {
         if (stopped())
             break; // draining: the group's jobs will be skipped too
@@ -187,10 +190,9 @@ BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
             configs[i].checkpoint = &g.ckpt;
     }
 
-    // Phase 1 -- the detailed runs.
+    // Phase 1 -- the detailed runs, each completing on its worker.
     // Sequential fast path: no pool, no synchronization. Results are
     // identical either way; this is the timing baseline.
-    std::vector<std::uint8_t> ran(jobs.size(), 0);
     const auto runOne = [&](std::size_t i) {
         if (stopped())
             return; // drained before start: default result, no hook
@@ -198,20 +200,33 @@ BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
         std::function<WarmState()> warmOf;
         if (warm)
             warmOf = [&warm, i] { return warm(i); };
+        RunResult &r = results[i];
         try {
-            results[i] = runSim(*jobs[i].program, configs[i], nullptr,
-                                jobs[i].inspect, warmOf);
+            r = runSim(*jobs[i].program, configs[i], nullptr,
+                       jobs[i].inspect, warmOf);
         } catch (...) {
             metrics.jobsRunning.sub(1);
             throw;
         }
-        ran[i] = 1;
         metrics.jobsRunning.sub(1);
+        // runSim reported every grouped job as a checkpoint hit (each
+        // received a pre-computed snapshot). The group's first job is
+        // the one that paid for the prefix, so it carries the group's
+        // compute-or-load wall time and the real disk-cache hit/miss
+        // status; the other members stay hits.
+        if (const PrefixGroup *g = paidBy[i]) {
+            r.ckptHit = g->diskHit;
+            r.ffHostSeconds = g->hostSeconds;
+        }
         metrics.jobsDone.inc();
-        metrics.insts.inc(results[i].insts);
-        metrics.jobSeconds.observe(results[i].hostSeconds);
+        metrics.insts.inc(r.insts);
+        if (r.ckptHit)
+            metrics.ckptHits.inc();
+        metrics.jobSeconds.observe(r.hostSeconds);
         if (jobDone_)
-            jobDone_(i, results[i]);
+            jobDone_(i, r);
+        if (landed)
+            landed(i);
     };
     if (threads_ == 1 || jobs.size() == 1) {
         for (const std::size_t i : order)
@@ -237,29 +252,8 @@ BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
         if (firstError)
             std::rethrow_exception(firstError);
     }
-
-    // Attribution: runSim reported every grouped job as a checkpoint
-    // hit (each received a pre-computed snapshot). The group's first
-    // job is the one that actually paid for the prefix, so it carries
-    // the group's compute-or-load wall time and the real disk-cache
-    // hit/miss status; the other members stay hits.
-    for (const PrefixGroup &g : groups) {
-        if (!ran[g.jobIdx.front()])
-            continue; // owner skipped by a drain: nothing to attribute
-        RunResult &owner = results[g.jobIdx.front()];
-        owner.ckptHit = g.diskHit;
-        owner.ffHostSeconds = g.hostSeconds;
-    }
-    // Count checkpoint hits only after attribution so the counter
-    // reconciles exactly with the ckpt_hit flags downstream consumers
-    // (BENCH_batch.json) will see.
-    std::uint64_t hits = 0;
-    for (const RunResult &r : results)
-        hits += r.ckptHit ? 1 : 0;
-    metrics.ckptHits.inc(hits);
     if (progress)
         progress->finish(); // final progress line + final textfile
-    return results;
 }
 
 } // namespace mssr

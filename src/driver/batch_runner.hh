@@ -88,30 +88,42 @@ class BatchRunner
     /// @}
 
     /**
-     * Per-job completion hook, invoked on the worker thread right
-     * after each job's result lands in the batch's result vector (the
-     * incremental-streaming primitive behind mssr_serve). The callback
-     * receives the job's submission index and its RunResult; it must
-     * be thread-safe, and must not touch other jobs' results. Note the
-     * shared-warm-up attribution fields (ckptHit, ffHostSeconds) are
-     * finalized only after run() returns, so the callback sees every
-     * grouped job as a plain hit -- deterministic, simulated fields
-     * are all final. Under runSampled() the hook fires once per
-     * window, with the window's job-major index (the jobs in
-     * submission order, then each job's windows), whatever order the
-     * windows ran in. Cleared by passing an empty function.
+     * Per-job completion hook, invoked on the worker thread once a
+     * job's result is final: under run(), after the shared-warm-up
+     * attribution (ckptHit, ffHostSeconds) -- the incremental-
+     * streaming primitive behind mssr_serve. The callback receives
+     * the job's submission index and its RunResult; it must be
+     * thread-safe, and must not touch other jobs' results. Under
+     * runSampled() it fires once per window, with the window's
+     * job-major index (the jobs in submission order, then each job's
+     * windows), whatever order the windows ran in. Cleared by passing
+     * an empty function.
      */
     using JobDoneFn = std::function<void(std::size_t, const RunResult &)>;
     void setJobDone(JobDoneFn fn) { jobDone_ = std::move(fn); }
 
     /**
+     * runSampled()'s per-job hook: fires once per sampled job, on the
+     * worker that lands the job's last window, after the job's
+     * windows are merged. Same contract as setJobDone otherwise.
+     */
+    using SampledJobDoneFn =
+        std::function<void(std::size_t, const SampledRunResult &)>;
+    void setSampledJobDone(SampledJobDoneFn fn)
+    {
+        sampledJobDone_ = std::move(fn);
+    }
+
+    /**
      * Cooperative drain: with a stop flag set, run() skips every job
      * that has not yet started once the flag reads true (skipped jobs
      * keep a default RunResult and fire no completion hook; in-flight
-     * jobs always finish). Shared warm-ups not yet taken are skipped
-     * too. The caller owns the atomic and must keep it alive for the
-     * run. This is how mssr_serve bounds SIGTERM-drain latency to one
-     * job instead of one queue.
+     * jobs always finish). Shared warm-ups and sampling scans not yet
+     * taken are skipped too, and a sampled job with a skipped window
+     * keeps a default SampledRunResult (windows == 0) and fires no
+     * per-job hook. The caller owns the atomic and must keep it alive
+     * for the run. This is how mssr_serve bounds SIGTERM-drain
+     * latency to one job (or window) instead of one queue.
      */
     void setStopFlag(const std::atomic<bool> *stop) { stopFlag_ = stop; }
 
@@ -139,11 +151,12 @@ class BatchRunner
      * driver/sampled_runner.hh). Per job: one functional scan drops a
      * checkpoint every samplePeriod instructions (through the
      * checkpoint directory when set, sharing the --ckpt-dir store),
-     * the sampleWindow-instruction detailed windows are fanned across
-     * the pool alongside every other job's windows, and the results
-     * are merged in window order on the calling thread -- so sampled
-     * results, estimates included, are byte-identical at any worker
-     * count. Jobs sharing (program, period, maxInsts) share one scan;
+     * and the sampleWindow-instruction detailed windows are fanned
+     * across the pool alongside every other job's windows. When a
+     * job's last window lands, that job alone is merged in window
+     * order -- so sampled results, estimates included, are
+     * byte-identical at any worker count -- and handed to the per-job
+     * hook. Jobs sharing (program, period, maxInsts) share one scan;
      * the first such job carries the scan's wall time. Their windows
      * run window-major (window w of each such job back to back), and
      * those with equal core configurations start from one WarmState,
@@ -151,22 +164,31 @@ class BatchRunner
      *
      * Throws std::invalid_argument for configs that cannot be sampled
      * (zero/oversized window, fast-forward, a pipeview, profiling,
-     * interval stats, maxCycles or an inspect hook).
+     * maxCycles or an inspect hook).
      */
     std::vector<SampledRunResult>
     runSampled(const std::vector<BatchJob> &jobs) const;
 
   private:
+    /** True once the stop flag reads true. */
+    bool
+    stopped() const
+    {
+        return stopFlag_ && stopFlag_->load(std::memory_order_relaxed);
+    }
+
     /**
-     * run() with the detailed runs started in @p order (a permutation
-     * of the job indices) and, when @p warm is set, job i's WarmState
-     * taken from @p warm(i). Results and the completion hook keep the
-     * submission indices.
+     * run() into @p results, with the detailed runs started in
+     * @p order (a permutation of the job indices) and, when @p warm is
+     * set, job i's WarmState taken from @p warm(i). Each job that runs
+     * completes once, on its worker, when its result is final: the
+     * batch metrics, the completion hook, then @p landed(i).
      */
-    std::vector<RunResult>
-    runInOrder(const std::vector<BatchJob> &jobs,
-               const std::vector<std::size_t> &order,
-               const std::function<WarmState(std::size_t)> &warm) const;
+    void runInOrder(const std::vector<BatchJob> &jobs,
+                    const std::vector<std::size_t> &order,
+                    std::vector<RunResult> &results,
+                    const std::function<WarmState(std::size_t)> &warm,
+                    const std::function<void(std::size_t)> &landed) const;
 
     unsigned threads_;
     std::string ckptDir_;
@@ -174,6 +196,7 @@ class BatchRunner
     std::string metricsOut_;
     std::string progressLabel_ = "batch";
     JobDoneFn jobDone_;
+    SampledJobDoneFn sampledJobDone_;
     const std::atomic<bool> *stopFlag_ = nullptr;
 };
 

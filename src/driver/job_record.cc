@@ -419,19 +419,7 @@ benchResultRecord(const std::string &name, const RunResult &r)
        << ", \"phase_build_sec\": " << r.phases.build
        << ", \"phase_detail_sec\": " << r.phases.detail
        << ", \"phase_serialize_sec\": " << r.phases.serialize
-       << ", \"peak_rss_kb\": " << r.peakRssKb << ", \"intervals\": [";
-    for (std::size_t k = 0; k < r.intervals.size(); ++k) {
-        const IntervalSample &s = r.intervals[k];
-        os << (k ? ", " : "") << "{\"cycle_end\": " << s.cycleEnd
-           << ", \"cycles\": " << s.cycles << ", \"commits\": " << s.commits
-           << ", \"squashed_insts\": " << s.squashedInsts
-           << ", \"squash_events\": " << s.squashEvents
-           << ", \"reuse_hits\": " << s.reuseHits << ", \"ipc\": " << s.ipc
-           << ", \"wpb_occ\": " << s.wpbOccupancy
-           << ", \"slog_occ\": " << s.squashLogOccupancy << ", \"cpi\": ";
-        writeJson(os, CpiStack{s.cpiSlots});
-        os << "}";
-    }
+       << ", \"peak_rss_kb\": " << r.peakRssKb;
     // The five hottest branches by recovery slots, PC order on ties;
     // none when profiling was off.
     std::vector<const BranchRecord *> top = r.profile.branches().sortedByPc();
@@ -440,7 +428,7 @@ benchResultRecord(const std::string &name, const RunResult &r)
                          return a->recoverySlots() > b->recoverySlots();
                      });
     top.resize(std::min<std::size_t>(top.size(), 5));
-    os << "], \"profile_top\": [";
+    os << ", \"profile_top\": [";
     bool first = true;
     for (const BranchRecord *b : top) {
         os << (first ? "" : ", ") << "{\"pc\": \"" << hexPc(b->pc)

@@ -55,7 +55,7 @@ std::string serveResultRecord(const ServeJobSpec &spec, const RunResult &r);
 std::string serveSampledRecord(const ServeJobSpec &spec,
                                const SampledRunResult &r);
 /** A BENCH_batch.json result: the serve record's simulated fields,
- *  then the host fields, intervals and the five hottest branches. */
+ *  then the host fields and the five hottest branches. */
 std::string benchResultRecord(const std::string &name, const RunResult &r);
 /// @}
 

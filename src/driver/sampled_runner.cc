@@ -1,6 +1,7 @@
 #include "driver/sampled_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -114,8 +115,6 @@ sampledJobError(const BatchJob &job)
         return "per-window tracing is not supported";
     if (cfg.profiling)
         return "per-window profiling is not supported";
-    if (cfg.statsInterval != 0)
-        return "interval stats inside sampled windows are not supported";
     if (cfg.maxCycles != 0)
         return "maxCycles would truncate windows non-architecturally";
     if (job.inspect)
@@ -189,6 +188,56 @@ class WarmShare
     std::optional<WarmState> state_;
 };
 
+/**
+ * One job's merge: the pooled totals, the estimates and the window
+ * list of its windows under @p cfg, moved in window order out of
+ * @p windows (sched.windows() results). Deterministic whichever
+ * worker lands the job's last window.
+ */
+SampledRunResult
+mergeWindows(const SimConfig &cfg, const SampleSchedule &sched,
+             RunResult *windows)
+{
+    SampledRunResult out;
+    out.samplePeriod = cfg.samplePeriod;
+    out.sampleWindow = cfg.sampleWindow;
+    out.windows = sched.windows();
+    out.totalInsts = sched.totalInsts;
+    out.halted = sched.halted;
+
+    std::vector<double> ipcXs;
+    std::array<std::vector<double>, NumCpiCats> cpiXs;
+    std::vector<double> reuseXs;
+    for (std::uint64_t w = 0; w < sched.windows(); ++w) {
+        RunResult &r = windows[w];
+        out.cycles += r.cycles;
+        out.insts += r.insts;
+        out.cpi += r.cpi;
+        out.funnel += r.funnel;
+        out.dispatchWidth = r.dispatchWidth;
+        out.hostSeconds += r.hostSeconds;
+        ipcXs.push_back(r.ipc);
+        if (r.insts > 0) {
+            for (std::size_t c = 0; c < NumCpiCats; ++c)
+                cpiXs[c].push_back(r.cpi.cpiContribution(
+                    static_cast<CpiCat>(c), r.insts, r.dispatchWidth));
+        }
+        if (r.funnel.squashed > 0)
+            reuseXs.push_back(static_cast<double>(r.funnel.reused) /
+                              static_cast<double>(r.funnel.squashed));
+        out.windowOffsets.push_back(w * cfg.samplePeriod);
+        out.windowResults.push_back(std::move(r));
+    }
+    out.ipc = out.cycles ? static_cast<double>(out.insts) /
+                               static_cast<double>(out.cycles)
+                         : 0.0;
+    out.ipcEst = estimateFrom(ipcXs);
+    for (std::size_t c = 0; c < NumCpiCats; ++c)
+        out.cpiEst[c] = estimateFrom(cpiXs[c]);
+    out.reuseRateEst = estimateFrom(reuseXs);
+    return out;
+}
+
 } // namespace
 
 std::vector<SampledRunResult>
@@ -205,7 +254,8 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
     // period over the same bound share one schedule (and therefore
     // one scan). Sequential on the calling thread; the scan is the
     // cheap part and scan errors (corrupt store file) should surface
-    // before any detailed work is spent.
+    // before any detailed work is spent. A drain stops between scans:
+    // every window would be skipped, so no job is reported.
     using ScheduleKey =
         std::tuple<const isa::Program *, std::uint64_t, std::uint64_t>;
     std::map<ScheduleKey, std::size_t> groupOf;
@@ -216,12 +266,15 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
         const ScheduleKey key{jobs[i].program, cfg.samplePeriod,
                               cfg.maxInsts};
         const auto [it, fresh] = groupOf.try_emplace(key, groups.size());
-        if (fresh)
+        if (fresh) {
+            if (stopped())
+                return results;
             groups.push_back({buildSampleSchedule(*jobs[i].program,
                                                   cfg.samplePeriod,
                                                   cfg.funcTier, ckptDir_,
                                                   cfg.maxInsts),
                               {}});
+        }
         groups[it->second].jobIdx.push_back(i);
         jobGroup[i] = it->second;
     }
@@ -232,10 +285,12 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
     // so windows of different jobs interleave freely across the pool.
     std::vector<BatchJob> windowJobs;
     std::vector<std::size_t> firstWindowJob(jobs.size());
+    std::vector<std::size_t> jobOf; // window job -> its sampled job
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SimConfig &cfg = jobs[i].config;
         const SampleSchedule &sched = groups[jobGroup[i]].sched;
         firstWindowJob[i] = windowJobs.size();
+        jobOf.resize(windowJobs.size() + sched.windows(), i);
         for (std::uint64_t w = 0; w < sched.windows(); ++w) {
             const std::uint64_t offset = w * cfg.samplePeriod;
             BatchJob wj;
@@ -297,65 +352,36 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
         }
     }
 
-    std::vector<RunResult> windowResults =
-        runInOrder(windowJobs, order, [&](std::size_t k) {
-            return shares[shareOf[k]].take();
-        });
-    // Window jobs ran through the batch engine above, so the batch
-    // counters (jobs done, insts) already include them; this counter
-    // tracks sampled-window completions specifically.
-    MetricsRegistry::global()
-        .counter("mssr_sampled_windows_done_total",
-                 "Detailed sample windows completed")
-        .inc(windowResults.size());
-
-    // Phase 2 -- deterministic merge, in window order, on this thread.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const SimConfig &cfg = jobs[i].config;
+    // Phase 2 -- each job completes when its last window lands: the
+    // worker that lands it merges the job's windows in window order
+    // and reports it. A job with a window the stop flag skipped never
+    // gets there and keeps its default result.
+    Counter &windowsDone = MetricsRegistry::global().counter(
+        "mssr_sampled_windows_done_total",
+        "Detailed sample windows completed");
+    std::vector<std::atomic<std::uint64_t>> windowsLeft(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        windowsLeft[i] = groups[jobGroup[i]].sched.windows();
+    std::vector<RunResult> windowResults(windowJobs.size());
+    const auto landed = [&](std::size_t k) {
+        windowsDone.inc();
+        const std::size_t i = jobOf[k];
+        if (windowsLeft[i].fetch_sub(1) != 1)
+            return; // the job's other windows are still out
         const ScheduleGroup &group = groups[jobGroup[i]];
-        const SampleSchedule &sched = group.sched;
         SampledRunResult &out = results[i];
-        out.samplePeriod = cfg.samplePeriod;
-        out.sampleWindow = cfg.sampleWindow;
-        out.windows = sched.windows();
-        out.totalInsts = sched.totalInsts;
-        out.halted = sched.halted;
+        out = mergeWindows(jobs[i].config, group.sched,
+                           &windowResults[firstWindowJob[i]]);
         if (group.jobIdx.front() == i) {
-            out.scanHostSeconds = sched.hostSeconds;
-            out.scanDiskHits = sched.diskHits;
+            out.scanHostSeconds = group.sched.hostSeconds;
+            out.scanDiskHits = group.sched.diskHits;
         }
-
-        std::vector<double> ipcXs;
-        std::array<std::vector<double>, NumCpiCats> cpiXs;
-        std::vector<double> reuseXs;
-        for (std::uint64_t w = 0; w < sched.windows(); ++w) {
-            RunResult &r = windowResults[firstWindowJob[i] + w];
-            out.cycles += r.cycles;
-            out.insts += r.insts;
-            out.cpi += r.cpi;
-            out.funnel += r.funnel;
-            out.dispatchWidth = r.dispatchWidth;
-            out.hostSeconds += r.hostSeconds;
-            ipcXs.push_back(r.ipc);
-            if (r.insts > 0) {
-                for (std::size_t c = 0; c < NumCpiCats; ++c)
-                    cpiXs[c].push_back(r.cpi.cpiContribution(
-                        static_cast<CpiCat>(c), r.insts, r.dispatchWidth));
-            }
-            if (r.funnel.squashed > 0)
-                reuseXs.push_back(static_cast<double>(r.funnel.reused) /
-                                  static_cast<double>(r.funnel.squashed));
-            out.windowOffsets.push_back(w * cfg.samplePeriod);
-            out.windowResults.push_back(std::move(r));
-        }
-        out.ipc = out.cycles ? static_cast<double>(out.insts) /
-                                   static_cast<double>(out.cycles)
-                             : 0.0;
-        out.ipcEst = estimateFrom(ipcXs);
-        for (std::size_t c = 0; c < NumCpiCats; ++c)
-            out.cpiEst[c] = estimateFrom(cpiXs[c]);
-        out.reuseRateEst = estimateFrom(reuseXs);
-    }
+        if (sampledJobDone_)
+            sampledJobDone_(i, out);
+    };
+    runInOrder(
+        windowJobs, order, windowResults,
+        [&](std::size_t k) { return shares[shareOf[k]].take(); }, landed);
     return results;
 }
 

@@ -12,10 +12,10 @@
  * per metric, alongside the exact pooled totals over the simulated
  * windows.
  *
- * Determinism contract: the windows are merged in window order on the
- * calling thread, so a sampled result -- including every floating-
- * point estimate -- is byte-identical at any worker count, exactly
- * like BatchRunner::run.
+ * Determinism contract: each job's windows are merged in window
+ * order once its last window lands, so a sampled result -- including
+ * every floating-point estimate -- is byte-identical at any worker
+ * count, whichever worker merges it, exactly like BatchRunner::run.
  */
 
 #ifndef MSSR_DRIVER_SAMPLED_RUNNER_HH

@@ -512,16 +512,17 @@ ServeCore::schedulerLoop()
 void
 ServeCore::runBatch(Batch &b)
 {
-    // The batch's specs and id are immutable once accepted and the
-    // scheduler is the only writer of its records (through
-    // recordDone, which locks), so the partitioning below can read
-    // them without mu_.
+    // The batch's specs and id are immutable once accepted, and its
+    // records are written only through recordDone (which locks) by the
+    // runner started below, so the partitioning can read them without
+    // mu_.
     logInfo("serve", "batch ", b.id, " running: ",
             b.specs.size() - b.done, " job(s) to go");
 
-    // One program per distinct (workload, scale) -- jobs of a sweep
-    // share their program, which is what lets BatchRunner share
-    // warm-up prefixes across them.
+    // One program per distinct (workload, scale) in the batch -- jobs
+    // of a sweep share their program, which is what lets BatchRunner
+    // share warm-up prefixes, sampling scans and window warm states
+    // across them.
     std::map<std::tuple<std::string, unsigned, unsigned, std::uint64_t>,
              std::size_t>
         programOf;
@@ -537,43 +538,42 @@ ServeCore::runBatch(Batch &b)
         return &programs[it->second];
     };
 
-    std::vector<BatchJob> detailJobs;
-    std::vector<std::size_t> detailIdx;
-    std::vector<std::size_t> sampledIdx;
+    // The jobs left to run, detailed and sampled apart, each beside
+    // its index in the batch.
+    struct Part
+    {
+        std::vector<BatchJob> jobs;
+        std::vector<std::size_t> batchIdx;
+    };
+    Part detailed, sampled;
     for (std::size_t i = 0; i < b.specs.size(); ++i) {
         if (!b.records[i].empty())
             continue; // journal-resumed completion: never re-run
         const ServeJobSpec &s = b.specs[i];
-        if (s.samplePeriod != 0) {
-            sampledIdx.push_back(i);
-            continue;
-        }
-        detailIdx.push_back(i);
-        detailJobs.push_back({s.name, programFor(s), specConfig(s), {}});
+        Part &part = s.samplePeriod != 0 ? sampled : detailed;
+        part.jobs.push_back({s.name, programFor(s), specConfig(s), {}});
+        part.batchIdx.push_back(i);
     }
 
+    // Each job is journaled from its worker as soon as it completes.
     BatchRunner runner(opts_.threads);
     runner.setCheckpointDir(opts_.ckptDir);
     runner.setStopFlag(&stopping_);
-    if (!detailJobs.empty()) {
+    if (!detailed.jobs.empty()) {
         runner.setJobDone([&](std::size_t li, const RunResult &r) {
-            const std::size_t ji = detailIdx[li];
+            const std::size_t ji = detailed.batchIdx[li];
             recordDone(b, ji, serveResultRecord(b.specs[ji], r));
         });
-        runner.run(detailJobs);
+        runner.run(detailed.jobs);
         runner.setJobDone({});
     }
-
-    // Sampled jobs run one at a time so completion (and therefore the
-    // journal fsync) stays per-job; each job's windows still fan out
-    // across the full worker pool.
-    for (const std::size_t i : sampledIdx) {
-        if (stopping_.load())
-            break;
-        const ServeJobSpec &s = b.specs[i];
-        const std::vector<SampledRunResult> res =
-            runner.runSampled({{s.name, programFor(s), specConfig(s), {}}});
-        recordDone(b, i, serveSampledRecord(s, res[0]));
+    if (!sampled.jobs.empty()) {
+        runner.setSampledJobDone(
+            [&](std::size_t li, const SampledRunResult &r) {
+                const std::size_t ji = sampled.batchIdx[li];
+                recordDone(b, ji, serveSampledRecord(b.specs[ji], r));
+            });
+        runner.runSampled(sampled.jobs);
     }
 
     std::lock_guard<std::mutex> lk(mu_);

@@ -11,14 +11,19 @@
  *  - the bounded job queue with backpressure (`queue_full` replies
  *    once the accepted-but-unfinished job count would pass queueMax),
  *  - the scheduler thread that pops batches in submission order and
- *    fans their jobs over BatchRunner/ThreadPool, sharing one
- *    --ckpt-dir checkpoint store across every batch the process ever
+ *    fans their jobs over BatchRunner/ThreadPool: a batch's detailed
+ *    jobs in one run() call and its sampled jobs in one runSampled()
+ *    call, so design points on one program share warm-ups, sampling
+ *    scans and window warm states as mssr_run's do. One --ckpt-dir
+ *    checkpoint store is shared across every batch the process ever
  *    serves (the "warm fleet": a resubmitted sweep skips its
  *    warm-ups), and
  *  - the mssr-serve-journal-v1 crash journal: batches are journaled on
- *    accept and jobs on completion (append + fsync), so a process
- *    killed mid-sweep restarts, replays, marks the journaled
- *    completions done and re-queues exactly the remainder.
+ *    accept and jobs once their results are final (append + fsync;
+ *    a sampled job once its last window lands, so a drain journals no
+ *    partly run job), so a process killed or drained mid-sweep
+ *    restarts, replays, marks the journaled completions done and
+ *    re-queues exactly the remainder.
  *
  * Result records are one-line JSON objects in the BENCH_batch.json
  * per-result schema family, restricted to the deterministic fields
@@ -85,9 +90,11 @@ class ServeCore
     std::string handleRequest(const std::string &requestJson);
 
     /**
-     * Drain plus stop: in-flight jobs finish (and are journaled),
-     * not-yet-started jobs stay queued for the next process. Called by
-     * the tool on SIGTERM/SIGINT and by the `shutdown` request.
+     * Drain plus stop: in-flight jobs and sampled windows finish,
+     * and the jobs that complete are journaled; not-yet-started jobs,
+     * and sampled jobs with a window not yet started, stay queued for
+     * the next process. Called by the tool on SIGTERM/SIGINT and by
+     * the `shutdown` request.
      */
     void beginShutdown();
 

@@ -4,40 +4,9 @@
 
 #include "common/metrics.hh"
 #include "common/serialize.hh"
-#include "sim/fast_emu.hh"
-#include "sim/func_emu.hh"
 
 namespace mssr
 {
-
-Checkpoint
-computeCheckpoint(const isa::Program &prog, std::uint64_t ffInsts,
-                  FuncTier tier)
-{
-    Checkpoint ckpt;
-    Memory ffMem;
-    BranchHistory hist;
-    MemHistory memh;
-    if (tier == FuncTier::Fast) {
-        FastEmu emu(prog, ffMem);
-        emu.recordBranches(&hist);
-        emu.recordMem(&memh);
-        emu.run(ffInsts);
-        emu.saveState(ckpt);
-    } else {
-        FuncEmu emu(prog, ffMem);
-        emu.recordBranches(&hist);
-        emu.recordMem(&memh);
-        emu.run(ffInsts);
-        emu.saveState(ckpt);
-    }
-    ckpt.programHash = prog.hash();
-    ckpt.ffInsts = ffInsts;
-    ckpt.producerTier = tier;
-    ckpt.branchHist = hist.inOrder();
-    ckpt.memHist = memh.inOrder();
-    return ckpt;
-}
 
 RunResult
 runSim(const isa::Program &prog, const SimConfig &cfg, Memory *mem_out,
@@ -107,7 +76,6 @@ runSim(const isa::Program &prog, const SimConfig &cfg, Memory *mem_out,
     out.cpi = cpu.cpiStack();
     out.funnel = cpu.funnel();
     out.dispatchWidth = cfg.core.decodeWidth;
-    out.intervals = cpu.intervals();
     if (cpu.profile())
         out.profile = *cpu.profile();
     out.kips = kipsOf(out.insts, out.hostSeconds);

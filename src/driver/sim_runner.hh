@@ -24,6 +24,7 @@
 #include "isa/program.hh"
 #include "sim/checkpoint.hh"
 #include "sim/memory.hh"
+#include "sim/sample_schedule.hh"
 
 namespace mssr
 {
@@ -56,9 +57,6 @@ struct RunResult
     ReuseFunnel funnel;
     /** Rename/dispatch width the slots were charged against. */
     unsigned dispatchWidth = 0;
-
-    /** Interval samples (empty unless SimConfig::statsInterval set). */
-    std::vector<IntervalSample> intervals;
 
     /**
      * Per-PC hot-spot profile (empty unless SimConfig::profiling):
@@ -152,26 +150,6 @@ RunResult runSim(const isa::Program &prog, const SimConfig &cfg,
                  Memory *mem_out = nullptr,
                  const std::function<void(const O3Cpu &)> &inspect = {},
                  const std::function<WarmState()> &warm = {});
-
-/**
- * Computes the fast-forward snapshot for @p prog after @p ffInsts
- * functionally-emulated instructions: architectural registers, PC,
- * the sparse memory image and the prefix's branch-outcome history.
- * This is exactly the snapshot runSim() computes internally when
- * SimConfig::fastForwardInsts is set and SimConfig::checkpoint is
- * null, so passing the result back via SimConfig::checkpoint yields
- * byte-identical simulation results. Used by the BatchRunner's shared
- * warm-up cache and by "mssr_run --ckpt-dir" to create checkpoint
- * files.
- *
- * @param tier which functional tier executes the prefix. The fast
- *        predecoded tier (the default) and the reference interpreter
- *        produce bit-identical checkpoints (ctest-enforced), so the
- *        choice only affects host-side warm-up time.
- */
-Checkpoint computeCheckpoint(const isa::Program &prog,
-                             std::uint64_t ffInsts,
-                             FuncTier tier = FuncTier::Fast);
 
 /** Convenience: baseline configuration (no squash reuse). */
 SimConfig baselineConfig(std::uint64_t max_insts = 0);

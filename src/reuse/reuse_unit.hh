@@ -125,9 +125,6 @@ class ReuseUnit
      */
     void setProbe(Probe *probe) { probe_ = probe; }
 
-    /** Successful reuses so far (interval stats). */
-    std::uint64_t successCount() const { return funnel_.reused; }
-
     /**
      * The reuse-pipeline stages and kill reasons (logged .. reused;
      * squashed and the verify fields are zero, the core owns them).

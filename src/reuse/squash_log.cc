@@ -44,14 +44,4 @@ SquashLog::allUnoccupied() const
     return true;
 }
 
-double
-SquashLog::occupancy() const
-{
-    std::size_t n = 0;
-    for (const auto &s : streams_)
-        n += s.numEntries;
-    return static_cast<double>(n) /
-           static_cast<double>(streams_.size() * entriesPerStream_);
-}
-
 } // namespace mssr

@@ -105,9 +105,6 @@ class SquashLog
     /** True when no stream holds entries (RGID reset trigger). */
     bool allUnoccupied() const;
 
-    /** Logged entries / total entry slots, in [0, 1] (interval stats). */
-    double occupancy() const;
-
   private:
     std::vector<SquashLogStream> streams_;
     unsigned entriesPerStream_;

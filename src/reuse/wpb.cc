@@ -73,14 +73,4 @@ Wpb::anyValid() const
     return false;
 }
 
-double
-Wpb::occupancy() const
-{
-    std::size_t filled = 0;
-    for (const auto &s : streams_)
-        filled += s.numEntries;
-    return static_cast<double>(filled) /
-           static_cast<double>(streams_.size() * entriesPerStream_);
-}
-
 } // namespace mssr

@@ -96,9 +96,6 @@ class Wpb
     /** True when any stream holds entries. */
     bool anyValid() const;
 
-    /** Filled entries / total entry slots, in [0, 1] (interval stats). */
-    double occupancy() const;
-
     bool restrictVpn() const { return restrictVpn_; }
 
   private:

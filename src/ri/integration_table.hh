@@ -85,9 +85,6 @@ class IntegrationTable
     unsigned sets() const { return cfg_.sets; }
     unsigned ways() const { return cfg_.ways; }
 
-    /** Successful integrations so far (interval stats). */
-    std::uint64_t integrations() const { return integrations_; }
-
     void reportStats(StatSet &stats) const;
 
   private:

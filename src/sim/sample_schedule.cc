@@ -16,6 +16,51 @@ namespace
 {
 
 /**
+ * A functional emulator of tier Emu over its own memory, recording
+ * the branch and memory history a checkpoint carries. capture() is
+ * the one checkpoint capture: the fast-forward prefix and every scan
+ * boundary take theirs through it, so both produce the same bytes.
+ */
+template <typename Emu>
+struct RecordingEmu
+{
+    Memory mem;
+    Emu emu;
+    BranchHistory hist;
+    MemHistory memh;
+
+    explicit RecordingEmu(const isa::Program &prog) : emu(prog, mem)
+    {
+        emu.recordBranches(&hist);
+        emu.recordMem(&memh);
+    }
+
+    /** The emulator's state, taken as the prefix of @p ffInsts. */
+    Checkpoint
+    capture(const isa::Program &prog, std::uint64_t ffInsts,
+            FuncTier tier) const
+    {
+        Checkpoint ckpt;
+        emu.saveState(ckpt);
+        ckpt.programHash = prog.hash();
+        ckpt.ffInsts = ffInsts;
+        ckpt.producerTier = tier;
+        ckpt.branchHist = hist.inOrder();
+        ckpt.memHist = memh.inOrder();
+        return ckpt;
+    }
+};
+
+template <typename Emu>
+Checkpoint
+capturePrefix(const isa::Program &prog, std::uint64_t ffInsts, FuncTier tier)
+{
+    RecordingEmu<Emu> rec(prog);
+    rec.emu.run(ffInsts);
+    return rec.capture(prog, ffInsts, tier);
+}
+
+/**
  * The scan proper, templated over the functional tier. One emulator
  * instance runs the whole program; at each period boundary the
  * architectural state is either captured (and written back to the
@@ -30,12 +75,8 @@ scan(const isa::Program &prog, std::uint64_t period, FuncTier tier,
     SampleSchedule sched;
     sched.period = period;
 
-    Memory mem;
-    Emu emu(prog, mem);
-    BranchHistory hist;
-    MemHistory memh;
-    emu.recordBranches(&hist);
-    emu.recordMem(&memh);
+    RecordingEmu<Emu> rec(prog);
+    Emu &emu = rec.emu;
     std::uint64_t executed = 0;
 
     for (std::uint64_t boundary = period;
@@ -53,12 +94,12 @@ scan(const isa::Program &prog, std::uint64_t period, FuncTier tier,
             // Reseed the live history rings from the stored records;
             // later boundaries then capture exactly what a
             // straight-through scan would have.
-            hist = BranchHistory();
+            rec.hist = BranchHistory();
             for (const BranchOutcome &b : ckpt.branchHist)
-                hist.note(b.pc, b.taken, b.next);
-            memh = MemHistory();
+                rec.hist.note(b.pc, b.taken, b.next);
+            rec.memh = MemHistory();
             for (const MemAccess &a : ckpt.memHist)
-                memh.note(a.addr, a.isStore);
+                rec.memh.note(a.addr, a.isStore);
             if (ckpt.halted || ckpt.instret < boundary) {
                 // The program halts inside this period (a stale
                 // --fast-forward cache entry can record that): no
@@ -72,13 +113,7 @@ scan(const isa::Program &prog, std::uint64_t period, FuncTier tier,
             executed += emu.run(boundary - executed);
             if (emu.halted() || executed < boundary)
                 break; // halted inside (or exactly at) this boundary
-            Checkpoint ckpt;
-            emu.saveState(ckpt);
-            ckpt.programHash = prog.hash();
-            ckpt.ffInsts = boundary;
-            ckpt.producerTier = tier;
-            ckpt.branchHist = hist.inOrder();
-            ckpt.memHist = memh.inOrder();
+            Checkpoint ckpt = rec.capture(prog, boundary, tier);
             if (!ckptDir.empty())
                 saveStoredCheckpoint(ckptDir, ckpt);
             sched.checkpoints.push_back(std::move(ckpt));
@@ -100,6 +135,15 @@ scan(const isa::Program &prog, std::uint64_t period, FuncTier tier,
 }
 
 } // namespace
+
+Checkpoint
+computeCheckpoint(const isa::Program &prog, std::uint64_t ffInsts,
+                  FuncTier tier)
+{
+    return tier == FuncTier::Fast
+               ? capturePrefix<FastEmu>(prog, ffInsts, tier)
+               : capturePrefix<FuncEmu>(prog, ffInsts, tier);
+}
 
 SampleSchedule
 buildSampleSchedule(const isa::Program &prog, std::uint64_t period,

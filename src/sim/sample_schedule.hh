@@ -63,6 +63,27 @@ struct SampleSchedule
 };
 
 /**
+ * Computes the fast-forward snapshot for @p prog after @p ffInsts
+ * functionally-emulated instructions: architectural registers, PC,
+ * the sparse memory image and the prefix's branch-outcome and
+ * memory-access history -- the scan's capture at one boundary.
+ * This is exactly the snapshot runSim() computes internally when
+ * SimConfig::fastForwardInsts is set and SimConfig::checkpoint is
+ * null, so passing the result back via SimConfig::checkpoint yields
+ * byte-identical simulation results. Used by the BatchRunner's shared
+ * warm-up cache and by "mssr_run --ckpt-dir" to create checkpoint
+ * files.
+ *
+ * @param tier which functional tier executes the prefix. The fast
+ *        predecoded tier (the default) and the reference interpreter
+ *        produce bit-identical checkpoints (ctest-enforced), so the
+ *        choice only affects host-side warm-up time.
+ */
+Checkpoint computeCheckpoint(const isa::Program &prog,
+                             std::uint64_t ffInsts,
+                             FuncTier tier = FuncTier::Fast);
+
+/**
  * Runs @p prog end-to-end on functional tier @p tier, checkpointing
  * every @p period instructions. @p maxInsts nonzero bounds the scan
  * (the sampled run then models the first maxInsts instructions);

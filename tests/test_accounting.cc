@@ -108,26 +108,6 @@ TEST(Accounting, RegIntSalvageShowsInCpiStack)
               r.stats.get("ri.integrations"));
 }
 
-TEST(Accounting, IntervalCpiSlotsTelescopeToRunTotal)
-{
-    SimConfig cfg = rgidConfig(4, 64);
-    cfg.statsInterval = 500;
-    const RunResult r = runSim(reuseHeavyProgram(), cfg);
-    ASSERT_GT(r.intervals.size(), 1u);
-
-    CpiStack sum;
-    for (const IntervalSample &s : r.intervals) {
-        const CpiStack interval{s.cpiSlots};
-        // Each interval's slots decompose that interval's cycles.
-        EXPECT_EQ(interval.total(),
-                  s.cycles * static_cast<std::uint64_t>(r.dispatchWidth));
-        for (std::size_t i = 0; i < NumCpiCats; ++i)
-            sum.slots[i] += s.cpiSlots[i];
-    }
-    // And the interval deltas telescope to the whole-run stack.
-    EXPECT_EQ(sum, r.cpi);
-}
-
 TEST(Accounting, CpiStackDifferenceAndFractions)
 {
     CpiStack a;
@@ -137,15 +117,16 @@ TEST(Accounting, CpiStackDifferenceAndFractions)
     b.charge(CpiCat::Base, 2);
     b.charge(CpiCat::ReuseSalvaged, 8);
 
-    const CpiStack d = b - a;
-    EXPECT_EQ(d[CpiCat::Base], 2u);
-    EXPECT_EQ(d[CpiCat::ReuseSalvaged], 8u);
-    EXPECT_EQ(d[CpiCat::Backpressure], 0u);
-    EXPECT_EQ(d.total(), 10u);
+    // Stacks add element-wise (the sampled-window merge).
+    CpiStack sum = a;
+    sum += b;
+    EXPECT_EQ(sum[CpiCat::Base], 62u);
+    EXPECT_EQ(sum[CpiCat::ReuseSalvaged], 8u);
+    EXPECT_EQ(sum[CpiCat::Backpressure], 20u);
+    EXPECT_EQ(sum.total(), a.total() + b.total());
 
     EXPECT_DOUBLE_EQ(a.fraction(CpiCat::Base), 0.75);
     EXPECT_DOUBLE_EQ(a.cpiContribution(CpiCat::Base, 10, 3), 1.0);
-    EXPECT_THROW(a - b, SimPanic); // would underflow
 
     CpiStack empty;
     EXPECT_DOUBLE_EQ(empty.fraction(CpiCat::Base), 0.0);

@@ -2,7 +2,7 @@
  * Fast-forward / checkpoint engine: a detailed run whose functional
  * prefix was computed live, shared across a batch, or reloaded from an
  * mssr-ckpt-v2 file must produce byte-identical results -- cycles,
- * stats, CPI stack, funnel, intervals, profile and architectural
+ * stats, CPI stack, funnel, profile and architectural
  * registers -- at any worker count. Also covers the warm-BPU replay
  * path, cache-key validation and the BatchRunner's shared warm-up
  * attribution.
@@ -50,15 +50,6 @@ expectIdentical(const RunResult &a, const RunResult &b,
     EXPECT_EQ(a.archRegs, b.archRegs) << what;
     EXPECT_TRUE(a.cpi == b.cpi) << what << " CPI stack";
     EXPECT_TRUE(a.funnel == b.funnel) << what << " reuse funnel";
-    ASSERT_EQ(a.intervals.size(), b.intervals.size()) << what;
-    for (std::size_t i = 0; i < a.intervals.size(); ++i) {
-        EXPECT_EQ(a.intervals[i].cycleEnd, b.intervals[i].cycleEnd)
-            << what << " interval " << i;
-        EXPECT_EQ(a.intervals[i].commits, b.intervals[i].commits)
-            << what << " interval " << i;
-        EXPECT_EQ(a.intervals[i].reuseHits, b.intervals[i].reuseHits)
-            << what << " interval " << i;
-    }
     for (const auto &[key, value] : a.stats.scalars())
         EXPECT_EQ(value, b.stats.get(key)) << what << " stat " << key;
     {
@@ -75,7 +66,6 @@ ffConfig(bool warm = false)
     SimConfig cfg = rgidConfig(4, 64, DetailedInsts);
     cfg.fastForwardInsts = FfInsts;
     cfg.warmBpu = warm;
-    cfg.statsInterval = 1000;
     cfg.profiling = true;
     return cfg;
 }
@@ -142,7 +132,6 @@ TEST(Checkpoint, BatchSharedWarmupIdenticalAcrossWorkerCounts)
     for (const unsigned streams : {1u, 2u, 4u}) {
         SimConfig cfg = rgidConfig(streams, 64, DetailedInsts);
         cfg.fastForwardInsts = FfInsts;
-        cfg.statsInterval = 1000;
         cfg.profiling = true;
         jobs.push_back({"s" + std::to_string(streams), &prog, cfg, {}});
     }

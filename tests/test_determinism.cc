@@ -65,10 +65,9 @@ TEST(Determinism, RebuiltWorkloadIsIdentical)
 
 TEST(Determinism, AccountingIdenticalAcrossWorkerCounts)
 {
-    // The CPI stack, funnel and per-interval sub-stacks are part of
-    // the deterministic result surface: a 4-worker batch must produce
-    // byte-identical accounting to a sequential one, including with
-    // interval sampling enabled.
+    // The CPI stack and funnel are part of the deterministic result
+    // surface: a 4-worker batch must produce byte-identical accounting
+    // to a sequential one.
     workloads::WorkloadScale scale;
     scale.iterations = 300;
     scale.graphScale = 7;
@@ -80,7 +79,6 @@ TEST(Determinism, AccountingIdenticalAcrossWorkerCounts)
     for (const isa::Program *prog : {&mispred, &bfs}) {
         for (SimConfig cfg :
              {baselineConfig(), rgidConfig(4, 64), regIntConfig(64, 4)}) {
-            cfg.statsInterval = 400;
             cfg.profiling = true;
             jobs.push_back({"job", prog, cfg, {}});
         }
@@ -93,13 +91,6 @@ TEST(Determinism, AccountingIdenticalAcrossWorkerCounts)
         const RunResult &a = serial[i];
         const RunResult &b = parallel[i];
         expectIdentical(a, b, "job " + std::to_string(i));
-        ASSERT_EQ(a.intervals.size(), b.intervals.size()) << i;
-        ASSERT_GT(a.intervals.size(), 0u) << i;
-        for (std::size_t k = 0; k < a.intervals.size(); ++k) {
-            EXPECT_EQ(a.intervals[k].cycleEnd, b.intervals[k].cycleEnd);
-            EXPECT_EQ(a.intervals[k].cpiSlots, b.intervals[k].cpiSlots)
-                << "job " << i << " interval " << k;
-        }
 
         // The per-PC profile is part of the same surface: identical
         // record-by-record and byte-identical in its JSON export.

@@ -1,6 +1,6 @@
 /**
  * Hardened environment-variable parsing: every numeric/boolean knob
- * (MSSR_SCALE, MSSR_ITERS, MSSR_SEED, MSSR_INTERVAL, MSSR_FF,
+ * (MSSR_SCALE, MSSR_ITERS, MSSR_SEED, MSSR_FF,
  * MSSR_PROFILE, ...) follows the MSSR_JOBS contract -- unset uses the
  * default, garbage or out-of-range values warn on stderr and fall
  * back, valid values parse exactly. The seed fed these through

@@ -3,21 +3,21 @@
  * estimates, the checkpoint schedule scan (boundary edge cases,
  * store reuse, history rings), the sampled batch runner's
  * determinism / merge invariants / config rejection / shared warm
- * states / completion-hook indices, the functional cache-warming
- * replay, and the interval-flush regression (a run halting exactly
- * on a stats-interval boundary must not emit a zero-cycle trailing
- * sample).
+ * states / completion hooks / drain, and the functional
+ * cache-warming replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -485,32 +485,91 @@ TEST(Sampling, CompletionHookReportsWindowsJobMajor)
 {
     // The windows run window-major, but the hook numbers them job by
     // job: index k is job j's window w for k = (windows before job j)
-    // + w.
+    // + w. The per-job hook reports each job once, after all its
+    // windows, with the merge runSampled returns -- whichever worker
+    // lands its last window.
     const isa::Program prog = testProgram();
     const std::vector<BatchJob> jobs = designPoints(prog);
     for (const unsigned workers : {1u, 4u}) {
         BatchRunner runner(workers);
         std::mutex mutex;
         std::map<std::size_t, RunResult> reported;
+        std::map<std::size_t, SampledRunResult> jobsReported;
+        std::map<std::size_t, std::set<std::size_t>> windowsBefore;
         runner.setJobDone([&](std::size_t k, const RunResult &r) {
             std::lock_guard<std::mutex> lock(mutex);
             EXPECT_TRUE(reported.emplace(k, r).second)
                 << "window " << k << " reported twice";
         });
+        runner.setSampledJobDone(
+            [&](std::size_t j, const SampledRunResult &r) {
+                std::lock_guard<std::mutex> lock(mutex);
+                EXPECT_TRUE(jobsReported.emplace(j, r).second)
+                    << "job " << j << " reported twice";
+                for (const auto &[k, wr] : reported)
+                    windowsBefore[j].insert(k);
+            });
         const std::vector<SampledRunResult> got = runner.runSampled(jobs);
+        ASSERT_EQ(jobsReported.size(), got.size());
         std::size_t k = 0;
         for (std::size_t j = 0; j < got.size(); ++j) {
+            const std::string at = " at " + std::to_string(workers) +
+                                   " worker(s)";
+            expectSampledIdentical(jobsReported.at(j), got[j],
+                                   jobs[j].name + at);
             for (std::size_t w = 0; w < got[j].windowResults.size();
                  ++w, ++k) {
                 ASSERT_TRUE(reported.count(k)) << "window " << k;
                 expectRunIdentical(reported.at(k), got[j].windowResults[w],
-                                   "hook index " + std::to_string(k) +
-                                       " at " + std::to_string(workers) +
-                                       " worker(s)");
+                                   "hook index " + std::to_string(k) + at);
+                EXPECT_TRUE(windowsBefore[j].count(k))
+                    << jobs[j].name << " reported before window " << w
+                    << at;
             }
         }
         EXPECT_EQ(reported.size(), k);
     }
+}
+
+TEST(Sampling, DrainedJobIsNeitherMergedNorReported)
+{
+    // A 200-window job drained after its first window: the skipped
+    // windows are not merged as empty results, the job is not
+    // reported, and it keeps a default result, like a job run()
+    // skips.
+    workloads::WorkloadScale scale;
+    scale.graphScale = 6;
+    scale.iterations = 20000;
+    const isa::Program prog =
+        workloads::buildWorkload("nested-mispred", scale);
+    SimConfig cfg = rgidConfig(4, 64);
+    cfg.samplePeriod = 10000;
+    cfg.sampleWindow = 2000;
+    ASSERT_EQ(buildSampleSchedule(prog, cfg.samplePeriod).windows(), 200u);
+
+    std::atomic<bool> stop{false};
+    BatchRunner runner(1);
+    runner.setStopFlag(&stop);
+    std::size_t windowsRun = 0;
+    runner.setJobDone([&](std::size_t, const RunResult &) {
+        ++windowsRun;
+        stop = true;
+    });
+    std::size_t reported = 0;
+    runner.setSampledJobDone(
+        [&](std::size_t, const SampledRunResult &) { ++reported; });
+    const SampledRunResult r =
+        runner.runSampled({{"drained", &prog, cfg, {}}}).at(0);
+    EXPECT_EQ(windowsRun, 1u);
+    EXPECT_EQ(reported, 0u);
+    EXPECT_EQ(r.windows, 0u);
+    EXPECT_EQ(r.cycles, 0u);
+    EXPECT_TRUE(r.windowResults.empty());
+
+    // Raised before the call, the flag stops the scans too.
+    EXPECT_EQ(runner.runSampled({{"drained", &prog, cfg, {}}}).at(0).windows,
+              0u);
+    EXPECT_EQ(windowsRun, 1u);
 }
 
 TEST(Sampling, SampledRunRejectsUnsupportedConfigs)
@@ -531,8 +590,6 @@ TEST(Sampling, SampledRunRejectsUnsupportedConfigs)
                  std::invalid_argument);
     EXPECT_THROW(sampled([](SimConfig &c) { c.fastForwardInsts = 100; }),
                  std::invalid_argument);
-    EXPECT_THROW(sampled([](SimConfig &c) { c.statsInterval = 100; }),
-                 std::invalid_argument);
     EXPECT_THROW(sampled([](SimConfig &c) { c.maxCycles = 1000; }),
                  std::invalid_argument);
     EXPECT_THROW(sampled([](SimConfig &c) { c.profiling = true; }),
@@ -542,43 +599,4 @@ TEST(Sampling, SampledRunRejectsUnsupportedConfigs)
     PipeView view;
     EXPECT_THROW(sampled([&](SimConfig &c) { c.pipeview = &view; }),
                  std::invalid_argument);
-}
-
-TEST(IntervalFlush, HaltOnBoundaryEmitsNoZeroCycleSample)
-{
-    // Regression: a run whose final commits land on a tick that does
-    // not advance the cycle counter (the halting tick, or a maxCycles
-    // stop on an exact interval boundary) used to emit a trailing
-    // zero-cycle interval. The residue must fold into the last real
-    // interval and the sums must still reconcile.
-    const isa::Program prog = testProgram("nested-mispred");
-    for (const Cycle interval : {100u, 128u, 250u}) {
-        for (const Cycle maxCycles : {0ull, 8ull * interval}) {
-            SimConfig cfg = rgidConfig(4, 64);
-            cfg.statsInterval = interval;
-            cfg.maxCycles = maxCycles;
-            const RunResult r = runSim(prog, cfg);
-            ASSERT_FALSE(r.intervals.empty());
-
-            Cycle cycleSum = 0;
-            std::uint64_t commitSum = 0;
-            std::array<std::uint64_t, NumCpiCats> slotSum{};
-            for (const IntervalSample &s : r.intervals) {
-                EXPECT_GT(s.cycles, 0u)
-                    << "zero-cycle interval at " << s.cycleEnd
-                    << " (interval " << interval << ", maxCycles "
-                    << maxCycles << ")";
-                cycleSum += s.cycles;
-                commitSum += s.commits;
-                for (std::size_t c = 0; c < NumCpiCats; ++c)
-                    slotSum[c] += s.cpiSlots[c];
-            }
-            EXPECT_EQ(cycleSum, r.cycles);
-            EXPECT_EQ(commitSum, r.insts);
-            EXPECT_EQ(r.intervals.back().cycleEnd, r.cycles);
-            for (std::size_t c = 0; c < NumCpiCats; ++c)
-                EXPECT_EQ(slotSum[c], r.cpi.slots[c])
-                    << "interval CPI slots diverged in category " << c;
-        }
-    }
 }

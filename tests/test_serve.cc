@@ -5,11 +5,13 @@
  * strict job-spec parser, and the ServeCore request dispatcher --
  * including the end-to-end determinism contracts (double-submit
  * byte-identity, journal resume serving exactly the not-yet-finished
- * jobs).
+ * jobs, a drained sampled job never journaled as done) and the
+ * sampling scan that a batch's design points share.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,9 +26,12 @@
 #include <unistd.h>
 
 #include "common/frame.hh"
+#include "common/metrics.hh"
 #include "common/mini_json.hh"
 #include "common/serve_journal.hh"
 #include "driver/serve_core.hh"
+#include "sim/sample_schedule.hh"
+#include "workloads/registry.hh"
 
 using namespace mssr;
 using minijson::JsonValue;
@@ -695,6 +700,123 @@ TEST(ServeCore, JournalResumeServesOnlyTheRemainder)
     while (std::getline(in, line))
         dones += line.find("\"event\": \"done\"") != std::string::npos;
     EXPECT_EQ(dones, 2u);
+}
+
+/** A submit request for @p jobs, a comma-separated list of specs. */
+std::string
+submitJobs(const std::string &jobs)
+{
+    return "{\"type\": \"submit\", \"jobs\": [" + jobs + "]}";
+}
+
+/** Batch @p id's records array, from its `results` reply on. */
+std::string
+batchRecords(ServeCore &core, int id)
+{
+    const std::string reply = core.handleRequest(
+        "{\"type\": \"results\", \"batch\": " + std::to_string(id) +
+        ", \"since\": 0}");
+    return reply.substr(reply.find("\"records\""));
+}
+
+/** Lines of @p journal holding a `done` event. */
+std::size_t
+doneLines(const std::string &journal)
+{
+    std::size_t dones = 0;
+    std::ifstream in(journal);
+    std::string line;
+    while (std::getline(in, line))
+        dones += line.find("\"event\": \"done\"") != std::string::npos;
+    return dones;
+}
+
+TEST(ServeCore, DrainedSampledJobIsNotJournaledAndResumesWhole)
+{
+    // A 200-window sampled job drained after its first windows: no
+    // `done` line may reach the journal (a restarted daemon would
+    // serve a merge of the windows that ran as final), and a restart
+    // on the journal reruns it into the record of an uninterrupted run.
+    const std::string job =
+        "{\"name\": \"long\", \"workload\": \"nested-mispred\", "
+        "\"scale\": 6, \"iters\": 20000, \"sample_period\": 10000, "
+        "\"sample_window\": 2000}";
+    TempDir dir;
+    ServeOptions o;
+    o.journalPath = dir.file("journal.jsonl");
+    o.threads = 1;
+    Counter &windowsDone = MetricsRegistry::global().counter(
+        "mssr_batch_jobs_done_total", "Simulation jobs completed");
+    {
+        ServeCore core(o);
+        const std::uint64_t before = windowsDone.value();
+        ASSERT_TRUE(okReply(parseJson(core.handleRequest(submitJobs(job)))));
+        for (int spin = 0; spin < 120000 && windowsDone.value() == before;
+             ++spin)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_GT(windowsDone.value(), before) << "no window finished";
+        core.beginShutdown();
+        core.finish();
+        const JsonValue st = parseJson(core.handleRequest(
+            "{\"type\": \"status\", \"batch\": 1}"));
+        EXPECT_EQ(strField(st, "state"), "queued");
+        EXPECT_EQ(numField(st, "done"), 0.0);
+    }
+    EXPECT_EQ(doneLines(o.journalPath), 0u);
+
+    std::string resumed;
+    {
+        ServeCore core(o);
+        EXPECT_EQ(core.pendingJobs(), 1u);
+        ASSERT_EQ(awaitBatch(core, 1), "done");
+        resumed = batchRecords(core, 1);
+    }
+    EXPECT_EQ(doneLines(o.journalPath), 1u);
+
+    ServeOptions fresh;
+    fresh.threads = 1;
+    ServeCore core(fresh);
+    ASSERT_TRUE(okReply(parseJson(core.handleRequest(submitJobs(job)))));
+    ASSERT_EQ(awaitBatch(core, 1), "done");
+    EXPECT_EQ(resumed, batchRecords(core, 1));
+    EXPECT_NE(resumed.find("\"insts\": 400000"), std::string::npos);
+}
+
+TEST(ServeCore, SampledDesignPointsShareOneScan)
+{
+    // Three design points sampling one program in one batch: one scan
+    // writes the schedule's K checkpoints to the fresh store, and no
+    // job reads them back.
+    const std::string point = "\"workload\": \"nested-mispred\", "
+                              "\"scale\": 6, \"iters\": 400, "
+                              "\"sample_period\": 2000, "
+                              "\"sample_window\": 500";
+    const ServeJobSpec spec = parseJobSpec(parseJson("{" + point + "}"));
+    const isa::Program prog =
+        workloads::buildWorkload(spec.workload, specScale(spec));
+    const std::uint64_t k =
+        buildSampleSchedule(prog, spec.samplePeriod).checkpoints.size();
+    ASSERT_GT(k, 1u);
+
+    TempDir dir;
+    ServeOptions o;
+    o.ckptDir = dir.file("ckpt");
+    o.threads = 2;
+    ServeCore core(o);
+    registerCheckpointStoreMetrics();
+    MetricsRegistry &reg = MetricsRegistry::global();
+    Counter &hits = reg.counter("mssr_ckpt_store_hits_total", "");
+    Counter &misses = reg.counter("mssr_ckpt_store_misses_total", "");
+    const std::uint64_t hits0 = hits.value();
+    const std::uint64_t misses0 = misses.value();
+    ASSERT_TRUE(okReply(parseJson(core.handleRequest(submitJobs(
+        "{\"name\": \"rgid\", " + point + "}, "
+        "{\"name\": \"none\", \"scheme\": \"none\", " + point + "}, "
+        "{\"name\": \"regint\", \"scheme\": \"regint\", " + point +
+        "}")))));
+    ASSERT_EQ(awaitBatch(core, 1), "done");
+    EXPECT_EQ(hits.value() - hits0, 0u);
+    EXPECT_EQ(misses.value() - misses0, k);
 }
 
 TEST(ServeCore, CorruptJournalRefusesToServe)

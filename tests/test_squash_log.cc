@@ -79,7 +79,6 @@ TEST(SquashLog, ClearResetsFilledPrefixForShorterRefill)
     }
     for (unsigned i = stream.numEntries; i < Cap; ++i)
         EXPECT_EQ(stream.entries[i], SquashLogEntry{}) << "slot " << i;
-    EXPECT_DOUBLE_EQ(log.occupancy(), 3.0 / Cap);
 }
 
 TEST(SquashLog, AllUnoccupiedTracksValidity)

@@ -105,7 +105,6 @@ TEST(Wpb, ShorterRewriteClearsOldPrefix)
     for (unsigned i = 0; i < s.numEntries; ++i)
         EXPECT_EQ(s.entries[i].startPC, 0x8000u + i * 0x100);
     EXPECT_EQ(s.numInsts(), 6u);
-    EXPECT_DOUBLE_EQ(wpb.occupancy(), 3.0 / Cap);
 }
 
 TEST(Wpb, InvalidateClearsPartlyFilledStream)
@@ -114,12 +113,11 @@ TEST(Wpb, InvalidateClearsPartlyFilledStream)
     Wpb wpb(2, Cap, false);
     wpb.writeStream(blocks(5, 0x1000), 1, 1);
     wpb.writeStream(blocks(2, 0x2000), 2, 2);
-    EXPECT_DOUBLE_EQ(wpb.occupancy(), 7.0 / (2 * Cap));
+    EXPECT_EQ(wpb.stream(0).numEntries, 5u);
     wpb.invalidate(0);
     const WpbStream &s = wpb.stream(0);
     EXPECT_EQ(s.numEntries, 0u); // the stream and every slot invalid
     EXPECT_EQ(s.numInsts(), 0u);
-    EXPECT_DOUBLE_EQ(wpb.occupancy(), 2.0 / (2 * Cap));
     // The other stream is untouched.
     EXPECT_EQ(wpb.stream(1).numEntries, 2u);
     EXPECT_EQ(wpb.stream(1).numInsts(), 4u);

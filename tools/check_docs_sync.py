@@ -13,7 +13,7 @@ Two checks keep the documentation and the binaries honest:
 2. Fresh JSON artifacts are generated with the built binaries
    (mssr-stats-v1 incl. a regint run and a sampled run with its
    per-window file, mssr-profile-v1, Chrome trace, BENCH_batch.json
-   with intervals/profile/fast-forward enabled plus the
+   with profile/fast-forward enabled plus the
    sampled_accuracy variant, the structured-log JSONL, the
    --metrics-out Prometheus textfile, an mssr_bench_track history
    entry plus a check --json comparison object, and the
@@ -139,9 +139,8 @@ def generate_fixtures(build, scratch):
         % (run, small),
     ]
     env = dict(os.environ)
-    env.update({"MSSR_JSON": "1", "MSSR_INTERVAL": "2000",
-                "MSSR_PROFILE": "1", "MSSR_FF": "2000", "MSSR_JOBS": "1",
-                "MSSR_SCALE": "6", "MSSR_ITERS": "200"})
+    env.update({"MSSR_JSON": "1", "MSSR_PROFILE": "1", "MSSR_FF": "2000",
+                "MSSR_JOBS": "1", "MSSR_SCALE": "6", "MSSR_ITERS": "200"})
     cmds.append(os.path.join(build, "bench", "bench_smoke"))
     # sampled_accuracy also writes BENCH_batch.json -- run it in a
     # subdirectory so the two reports don't collide.

@@ -9,7 +9,7 @@ compares the digests with tests/golden/mssr_run_outputs.json. A change
 that moves any exported byte fails here: the stats registry (JSON and
 Prometheus), the sampled stats and per-window runs, the checkpoint
 files, the per-PC profile (JSON and folded), the Kanata pipeview, the
-Chrome and text traces, and the interval series of BENCH_batch.json.
+Chrome and text traces, and bench_smoke's BENCH_batch.json records.
 The stdout of every mssr_stats mode over those files is digested too,
 so a reader that misparses or reprints a field fails as well.
 
@@ -213,7 +213,7 @@ def case_digests(build, work):
     cwd = work / "bench_smoke"
     cwd.mkdir()
     env.update(MSSR_SCALE="6", MSSR_ITERS="150", MSSR_JOBS="1",
-               MSSR_JSON="1", MSSR_INTERVAL="500", MSSR_PROFILE="1")
+               MSSR_JSON="1", MSSR_PROFILE="1")
     run([str(build / "bench" / "bench_smoke")], cwd, env)
     digests["bench_smoke/BENCH_batch.json"] = digest(
         drop_host_keys((cwd / "BENCH_batch.json").read_bytes()))

@@ -341,6 +341,15 @@ CLI_CASES = [
      ["nested-mispred"],
      [{"workload": "nested-mispred", "sample_period": 10000,
        "sample_window": 2000}]),
+    # Two sampled design points in one served batch share its scan and
+    # warm states, as mssr_run's pair does.
+    ("sampled compare", ["--compare", "--sample-period", "10000",
+                         "--sample-window", "2000"],
+     ["nested-mispred"],
+     [{"workload": "nested-mispred", "sample_period": 10000,
+       "sample_window": 2000},
+      {"name": "nested-mispred/baseline", "workload": "nested-mispred",
+       "scheme": "none", "sample_period": 10000, "sample_window": 2000}]),
 ]
 
 
