@@ -11,115 +11,109 @@
  *  - Reconvergence timeout sensitivity (section 3.3.2's 1024).
  */
 
+#include <functional>
+
 #include "bench_common.hh"
 
 using namespace mssr;
 using namespace mssr::analysis;
+
+namespace
+{
+
+/** One column of a block: a job spec, plus an edit of the knobs that
+ *  no job key sets yet. */
+struct Variant
+{
+    std::string label;
+    ServeJobSpec spec;
+    std::function<void(SimConfig &)> knob = nullptr;
+};
+
+const ServeJobSpec Rgid4x64{.streams = 4, .entries = 64};
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     const std::vector<std::string> names = {"nested-mispred", "astar",
                                             "gobmk", "bfs", "cc", "xz"};
-    bench::Harness h(argc, argv, "ablation_design", names,
-                     bench::Baselines::Build);
-    banner(std::cout, "Ablation: Multi-Stream Squash Reuse design choices");
-    printScale(h.set());
+    bench::Harness h(argc, argv, "ablation_design");
+    h.banner("Ablation: Multi-Stream Squash Reuse design choices");
+    const std::vector<RunResult> bases = h.runBaselines(names);
 
     // Every (benchmark x variant) point of a block is one batch.
     auto report = [&](const std::string &title,
-                      const std::vector<std::pair<std::string, SimConfig>>
-                          &variants) {
+                      const std::vector<Variant> &variants) {
         std::vector<BatchJob> jobs;
-        for (const auto &name : names)
-            for (const auto &[label, cfg] : variants)
-                jobs.push_back(h.job(name + "/" + label, name, cfg));
+        for (const auto &name : names) {
+            for (const Variant &v : variants) {
+                ServeJobSpec spec = v.spec;
+                spec.name = name + "/" + v.label;
+                spec.workload = name;
+                jobs.push_back(h.job(spec));
+                if (v.knob)
+                    v.knob(jobs.back().config);
+            }
+        }
         const std::vector<RunResult> results = h.runBatch(jobs);
 
         std::cout << "\n" << title << "\n";
-        std::vector<std::string> headers = {"Benchmark"};
-        for (const auto &[label, cfg] : variants)
-            headers.push_back(label);
-        Table table(headers);
-        std::size_t point = 0;
-        for (const auto &name : names) {
-            const RunResult &base = h.set().baseline(name);
-            std::vector<std::string> row = {name};
-            for (std::size_t v = 0; v < variants.size(); ++v)
-                row.push_back(
-                    percent(results[point++].ipcImprovementOver(base)));
-            table.addRow(row);
-        }
-        table.print(std::cout);
+        std::vector<std::string> labels;
+        for (const Variant &v : variants)
+            labels.push_back(v.label);
+        bench::printGains(names, labels, bases.data(), results.data(),
+                          /*baseIpc=*/false, /*average=*/false);
     };
 
-    // RGID width.
-    {
-        std::vector<std::pair<std::string, SimConfig>> variants;
-        for (unsigned bits : {4u, 6u, 8u, 10u}) {
-            SimConfig cfg = rgidConfig(4, 64);
-            cfg.reuse.rgidBits = bits;
-            variants.emplace_back(std::to_string(bits) + "-bit", cfg);
-        }
-        report("RGID width (paper: 6 bits; narrower widths shrink the "
-               "reuse generation window)",
-               variants);
-    }
+    std::vector<Variant> widths;
+    for (unsigned bits : {4u, 6u, 8u, 10u})
+        widths.push_back({std::to_string(bits) + "-bit", Rgid4x64,
+                          [bits](SimConfig &c) { c.reuse.rgidBits = bits; }});
+    report("RGID width (paper: 6 bits; narrower widths shrink the "
+           "reuse generation window)",
+           widths);
 
-    // Hazard checking.
-    {
-        SimConfig verify = rgidConfig(4, 64);
-        SimConfig bloom = rgidConfig(4, 64);
-        bloom.reuse.useBloomFilter = true;
-        SimConfig noLoads = rgidConfig(4, 64);
-        noLoads.reuse.reuseLoads = false;
-        report("Load-hazard handling (paper evaluates re-execute "
-               "verification)",
-               {{"verify", verify},
-                {"bloom", bloom},
-                {"no-load-reuse", noLoads}});
-    }
+    report("Load-hazard handling (paper evaluates re-execute "
+           "verification)",
+           {{"verify", Rgid4x64},
+            {"bloom", {.streams = 4, .entries = 64, .bloom = true}},
+            {"no-load-reuse", Rgid4x64,
+             [](SimConfig &c) { c.reuse.reuseLoads = false; }}});
 
-    // VPN restriction.
-    {
-        SimConfig on = rgidConfig(4, 64);
-        SimConfig off = rgidConfig(4, 64);
-        off.reuse.restrictVpn = false;
-        report("Single-page WPB restriction (timing optimization, "
-               "section 3.4)",
-               {{"vpn-on", on}, {"vpn-off", off}});
-    }
+    report("Single-page WPB restriction (timing optimization, "
+           "section 3.4)",
+           {{"vpn-on", Rgid4x64},
+            {"vpn-off", Rgid4x64,
+             [](SimConfig &c) { c.reuse.restrictVpn = false; }}});
 
-    // Reconvergence timeout.
-    {
-        std::vector<std::pair<std::string, SimConfig>> variants;
-        for (unsigned timeout : {128u, 512u, 1024u, 4096u}) {
-            SimConfig cfg = rgidConfig(4, 64);
-            cfg.reuse.reconvTimeoutInsts = timeout;
-            variants.emplace_back(std::to_string(timeout), cfg);
-        }
-        report("Reconvergence timeout in instructions (paper: 1024)",
-               variants);
-    }
+    std::vector<Variant> timeouts;
+    for (unsigned timeout : {128u, 512u, 1024u, 4096u})
+        timeouts.push_back({std::to_string(timeout), Rgid4x64,
+                            [timeout](SimConfig &c) {
+                                c.reuse.reconvTimeoutInsts = timeout;
+                            }});
+    report("Reconvergence timeout in instructions (paper: 1024)", timeouts);
 
     // Predictor sensitivity: the worse the baseline predictor, the
     // more squashed work exists to reuse. Uses per-predictor baselines,
     // so both the base and the reuse run of every cell are batch jobs.
     {
-        const BranchPredictorKind kinds[] = {BranchPredictorKind::TageScL,
-                                             BranchPredictorKind::Gshare,
-                                             BranchPredictorKind::Bimodal};
+        const char *predictors[] = {"tage", "gshare", "bimodal"};
+        const char *labels[] = {"tage-sc-l", "gshare", "bimodal"};
         std::vector<BatchJob> jobs;
         for (const auto &name : names) {
-            for (BranchPredictorKind kind : kinds) {
-                SimConfig base = baselineConfig();
-                base.core.predictor = kind;
-                SimConfig withReuse = rgidConfig(4, 64);
-                withReuse.core.predictor = kind;
-                const std::string label =
-                    name + "/" + toString(kind);
-                jobs.push_back(h.job(label + "/base", name, base));
-                jobs.push_back(h.job(label + "/rgid", name, withReuse));
+            for (std::size_t k = 0; k < std::size(labels); ++k) {
+                const std::string label = name + "/" + labels[k];
+                ServeJobSpec rgid = Rgid4x64;
+                rgid.name = label + "/rgid";
+                rgid.workload = name;
+                rgid.predictor = predictors[k];
+                ServeJobSpec base = baselineJobSpec(rgid);
+                base.name = label + "/base";
+                jobs.push_back(h.job(base));
+                jobs.push_back(h.job(rgid));
             }
         }
         const std::vector<RunResult> results = h.runBatch(jobs);
@@ -130,24 +124,19 @@ main(int argc, char **argv)
         std::size_t point = 0;
         for (const auto &name : names) {
             std::vector<std::string> row = {name};
-            for (std::size_t k = 0; k < std::size(kinds); ++k) {
-                const RunResult &b = results[point++];
-                const RunResult &r = results[point++];
-                row.push_back(percent(r.ipcImprovementOver(b)));
-            }
+            for (std::size_t k = 0; k < std::size(labels); ++k, point += 2)
+                row.push_back(percent(
+                    results[point + 1].ipcImprovementOver(results[point])));
             table.addRow(row);
         }
         table.print(std::cout);
     }
 
-    // RI serialized access.
-    {
-        SimConfig on = regIntConfig(64, 4);
-        SimConfig off = regIntConfig(64, 4);
-        off.regint.modelSerializedAccess = false;
-        report("Register Integration serialized-access modeling "
-               "(section 3.7.3)",
-               {{"serialized", on}, {"idealized", off}});
-    }
+    report("Register Integration serialized-access modeling "
+           "(section 3.7.3)",
+           {{"serialized", {.scheme = "regint", .sets = 64, .ways = 4}},
+            {"idealized",
+             {.scheme = "regint", .sets = 64, .ways = 4},
+             [](SimConfig &c) { c.regint.modelSerializedAccess = false; }}});
     return 0;
 }

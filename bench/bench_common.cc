@@ -3,17 +3,34 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 
 #include "common/argparse.hh"
 #include "common/build_info.hh"
 #include "common/frame.hh"
 #include "common/log.hh"
-#include "common/thread_pool.hh"
 #include "driver/job_record.hh"
 
 namespace mssr::bench
 {
 
+namespace
+{
+
+using Clock = std::chrono::steady_clock;
+
+double
+secondsSince(Clock::time_point start)
+{
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/**
+ * Whether to write BENCH_batch.json: --json on the command line, or
+ * MSSR_JSON. MSSR_JSON predates the boolean contract: an empty value
+ * still means "on" (legacy presence semantics); any other value
+ * follows the strict 0/1/true/false contract.
+ */
 bool
 jsonRequested(int argc, char **argv)
 {
@@ -26,88 +43,25 @@ jsonRequested(int argc, char **argv)
     return json;
 }
 
-WorkloadSet::WorkloadSet(const std::vector<std::string> &names)
-    : scale_(workloads::WorkloadScale::fromEnv())
-{
-    for (const auto &name : names)
-        if (programs_.emplace(name, isa::Program{}).second)
-            names_.push_back(name);
+} // namespace
 
-    // Fill the pre-inserted slots in parallel: the map is not mutated
-    // after this point, and each task writes a distinct value.
-    ThreadPool pool(BatchRunner::defaultThreads());
-    for (const auto &name : names_) {
-        pool.submit([this, &name] {
-            programs_.at(name) = workloads::buildWorkload(name, scale_);
-        });
-    }
-    pool.wait();
-}
-
-const isa::Program &
-WorkloadSet::program(const std::string &name) const
+Harness::Harness(int argc, char **argv, std::string benchName)
+    : benchName_(std::move(benchName)),
+      json_(jsonRequested(argc, argv)),
+      profile_(envFlag("MSSR_PROFILE")),
+      fastForward_(envU64("MSSR_FF", 0)),
+      scale_(workloads::WorkloadScale::fromEnv())
 {
-    auto it = programs_.find(name);
-    if (it == programs_.end())
-        fatal("workload '", name, "' not in this WorkloadSet");
-    return it->second;
-}
-
-const RunResult &
-WorkloadSet::baseline(const std::string &name) const
-{
-    auto it = baselines_.find(name);
-    if (it == baselines_.end())
-        fatal("no pre-built baseline for '", name,
-              "' (Harness constructed with Baselines::None?)");
-    return it->second;
-}
-
-bool
-WorkloadSet::hasBaseline(const std::string &name) const
-{
-    return baselines_.find(name) != baselines_.end();
-}
-
-void
-WorkloadSet::storeBaseline(const std::string &name, RunResult result)
-{
-    baselines_[name] = std::move(result);
-}
-
-RunResult
-WorkloadSet::run(const std::string &name, const SimConfig &cfg) const
-{
-    return runSim(program(name), cfg);
-}
-
-Harness::Harness(int argc, char **argv, std::string benchName,
-                 const std::vector<std::string> &names,
-                 Baselines baselines)
-    : benchName_(std::move(benchName)), set_(names)
-{
-    json_ = jsonRequested(argc, argv);
-    profile_ = envFlag("MSSR_PROFILE");
-    fastForward_ = envU64("MSSR_FF", 0);
     runner_.setProgressEvery(
         static_cast<double>(envU64("MSSR_PROGRESS_EVERY", 0)));
     if (const char *s = std::getenv("MSSR_METRICS_OUT"))
         runner_.setMetricsOut(s);
     runner_.setProgressLabel(benchName_);
-
-    if (baselines == Baselines::Build) {
-        std::vector<BatchJob> jobs;
-        for (const auto &name : set_.names())
-            jobs.push_back(job("baseline/" + name, name, baselineConfig()));
-        std::vector<RunResult> results = runBatch(jobs);
-        for (std::size_t i = 0; i < results.size(); ++i)
-            set_.storeBaseline(set_.names()[i], std::move(results[i]));
-    }
 }
 
 Harness::~Harness()
 {
-    logInfo("bench", "batch: ", records_.size(), " jobs on ", threads(),
+    logInfo("bench", "batch: ", jobs_, " jobs on ", runner_.threads(),
             " threads, ", wallSeconds_, " s wall");
     if (!json_)
         return;
@@ -119,9 +73,12 @@ Harness::~Harness()
     }
     os << "{\n";
     os << "  \"bench\": \"" << jsonEscape(benchName_) << "\",\n";
-    os << "  \"threads\": " << threads() << ",\n";
+    os << "  \"threads\": " << runner_.threads() << ",\n";
     os << "  \"build_info\": " << buildInfoJson() << ",\n";
-    os << "  \"jobs\": " << records_.size() << ",\n";
+    if (samplePeriod_ != 0)
+        os << "  \"sample_period\": " << samplePeriod_
+           << ",\n  \"sample_window\": " << sampleWindow_ << ",\n";
+    os << "  \"jobs\": " << jobs_ << ",\n";
     os << "  \"wall_sec\": " << wallSeconds_ << ",\n";
     os << "  \"results\": [";
     for (std::size_t i = 0; i < records_.size(); ++i)
@@ -130,33 +87,121 @@ Harness::~Harness()
     logInfo("bench", "wrote ", path);
 }
 
-BatchJob
-Harness::job(const std::string &label, const std::string &workload,
-             const SimConfig &cfg) const
+void
+Harness::banner(const std::string &title) const
 {
-    BatchJob j;
-    j.name = label;
-    j.program = &set_.program(workload);
-    j.config = cfg;
-    if (profile_)
-        j.config.profiling = true;
-    if (fastForward_ != 0)
-        j.config.fastForwardInsts = fastForward_;
+    analysis::banner(std::cout, title);
+    std::cout << "[workloads: GAP Kronecker -g " << scale_.graphScale
+              << " -k " << scale_.edgeFactor << ", synthetic iterations "
+              << scale_.iterations
+              << "; override with MSSR_SCALE / MSSR_ITERS]\n";
+}
+
+BatchJob
+Harness::job(ServeJobSpec spec)
+{
+    spec.scale = scale_.graphScale;
+    spec.iters = scale_.iterations;
+    spec.seed = scale_.seed;
+    const bool sampled = spec.samplePeriod != 0;
+    if (!sampled)
+        spec.fastForward = fastForward_;
+    if (spec.name.empty())
+        spec.name = spec.workload;
+    if (const std::string why = validateJobSpec(spec); !why.empty())
+        fatal("bench job '", spec.name, "': ", why);
+    auto it = programs_.find(spec.workload);
+    if (it == programs_.end())
+        it = programs_
+                 .emplace(spec.workload,
+                          workloads::buildWorkload(spec.workload,
+                                                   specScale(spec)))
+                 .first;
+    BatchJob j{spec.name, &it->second, specConfig(spec), {}};
+    j.config.profiling = profile_ && !sampled;
     return j;
+}
+
+std::vector<RunResult>
+Harness::runBaselines(const std::vector<std::string> &names)
+{
+    std::vector<BatchJob> jobs;
+    for (const auto &name : names)
+        jobs.push_back(job(baselineJobSpec(
+            {.name = "baseline/" + name, .workload = name})));
+    return runBatch(jobs);
 }
 
 std::vector<RunResult>
 Harness::runBatch(const std::vector<BatchJob> &jobs)
 {
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = Clock::now();
     std::vector<RunResult> results = runner_.run(jobs);
-    wallSeconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    wallSeconds_ += secondsSince(start);
+    jobs_ += jobs.size();
     for (std::size_t i = 0; i < jobs.size(); ++i)
         records_.push_back(benchResultRecord(jobs[i].name, results[i]));
     return results;
+}
+
+std::vector<Harness::SampledPoint>
+Harness::runSampled(const std::vector<BatchJob> &jobs)
+{
+    std::vector<BatchJob> full = jobs;
+    for (BatchJob &j : full)
+        j.config.samplePeriod = j.config.sampleWindow = 0;
+    const auto start = Clock::now();
+    std::vector<RunResult> fullResults = runner_.run(full);
+    std::vector<SampledRunResult> sampled = runner_.runSampled(jobs);
+    wallSeconds_ += secondsSince(start);
+    jobs_ += full.size() + jobs.size();
+
+    std::vector<SampledPoint> points;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        points.push_back(
+            {std::move(fullResults[i]), std::move(sampled[i])});
+        records_.push_back(sampledAccuracyRecord(
+            jobs[i].name, points[i].full, points[i].sampled));
+    }
+    if (!jobs.empty()) {
+        samplePeriod_ = jobs.front().config.samplePeriod;
+        sampleWindow_ = jobs.front().config.sampleWindow;
+    }
+    return points;
+}
+
+const RunResult *
+printGains(const std::vector<std::string> &names,
+           const std::vector<std::string> &labels, const RunResult *bases,
+           const RunResult *points, bool baseIpc, bool average)
+{
+    std::vector<std::string> headers = {"Benchmark"};
+    if (baseIpc)
+        headers.push_back("base IPC");
+    headers.insert(headers.end(), labels.begin(), labels.end());
+    analysis::Table table(headers);
+    std::vector<double> sums(labels.size(), 0.0);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        std::vector<std::string> row = {names[i]};
+        if (baseIpc)
+            row.push_back(analysis::fixed(bases[i].ipc, 3));
+        for (double &sum : sums) {
+            const double gain = (points++)->ipcImprovementOver(bases[i]);
+            sum += gain;
+            row.push_back(analysis::percent(gain));
+        }
+        table.addRow(row);
+    }
+    if (average) {
+        std::vector<std::string> avg = {"average"};
+        if (baseIpc)
+            avg.push_back("");
+        for (double sum : sums)
+            avg.push_back(analysis::percent(sum / names.size()));
+        table.addRow(avg);
+    }
+    table.print(std::cout);
+    return points;
 }
 
 } // namespace mssr::bench

@@ -1,9 +1,13 @@
 /**
  * @file
- * Shared harness for the table/figure reproduction binaries: workload
- * scaling from the environment, eager program/baseline construction,
- * parallel batch submission through BatchRunner, and the machine-
- * readable JSON perf log.
+ * Shared harness for the table/figure reproduction binaries. A bench
+ * is its job list plus its table printer: it lists its design points
+ * as ServeJobSpecs (driver/job_spec.hh), turns each into a BatchJob
+ * with Harness::job(), runs them as batches -- a bench that compares
+ * against the no-reuse baseline runs baselineJobSpec jobs first -- and
+ * prints its tables from the results. The Harness is the one writer
+ * of BENCH_batch.json: every result is rendered by driver/job_record
+ * when its batch returns.
  *
  * Knobs (environment variables):
  *   MSSR_SCALE  log2 graph vertices for GAP (default 10; paper: 12)
@@ -11,17 +15,17 @@
  *   MSSR_SEED   workload RNG seed
  *   MSSR_JOBS   batch worker threads (default: hardware concurrency)
  *   MSSR_JSON   1/true/empty (or --json passed): write BENCH_batch.json
- *   MSSR_PROFILE  enable the per-PC profiler on every job; each
- *               BENCH_batch.json record then carries its hottest
+ *   MSSR_PROFILE  enable the per-PC profiler on every detailed job;
+ *               each BENCH_batch.json record then carries its hottest
  *               branches ("profile_top", sorted by recovery slots)
- *   MSSR_FF     fast-forward every job's first K instructions on the
- *               functional emulator. Jobs sharing a workload share one
- *               warm-up snapshot (BatchRunner's checkpoint cache), so
- *               an N-config sweep pays the functional prefix once per
- *               workload; each BENCH_batch.json record carries its
- *               prefix length, checkpoint hit/miss, warm-up wall
- *               time and throughput ("ff_insts", "ckpt_hit",
- *               "ff_host_sec", "ff_kips")
+ *   MSSR_FF     fast-forward every detailed job's first K instructions
+ *               on the functional emulator. Jobs sharing a workload
+ *               share one warm-up snapshot (BatchRunner's checkpoint
+ *               cache), so an N-config sweep pays the functional
+ *               prefix once per workload; each BENCH_batch.json record
+ *               carries its prefix length, checkpoint hit/miss,
+ *               warm-up wall time and throughput ("ff_insts",
+ *               "ckpt_hit", "ff_host_sec", "ff_kips")
  *   MSSR_SAMPLE_PERIOD / MSSR_SAMPLE_WINDOW  sampled-simulation
  *               checkpoint period and per-window detailed
  *               instruction count (consumed by sampled_accuracy,
@@ -49,87 +53,45 @@
 #define MSSR_BENCH_COMMON_HH
 
 #include <iostream>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/report.hh"
-#include "driver/batch_runner.hh"
-#include "driver/sim_runner.hh"
-#include "workloads/registry.hh"
+#include "driver/job_spec.hh"
 
 namespace mssr::bench
 {
 
 /**
- * Whether to write BENCH_batch.json: --json on the command line, or
- * MSSR_JSON. MSSR_JSON predates the boolean contract: an empty value
- * still means "on" (legacy presence semantics); any other value
- * follows the strict 0/1/true/false contract.
- */
-bool jsonRequested(int argc, char **argv);
-
-/**
- * Pre-built, thread-safe workload container.
- *
- * The seed version of this class built programs and baselines lazily
- * behind non-const accessors (std::map + fill-on-miss), which was
- * unsafe to share across batch worker threads: two workers missing on
- * the same name would race on the map insert. All programs are now
- * built eagerly (in parallel) at construction and every accessor is
- * const, so a WorkloadSet can be captured freely by concurrent jobs.
- */
-class WorkloadSet
-{
-  public:
-    /** Builds programs for @p names up front, in parallel. */
-    explicit WorkloadSet(const std::vector<std::string> &names =
-                             workloads::registeredWorkloads());
-
-    const isa::Program &program(const std::string &name) const;
-
-    /** Pre-computed no-reuse baseline (fatal if not built). */
-    const RunResult &baseline(const std::string &name) const;
-    bool hasBaseline(const std::string &name) const;
-    void storeBaseline(const std::string &name, RunResult result);
-
-    /** Runs one off-batch design point in the calling thread. */
-    RunResult run(const std::string &name, const SimConfig &cfg) const;
-
-    const std::vector<std::string> &names() const { return names_; }
-    const workloads::WorkloadScale &scale() const { return scale_; }
-
-  private:
-    workloads::WorkloadScale scale_;
-    std::vector<std::string> names_;
-    std::unordered_map<std::string, isa::Program> programs_;
-    std::unordered_map<std::string, RunResult> baselines_;
-};
-
-/** Whether a Harness should pre-run no-reuse baselines. */
-enum class Baselines { None, Build };
-
-/**
- * Per-binary harness: owns the WorkloadSet and the BatchRunner,
- * renders every executed job's BENCH_batch.json result when its batch
- * returns (driver/job_record.hh), and writes the file on request
+ * Per-binary harness: scales and builds the jobs, runs them through
+ * one BatchRunner, renders every executed job's BENCH_batch.json
+ * result when its batch returns, and writes the file on request
  * (--json flag or MSSR_JSON environment variable).
  */
 class Harness
 {
   public:
-    Harness(int argc, char **argv, std::string benchName,
-            const std::vector<std::string> &names, Baselines baselines);
+    Harness(int argc, char **argv, std::string benchName);
     ~Harness();
 
-    WorkloadSet &set() { return set_; }
-    const WorkloadSet &set() const { return set_; }
-    const workloads::WorkloadScale &scale() const { return set_.scale(); }
-    unsigned threads() const { return runner_.threads(); }
+    /** Prints @p title's banner and the workload-scale line. */
+    void banner(const std::string &title) const;
 
-    /** Builds a job for a named workload of this set. */
-    BatchJob job(const std::string &label, const std::string &workload,
-                 const SimConfig &cfg) const;
+    /**
+     * The job @p spec describes. Its scale, iterations and seed come
+     * from the environment, and a detailed job also takes MSSR_FF's
+     * prefix and MSSR_PROFILE's profiler (sampled jobs reject both).
+     * The spec must validate; its workload's program is built here,
+     * on the calling thread, once per workload, so batch workers only
+     * read programs.
+     */
+    BatchJob job(ServeJobSpec spec);
+
+    /** The no-reuse baseline of each workload of @p names, run as one
+     *  batch of jobs named "baseline/<workload>". */
+    std::vector<RunResult>
+    runBaselines(const std::vector<std::string> &names);
 
     /**
      * Runs @p jobs through the worker pool; results come back in
@@ -137,27 +99,48 @@ class Harness
      */
     std::vector<RunResult> runBatch(const std::vector<BatchJob> &jobs);
 
+    /** A sampled job's result beside its full-detail twin's. */
+    struct SampledPoint
+    {
+        RunResult full;
+        SampledRunResult sampled;
+    };
+
+    /**
+     * Runs each sampled job of @p jobs in full detail (sampling off),
+     * all as one batch, then sampled as a second. Each job's JSON
+     * result pairs the two (sampledAccuracyRecord), and the file's
+     * head names the jobs' shared sampling period and window.
+     */
+    std::vector<SampledPoint>
+    runSampled(const std::vector<BatchJob> &jobs);
+
   private:
     std::string benchName_;
     bool json_ = false;
     bool profile_ = false;    //!< MSSR_PROFILE; per-PC profiler on jobs
     std::uint64_t fastForward_ = 0; //!< MSSR_FF; shared warm-up prefix
+    workloads::WorkloadScale scale_;
     BatchRunner runner_;
-    WorkloadSet set_;
+    std::map<std::string, isa::Program> programs_; //!< by workload
     std::vector<std::string> records_; //!< rendered results
+    std::size_t jobs_ = 0;
+    std::uint64_t samplePeriod_ = 0, sampleWindow_ = 0; //!< runSampled's
     double wallSeconds_ = 0.0;
 };
 
-/** Prints the workload-scale banner so outputs are self-describing. */
-inline void
-printScale(const WorkloadSet &set)
-{
-    std::cout << "[workloads: GAP Kronecker -g "
-              << set.scale().graphScale << " -k "
-              << set.scale().edgeFactor << ", synthetic iterations "
-              << set.scale().iterations
-              << "; override with MSSR_SCALE / MSSR_ITERS]\n";
-}
+/**
+ * Prints one row per workload of @p names: the IPC gain over the
+ * workload's baseline @p bases[i] of each design point in @p labels,
+ * read from @p points, which lists each workload's points in label
+ * order. @p baseIpc adds the baseline's IPC after the name; @p average
+ * closes with a row of column means. Returns the point after the last
+ * one read.
+ */
+const RunResult *printGains(const std::vector<std::string> &names,
+                            const std::vector<std::string> &labels,
+                            const RunResult *bases, const RunResult *points,
+                            bool baseIpc, bool average);
 
 } // namespace mssr::bench
 

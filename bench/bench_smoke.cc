@@ -65,14 +65,14 @@ main(int argc, char **argv)
     const std::vector<std::string> names = {"nested-mispred", "bfs"};
     std::size_t expectedJobs = 0;
     {
-        bench::Harness h(argc, argv, "bench_smoke", names,
-                         bench::Baselines::Build);
+        bench::Harness h(argc, argv, "bench_smoke");
         std::vector<BatchJob> jobs;
         for (const auto &name : names)
             for (unsigned streams : {1u, 4u})
-                jobs.push_back(h.job(name + "/rgid" +
-                                         std::to_string(streams),
-                                     name, rgidConfig(streams, 64)));
+                jobs.push_back(h.job(
+                    {.name = name + "/rgid" + std::to_string(streams),
+                     .workload = name, .streams = streams, .entries = 64}));
+        h.runBaselines(names);
         const std::vector<RunResult> results = h.runBatch(jobs);
         check(results.size() == jobs.size(), "batch result count");
         for (const auto &r : results)

@@ -17,85 +17,42 @@
 #include "bench_common.hh"
 
 using namespace mssr;
-using namespace mssr::analysis;
-
-namespace
-{
-
-SimConfig
-config(unsigned streams, unsigned wpb_entries, unsigned log_entries)
-{
-    SimConfig cfg;
-    cfg.reuseKind = ReuseKind::Rgid;
-    cfg.reuse.numStreams = streams;
-    cfg.reuse.wpbEntriesPerStream = wpb_entries;
-    cfg.reuse.squashLogEntriesPerStream = log_entries;
-    return cfg;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     const std::vector<std::string> suites = {"spec2006", "spec2017",
                                              "gap"};
-    bench::Harness h(argc, argv, "fig10_ipc_multistream",
-                     workloads::suiteWorkloadNames(suites),
-                     bench::Baselines::Build);
-    banner(std::cout,
-           "Figure 10: IPC improvement per multi-stream configuration");
-    printScale(h.set());
+    bench::Harness h(argc, argv, "fig10_ipc_multistream");
+    h.banner("Figure 10: IPC improvement per multi-stream configuration");
 
-    struct Config
-    {
-        const char *label;
-        unsigned streams, wpb, log;
-    };
-    // WPB entries are fetch blocks (~4 insts each, section 4.1.2);
-    // the squash log holds the same stream at instruction granularity.
-    const Config configs[] = {
-        {"1x16", 1, 16, 64},     {"1x64", 1, 64, 256},
-        {"2x64", 2, 64, 256},    {"4x64", 4, 64, 256},
-        {"4x1024", 4, 1024, 4096},
-    };
+    // WPB entries are fetch blocks (~4 insts each, section 4.1.2): the
+    // squash log's P entries per stream imply P/4 of them.
+    const std::vector<std::string> labels = {"1x16", "1x64", "2x64", "4x64",
+                                             "4x1024"};
+    const unsigned streams[] = {1, 1, 2, 4, 4};
+    const unsigned entries[] = {64, 256, 256, 256, 4096};
 
     // Submit the whole (workload x config) point grid as one batch.
     std::vector<BatchJob> jobs;
     for (const auto &suite : suites)
-        for (const auto &w : workloads::suiteWorkloads(suite))
-            for (const auto &c : configs)
-                jobs.push_back(h.job(suite + "/" + w.name + "/" + c.label,
-                                     w.name,
-                                     config(c.streams, c.wpb, c.log)));
+        for (const auto &name : workloads::suiteWorkloadNames({suite}))
+            for (std::size_t c = 0; c < labels.size(); ++c)
+                jobs.push_back(h.job({.name = suite + "/" + name + "/" +
+                                              labels[c],
+                                      .workload = name, .streams = streams[c],
+                                      .entries = entries[c]}));
+    const std::vector<RunResult> bases =
+        h.runBaselines(workloads::suiteWorkloadNames(suites));
     const std::vector<RunResult> results = h.runBatch(jobs);
 
-    std::size_t point = 0;
+    const RunResult *base = bases.data(), *point = results.data();
     for (const auto &suite : suites) {
         std::cout << "\n[" << suite << "]\n";
-        std::vector<std::string> headers = {"Benchmark", "base IPC"};
-        for (const auto &c : configs)
-            headers.push_back(c.label);
-        Table table(headers);
-        std::vector<double> sums(std::size(configs), 0.0);
-        unsigned count = 0;
-        for (const auto &w : workloads::suiteWorkloads(suite)) {
-            const RunResult &base = h.set().baseline(w.name);
-            std::vector<std::string> row = {w.name, fixed(base.ipc, 3)};
-            for (std::size_t idx = 0; idx < std::size(configs); ++idx) {
-                const double gain =
-                    results[point++].ipcImprovementOver(base);
-                sums[idx] += gain;
-                row.push_back(percent(gain));
-            }
-            ++count;
-            table.addRow(row);
-        }
-        std::vector<std::string> avg = {"average", ""};
-        for (double s : sums)
-            avg.push_back(percent(s / count));
-        table.addRow(avg);
-        table.print(std::cout);
+        const auto names = workloads::suiteWorkloadNames({suite});
+        point = bench::printGains(names, labels, base, point,
+                                  /*baseIpc=*/true, /*average=*/true);
+        base += names.size();
     }
 
     std::cout << "\nExpected shape (paper): gains grow from 1x16 to 4x64;"

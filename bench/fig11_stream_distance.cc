@@ -14,29 +14,21 @@ using namespace mssr::analysis;
 int
 main(int argc, char **argv)
 {
-    const std::vector<std::string> suites = {"spec2006", "spec2017",
-                                             "gap", "micro"};
-    bench::Harness h(argc, argv, "fig11_stream_distance",
-                     workloads::suiteWorkloadNames(suites),
-                     bench::Baselines::None);
-    banner(std::cout, "Figure 11: reconvergence stream distance");
-    printScale(h.set());
+    const std::vector<std::string> names = workloads::suiteWorkloadNames(
+        {"spec2006", "spec2017", "gap", "micro"});
+    bench::Harness h(argc, argv, "fig11_stream_distance");
+    h.banner("Figure 11: reconvergence stream distance");
 
-    SimConfig cfg;
-    cfg.reuseKind = ReuseKind::Rgid;
-    cfg.reuse.numStreams = 8; // track deep so the tail is visible
-    cfg.reuse.wpbEntriesPerStream = 16;
-    cfg.reuse.squashLogEntriesPerStream = 64;
-
+    // Eight streams track deep, so the tail is visible.
     std::vector<BatchJob> jobs;
-    for (const auto &name : h.set().names())
-        jobs.push_back(h.job(name, name, cfg));
+    for (const auto &name : names)
+        jobs.push_back(h.job({.workload = name, .streams = 8, .entries = 64}));
     const std::vector<RunResult> results = h.runBatch(jobs);
 
     Table table({"Benchmark", "d=1", "d=2", "d=3", "d>=4", "cum<=3"});
     double allD[5] = {0, 0, 0, 0, 0};
     std::size_t point = 0;
-    for (const auto &name : h.set().names()) {
+    for (const auto &name : names) {
         const RunResult &r = results[point++];
         double d[4] = {r.stats.get("reuse.distance1"),
                        r.stats.get("reuse.distance2"),

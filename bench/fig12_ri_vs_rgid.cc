@@ -10,61 +10,44 @@
 #include "bench_common.hh"
 
 using namespace mssr;
-using namespace mssr::analysis;
 
 int
 main(int argc, char **argv)
 {
-    bench::Harness h(argc, argv, "fig12_ri_vs_rgid",
-                     workloads::suiteWorkloadNames({"gap"}),
-                     bench::Baselines::Build);
-    banner(std::cout, "Figure 12: Register Integration vs RGID on GAP");
-    printScale(h.set());
+    const std::vector<std::string> names =
+        workloads::suiteWorkloadNames({"gap"});
+    bench::Harness h(argc, argv, "fig12_ri_vs_rgid");
+    h.banner("Figure 12: Register Integration vs RGID on GAP");
 
     const unsigned kList[] = {1, 2, 4};
     const unsigned sizeList[] = {64, 128};
+    const std::vector<std::string> labels = {"RI 1w",   "RI 2w",   "RI 4w",
+                                             "RGID 1s", "RGID 2s", "RGID 4s"};
 
     std::vector<BatchJob> jobs;
     for (unsigned size : sizeList) {
-        for (const auto &name : h.set().names()) {
+        for (const auto &name : names) {
+            const std::string s = std::to_string(size);
             for (unsigned ways : kList)
-                jobs.push_back(h.job(name + "/ri" +
-                                         std::to_string(ways) + "w" +
-                                         std::to_string(size),
-                                     name, regIntConfig(size, ways)));
+                jobs.push_back(h.job(
+                    {.name = name + "/ri" + std::to_string(ways) + "w" + s,
+                     .workload = name, .scheme = "regint", .sets = size,
+                     .ways = ways}));
             for (unsigned streams : kList)
-                jobs.push_back(h.job(name + "/rgid" +
-                                         std::to_string(streams) + "s" +
-                                         std::to_string(size),
-                                     name, rgidConfig(streams, size)));
+                jobs.push_back(h.job(
+                    {.name = name + "/rgid" + std::to_string(streams) + "s" +
+                             s,
+                     .workload = name, .streams = streams, .entries = size}));
         }
     }
+    const std::vector<RunResult> bases = h.runBaselines(names);
     const std::vector<RunResult> results = h.runBatch(jobs);
 
-    std::size_t point = 0;
+    const RunResult *point = results.data();
     for (unsigned size : sizeList) {
         std::cout << "\n[stream size / set count = " << size << "]\n";
-        Table table({"Benchmark", "RI 1w", "RI 2w", "RI 4w", "RGID 1s",
-                     "RGID 2s", "RGID 4s"});
-        std::vector<double> sums(6, 0.0);
-        unsigned count = 0;
-        for (const auto &name : h.set().names()) {
-            const RunResult &base = h.set().baseline(name);
-            std::vector<std::string> row = {name};
-            for (unsigned idx = 0; idx < 6; ++idx) {
-                const double gain =
-                    results[point++].ipcImprovementOver(base);
-                sums[idx] += gain;
-                row.push_back(percent(gain));
-            }
-            ++count;
-            table.addRow(row);
-        }
-        std::vector<std::string> avg = {"average"};
-        for (double s : sums)
-            avg.push_back(percent(s / count));
-        table.addRow(avg);
-        table.print(std::cout);
+        point = bench::printGains(names, labels, bases.data(), point,
+                                  /*baseIpc=*/false, /*average=*/true);
     }
 
     std::cout << "\nExpected shape (paper): RGID outperforms RI on"

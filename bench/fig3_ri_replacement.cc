@@ -13,7 +13,6 @@
 #include "ri/integration_table.hh"
 
 using namespace mssr;
-using namespace mssr::analysis;
 
 namespace
 {
@@ -34,11 +33,8 @@ main(int argc, char **argv)
 {
     const std::vector<std::string> names = {"nested-mispred",
                                             "linear-mispred"};
-    bench::Harness h(argc, argv, "fig3_ri_replacement", names,
-                     bench::Baselines::None);
-    banner(std::cout,
-           "Figure 3: replacement frequency in the RI reuse table");
-    printScale(h.set());
+    bench::Harness h(argc, argv, "fig3_ri_replacement");
+    h.banner("Figure 3: replacement frequency in the RI reuse table");
 
     const unsigned waysList[] = {1, 2, 4};
 
@@ -54,8 +50,10 @@ main(int argc, char **argv)
     std::size_t slot = 0;
     for (const auto &name : names) {
         for (unsigned ways : waysList) {
-            BatchJob j = h.job(name + "/ri" + std::to_string(ways) + "w",
-                               name, regIntConfig(64, ways));
+            BatchJob j =
+                h.job({.name = name + "/ri" + std::to_string(ways) + "w",
+                       .workload = name, .scheme = "regint", .sets = 64,
+                       .ways = ways});
             Probe *probe = &probes[slot++];
             j.inspect = [probe](const O3Cpu &cpu) {
                 const IntegrationTable *table = cpu.integrationTable();

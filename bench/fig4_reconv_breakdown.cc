@@ -17,17 +17,15 @@ main(int argc, char **argv)
 {
     const std::vector<std::string> suites = {"spec2006", "spec2017",
                                              "gap"};
-    bench::Harness h(argc, argv, "fig4_reconv_breakdown",
-                     workloads::suiteWorkloadNames(suites),
-                     bench::Baselines::None);
-    banner(std::cout, "Figure 4: breakdown of reconvergence types");
-    printScale(h.set());
+    bench::Harness h(argc, argv, "fig4_reconv_breakdown");
+    h.banner("Figure 4: breakdown of reconvergence types");
 
     std::vector<BatchJob> jobs;
     for (const auto &suite : suites)
         for (const auto &w : workloads::suiteWorkloads(suite))
-            jobs.push_back(h.job(suite + "/" + w.name, w.name,
-                                 rgidConfig(4, 64)));
+            jobs.push_back(h.job({.name = suite + "/" + w.name,
+                                  .workload = w.name, .streams = 4,
+                                  .entries = 64}));
     const std::vector<RunResult> results = h.runBatch(jobs);
 
     Table table({"Suite", "Benchmark", "Simple", "SW-induced",

@@ -22,26 +22,29 @@ main(int argc, char **argv)
 {
     const std::vector<std::string> names = {"nested-mispred",
                                             "linear-mispred"};
-    bench::Harness h(argc, argv, "table1_micro", names,
-                     bench::Baselines::Build);
-    banner(std::cout, "Table 1: microbenchmark runtime improvements");
-    printScale(h.set());
+    bench::Harness h(argc, argv, "table1_micro");
+    h.banner("Table 1: microbenchmark runtime improvements");
 
     const unsigned ks[] = {1, 2, 4};
     std::vector<BatchJob> jobs;
     for (const auto &name : names) {
         for (unsigned k : ks) {
-            jobs.push_back(h.job(name + "/mssr" + std::to_string(k),
-                                 name, rgidConfig(k, 64)));
-            jobs.push_back(h.job(name + "/ri" + std::to_string(k), name,
-                                 regIntConfig(64, k)));
+            const std::string s = std::to_string(k);
+            jobs.push_back(h.job({.name = name + "/mssr" + s,
+                                  .workload = name, .streams = k,
+                                  .entries = 64}));
+            jobs.push_back(h.job({.name = name + "/ri" + s,
+                                  .workload = name, .scheme = "regint",
+                                  .sets = 64, .ways = k}));
         }
     }
+    const std::vector<RunResult> bases = h.runBaselines(names);
     const std::vector<RunResult> results = h.runBatch(jobs);
 
     std::size_t point = 0;
-    for (const auto &name : names) {
-        const RunResult &base = h.set().baseline(name);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const std::string &name = names[i];
+        const RunResult &base = bases[i];
         std::cout << "\n" << name << " (baseline: " << base.cycles
                   << " cycles, IPC " << fixed(base.ipc, 3) << ")\n";
         Table table({"Streams/Ways", "MSSR dRuntime", "MSSR reuses",

@@ -110,8 +110,6 @@ struct ReuseConfig
     bool reuseLoads = true;               //!< attempt reuse of loads
     bool useBloomFilter = false;          //!< Bloom hazard check instead of
                                           //!< re-execute verification
-    unsigned bloomBits = 1024;            //!< Bloom filter size
-    unsigned bloomHashes = 2;
 
     /**
      * Sets P = @p log_entries squash-log entries per stream and the
@@ -125,7 +123,6 @@ struct RegIntConfig
 {
     unsigned sets = 64;
     unsigned ways = 4;
-    bool reuseLoads = true;
     /**
      * Model RI's serialized table access (paper sections 2.2.3 and
      * 3.7.3): an instruction whose source register was integrated by
@@ -147,15 +144,13 @@ struct SimConfig
     ReuseConfig reuse;
     RegIntConfig regint;
     std::uint64_t maxInsts = 0;   //!< 0 = run to HALT
-    std::uint64_t maxCycles = 0;  //!< 0 = unbounded
 
     /**
      * Functional fast-forward: when nonzero, runSim() executes the
      * first fastForwardInsts instructions on the functional emulator
      * (architecturally exact, orders of magnitude faster than the
      * detailed core) and constructs the O3 core from the resulting
-     * snapshot; maxInsts/maxCycles then bound the *detailed* region
-     * only. Cycle counts, stats and accounting cover the detailed
+     * snapshot; maxInsts then bounds the *detailed* region only. Cycle counts, stats and accounting cover the detailed
      * region and are byte-identical whether the snapshot was computed
      * live, shared in a batch, or reloaded from an mssr-ckpt-v2 file.
      */

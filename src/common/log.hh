@@ -195,15 +195,6 @@ inform(const Args &...args)
 /// @{
 template <typename... Args>
 void
-logError(const std::string &subsys, const Args &...args)
-{
-    Logger &log = Logger::global();
-    if (log.enabled(LogLevel::Error))
-        log.log(LogLevel::Error, subsys, detail::concat(args...));
-}
-
-template <typename... Args>
-void
 logWarn(const std::string &subsys, const Args &...args)
 {
     Logger &log = Logger::global();

@@ -7,8 +7,8 @@
  * lazily by subsystem (BatchRunner, ThreadPool, checkpoint store,
  * sampled engine). A snapshot can be rendered as a Prometheus text
  * exposition and atomically rewritten (tmp + rename, the
- * serialize.cc pattern) to a `--metrics-out` textfile -- the exact
- * artifact a future mssr_serve /metrics endpoint will serve.
+ * serialize.cc pattern) to a `--metrics-out` textfile, which
+ * mssr_run, the bench harness and mssr_serve all write.
  *
  * ProgressReporter is the heartbeat: every `--progress-every` seconds
  * it emits a one-line TTY progress report (done/total, ETA, kips)

@@ -854,11 +854,8 @@ O3Cpu::tick()
 void
 O3Cpu::run()
 {
-    while (!halted_) {
-        if (cfg_.maxCycles != 0 && cycle_ >= cfg_.maxCycles)
-            break;
+    while (!halted_)
         tick();
-    }
 }
 
 ReuseFunnel

@@ -163,8 +163,8 @@ class BatchRunner
      * built once and copied into each core.
      *
      * Throws std::invalid_argument for configs that cannot be sampled
-     * (zero/oversized window, fast-forward, a pipeview, profiling,
-     * maxCycles or an inspect hook).
+     * (zero/oversized window, fast-forward, a pipeview, profiling or
+     * an inspect hook).
      */
     std::vector<SampledRunResult>
     runSampled(const std::vector<BatchJob> &jobs) const;

@@ -442,6 +442,36 @@ benchResultRecord(const std::string &name, const RunResult &r)
     return os.str();
 }
 
+double
+samplingSpeedup(const RunResult &full, const SampledRunResult &sampled)
+{
+    const double sampledSec = sampled.hostSeconds + sampled.scanHostSeconds;
+    return sampledSec > 0.0 ? full.hostSeconds / sampledSec : 0.0;
+}
+
+std::string
+sampledAccuracyRecord(const std::string &name, const RunResult &full,
+                      const SampledRunResult &sampled)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << "{\"name\": \"" << jsonEscape(name)
+       << "\", \"full_ipc\": " << full.ipc
+       << ", \"full_host_sec\": " << full.hostSeconds
+       << ", \"sampled_ipc\": " << sampled.ipc
+       << ", \"windows\": " << sampled.windows
+       << ", \"total_insts\": " << sampled.totalInsts
+       << ", \"detail_host_sec\": " << sampled.hostSeconds
+       << ", \"scan_host_sec\": " << sampled.scanHostSeconds
+       << ", \"speedup\": " << samplingSpeedup(full, sampled)
+       << ", \"covered\": "
+       << (sampled.ipcEst.covers(full.ipc) ? "true" : "false")
+       << ", \"ipc_estimate\": ";
+    writeJson(os, sampled.ipcEst);
+    os << "}";
+    return os.str();
+}
+
 std::vector<StatsRun>
 readStatsRuns(const std::string &file, const JsonValue &root)
 {

@@ -3,8 +3,9 @@
  * Job records: the one module that writes a finished job's record --
  * mssr-stats-v1 and mssr-profile-v1 runs, the stats `.prom` text, the
  * Kanata header's job block, serve records and BENCH_batch.json
- * results -- and reads it back, so one place owns every key spelling,
- * key order and record invariant (docs/FORMATS.md). The output-side
+ * results, sampled_accuracy's included -- and reads it back, so one
+ * place owns every key spelling, key order and record invariant
+ * (docs/FORMATS.md). The output-side
  * twin of driver/job_spec.hh. The CPI stack, funnel, estimate and
  * profile objects are written and read beside their types. Readers
  * fill the library's types and reject a record that breaks its
@@ -57,6 +58,14 @@ std::string serveSampledRecord(const ServeJobSpec &spec,
 /** A BENCH_batch.json result: the serve record's simulated fields,
  *  then the host fields and the five hottest branches. */
 std::string benchResultRecord(const std::string &name, const RunResult &r);
+/** The host speedup of sampling: @p full's host seconds over
+ *  @p sampled's (detailed windows plus scan); 0 when the latter is 0. */
+double samplingSpeedup(const RunResult &full, const SampledRunResult &sampled);
+/** sampled_accuracy's BENCH_batch.json result: the full-detail run
+ *  @p full beside its sampled twin @p sampled, at 17 digits. */
+std::string sampledAccuracyRecord(const std::string &name,
+                                  const RunResult &full,
+                                  const SampledRunResult &sampled);
 /// @}
 
 /** One run read back from an mssr-stats-v1 file: the RunResult fields

@@ -38,8 +38,8 @@ namespace mssr
  */
 struct ServeJobSpec
 {
-    std::string name;               //!< defaults to the workload name
-    std::string workload;           //!< required; workloads::isWorkload
+    std::string name{};             //!< defaults to the workload name
+    std::string workload{};         //!< required; workloads::isWorkload
     std::string scheme = "rgid";    //!< none | rgid | regint
     std::string predictor = "tage"; //!< tage | gshare | bimodal
     std::string funcTier = "fast";  //!< fast | interp

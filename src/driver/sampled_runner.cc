@@ -115,8 +115,6 @@ sampledJobError(const BatchJob &job)
         return "per-window tracing is not supported";
     if (cfg.profiling)
         return "per-window profiling is not supported";
-    if (cfg.maxCycles != 0)
-        return "maxCycles would truncate windows non-architecturally";
     if (job.inspect)
         return "inspect hooks would fire once per window, not per run";
     return "";

@@ -432,14 +432,13 @@ ServeCore::beginShutdown()
         draining_ = true;
     }
     stopping_.store(true);
-    shutdown_.store(true);
     cv_.notify_all();
 }
 
 bool
 ServeCore::shutdownRequested() const
 {
-    return shutdown_.load();
+    return stopping_.load();
 }
 
 void

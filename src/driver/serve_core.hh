@@ -159,7 +159,6 @@ class ServeCore
     std::atomic<std::uint64_t> pendingJobs_{0};
     bool draining_ = false;
     std::atomic<bool> stopping_{false};  //!< BatchRunner stop flag
-    std::atomic<bool> shutdown_{false};
     std::atomic<std::uint64_t> resumedJobs_{0};
     /** Serializes writePromFile's tmp-file dance (scheduler and
      *  connection threads both rewrite the live textfile). */

@@ -50,7 +50,6 @@ class Cache
     std::uint64_t misses() const { return misses_; }
     std::uint64_t evictions() const { return evictions_; }
     std::uint64_t writebacks() const { return writebacks_; }
-    unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }
 
     /** Exports counters into @p stats under "<name>.". */

@@ -12,8 +12,7 @@ ReuseUnit::ReuseUnit(const ReuseConfig &cfg, FreeList &free_list)
       freeList_(free_list),
       wpb_(cfg.numStreams, cfg.wpbEntriesPerStream, cfg.restrictVpn),
       log_(cfg.numStreams, cfg.squashLogEntriesPerStream),
-      rgids_(cfg.rgidBits),
-      bloom_(cfg.bloomBits, cfg.bloomHashes)
+      rgids_(cfg.rgidBits)
 {
 }
 

@@ -84,7 +84,6 @@ class SquashLog
     {
         return static_cast<unsigned>(streams_.size());
     }
-    unsigned entriesPerStream() const { return entriesPerStream_; }
 
     SquashLogStream &stream(unsigned s) { return streams_[s]; }
     const SquashLogStream &stream(unsigned s) const { return streams_[s]; }

@@ -89,9 +89,8 @@ IntegrationTable::onBranchSquash(const std::vector<DynInstPtr> &squashed)
     for (const auto &inst : squashed) {
         if (!inst->si.hasRd())
             continue;
-        const bool eligible = inst->executed && !inst->isStore() &&
-                              !inst->isControl() &&
-                              (!inst->isLoad() || cfg_.reuseLoads);
+        const bool eligible =
+            inst->executed && !inst->isStore() && !inst->isControl();
         if (!eligible) {
             freeList_.release(inst->dst);
             continue;

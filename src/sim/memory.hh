@@ -54,7 +54,6 @@ class Memory
         return static_cast<std::uint8_t>(read(addr, 1));
     }
     void write64(Addr addr, std::uint64_t v) { write(addr, v, 8); }
-    void write32(Addr addr, std::uint32_t v) { write(addr, v, 4); }
     void write8(Addr addr, std::uint8_t v) { write(addr, v, 1); }
 
     /** Number of pages currently allocated (for tests/inspection). */

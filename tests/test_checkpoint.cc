@@ -19,6 +19,7 @@
 #include "driver/batch_runner.hh"
 #include "driver/sim_runner.hh"
 #include "sim/checkpoint.hh"
+#include "test_helpers.hh"
 #include "workloads/registry.hh"
 
 using namespace mssr;
@@ -29,14 +30,7 @@ namespace
 constexpr std::uint64_t FfInsts = 4000;
 constexpr std::uint64_t DetailedInsts = 6000;
 
-isa::Program
-testProgram(const std::string &name = "bfs")
-{
-    workloads::WorkloadScale scale;
-    scale.graphScale = 6;
-    scale.iterations = 120;
-    return workloads::buildWorkload(name, scale);
-}
+using test::testProgram;
 
 /** Every deterministic field must match bit for bit. */
 void

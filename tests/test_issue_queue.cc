@@ -21,6 +21,7 @@
 #include "driver/sim_runner.hh"
 #include "o3cpu_test_peer.hh"
 #include "sim/memory.hh"
+#include "test_helpers.hh"
 #include "workloads/registry.hh"
 
 using namespace mssr;
@@ -28,17 +29,9 @@ using namespace mssr;
 namespace
 {
 
-DynInstPool pool; // outlives every handle the tests make
+using test::makeInst;
 
 constexpr unsigned NumRegs = 16;
-
-DynInstPtr
-makeInst(SeqNum seq)
-{
-    auto inst = pool.acquire();
-    inst->seq = seq;
-    return inst;
-}
 
 /** Queues @p inst waiting on @p waits. */
 void

@@ -2,23 +2,11 @@
 
 #include "common/log.hh"
 #include "core/lsq.hh"
+#include "test_helpers.hh"
 
 using namespace mssr;
 
-namespace
-{
-
-DynInstPool pool; // outlives every handle the tests make
-
-DynInstPtr
-makeInst(SeqNum seq)
-{
-    auto inst = pool.acquire();
-    inst->seq = seq;
-    return inst;
-}
-
-} // namespace
+using test::makeInst;
 
 TEST(Lsq, ForwardFullCoverage)
 {

@@ -1,23 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "core/rob.hh"
+#include "test_helpers.hh"
 
 using namespace mssr;
 
-namespace
-{
-
-DynInstPool pool; // outlives every handle the tests make
-
-DynInstPtr
-makeInst(SeqNum seq)
-{
-    auto inst = pool.acquire();
-    inst->seq = seq;
-    return inst;
-}
-
-} // namespace
+using test::makeInst;
 
 TEST(Rob, FifoOrder)
 {

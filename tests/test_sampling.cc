@@ -29,6 +29,7 @@
 #include "driver/sim_runner.hh"
 #include "sim/checkpoint.hh"
 #include "sim/sample_schedule.hh"
+#include "test_helpers.hh"
 #include "workloads/registry.hh"
 
 using namespace mssr;
@@ -36,14 +37,7 @@ using namespace mssr;
 namespace
 {
 
-isa::Program
-testProgram(const std::string &name = "bfs")
-{
-    workloads::WorkloadScale scale;
-    scale.graphScale = 6;
-    scale.iterations = 120;
-    return workloads::buildWorkload(name, scale);
-}
+using test::testProgram;
 
 /** Bitwise equality of two sampled results' deterministic fields. */
 void
@@ -589,8 +583,6 @@ TEST(Sampling, SampledRunRejectsUnsupportedConfigs)
     EXPECT_THROW(sampled([](SimConfig &c) { c.samplePeriod = 0; }),
                  std::invalid_argument);
     EXPECT_THROW(sampled([](SimConfig &c) { c.fastForwardInsts = 100; }),
-                 std::invalid_argument);
-    EXPECT_THROW(sampled([](SimConfig &c) { c.maxCycles = 1000; }),
                  std::invalid_argument);
     EXPECT_THROW(sampled([](SimConfig &c) { c.profiling = true; }),
                  std::invalid_argument);

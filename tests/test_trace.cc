@@ -18,6 +18,7 @@
 #include "driver/batch_runner.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
+#include "test_helpers.hh"
 
 using namespace mssr;
 using minijson::JsonParser;
@@ -26,32 +27,7 @@ using minijson::JsonValue;
 namespace
 {
 
-/** Hashed hard-to-predict branch loop: plenty of squashes and reuse. */
-isa::Program
-squashyProgram(int iterations = 300)
-{
-    std::ostringstream src;
-    src << R"(
-        li s0, 0
-        li s1, )" << iterations << R"(
-    loop:
-        addi t0, s0, 999
-        li t1, -0x61c8864680b583eb
-        mul t0, t0, t1
-        srli t1, t0, 31
-        xor t0, t0, t1
-        andi t1, t0, 1
-        beqz t1, skip
-        addi s2, s2, 1
-    skip:
-        addi s3, s3, 7
-        xori s3, s3, 3
-        addi s0, s0, 1
-        blt s0, s1, loop
-        halt
-    )";
-    return isa::assembleProgram(src.str());
-}
+using test::squashyProgram;
 
 bool
 sameEvent(const ProbeEvent &a, const ProbeEvent &b)

@@ -350,13 +350,13 @@ main(int argc, char **argv)
                 numValue(argv[0], arg, next(), 0,
                          std::numeric_limits<unsigned>::max()));
         } else if (arg == "--stats-out") {
-            statsOutFile = next();
+            statsOutFile = pathValue(argv[0], arg, next());
         } else if (arg == "--profile-out") {
-            profileOutFile = next();
+            profileOutFile = pathValue(argv[0], arg, next());
         } else if (arg == "--trace") {
             traceOn = true;
         } else if (arg == "--trace-out") {
-            traceOutFile = next();
+            traceOutFile = pathValue(argv[0], arg, next());
             traceOn = true;
         } else if (arg == "--pipeview-out") {
             pipeviewOutFile = pathValue(argv[0], arg, next());
@@ -370,7 +370,7 @@ main(int argc, char **argv)
         } else if (arg == "--compare") {
             compare = true;
         } else if (arg == "--asm") {
-            asmFile = next();
+            asmFile = pathValue(argv[0], arg, next());
         } else if (arg == "--list") {
             for (const std::string &suite : workloads::suiteNames()) {
                 std::cout << suite << ":";
