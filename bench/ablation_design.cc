@@ -31,6 +31,7 @@ struct Variant
 };
 
 const ServeJobSpec Rgid4x64{.streams = 4, .entries = 64};
+const ServeJobSpec Ri64x4{.scheme = "regint", .sets = 64, .ways = 4};
 
 } // namespace
 
@@ -134,9 +135,8 @@ main(int argc, char **argv)
 
     report("Register Integration serialized-access modeling "
            "(section 3.7.3)",
-           {{"serialized", {.scheme = "regint", .sets = 64, .ways = 4}},
-            {"idealized",
-             {.scheme = "regint", .sets = 64, .ways = 4},
+           {{"serialized", Ri64x4},
+            {"idealized", Ri64x4,
              [](SimConfig &c) { c.regint.modelSerializedAccess = false; }}});
     return 0;
 }

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <iostream>
 
 #include "common/argparse.hh"
 #include "common/build_info.hh"
@@ -175,9 +174,11 @@ printGains(const std::vector<std::string> &names,
            const std::vector<std::string> &labels, const RunResult *bases,
            const RunResult *points, bool baseIpc, bool average)
 {
-    std::vector<std::string> headers = {"Benchmark"};
-    if (baseIpc)
+    std::vector<std::string> headers = {"Benchmark"}, avg = {"average"};
+    if (baseIpc) {
         headers.push_back("base IPC");
+        avg.push_back("");
+    }
     headers.insert(headers.end(), labels.begin(), labels.end());
     analysis::Table table(headers);
     std::vector<double> sums(labels.size(), 0.0);
@@ -192,14 +193,10 @@ printGains(const std::vector<std::string> &names,
         }
         table.addRow(row);
     }
-    if (average) {
-        std::vector<std::string> avg = {"average"};
-        if (baseIpc)
-            avg.push_back("");
-        for (double sum : sums)
-            avg.push_back(analysis::percent(sum / names.size()));
+    for (double sum : sums)
+        avg.push_back(analysis::percent(sum / names.size()));
+    if (average)
         table.addRow(avg);
-    }
     table.print(std::cout);
     return points;
 }

@@ -73,7 +73,10 @@ class Harness
 {
   public:
     Harness(int argc, char **argv, std::string benchName);
+    /** Writes BENCH_batch.json when it was requested. */
     ~Harness();
+    Harness(const Harness &) = delete;
+    Harness &operator=(const Harness &) = delete;
 
     /** Prints @p title's banner and the workload-scale line. */
     void banner(const std::string &title) const;
@@ -124,18 +127,16 @@ class Harness
     BatchRunner runner_;
     std::map<std::string, isa::Program> programs_; //!< by workload
     std::vector<std::string> records_; //!< rendered results
-    std::size_t jobs_ = 0;
+    std::size_t jobs_ = 0; //!< jobs run; a sampled point runs two
     std::uint64_t samplePeriod_ = 0, sampleWindow_ = 0; //!< runSampled's
     double wallSeconds_ = 0.0;
 };
 
 /**
- * Prints one row per workload of @p names: the IPC gain over the
- * workload's baseline @p bases[i] of each design point in @p labels,
- * read from @p points, which lists each workload's points in label
- * order. @p baseIpc adds the baseline's IPC after the name; @p average
- * closes with a row of column means. Returns the point after the last
- * one read.
+ * Prints a row per workload of @p names: the IPC gain over its baseline
+ * in @p bases of each design point of @p labels, read in label order
+ * from @p points. @p baseIpc adds a column of baseline IPCs, @p average
+ * a row of column means. Returns the point after the last one read.
  */
 const RunResult *printGains(const std::vector<std::string> &names,
                             const std::vector<std::string> &labels,

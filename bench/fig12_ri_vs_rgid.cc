@@ -26,8 +26,8 @@ main(int argc, char **argv)
 
     std::vector<BatchJob> jobs;
     for (unsigned size : sizeList) {
+        const std::string s = std::to_string(size);
         for (const auto &name : names) {
-            const std::string s = std::to_string(size);
             for (unsigned ways : kList)
                 jobs.push_back(h.job(
                     {.name = name + "/ri" + std::to_string(ways) + "w" + s,

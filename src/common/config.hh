@@ -150,9 +150,10 @@ struct SimConfig
      * first fastForwardInsts instructions on the functional emulator
      * (architecturally exact, orders of magnitude faster than the
      * detailed core) and constructs the O3 core from the resulting
-     * snapshot; maxInsts then bounds the *detailed* region only. Cycle counts, stats and accounting cover the detailed
-     * region and are byte-identical whether the snapshot was computed
-     * live, shared in a batch, or reloaded from an mssr-ckpt-v2 file.
+     * snapshot; maxInsts then bounds the *detailed* region only. Cycle
+     * counts, stats and accounting cover the detailed region and are
+     * byte-identical whether the snapshot was computed live, shared in
+     * a batch, or reloaded from an mssr-ckpt-v2 file.
      */
     std::uint64_t fastForwardInsts = 0;
 

@@ -5,11 +5,11 @@
  * Kanata header's job block, serve records and BENCH_batch.json
  * results, sampled_accuracy's included -- and reads it back, so one
  * place owns every key spelling, key order and record invariant
- * (docs/FORMATS.md). The output-side
- * twin of driver/job_spec.hh. The CPI stack, funnel, estimate and
- * profile objects are written and read beside their types. Readers
- * fill the library's types and reject a record that breaks its
- * writer's shape or invariants with a diagnostic, never an assertion.
+ * (docs/FORMATS.md). The output-side twin of driver/job_spec.hh. The
+ * CPI stack, funnel, estimate and profile objects are written and
+ * read beside their types. Readers fill the library's types and
+ * reject a record that breaks its writer's shape or invariants with a
+ * diagnostic, never an assertion.
  */
 
 #ifndef MSSR_DRIVER_JOB_RECORD_HH
