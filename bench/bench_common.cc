@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 
 #include "common/argparse.hh"
 #include "common/build_info.hh"
@@ -107,8 +108,10 @@ Harness::job(ServeJobSpec spec)
         spec.fastForward = fastForward_;
     if (spec.name.empty())
         spec.name = spec.workload;
-    if (const std::string why = validateJobSpec(spec); !why.empty())
-        fatal("bench job '", spec.name, "': ", why);
+    if (const std::string why = validateJobSpec(spec); !why.empty()) {
+        std::cerr << benchName_ << ": " << why << "\n";
+        std::exit(2);
+    }
     auto it = programs_.find(spec.workload);
     if (it == programs_.end())
         it = programs_

@@ -85,9 +85,10 @@ class Harness
      * The job @p spec describes. Its scale, iterations and seed come
      * from the environment, and a detailed job also takes MSSR_FF's
      * prefix and MSSR_PROFILE's profiler (sampled jobs reject both).
-     * The spec must validate; its workload's program is built here,
-     * on the calling thread, once per workload, so batch workers only
-     * read programs.
+     * A spec that fails validateJobSpec ends the bench with
+     * "<bench>: <reason>" on stderr and exit status 2. The workload's
+     * program is built here, on the calling thread, once per workload,
+     * so batch workers only read programs.
      */
     BatchJob job(ServeJobSpec spec);
 

@@ -11,6 +11,7 @@
 #include "bpu/tage_sc_l.hh"
 #include "common/rng.hh"
 #include "core/free_list.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "memsys/cache.hh"
 #include "reuse/bloom.hh"
@@ -121,7 +122,8 @@ BM_SimulatorThroughput(benchmark::State &state)
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         const RunResult r =
-            runSim(prog, reuse ? rgidConfig(4, 64) : baselineConfig());
+            runSim(prog, reuse ? specConfig({.streams = 4, .entries = 64})
+                               : specConfig({.scheme = "none"}));
         cycles += r.cycles;
         benchmark::DoNotOptimize(r.cycles);
     }

@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "analysis/report.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "workloads/gap_kernels.hh"
 #include "workloads/gap_reference.hh"
@@ -38,9 +39,10 @@ main(int argc, char **argv)
     std::cout << "BFS kernel: " << prog.numInsts()
               << " static instructions\n";
 
-    const RunResult base = runSim(prog, baselineConfig());
+    const RunResult base = runSim(prog, specConfig({.scheme = "none"}));
     Memory mem;
-    const RunResult reuse = runSim(prog, rgidConfig(4, 64), &mem);
+    const RunResult reuse =
+        runSim(prog, specConfig({.streams = 4, .entries = 64}), &mem);
 
     // Validate against the reference implementation.
     const auto expected = bfsRef(graph);

@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "analysis/report.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "workloads/micro.hh"
 
@@ -31,7 +32,7 @@ main(int argc, char **argv)
               << params.iterations << " iterations)...\n";
     const isa::Program prog = workloads::makeNestedMispred(params);
 
-    const RunResult base = runSim(prog, baselineConfig());
+    const RunResult base = runSim(prog, specConfig({.scheme = "none"}));
     std::cout << "\nbaseline: " << base.cycles << " cycles, IPC "
               << fixed(base.ipc, 3) << ", "
               << base.stats.get("core.branchMispredicts")
@@ -45,10 +46,10 @@ main(int argc, char **argv)
         SimConfig cfg;
     };
     const Entry entries[] = {
-        {"1 stream (DCI-like)", rgidConfig(1, 64)},
-        {"2 streams", rgidConfig(2, 64)},
-        {"4 streams (paper cfg)", rgidConfig(4, 64)},
-        {"RI 64x4", regIntConfig(64, 4)},
+        {"1 stream (DCI-like)", specConfig({.streams = 1, .entries = 64})},
+        {"2 streams", specConfig({.streams = 2, .entries = 64})},
+        {"4 streams (paper cfg)", specConfig({.streams = 4, .entries = 64})},
+        {"RI 64x4", specConfig({.scheme = "regint", .sets = 64, .ways = 4})},
     };
     for (const Entry &e : entries) {
         const RunResult r = runSim(prog, e.cfg);

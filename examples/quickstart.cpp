@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
 
@@ -55,10 +56,11 @@ main()
     )");
 
     std::cout << "Running baseline (no squash reuse)...\n";
-    const RunResult base = runSim(prog, baselineConfig());
+    const RunResult base = runSim(prog, specConfig({.scheme = "none"}));
 
     std::cout << "Running Multi-Stream Squash Reuse (4 streams x 64)...\n";
-    const RunResult rgid = runSim(prog, rgidConfig(4, 64));
+    const RunResult rgid = runSim(prog,
+                                  specConfig({.streams = 4, .entries = 64}));
 
     std::cout << "\n  checksum (s6):        0x" << std::hex
               << base.archRegs[22] << std::dec << " (both runs must match: "

@@ -16,6 +16,7 @@
 
 #include "analysis/report.hh"
 #include "analysis/storage_model.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "workloads/registry.hh"
 
@@ -30,7 +31,7 @@ main(int argc, char **argv)
     std::cout << "Workload: " << name << "\n";
     const isa::Program prog = workloads::buildWorkload(name, scale);
 
-    const RunResult base = runSim(prog, baselineConfig());
+    const RunResult base = runSim(prog, specConfig({.scheme = "none"}));
     std::cout << "baseline: " << base.cycles << " cycles, IPC "
               << fixed(base.ipc, 3) << ", mispredict rate "
               << percent(base.stats.get("core.condMispredictRate"))
@@ -47,7 +48,8 @@ main(int argc, char **argv)
         std::vector<std::string> costRow = {std::to_string(streams) +
                                             " streams"};
         for (unsigned entries : entryList) {
-            const RunResult r = runSim(prog, rgidConfig(streams, entries));
+            const RunResult r = runSim(
+                prog, specConfig({.streams = streams, .entries = entries}));
             ipcRow.push_back(percent(r.ipcImprovementOver(base)));
             StorageParams params;
             params.numStreams = streams;

@@ -4,8 +4,8 @@
  *
  * The registry holds atomic counters, gauges and histograms, named in
  * Prometheus style (mssr_batch_jobs_done_total, ...), registered
- * lazily by subsystem (BatchRunner, ThreadPool, checkpoint store,
- * sampled engine). A snapshot can be rendered as a Prometheus text
+ * lazily by subsystem (BatchRunner, checkpoint store, sampled
+ * engine). A snapshot can be rendered as a Prometheus text
  * exposition and atomically rewritten (tmp + rename, the
  * serialize.cc pattern) to a `--metrics-out` textfile, which
  * mssr_run, the bench harness and mssr_serve all write.

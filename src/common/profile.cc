@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <vector>
 
+#include "common/log.hh"
 #include "common/mini_json.hh"
 #include "common/probe.hh"
 
@@ -22,6 +24,17 @@ distBucket(unsigned inst_offset)
            inst_offset >= (1u << b))
         ++b;
     return inst_offset == 0 ? 0 : b;
+}
+
+/** The record for @p pc in @p records, inserted empty when absent. */
+template <typename Record>
+Record &
+recordAt(std::map<Addr, Record> &records, Addr pc)
+{
+    mssr_assert(pc != 0, "PC 0 is not an instruction address");
+    Record &r = records[pc];
+    r.pc = pc;
+    return r;
 }
 
 using minijson::FormatError;
@@ -160,42 +173,42 @@ PcProfile::onEvent(const ProbeEvent &e)
     const bool mispredict = e.squash == SquashReason::BranchMispredict;
     switch (e.kind) {
       case ProbeKind::Squash: {
-        BranchRecord &r = branches_.at(e.pc);
+        BranchRecord &r = recordAt(branches_, e.pc);
         ++(mispredict ? r.mispredicts : r.otherSquashes);
         r.squashedInsts += e.aux;
         return;
       }
       case ProbeKind::RecoverySlots: {
         // The same charge the CPI stack takes, category included.
-        BranchRecord &r = branches_.at(e.pc);
+        BranchRecord &r = recordAt(branches_, e.pc);
         (mispredict ? r.branchRecoverySlots : r.flushRecoverySlots) +=
             e.arg;
         return;
       }
       case ProbeKind::Logged:
-        ++branches_.at(e.originPC).logged;
+        ++recordAt(branches_, e.originPC).logged;
         return;
       case ProbeKind::Covered:
-        ++branches_.at(e.originPC).covered;
+        ++recordAt(branches_, e.originPC).covered;
         return;
       case ProbeKind::Reconv:
-        branches_.at(e.originPC).noteDetection(
-            e.pc, static_cast<unsigned>(e.aux));
-        ++reconvs_.at(e.pc).detections;
+        recordAt(branches_, e.originPC)
+            .noteDetection(e.pc, static_cast<unsigned>(e.aux));
+        ++recordAt(reconvs_, e.pc).detections;
         return;
       case ProbeKind::SessionStart:
-        ++reconvs_.at(e.pc).sessions;
+        ++recordAt(reconvs_, e.pc).sessions;
         return;
       case ProbeKind::ReuseTest: {
         // Only an entry's first test counts, as in the global funnel.
         if (!e.firstTest)
             return;
-        BranchRecord &r = branches_.at(e.originPC);
+        BranchRecord &r = recordAt(branches_, e.originPC);
         ++r.tested;
         countKill(r, e.reuse);
         if (isReuse(e.reuse)) {
             ++r.reused;
-            ++reconvs_.at(e.aux).instsSalvaged;
+            ++recordAt(reconvs_, e.aux).instsSalvaged;
         }
         return;
       }
@@ -227,8 +240,8 @@ std::uint64_t
 PcProfile::total(std::uint64_t BranchRecord::*counter) const
 {
     std::uint64_t sum = 0;
-    for (const BranchRecord *r : branches_.sortedByPc())
-        sum += r->*counter;
+    for (const auto &[pc, r] : branches_)
+        sum += r.*counter;
     return sum;
 }
 
@@ -236,8 +249,8 @@ std::uint64_t
 PcProfile::totalSalvaged() const
 {
     std::uint64_t sum = 0;
-    for (const ReconvRecord *r : reconvs_.sortedByPc())
-        sum += r->instsSalvaged;
+    for (const auto &[pc, r] : reconvs_)
+        sum += r.instsSalvaged;
     return sum;
 }
 
@@ -246,33 +259,33 @@ writeJson(std::ostream &os, const PcProfile &profile)
 {
     os << "{\"branches\": [";
     bool first = true;
-    for (const BranchRecord *r : profile.branches().sortedByPc()) {
-        os << (first ? "" : ", ") << "{\"pc\": \"" << hexPc(r->pc)
-           << "\", \"mispredicts\": " << r->mispredicts
-           << ", \"other_squashes\": " << r->otherSquashes
-           << ", \"squashed_insts\": " << r->squashedInsts
-           << ", \"branch_recovery_slots\": " << r->branchRecoverySlots
-           << ", \"flush_recovery_slots\": " << r->flushRecoverySlots
+    for (const auto &[pc, r] : profile.branches()) {
+        os << (first ? "" : ", ") << "{\"pc\": \"" << hexPc(pc)
+           << "\", \"mispredicts\": " << r.mispredicts
+           << ", \"other_squashes\": " << r.otherSquashes
+           << ", \"squashed_insts\": " << r.squashedInsts
+           << ", \"branch_recovery_slots\": " << r.branchRecoverySlots
+           << ", \"flush_recovery_slots\": " << r.flushRecoverySlots
            << ", \"funnel\": ";
-        writeJson(os, r->funnel());
+        writeJson(os, r.funnel());
         os << ", \"reconv_dist\": [";
         for (std::size_t i = 0; i < BranchRecord::NumDistBuckets; ++i)
-            os << (i ? ", " : "") << r->reconvDist[i];
+            os << (i ? ", " : "") << r.reconvDist[i];
         os << "], \"partners\": [";
         bool firstPartner = true;
         // Partners sorted by PC for byte-stable output.
         std::vector<std::size_t> order;
         for (std::size_t i = 0; i < BranchRecord::NumPartners; ++i)
-            if (r->partnerPC[i] != 0)
+            if (r.partnerPC[i] != 0)
                 order.push_back(i);
         std::sort(order.begin(), order.end(),
                   [&](std::size_t a, std::size_t b) {
-                      return r->partnerPC[a] < r->partnerPC[b];
+                      return r.partnerPC[a] < r.partnerPC[b];
                   });
         for (std::size_t i : order) {
             os << (firstPartner ? "" : ", ") << "{\"pc\": \""
-               << hexPc(r->partnerPC[i]) << "\", \"count\": "
-               << r->partnerCount[i] << "}";
+               << hexPc(r.partnerPC[i]) << "\", \"count\": "
+               << r.partnerCount[i] << "}";
             firstPartner = false;
         }
         os << "]}";
@@ -280,11 +293,11 @@ writeJson(std::ostream &os, const PcProfile &profile)
     }
     os << "], \"reconv_points\": [";
     first = true;
-    for (const ReconvRecord *r : profile.reconvs().sortedByPc()) {
-        os << (first ? "" : ", ") << "{\"pc\": \"" << hexPc(r->pc)
-           << "\", \"detections\": " << r->detections
-           << ", \"sessions\": " << r->sessions
-           << ", \"insts_salvaged\": " << r->instsSalvaged << "}";
+    for (const auto &[pc, r] : profile.reconvs()) {
+        os << (first ? "" : ", ") << "{\"pc\": \"" << hexPc(pc)
+           << "\", \"detections\": " << r.detections
+           << ", \"sessions\": " << r.sessions
+           << ", \"insts_salvaged\": " << r.instsSalvaged << "}";
         first = false;
     }
     os << "]}";
@@ -298,9 +311,8 @@ readProfile(const JsonValue &v)
          minijson::field(v, "branches", JsonValue::Array).array) {
         try {
             const BranchRecord r = readBranch(b);
-            if (out.branches().find(r.pc))
+            if (!out.branches_.emplace(r.pc, r).second)
                 throw FormatError("PC " + hexPc(r.pc) + " repeats");
-            out.branches_.at(r.pc) = r;
         } catch (const FormatError &e) {
             throw FormatError("branch record " +
                               std::to_string(out.branches().size()) + ": " +
@@ -313,12 +325,12 @@ readProfile(const JsonValue &v)
             throw FormatError("reconv entry is not an object");
         ReconvRecord rec;
         rec.pc = readPc(r);
-        if (out.reconvs().find(rec.pc))
+        if (out.reconvs_.contains(rec.pc))
             throw FormatError("reconv PC " + hexPc(rec.pc) + " repeats");
         rec.detections = u64Field(r, "detections");
         rec.sessions = u64Field(r, "sessions");
         rec.instsSalvaged = u64Field(r, "insts_salvaged");
-        out.reconvs_.at(rec.pc) = rec;
+        out.reconvs_.emplace(rec.pc, rec);
     }
     // Reuses attributed to branches and salvage attributed to
     // reconvergence points count the same instructions.
@@ -341,18 +353,18 @@ writeFolded(std::ostream &os, const PcProfile &profile,
     // one salvaged slot each), so recovery cost and salvage show up in
     // one flamegraph on a common scale.
     const std::string root = run.empty() ? std::string() : run + ";";
-    for (const BranchRecord *r : profile.branches().sortedByPc()) {
-        const std::string prefix = root + hexPc(r->pc) + ";";
-        if (r->branchRecoverySlots)
-            os << prefix << "-;branch_recovery " << r->branchRecoverySlots
+    for (const auto &[pc, r] : profile.branches()) {
+        const std::string prefix = root + hexPc(pc) + ";";
+        if (r.branchRecoverySlots)
+            os << prefix << "-;branch_recovery " << r.branchRecoverySlots
                << "\n";
-        if (r->flushRecoverySlots)
-            os << prefix << "-;flush_recovery " << r->flushRecoverySlots
+        if (r.flushRecoverySlots)
+            os << prefix << "-;flush_recovery " << r.flushRecoverySlots
                << "\n";
-        if (r->reused) {
-            const Addr top = r->topPartner();
+        if (r.reused) {
+            const Addr top = r.topPartner();
             os << prefix << (top ? hexPc(top) : std::string("-"))
-               << ";reuse_salvaged " << r->reused << "\n";
+               << ";reuse_salvaged " << r.reused << "\n";
         }
     }
 }

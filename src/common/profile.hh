@@ -14,11 +14,10 @@
  * paper's evaluation is built around (gem5's per-PC stats, top-down
  * attribution a la Yasin).
  *
- * Records live in a deterministic open-addressed hash map keyed by
- * static PC. Determinism: insertion happens on the single-threaded
- * simulation path, growth doubles a power-of-two table, and every
- * export walks the records sorted by PC, so the serialized profile is
- * byte-identical at any batch worker count.
+ * Records live in ordered maps keyed by static PC, filled on the
+ * single-threaded simulation path; every export walks them in PC
+ * order, so the serialized profile is byte-identical at any batch
+ * worker count. A profile that recorded nothing allocates nothing.
  *
  * Reconciliation (ctest-enforced): summed over all branch records,
  * squashed insts == core.squashedInsts, reused == reuse.success, and
@@ -32,16 +31,14 @@
 #ifndef MSSR_COMMON_PROFILE_HH
 #define MSSR_COMMON_PROFILE_HH
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
-#include <vector>
 
 #include "common/cpi_stack.hh"
-#include "common/log.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
 
@@ -136,131 +133,6 @@ struct ReconvRecord
 };
 
 /**
- * Deterministic open-addressed map from static PC to a record.
- * Linear probing over a power-of-two table; grows at 70% load. The
- * value type needs a public `Addr pc` field (0 = empty slot sentinel;
- * PC 0 is never a valid instruction address, code starts at
- * Program::DefaultCodeBase).
- */
-template <typename Record>
-class PcMap
-{
-  public:
-    PcMap() : slots_(InitialSlots) {}
-
-    /** Record for @p pc, inserted zero-initialized when absent. */
-    Record &
-    at(Addr pc)
-    {
-        mssr_assert(pc != 0, "PC 0 is the empty-slot sentinel");
-        if ((size_ + 1) * 10 > slots_.size() * 7)
-            grow();
-        const std::size_t i = probe(pc);
-        if (slots_[i].pc == 0) {
-            slots_[i].pc = pc;
-            ++size_;
-        }
-        return slots_[i];
-    }
-
-    /** Record for @p pc, or null when absent. */
-    const Record *
-    find(Addr pc) const
-    {
-        if (pc == 0)
-            return nullptr;
-        const std::size_t i = probe(pc);
-        return slots_[i].pc == pc ? &slots_[i] : nullptr;
-    }
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /** All records, sorted by PC (the deterministic export order). */
-    std::vector<const Record *> sortedByPc() const;
-
-    /** Equal contents (order-independent). */
-    bool operator==(const PcMap &other) const;
-
-  private:
-    static constexpr std::size_t InitialSlots = 64;
-
-    /** splitmix64 finalizer: full-avalanche, deterministic. */
-    static std::uint64_t
-    hash(Addr pc)
-    {
-        std::uint64_t x = pc;
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
-    }
-
-    /** First slot holding @p pc or the first empty slot of its chain. */
-    std::size_t
-    probe(Addr pc) const
-    {
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t i = static_cast<std::size_t>(hash(pc)) & mask;
-        while (slots_[i].pc != 0 && slots_[i].pc != pc)
-            i = (i + 1) & mask;
-        return i;
-    }
-
-    void grow();
-
-    std::vector<Record> slots_;
-    std::size_t size_ = 0;
-};
-
-template <typename Record>
-std::vector<const Record *>
-PcMap<Record>::sortedByPc() const
-{
-    std::vector<const Record *> out;
-    out.reserve(size_);
-    for (const Record &r : slots_)
-        if (r.pc != 0)
-            out.push_back(&r);
-    std::sort(out.begin(), out.end(),
-              [](const Record *a, const Record *b) { return a->pc < b->pc; });
-    return out;
-}
-
-template <typename Record>
-bool
-PcMap<Record>::operator==(const PcMap &other) const
-{
-    if (size_ != other.size_)
-        return false;
-    for (const Record &r : slots_) {
-        if (r.pc == 0)
-            continue;
-        const Record *o = other.find(r.pc);
-        if (!o || !(r == *o))
-            return false;
-    }
-    return true;
-}
-
-template <typename Record>
-void
-PcMap<Record>::grow()
-{
-    std::vector<Record> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Record{});
-    for (const Record &r : old) {
-        if (r.pc == 0)
-            continue;
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t i = static_cast<std::size_t>(hash(r.pc)) & mask;
-        while (slots_[i].pc != 0)
-            i = (i + 1) & mask;
-        slots_[i] = r;
-    }
-}
-
-/**
  * The per-run profile: branch (squash-cause) records plus
  * reconvergence-point records, filled from the core's probe events.
  * One PcProfile belongs to exactly one core (not thread-safe, like the
@@ -277,8 +149,11 @@ class PcProfile
      */
     void onEvent(const ProbeEvent &e);
 
-    const PcMap<BranchRecord> &branches() const { return branches_; }
-    const PcMap<ReconvRecord> &reconvs() const { return reconvs_; }
+    /** @name Records by PC (each record's pc equals its key). */
+    /// @{
+    const std::map<Addr, BranchRecord> &branches() const { return branches_; }
+    const std::map<Addr, ReconvRecord> &reconvs() const { return reconvs_; }
+    /// @}
 
     /** True when nothing was recorded (profiling off or no squashes). */
     bool empty() const { return branches_.empty() && reconvs_.empty(); }
@@ -294,18 +169,13 @@ class PcProfile
     /** Salvaged-instruction sum over all reconvergence records. */
     std::uint64_t totalSalvaged() const;
 
-
-    bool
-    operator==(const PcProfile &other) const
-    {
-        return branches_ == other.branches_ && reconvs_ == other.reconvs_;
-    }
+    bool operator==(const PcProfile &) const = default;
 
   private:
     friend PcProfile readProfile(const minijson::JsonValue &v);
 
-    PcMap<BranchRecord> branches_;
-    PcMap<ReconvRecord> reconvs_;
+    std::map<Addr, BranchRecord> branches_;
+    std::map<Addr, ReconvRecord> reconvs_;
 };
 
 /** A PC as records spell it: "0x" and lowercase hex digits. */

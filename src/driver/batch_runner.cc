@@ -6,7 +6,6 @@
 #include <deque>
 #include <exception>
 #include <map>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -15,7 +14,6 @@
 #include "common/argparse.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
-#include "common/thread_pool.hh"
 
 namespace mssr
 {
@@ -191,8 +189,10 @@ BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
     }
 
     // Phase 1 -- the detailed runs, each completing on its worker.
-    // Sequential fast path: no pool, no synchronization. Results are
-    // identical either way; this is the timing baseline.
+    // The calling thread and min(threads, jobs) - 1 helpers take the
+    // next index of @p order from one cursor, so one worker starts no
+    // thread. After a job throws no worker starts another; the first
+    // exception is rethrown once the helpers have joined.
     const auto runOne = [&](std::size_t i) {
         if (stopped())
             return; // drained before start: default result, no hook
@@ -228,30 +228,32 @@ BatchRunner::runInOrder(const std::vector<BatchJob> &jobs,
         if (landed)
             landed(i);
     };
-    if (threads_ == 1 || jobs.size() == 1) {
-        for (const std::size_t i : order)
-            runOne(i);
-    } else {
-        std::exception_ptr firstError;
-        std::mutex errorMutex;
-        {
-            ThreadPool pool(std::min<std::size_t>(threads_, jobs.size()));
-            for (const std::size_t i : order) {
-                pool.submit([&, i] {
-                    try {
-                        runOne(i);
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lock(errorMutex);
-                        if (!firstError)
-                            firstError = std::current_exception();
-                    }
-                });
+    const std::size_t workers =
+        std::min<std::size_t>(threads_, order.size());
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr firstError; // set by the first job to throw
+    const auto work = [&] {
+        while (!failed) {
+            const std::size_t n = next++;
+            if (n >= order.size())
+                return;
+            try {
+                runOne(order[n]);
+            } catch (...) {
+                if (!failed.exchange(true))
+                    firstError = std::current_exception();
             }
-            pool.wait();
         }
-        if (firstError)
-            std::rethrow_exception(firstError);
-    }
+    };
+    {
+        std::vector<std::jthread> helpers;
+        for (std::size_t t = 1; t < workers; ++t)
+            helpers.emplace_back(work);
+        work();
+    } // the helpers join here
+    if (firstError)
+        std::rethrow_exception(firstError);
     if (progress)
         progress->finish(); // final progress line + final textfile
 }

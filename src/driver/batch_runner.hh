@@ -4,14 +4,16 @@
  *
  * Every figure/table reproduction is a cross-product of (workload,
  * SimConfig) design points, each a fully independent, deterministic
- * runSim() call. BatchRunner fans a vector of such BatchJobs out over
- * a fixed-size ThreadPool and returns the results in submission
- * order, so every printed table is bit-identical to the sequential
- * run of the same jobs -- only wall-clock time changes.
+ * runSim() call. BatchRunner runs a vector of such BatchJobs on its
+ * workers (the calling thread plus up to threads() - 1 helper threads
+ * started per batch, each taking the next job from one shared cursor)
+ * and returns the results in submission order, so every printed table
+ * is bit-identical to the sequential run of the same jobs -- only
+ * wall-clock time changes.
  *
  * The worker count defaults to std::thread::hardware_concurrency()
  * and can be overridden with the MSSR_JOBS environment variable
- * (MSSR_JOBS=1 forces sequential execution in-thread, useful for
+ * (MSSR_JOBS=1 runs every job on the calling thread, useful for
  * debugging and timing baselines).
  */
 
@@ -44,7 +46,7 @@ struct BatchJob
     std::function<void(const O3Cpu &)> inspect;
 };
 
-/** Executes batches of BatchJobs across a worker pool. */
+/** Executes batches of BatchJobs across worker threads. */
 class BatchRunner
 {
   public:
@@ -129,9 +131,9 @@ class BatchRunner
 
     /**
      * Runs all @p jobs and returns results in submission order.
-     * A job that throws (bad config/program) aborts the batch: the
-     * first exception is rethrown on the calling thread once all
-     * in-flight jobs have drained.
+     * A job that throws (bad config/program) aborts the batch: no
+     * worker starts another job, and the first exception is rethrown
+     * on the calling thread once the in-flight jobs have finished.
      *
      * Shared warm-up: jobs whose configs fast-forward the same program
      * by the same instruction count (and do not already carry a
@@ -152,7 +154,7 @@ class BatchRunner
      * checkpoint every samplePeriod instructions (through the
      * checkpoint directory when set, sharing the --ckpt-dir store),
      * and the sampleWindow-instruction detailed windows are fanned
-     * across the pool alongside every other job's windows. When a
+     * across the workers alongside every other job's windows. When a
      * job's last window lands, that job alone is merged in window
      * order -- so sampled results, estimates included, are
      * byte-identical at any worker count -- and handed to the per-job

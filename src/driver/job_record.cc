@@ -422,7 +422,9 @@ benchResultRecord(const std::string &name, const RunResult &r)
        << ", \"peak_rss_kb\": " << r.peakRssKb;
     // The five hottest branches by recovery slots, PC order on ties;
     // none when profiling was off.
-    std::vector<const BranchRecord *> top = r.profile.branches().sortedByPc();
+    std::vector<const BranchRecord *> top;
+    for (const auto &[pc, b] : r.profile.branches())
+        top.push_back(&b);
     std::stable_sort(top.begin(), top.end(),
                      [](const BranchRecord *a, const BranchRecord *b) {
                          return a->recoverySlots() > b->recoverySlots();

@@ -280,7 +280,7 @@ BatchRunner::runSampled(const std::vector<BatchJob> &jobs) const
     // Phase 1 -- expand each job into its detailed-window jobs, job
     // by job (window jobs are indexed in that order: results and the
     // completion hook use it). The whole expansion runs as one batch,
-    // so windows of different jobs interleave freely across the pool.
+    // so windows of different jobs interleave freely across workers.
     std::vector<BatchJob> windowJobs;
     std::vector<std::size_t> firstWindowJob(jobs.size());
     std::vector<std::size_t> jobOf; // window job -> its sampled job

@@ -4,7 +4,7 @@
  * sampled run replaces one long detailed simulation with (a) one
  * cheap end-to-end functional scan that drops periodic checkpoints
  * (sim/sample_schedule.hh) and (b) a batch of short detailed windows,
- * one per checkpoint, fanned across the worker pool like any other
+ * one per checkpoint, fanned across the batch workers like any other
  * BatchJobs. Each window's IPC, per-category CPI contribution and
  * reuse rate is one observation of the program's population of
  * windows; the aggregation reports the sample mean, standard error

@@ -11,7 +11,7 @@
  *  - the bounded job queue with backpressure (`queue_full` replies
  *    once the accepted-but-unfinished job count would pass queueMax),
  *  - the scheduler thread that pops batches in submission order and
- *    fans their jobs over BatchRunner/ThreadPool: a batch's detailed
+ *    fans their jobs over BatchRunner's workers: a batch's detailed
  *    jobs in one run() call and its sampled jobs in one runSampled()
  *    call, so design points on one program share warm-ups, sampling
  *    scans and window warm states as mssr_run's do. One --ckpt-dir

@@ -91,35 +91,4 @@ runSim(const isa::Program &prog, const SimConfig &cfg, Memory *mem_out,
     return out;
 }
 
-SimConfig
-baselineConfig(std::uint64_t max_insts)
-{
-    SimConfig cfg;
-    cfg.reuseKind = ReuseKind::None;
-    cfg.maxInsts = max_insts;
-    return cfg;
-}
-
-SimConfig
-rgidConfig(unsigned streams, unsigned log_entries, std::uint64_t max_insts)
-{
-    SimConfig cfg;
-    cfg.reuseKind = ReuseKind::Rgid;
-    cfg.reuse.numStreams = streams;
-    cfg.reuse.setLogEntries(log_entries);
-    cfg.maxInsts = max_insts;
-    return cfg;
-}
-
-SimConfig
-regIntConfig(unsigned sets, unsigned ways, std::uint64_t max_insts)
-{
-    SimConfig cfg;
-    cfg.reuseKind = ReuseKind::RegInt;
-    cfg.regint.sets = sets;
-    cfg.regint.ways = ways;
-    cfg.maxInsts = max_insts;
-    return cfg;
-}
-
 } // namespace mssr

@@ -151,21 +151,6 @@ RunResult runSim(const isa::Program &prog, const SimConfig &cfg,
                  const std::function<void(const O3Cpu &)> &inspect = {},
                  const std::function<WarmState()> &warm = {});
 
-/** Convenience: baseline configuration (no squash reuse). */
-SimConfig baselineConfig(std::uint64_t max_insts = 0);
-
-/**
- * Convenience: Multi-Stream Squash Reuse configuration with @p streams
- * streams and @p log_entries squash-log entries per stream, and the
- * WPB size they imply (ReuseConfig::setLogEntries).
- */
-SimConfig rgidConfig(unsigned streams, unsigned log_entries,
-                     std::uint64_t max_insts = 0);
-
-/** Convenience: Register Integration configuration. */
-SimConfig regIntConfig(unsigned sets, unsigned ways,
-                       std::uint64_t max_insts = 0);
-
 } // namespace mssr
 
 #endif // MSSR_DRIVER_SIM_RUNNER_HH

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "workloads/registry.hh"
 
@@ -38,7 +39,9 @@ TEST(Accounting, CpiSlotsSumToCyclesTimesWidth)
 {
     const isa::Program prog = reuseHeavyProgram();
     for (const SimConfig &cfg :
-         {baselineConfig(), rgidConfig(4, 64), regIntConfig(64, 4)}) {
+         {specConfig({.scheme = "none"}),
+          specConfig({.streams = 4, .entries = 64}),
+          specConfig({.scheme = "regint", .sets = 64, .ways = 4})}) {
         const RunResult r = runSim(prog, cfg);
         ASSERT_GT(r.cycles, 0u) << toString(cfg.reuseKind);
         EXPECT_EQ(r.cpi.total(),
@@ -56,7 +59,8 @@ TEST(Accounting, CpiSlotsSumToCyclesTimesWidth)
 
 TEST(Accounting, FunnelMonotoneAndReconciled)
 {
-    const RunResult r = runSim(reuseHeavyProgram(), rgidConfig(4, 64));
+    const RunResult r = runSim(reuseHeavyProgram(),
+                               specConfig({.streams = 4, .entries = 64}));
     const ReuseFunnel &f = r.funnel;
 
     // This workload must actually exercise the funnel end to end.
@@ -88,7 +92,8 @@ TEST(Accounting, FunnelMonotoneAndReconciled)
 
 TEST(Accounting, BaselineFunnelStopsAtSquashed)
 {
-    const RunResult r = runSim(reuseHeavyProgram(), baselineConfig());
+    const RunResult r = runSim(reuseHeavyProgram(),
+                               specConfig({.scheme = "none"}));
     EXPECT_GT(r.funnel.squashed, 0u);
     for (std::size_t i = 1; i < ReuseFunnel::NumStages; ++i)
         EXPECT_EQ(r.funnel.stage(i), 0u) << ReuseFunnel::stageKey(i);
@@ -102,7 +107,9 @@ TEST(Accounting, RegIntSalvageShowsInCpiStack)
     // mechanism (no squash log), so the funnel stages past "squashed"
     // stay zero while the CPI stack still attributes its salvaged
     // slots -- one integration per salvaged dispatch slot.
-    const RunResult r = runSim(reuseHeavyProgram(), regIntConfig(64, 4));
+    const RunResult r =
+        runSim(reuseHeavyProgram(),
+               specConfig({.scheme = "regint", .sets = 64, .ways = 4}));
     EXPECT_EQ(r.funnel.logged, 0u);
     EXPECT_EQ(static_cast<double>(r.cpi[CpiCat::ReuseSalvaged]),
               r.stats.get("ri.integrations"));

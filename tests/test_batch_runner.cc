@@ -1,18 +1,19 @@
 /**
- * BatchRunner / ThreadPool: the parallel batch engine must be an
- * exact drop-in for sequential runSim loops -- element-wise identical
- * results in submission order at every worker count -- plus basic
- * pool behavior (drain-on-wait, empty/single batches, MSSR_JOBS).
+ * BatchRunner: the parallel batch engine must be an exact drop-in for
+ * sequential runSim loops -- element-wise identical results in
+ * submission order at every worker count -- plus its error contract
+ * and basic behavior (empty/single batches, MSSR_JOBS).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 
-#include "common/thread_pool.hh"
 #include "driver/batch_runner.hh"
+#include "driver/job_spec.hh"
 #include "workloads/registry.hh"
 
 using namespace mssr;
@@ -37,7 +38,9 @@ std::vector<BatchJob>
 makeJobs(const std::vector<isa::Program> &programs)
 {
     const std::vector<SimConfig> cfgs = {
-        baselineConfig(), rgidConfig(2, 64), regIntConfig(64, 2)};
+        specConfig({.scheme = "none"}),
+        specConfig({.streams = 2, .entries = 64}),
+        specConfig({.scheme = "regint", .sets = 64, .ways = 2})};
     std::vector<BatchJob> jobs;
     for (std::size_t p = 0; p < programs.size(); ++p)
         for (std::size_t c = 0; c < cfgs.size(); ++c)
@@ -61,34 +64,6 @@ makePrograms()
 }
 
 } // namespace
-
-TEST(ThreadPool, RunsAllTasksAndWaits)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-    EXPECT_EQ(pool.tasksSubmitted(), 100u);
-    EXPECT_EQ(pool.numThreads(), 4u);
-
-    // The pool stays usable after a wait().
-    pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 101);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    EXPECT_EQ(counter.load(), 50);
-}
 
 TEST(BatchRunner, MatchesSequentialRunSim)
 {
@@ -128,12 +103,11 @@ TEST(BatchRunner, EmptyAndSingleJobBatches)
     EXPECT_TRUE(runner.run({}).empty());
 
     const std::vector<isa::Program> programs = makePrograms();
-    std::vector<BatchJob> one = {
-        {"solo", &programs[0], rgidConfig(4, 64), {}}};
+    const SimConfig cfg = specConfig({.streams = 4, .entries = 64});
+    std::vector<BatchJob> one = {{"solo", &programs[0], cfg, {}}};
     const std::vector<RunResult> got = runner.run(one);
     ASSERT_EQ(got.size(), 1u);
-    expectIdentical(got[0], runSim(programs[0], rgidConfig(4, 64)),
-                    "solo");
+    expectIdentical(got[0], runSim(programs[0], cfg), "solo");
     EXPECT_TRUE(got[0].halted);
 }
 
@@ -141,7 +115,8 @@ TEST(BatchRunner, RecordsHostTiming)
 {
     const std::vector<isa::Program> programs = makePrograms();
     const std::vector<RunResult> got =
-        BatchRunner(2).run({{"timed", &programs[0], rgidConfig(2, 64), {}}});
+        BatchRunner(2).run({{"timed", &programs[0],
+                             specConfig({.streams = 2, .entries = 64}), {}}});
     ASSERT_EQ(got.size(), 1u);
     EXPECT_GT(got[0].hostSeconds, 0.0);
     EXPECT_GT(got[0].kips, 0.0);
@@ -154,13 +129,54 @@ TEST(BatchRunner, InspectRunsPerJob)
     std::vector<BatchJob> jobs;
     for (int i = 0; i < 3; ++i) {
         BatchJob j{"inspect" + std::to_string(i), &programs[0],
-                   rgidConfig(1, 64),
+                   specConfig({.streams = 1, .entries = 64}),
                    {}};
         j.inspect = [&hits, i](const O3Cpu &) { ++hits[i]; };
         jobs.push_back(std::move(j));
     }
     BatchRunner(3).run(jobs);
     EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(BatchRunner, FailedJobStopsTheBatch)
+{
+    // A core with no physical register beyond the architectural ones
+    // panics while it is built. After that no worker starts another
+    // job, and the panic reaches the caller once the workers join.
+    const std::vector<isa::Program> programs = makePrograms();
+    std::atomic<unsigned> ran{0}, reported{0};
+    const auto batch = [&](std::size_t n, std::optional<std::size_t> bad) {
+        BatchJob job{"job", &programs[0],
+                     specConfig({.streams = 4, .entries = 64}),
+                     [&ran](const O3Cpu &) { ++ran; }};
+        std::vector<BatchJob> jobs(n, job);
+        if (bad)
+            jobs[*bad].config.core.physRegs = NumArchRegs;
+        ran = reported = 0; // each batch counts from zero
+        return jobs;
+    };
+
+    // One worker: the jobs after the failing one neither run nor report.
+    BatchRunner one(1);
+    one.setJobDone([&](std::size_t, const RunResult &) { ++reported; });
+    EXPECT_THROW(one.run(batch(4, 1)), SimPanic);
+    EXPECT_EQ(ran.load(), 1u);
+    EXPECT_EQ(reported.load(), 1u);
+
+    // Four workers, failing job first: the workers stop taking jobs,
+    // so fewer than all 31 others run and report.
+    BatchRunner four(4);
+    four.setJobDone([&](std::size_t, const RunResult &) { ++reported; });
+    EXPECT_THROW(four.run(batch(32, 0)), SimPanic);
+    EXPECT_LT(ran.load(), 31u);
+    EXPECT_LT(reported.load(), 31u);
+
+    // The same runner then runs a clean batch whole.
+    const std::vector<RunResult> clean = four.run(batch(32, std::nullopt));
+    EXPECT_EQ(ran.load(), 32u);
+    EXPECT_EQ(reported.load(), 32u);
+    for (const RunResult &r : clean)
+        EXPECT_TRUE(r.halted);
 }
 
 TEST(BatchRunner, MssrJobsEnvOverridesDefault)

@@ -17,6 +17,7 @@
 
 #include "common/serialize.hh"
 #include "driver/batch_runner.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "sim/checkpoint.hh"
 #include "test_helpers.hh"
@@ -57,7 +58,8 @@ expectIdentical(const RunResult &a, const RunResult &b,
 SimConfig
 ffConfig(bool warm = false)
 {
-    SimConfig cfg = rgidConfig(4, 64, DetailedInsts);
+    SimConfig cfg = specConfig(
+        {.streams = 4, .entries = 64, .maxInsts = DetailedInsts});
     cfg.fastForwardInsts = FfInsts;
     cfg.warmBpu = warm;
     cfg.profiling = true;
@@ -124,7 +126,8 @@ TEST(Checkpoint, BatchSharedWarmupIdenticalAcrossWorkerCounts)
     const isa::Program prog = testProgram();
     std::vector<BatchJob> jobs;
     for (const unsigned streams : {1u, 2u, 4u}) {
-        SimConfig cfg = rgidConfig(streams, 64, DetailedInsts);
+        SimConfig cfg = specConfig(
+            {.streams = streams, .entries = 64, .maxInsts = DetailedInsts});
         cfg.fastForwardInsts = FfInsts;
         cfg.profiling = true;
         jobs.push_back({"s" + std::to_string(streams), &prog, cfg, {}});
@@ -194,8 +197,9 @@ TEST(Checkpoint, PrefixPlusDetailedMatchesUnforwardedArchitecture)
     // the remainder to HALT must end with the same architectural
     // registers as a full detailed run from reset.
     const isa::Program prog = testProgram();
-    const RunResult full = runSim(prog, rgidConfig(4, 64));
-    SimConfig cfg = rgidConfig(4, 64);
+    const RunResult full = runSim(prog,
+                                  specConfig({.streams = 4, .entries = 64}));
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.fastForwardInsts = FfInsts;
     const RunResult ff = runSim(prog, cfg);
     EXPECT_TRUE(ff.halted);

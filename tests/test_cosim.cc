@@ -10,6 +10,7 @@
 
 #include "common/rng.hh"
 #include "cosim_triage.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
 #include "sim/func_emu.hh"
@@ -131,9 +132,11 @@ TEST(Cosim, MicrobenchBaseline)
 {
     workloads::MicroParams params;
     params.iterations = 150;
-    expectCosimMatch(workloads::makeNestedMispred(params), baselineConfig(),
+    expectCosimMatch(workloads::makeNestedMispred(params),
+                     specConfig({.scheme = "none"}),
                      "nested baseline");
-    expectCosimMatch(workloads::makeLinearMispred(params), baselineConfig(),
+    expectCosimMatch(workloads::makeLinearMispred(params),
+                     specConfig({.scheme = "none"}),
                      "linear baseline");
 }
 
@@ -141,9 +144,11 @@ TEST(Cosim, MicrobenchRgidReuse)
 {
     workloads::MicroParams params;
     params.iterations = 150;
-    expectCosimMatch(workloads::makeNestedMispred(params), rgidConfig(4, 64),
+    expectCosimMatch(workloads::makeNestedMispred(params),
+                     specConfig({.streams = 4, .entries = 64}),
                      "nested rgid");
-    expectCosimMatch(workloads::makeLinearMispred(params), rgidConfig(4, 64),
+    expectCosimMatch(workloads::makeLinearMispred(params),
+                     specConfig({.streams = 4, .entries = 64}),
                      "linear rgid");
 }
 
@@ -152,36 +157,42 @@ TEST(Cosim, MicrobenchRegisterIntegration)
     workloads::MicroParams params;
     params.iterations = 150;
     expectCosimMatch(workloads::makeNestedMispred(params),
-                     regIntConfig(64, 4), "nested ri");
+                     specConfig({.scheme = "regint", .sets = 64, .ways = 4}),
+                     "nested ri");
     expectCosimMatch(workloads::makeLinearMispred(params),
-                     regIntConfig(64, 4), "linear ri");
+                     specConfig({.scheme = "regint", .sets = 64, .ways = 4}),
+                     "linear ri");
 }
 
 TEST(Cosim, RandomProgramsBaseline)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed)
-        expectCosimMatch(randomProgram(seed), baselineConfig(),
+        expectCosimMatch(randomProgram(seed), specConfig({.scheme = "none"}),
                          "random baseline seed " + std::to_string(seed));
 }
 
 TEST(Cosim, RandomProgramsRgid)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed)
-        expectCosimMatch(randomProgram(seed), rgidConfig(4, 64),
+        expectCosimMatch(randomProgram(seed),
+                         specConfig({.streams = 4, .entries = 64}),
                          "random rgid seed " + std::to_string(seed));
 }
 
 TEST(Cosim, RandomProgramsRegInt)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed)
-        expectCosimMatch(randomProgram(seed), regIntConfig(64, 4),
-                         "random ri seed " + std::to_string(seed));
+        expectCosimMatch(
+            randomProgram(seed),
+            specConfig({.scheme = "regint", .sets = 64, .ways = 4}),
+            "random ri seed " + std::to_string(seed));
 }
 
 TEST(Cosim, XzLikeStressesLoadVerification)
 {
     workloads::SpecParams params;
     params.iterations = 200;
-    expectCosimMatch(workloads::makeXzLike(params), rgidConfig(4, 64),
+    expectCosimMatch(workloads::makeXzLike(params),
+                     specConfig({.streams = 4, .entries = 64}),
                      "xz rgid");
 }

@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "cosim_triage.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "sim/func_emu.hh"
 #include "workloads/registry.hh"
@@ -60,7 +61,7 @@ TEST_P(RgidSizingCosim, ArchitecturallyInvisible)
     scale.graphScale = 6;
     const isa::Program prog =
         workloads::buildWorkload("nested-mispred", scale);
-    expectMatch(prog, rgidConfig(streams, entries),
+    expectMatch(prog, specConfig({.streams = streams, .entries = entries}),
                 "rgid " + std::to_string(streams) + "x" +
                     std::to_string(entries));
 }
@@ -87,7 +88,8 @@ TEST_P(RiSizingCosim, ArchitecturallyInvisible)
     scale.iterations = 250;
     const isa::Program prog =
         workloads::buildWorkload("linear-mispred", scale);
-    expectMatch(prog, regIntConfig(sets, ways),
+    expectMatch(prog,
+                specConfig({.scheme = "regint", .sets = sets, .ways = ways}),
                 "ri " + std::to_string(sets) + "x" + std::to_string(ways));
 }
 
@@ -143,7 +145,7 @@ TEST_P(CoreSizingCosim, ArchitecturallyInvisible)
     scale.iterations = 200;
     const isa::Program prog =
         workloads::buildWorkload("nested-mispred", scale);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.core.robEntries = rob;
     cfg.core.physRegs = rob; // keep preg count matched to the ROB
     expectMatch(prog, cfg, "rob " + std::to_string(rob));
@@ -193,7 +195,7 @@ TEST_P(QueueSizingCosim, ArchitecturallyInvisible)
     scale.iterations = 200;
     const isa::Program prog =
         workloads::buildWorkload("nested-mispred", scale);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.core.robEntries = q.robEntries;
     cfg.core.physRegs = q.robEntries + NumArchRegs;
     cfg.core.intRvsEntries = q.intRvsEntries;
@@ -223,7 +225,7 @@ TEST_P(PredictorCosim, ArchitecturallyInvisible)
     workloads::WorkloadScale scale;
     scale.iterations = 200;
     const isa::Program prog = workloads::buildWorkload("gobmk", scale);
-    SimConfig cfg = rgidConfig(2, 64);
+    SimConfig cfg = specConfig({.streams = 2, .entries = 64});
     cfg.core.predictor = GetParam();
     expectMatch(prog, cfg, toString(GetParam()));
 }

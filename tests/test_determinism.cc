@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "driver/batch_runner.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "workloads/registry.hh"
 
@@ -41,7 +42,9 @@ TEST(Determinism, RepeatedRunsAreIdentical)
     for (const std::string name : {"gobmk", "bfs", "xz"}) {
         const isa::Program prog = workloads::buildWorkload(name, scale);
         for (const SimConfig &cfg :
-             {baselineConfig(), rgidConfig(4, 64), regIntConfig(64, 4)}) {
+             {specConfig({.scheme = "none"}),
+              specConfig({.streams = 4, .entries = 64}),
+              specConfig({.scheme = "regint", .sets = 64, .ways = 4})}) {
             const RunResult first = runSim(prog, cfg);
             const RunResult second = runSim(prog, cfg);
             expectIdentical(first, second,
@@ -59,8 +62,8 @@ TEST(Determinism, RebuiltWorkloadIsIdentical)
     EXPECT_EQ(a.numInsts(), b.numInsts());
     for (Addr pc = a.codeBase(); pc < a.codeEnd(); pc += InstBytes)
         ASSERT_EQ(a.instAt(pc), b.instAt(pc)) << std::hex << pc;
-    expectIdentical(runSim(a, rgidConfig(2, 64)),
-                    runSim(b, rgidConfig(2, 64)), "rebuilt astar");
+    const SimConfig cfg = specConfig({.streams = 2, .entries = 64});
+    expectIdentical(runSim(a, cfg), runSim(b, cfg), "rebuilt astar");
 }
 
 TEST(Determinism, AccountingIdenticalAcrossWorkerCounts)
@@ -78,7 +81,9 @@ TEST(Determinism, AccountingIdenticalAcrossWorkerCounts)
     std::vector<BatchJob> jobs;
     for (const isa::Program *prog : {&mispred, &bfs}) {
         for (SimConfig cfg :
-             {baselineConfig(), rgidConfig(4, 64), regIntConfig(64, 4)}) {
+             {specConfig({.scheme = "none"}),
+              specConfig({.streams = 4, .entries = 64}),
+              specConfig({.scheme = "regint", .sets = 64, .ways = 4})}) {
             cfg.profiling = true;
             jobs.push_back({"job", prog, cfg, {}});
         }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/pipeview.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
 
@@ -11,17 +12,18 @@ using namespace mssr;
 
 TEST(Driver, ConvenienceConfigs)
 {
-    const SimConfig base = baselineConfig(123);
+    const SimConfig base = specConfig({.scheme = "none", .maxInsts = 123});
     EXPECT_EQ(base.reuseKind, ReuseKind::None);
     EXPECT_EQ(base.maxInsts, 123u);
 
-    const SimConfig rgid = rgidConfig(2, 128);
+    const SimConfig rgid = specConfig({.streams = 2, .entries = 128});
     EXPECT_EQ(rgid.reuseKind, ReuseKind::Rgid);
     EXPECT_EQ(rgid.reuse.numStreams, 2u);
     EXPECT_EQ(rgid.reuse.squashLogEntriesPerStream, 128u);
     EXPECT_EQ(rgid.reuse.wpbEntriesPerStream, 32u); // entries / 4
 
-    const SimConfig ri = regIntConfig(128, 2);
+    const SimConfig ri = specConfig(
+        {.scheme = "regint", .sets = 128, .ways = 2});
     EXPECT_EQ(ri.reuseKind, ReuseKind::RegInt);
     EXPECT_EQ(ri.regint.sets, 128u);
     EXPECT_EQ(ri.regint.ways, 2u);
@@ -63,7 +65,8 @@ TEST(Driver, InspectHookSeesFinishedCore)
         halt
     )");
     bool called = false;
-    runSim(prog, baselineConfig(), nullptr, [&](const O3Cpu &cpu) {
+    const SimConfig cfg = specConfig({.scheme = "none"});
+    runSim(prog, cfg, nullptr, [&](const O3Cpu &cpu) {
         called = true;
         EXPECT_TRUE(cpu.halted());
         EXPECT_EQ(cpu.archReg(5), 5u);
@@ -79,7 +82,7 @@ TEST(Driver, PipelineTraceProducesEvents)
         halt
     )");
     PipeView tracer({.trace = true});
-    SimConfig cfg = baselineConfig();
+    SimConfig cfg = specConfig({.scheme = "none"});
     cfg.pipeview = &tracer;
     runSim(prog, cfg);
 
@@ -122,7 +125,7 @@ TEST(Driver, TraceShowsReuseAndSquash)
         halt
     )");
     PipeView tracer({.trace = true});
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.pipeview = &tracer;
     const RunResult r = runSim(prog, cfg);
 

@@ -10,6 +10,7 @@
 
 #include "core/dyn_inst.hh"
 #include "core/o3cpu.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "o3cpu_test_peer.hh"
 #include "sim/memory.hh"
@@ -92,7 +93,7 @@ TEST(DynInstPool, DetailedRunReturnsEverySlot)
     scale.graphScale = 8;
     scale.iterations = 700;
     const isa::Program prog = workloads::buildWorkload("exchange2", scale);
-    const SimConfig cfg = rgidConfig(4, 1024);
+    const SimConfig cfg = specConfig({.streams = 4, .entries = 1024});
     Memory mem;
     O3Cpu cpu(cfg, prog, mem);
     cpu.run();

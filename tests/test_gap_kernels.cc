@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "sim/func_emu.hh"
 #include "workloads/gap_kernels.hh"
@@ -87,7 +88,8 @@ TEST(GapKernels, DirectionOptimizingBfsOnO3WithReuse)
     const Graph g = testGraph(6);
     isa::Program prog = makeBfsDirectionOptimizing(g);
     Memory mem;
-    const RunResult r = runSim(prog, rgidConfig(4, 64), &mem);
+    const RunResult r = runSim(prog, specConfig({.streams = 4, .entries = 64}),
+                               &mem);
     ASSERT_TRUE(r.halted);
     EXPECT_EQ(readArray(mem, prog.label("depth"), g.numVertices),
               bfsRef(g));
@@ -155,7 +157,9 @@ TEST(GapKernels, BfsOnO3AllSchemes)
     isa::Program prog = makeBfs(g);
     const auto expected = bfsRef(g);
     for (const SimConfig &cfg :
-         {baselineConfig(), rgidConfig(4, 64), regIntConfig(64, 4)}) {
+         {specConfig({.scheme = "none"}),
+          specConfig({.streams = 4, .entries = 64}),
+          specConfig({.scheme = "regint", .sets = 64, .ways = 4})}) {
         Memory mem;
         const RunResult r = runSim(prog, cfg, &mem);
         ASSERT_TRUE(r.halted);
@@ -170,7 +174,8 @@ TEST(GapKernels, CcOnO3WithReuse)
     const Graph g = testGraph(6);
     isa::Program prog = makeCc(g);
     Memory mem;
-    const RunResult r = runSim(prog, rgidConfig(4, 64), &mem);
+    const RunResult r = runSim(prog, specConfig({.streams = 4, .entries = 64}),
+                               &mem);
     ASSERT_TRUE(r.halted);
     EXPECT_EQ(readArray(mem, prog.label("label"), g.numVertices), ccRef(g));
 }
@@ -180,7 +185,8 @@ TEST(GapKernels, SsspOnO3WithReuse)
     const Graph g = testGraph(6);
     isa::Program prog = makeSssp(g, 32);
     Memory mem;
-    const RunResult r = runSim(prog, rgidConfig(2, 64), &mem);
+    const RunResult r = runSim(prog, specConfig({.streams = 2, .entries = 64}),
+                               &mem);
     ASSERT_TRUE(r.halted);
     EXPECT_EQ(readArray(mem, prog.label("dist"), g.numVertices),
               ssspRef(g, 32));

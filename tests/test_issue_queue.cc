@@ -18,6 +18,7 @@
 #include "common/rng.hh"
 #include "core/issue_queue.hh"
 #include "core/o3cpu.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "o3cpu_test_peer.hh"
 #include "sim/memory.hh"
@@ -300,9 +301,12 @@ TEST_P(IssueReadyCheck, ReadyBitsMatchSources)
     scale.iterations = 200;
     scale.graphScale = 6;
     const isa::Program prog = workloads::buildWorkload(name, scale);
-    SimConfig cfg = kind == ReuseKind::Rgid     ? rgidConfig(4, 64)
-                    : kind == ReuseKind::RegInt ? regIntConfig(64, 2)
-                                                : baselineConfig();
+    ServeJobSpec spec{.scheme = "none"};
+    if (kind == ReuseKind::Rgid)
+        spec = {.streams = 4, .entries = 64};
+    else if (kind == ReuseKind::RegInt)
+        spec = {.scheme = "regint", .sets = 64, .ways = 2};
+    SimConfig cfg = specConfig(spec);
     cfg.core.intRvsEntries = sizes.intRvs;
     cfg.core.memRvsEntries = sizes.memRvs;
     Memory mem;

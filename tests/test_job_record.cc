@@ -19,6 +19,7 @@
 
 #include "driver/batch_runner.hh"
 #include "driver/job_record.hh"
+#include "driver/job_spec.hh"
 #include "workloads/registry.hh"
 
 using namespace mssr;
@@ -147,7 +148,7 @@ profileJson(const std::string &branch, std::uint64_t salvaged)
 TEST(JobRecord, DetailedRunReadsBackAsWritten)
 {
     const isa::Program prog = testProgram();
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.profiling = true;
     const std::vector<BatchJob> jobs{{"nested-mispred", &prog, cfg, {}}};
     const std::vector<RunResult> results = BatchRunner(1).run(jobs);
@@ -177,27 +178,23 @@ TEST(JobRecord, DetailedRunReadsBackAsWritten)
         readProfileRuns("profile", parse(profile.str()));
     ASSERT_EQ(prof.size(), 1u);
     EXPECT_EQ(prof[0].width, want.dispatchWidth);
-    const auto branches = want.profile.branches().sortedByPc();
-    const auto reconvs = want.profile.reconvs().sortedByPc();
-    ASSERT_FALSE(branches.empty());
-    ASSERT_FALSE(reconvs.empty());
-    const auto gotBranches = prof[0].profile.branches().sortedByPc();
-    const auto gotReconvs = prof[0].profile.reconvs().sortedByPc();
-    ASSERT_EQ(gotBranches.size(), branches.size());
-    ASSERT_EQ(gotReconvs.size(), reconvs.size());
-    for (std::size_t i = 0; i < branches.size(); ++i) {
-        EXPECT_TRUE(*gotBranches[i] == partnersByPc(*branches[i]))
-            << "branch record " << i;
-        EXPECT_EQ(gotBranches[i]->topPartner(), branches[i]->topPartner());
+    const PcProfile &gotProfile = prof[0].profile;
+    ASSERT_FALSE(want.profile.branches().empty());
+    ASSERT_FALSE(want.profile.reconvs().empty());
+    ASSERT_EQ(gotProfile.branches().size(), want.profile.branches().size());
+    for (const auto &[pc, b] : want.profile.branches()) {
+        ASSERT_TRUE(gotProfile.branches().contains(pc)) << std::hex << pc;
+        const BranchRecord &g = gotProfile.branches().at(pc);
+        EXPECT_TRUE(g == partnersByPc(b)) << "branch " << std::hex << pc;
+        EXPECT_EQ(g.topPartner(), b.topPartner());
     }
-    for (std::size_t i = 0; i < reconvs.size(); ++i)
-        EXPECT_TRUE(*gotReconvs[i] == *reconvs[i]) << "reconv record " << i;
+    EXPECT_TRUE(gotProfile.reconvs() == want.profile.reconvs());
 }
 
 TEST(JobRecord, SampledRunReadsBackAsWritten)
 {
     const isa::Program prog = testProgram();
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.samplePeriod = 4000;
     cfg.sampleWindow = 1000;
     const std::vector<BatchJob> jobs{{"nested-mispred", &prog, cfg, {}}};
@@ -340,8 +337,8 @@ TEST(JobRecord, ProfileReaderRejectsBrokenBranchRecords)
               "");
     const PcProfile p = readProfile(parse(profileJson(branchJson(1, 2), 3)));
     ASSERT_EQ(p.branches().size(), 1u);
-    EXPECT_EQ(p.branches().find(0x1000)->funnel().rgidPass, 3u);
-    EXPECT_EQ(p.branches().find(0x1000)->topPartner(), Addr(0x2000));
+    EXPECT_EQ(p.branches().at(0x1000).funnel().rgidPass, 3u);
+    EXPECT_EQ(p.branches().at(0x1000).topPartner(), Addr(0x2000));
 
     EXPECT_EQ(rejection([] { readProfile(parse(profileJson(
                                  branchJson(6, 0), 0))); }),
@@ -395,7 +392,8 @@ TEST(JobRecord, FileReadersNameTheFileAndRun)
 {
     const isa::Program prog = testProgram();
     const std::vector<BatchJob> jobs{
-        {"nested-mispred", &prog, rgidConfig(4, 64), {}}};
+        {"nested-mispred", &prog,
+         specConfig({.streams = 4, .entries = 64}), {}}};
     const std::vector<RunResult> results = BatchRunner(1).run(jobs);
     std::ostringstream os;
     writeStatsJson(os, jobs, results, false);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
 
@@ -13,7 +14,7 @@ TEST(O3Basic, StraightLineProgram)
         add t2, t0, t1
         halt
     )");
-    const RunResult r = runSim(prog, baselineConfig());
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}));
     EXPECT_TRUE(r.halted);
     EXPECT_EQ(r.insts, 4u);
     EXPECT_EQ(r.archRegs[7], 42u);
@@ -31,7 +32,7 @@ TEST(O3Basic, LoopWithPredictableBranch)
         blt t0, t1, loop
         halt
     )");
-    const RunResult r = runSim(prog, baselineConfig());
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}));
     EXPECT_TRUE(r.halted);
     EXPECT_EQ(r.archRegs[7], 4950u);
     // A tight predictable loop on an 8-wide core should exceed IPC 1.
@@ -49,7 +50,7 @@ TEST(O3Basic, StoreLoadForwardingThroughMemory)
         halt
     )");
     Memory mem;
-    const RunResult r = runSim(prog, baselineConfig(), &mem);
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}), &mem);
     EXPECT_EQ(r.archRegs[7], 1234u);
     EXPECT_EQ(r.archRegs[28], 1235u);
     EXPECT_EQ(mem.read64(0x300000), 1234u);
@@ -76,7 +77,7 @@ TEST(O3Basic, MispredictionRecovery)
         blt t0, t1, loop
         halt
     )");
-    const RunResult r = runSim(prog, baselineConfig());
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}));
     EXPECT_EQ(r.archRegs[7], 32u * 3);  // t2
     EXPECT_EQ(r.archRegs[28], 32u * 5); // t3
 }
@@ -97,7 +98,7 @@ TEST(O3Basic, CallReturnThroughRas)
         mul a0, a0, a0
         ret
     )");
-    const RunResult r = runSim(prog, baselineConfig());
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}));
     std::uint64_t expect = 0;
     for (std::uint64_t i = 0; i < 20; ++i)
         expect += i * i;
@@ -132,7 +133,7 @@ TEST(O3Basic, MemoryOrderViolationIsRepaired)
         blt s0, s1, loop
         halt
     )");
-    const RunResult r = runSim(prog, baselineConfig());
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}));
     EXPECT_EQ(r.archRegs[18], 200u * 7);
     EXPECT_GT(r.stats.get("core.memOrderFlushes"), 0.0);
 }
@@ -144,7 +145,8 @@ TEST(O3Basic, MaxInstsTerminates)
         addi t0, t0, 1
         j spin
     )");
-    const RunResult r = runSim(prog, baselineConfig(1000));
+    const RunResult r =
+        runSim(prog, specConfig({.scheme = "none", .maxInsts = 1000}));
     EXPECT_GE(r.insts, 1000u);
     EXPECT_LT(r.insts, 1100u);
 }
@@ -155,7 +157,7 @@ TEST(O3Basic, StatsArePopulated)
         li t0, 1
         halt
     )");
-    const RunResult r = runSim(prog, baselineConfig());
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}));
     EXPECT_TRUE(r.stats.has("core.cycles"));
     EXPECT_TRUE(r.stats.has("core.ipc"));
     EXPECT_TRUE(r.stats.has("l1d.misses"));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
 #include "workloads/micro.hh"
@@ -32,8 +33,9 @@ h2pKernel(unsigned iters)
 TEST(O3Reuse, ReuseEventsOccurAndHelp)
 {
     const isa::Program prog = h2pKernel(1500);
-    const RunResult base = runSim(prog, baselineConfig());
-    const RunResult rgid = runSim(prog, rgidConfig(4, 64));
+    const RunResult base = runSim(prog, specConfig({.scheme = "none"}));
+    const RunResult rgid = runSim(prog,
+                                  specConfig({.streams = 4, .entries = 64}));
     EXPECT_GT(rgid.stats.get("reuse.success"), 500.0);
     EXPECT_GT(rgid.stats.get("reuse.reconvDetected"), 100.0);
     EXPECT_LT(rgid.cycles, base.cycles); // reuse must help here
@@ -53,8 +55,9 @@ TEST(O3Reuse, NoMispredictsNoReuse)
         blt t0, t1, loop
         halt
     )");
-    const RunResult base = runSim(prog, baselineConfig());
-    const RunResult rgid = runSim(prog, rgidConfig(4, 64));
+    const RunResult base = runSim(prog, specConfig({.scheme = "none"}));
+    const RunResult rgid = runSim(prog,
+                                  specConfig({.streams = 4, .entries = 64}));
     EXPECT_EQ(rgid.stats.get("reuse.success"), 0.0);
     // Warmup-only squashes allowed; cycle counts must be near equal.
     EXPECT_NEAR(static_cast<double>(rgid.cycles),
@@ -65,8 +68,10 @@ TEST(O3Reuse, NoMispredictsNoReuse)
 TEST(O3Reuse, MultiStreamFindsMoreReconvergence)
 {
     const isa::Program prog = h2pKernel(1500);
-    const RunResult one = runSim(prog, rgidConfig(1, 64));
-    const RunResult four = runSim(prog, rgidConfig(4, 64));
+    const RunResult one = runSim(prog,
+                                 specConfig({.streams = 1, .entries = 64}));
+    const RunResult four = runSim(prog,
+                                  specConfig({.streams = 4, .entries = 64}));
     // With more streams, distance >= 2 reconvergence appears.
     const double fourDistant = four.stats.get("reuse.distance2") +
                                four.stats.get("reuse.distance3") +
@@ -80,7 +85,8 @@ TEST(O3Reuse, MultiStreamFindsMoreReconvergence)
 TEST(O3Reuse, ReuseNeverExceedsSquashedWork)
 {
     const isa::Program prog = h2pKernel(800);
-    const RunResult r = runSim(prog, rgidConfig(4, 64));
+    const RunResult r = runSim(prog,
+                               specConfig({.streams = 4, .entries = 64}));
     EXPECT_LE(r.stats.get("reuse.success"),
               r.stats.get("core.squashedInsts"));
     // Each detection claims a stream; a stream is re-detectable only
@@ -96,10 +102,10 @@ TEST(O3Reuse, BloomModeAlsoCorrectAndActive)
     workloads::MicroParams params;
     params.iterations = 800;
     const isa::Program prog = workloads::makeNestedMispred(params);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.reuse.useBloomFilter = true;
     const RunResult bloom = runSim(prog, cfg);
-    const RunResult base = runSim(prog, baselineConfig());
+    const RunResult base = runSim(prog, specConfig({.scheme = "none"}));
     EXPECT_GT(bloom.stats.get("reuse.success"), 0.0);
     // With the Bloom filter there is no re-execute verification.
     EXPECT_EQ(bloom.stats.get("core.verifyOk"), 0.0);
@@ -111,10 +117,10 @@ TEST(O3Reuse, RegisterPressureIsHandled)
     // A tiny physical register file forces the policy-(5) reclaim
     // path; results must stay correct.
     const isa::Program prog = h2pKernel(400);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.core.physRegs = 80; // 32 arch + few in flight + reservations
     const RunResult small = runSim(prog, cfg);
-    const RunResult base = runSim(prog, baselineConfig());
+    const RunResult base = runSim(prog, specConfig({.scheme = "none"}));
     EXPECT_TRUE(small.halted);
     EXPECT_EQ(small.archRegs[22], base.archRegs[22]);
     EXPECT_GT(small.stats.get("reuse.pressureReclaims") +
@@ -127,7 +133,7 @@ TEST(O3Reuse, DisablingLoadReuseStillCorrect)
     workloads::WorkloadScale scale;
     scale.graphScale = 6;
     const isa::Program prog = workloads::buildWorkload("bfs", scale);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.reuse.reuseLoads = false;
     const RunResult r = runSim(prog, cfg);
     EXPECT_TRUE(r.halted);
@@ -137,7 +143,7 @@ TEST(O3Reuse, DisablingLoadReuseStillCorrect)
 TEST(O3Reuse, VpnRestrictionCanBeDisabled)
 {
     const isa::Program prog = h2pKernel(400);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.reuse.restrictVpn = false;
     const RunResult r = runSim(prog, cfg);
     EXPECT_TRUE(r.halted);

@@ -14,6 +14,7 @@
 
 #include "common/pipeview.hh"
 #include "driver/batch_runner.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
 #include "test_helpers.hh"
@@ -38,7 +39,8 @@ TEST(PipeView, CountsReconcileExactlyWithCoreAndFunnel)
 {
     const isa::Program prog = squashyProgram();
     PipeView view;
-    const RunResult r = runWithView(prog, rgidConfig(4, 64), view);
+    const RunResult r =
+        runWithView(prog, specConfig({.streams = 4, .entries = 64}), view);
     const PipeView::Counts &c = view.counts();
 
     // Core-side lifecycle counters.
@@ -71,7 +73,9 @@ TEST(PipeView, RecordingDoesNotPerturbSimulation)
 {
     const isa::Program prog = squashyProgram();
     for (const SimConfig &cfg :
-         {rgidConfig(4, 64), baselineConfig(), regIntConfig(64, 2)}) {
+         {specConfig({.streams = 4, .entries = 64}),
+          specConfig({.scheme = "none"}),
+          specConfig({.scheme = "regint", .sets = 64, .ways = 2})}) {
         const RunResult off = runSim(prog, cfg);
         PipeView view;
         const RunResult on = runWithView(prog, cfg, view);
@@ -86,7 +90,7 @@ TEST(PipeView, SalvagedInstructionSkipsReexecution)
 {
     const isa::Program prog = squashyProgram();
     PipeView view;
-    runWithView(prog, rgidConfig(4, 64), view);
+    runWithView(prog, specConfig({.streams = 4, .entries = 64}), view);
 
     std::size_t salvaged = 0, donorsSeen = 0;
     const std::vector<PipeView::Record> rows = view.records();
@@ -121,9 +125,10 @@ TEST(PipeView, SalvagedInstructionSkipsReexecution)
 TEST(PipeView, KanataExportIdenticalAcrossWorkerCounts)
 {
     const isa::Program prog = squashyProgram();
-    const std::vector<SimConfig> cfgs = {rgidConfig(4, 64),
-                                         rgidConfig(1, 32),
-                                         baselineConfig()};
+    const std::vector<SimConfig> cfgs = {
+        specConfig({.streams = 4, .entries = 64}),
+        specConfig({.streams = 1, .entries = 32}),
+        specConfig({.scheme = "none"})};
 
     auto runWith = [&](unsigned workers) {
         std::deque<PipeView> views;
@@ -157,7 +162,7 @@ TEST(PipeView, KanataExportIdenticalAcrossWorkerCounts)
 TEST(PipeView, WindowGatesRecordsButNotCounters)
 {
     const isa::Program prog = squashyProgram();
-    const SimConfig cfg = rgidConfig(4, 64);
+    const SimConfig cfg = specConfig({.streams = 4, .entries = 64});
 
     PipeView full;
     const RunResult r = runWithView(prog, cfg, full);
@@ -208,7 +213,8 @@ TEST(PipeView, KanataOutputShape)
 {
     const isa::Program prog = squashyProgram(100);
     PipeView view;
-    const RunResult r = runWithView(prog, rgidConfig(4, 64), view);
+    const RunResult r =
+        runWithView(prog, specConfig({.streams = 4, .entries = 64}), view);
     ASSERT_GT(r.funnel.reused, 0u);
 
     std::ostringstream os;

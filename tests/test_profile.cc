@@ -1,6 +1,6 @@
 /**
- * Per-PC profiler: PcMap container semantics, BranchRecord partner /
- * distance bookkeeping, and -- the load-bearing part -- exact
+ * Per-PC profiler: BranchRecord partner / distance bookkeeping, and
+ * -- the load-bearing part -- exact
  * reconciliation of the per-PC totals against the core's global
  * counters (no "other" PC bucket) on the cosim sweep workloads, plus
  * the guarantee that profiling never perturbs the simulation itself.
@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/profile.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "workloads/registry.hh"
 
@@ -38,62 +39,6 @@ profileKillSum(const PcProfile &p)
 }
 
 } // namespace
-
-TEST(PcMap, InsertFindGrowSorted)
-{
-    PcMap<ReconvRecord> map;
-    // 300 PCs force several doublings past the 64-slot initial table.
-    for (Addr pc = 0x1000; pc < 0x1000 + 300 * InstBytes; pc += InstBytes)
-        map.at(pc).detections = pc;
-    EXPECT_EQ(map.size(), 300u);
-
-    for (Addr pc = 0x1000; pc < 0x1000 + 300 * InstBytes; pc += InstBytes) {
-        const ReconvRecord *r = map.find(pc);
-        ASSERT_NE(r, nullptr) << std::hex << pc;
-        EXPECT_EQ(r->detections, pc);
-    }
-    EXPECT_EQ(map.find(0x0ffc), nullptr);
-    EXPECT_EQ(map.find(0x1000 + 300 * InstBytes), nullptr);
-
-    // at() on an existing key must not re-insert.
-    map.at(0x1000).sessions = 7;
-    EXPECT_EQ(map.size(), 300u);
-    EXPECT_EQ(map.find(0x1000)->detections, 0x1000u);
-
-    const std::vector<const ReconvRecord *> sorted = map.sortedByPc();
-    ASSERT_EQ(sorted.size(), 300u);
-    for (std::size_t i = 1; i < sorted.size(); ++i)
-        EXPECT_LT(sorted[i - 1]->pc, sorted[i]->pc);
-}
-
-TEST(PcMap, Pc0IsTheEmptySentinel)
-{
-    PcMap<ReconvRecord> map;
-    EXPECT_THROW(map.at(0), SimPanic);
-    EXPECT_EQ(map.find(0), nullptr);
-}
-
-TEST(PcMap, EqualityIsOrderIndependent)
-{
-    PcMap<BranchRecord> a, b;
-    // Different insertion orders (and thus different probe layouts
-    // after growth) must still compare equal.
-    for (Addr pc = 0x1000; pc < 0x1000 + 100 * InstBytes; pc += InstBytes)
-        a.at(pc).mispredicts = pc;
-    for (Addr pc = 0x1000 + 99 * InstBytes;; pc -= InstBytes) {
-        b.at(pc).mispredicts = pc;
-        if (pc == 0x1000)
-            break;
-    }
-    EXPECT_TRUE(a == b);
-
-    b.at(0x1000).mispredicts = 999;
-    EXPECT_FALSE(a == b);
-    b.at(0x1000).mispredicts = 0x1000;
-    EXPECT_TRUE(a == b);
-    b.at(0x2000 + 100 * InstBytes); // extra key
-    EXPECT_FALSE(a == b);
-}
 
 TEST(BranchRecord, SpaceSavingPartners)
 {
@@ -168,7 +113,9 @@ TEST(Profile, ReconciliationIsExact)
 {
     const isa::Program prog = sweepProgram();
     for (SimConfig cfg :
-         {rgidConfig(1, 16), rgidConfig(2, 64), rgidConfig(4, 128)}) {
+         {specConfig({.streams = 1, .entries = 16}),
+          specConfig({.streams = 2, .entries = 64}),
+          specConfig({.streams = 4, .entries = 128})}) {
         cfg.profiling = true;
         const RunResult r = runSim(prog, cfg);
         const PcProfile &p = r.profile;
@@ -214,15 +161,15 @@ TEST(Profile, ReconciliationIsExact)
 
         // Each branch's own mini funnel obeys the stage algebra.
         ASSERT_GT(r.funnel.reused, 0u) << what;
-        for (const BranchRecord *b : p.branches().sortedByPc())
-            EXPECT_TRUE(b->funnel().monotonic())
-                << what << " pc " << std::hex << b->pc;
+        for (const auto &[pc, b] : p.branches())
+            EXPECT_TRUE(b.funnel().monotonic())
+                << what << " pc " << std::hex << pc;
     }
 }
 
 TEST(Profile, BaselineAttributesSquashesOnly)
 {
-    SimConfig cfg = baselineConfig();
+    SimConfig cfg = specConfig({.scheme = "none"});
     cfg.profiling = true;
     const RunResult r = runSim(sweepProgram(), cfg);
     const PcProfile &p = r.profile;
@@ -241,7 +188,8 @@ TEST(Profile, BaselineAttributesSquashesOnly)
 TEST(Profile, ProfilingDoesNotPerturbTheRun)
 {
     const isa::Program prog = sweepProgram();
-    for (SimConfig cfg : {baselineConfig(), rgidConfig(4, 64)}) {
+    for (SimConfig cfg : {specConfig({.scheme = "none"}),
+                          specConfig({.streams = 4, .entries = 64})}) {
         cfg.profiling = false;
         const RunResult off = runSim(prog, cfg);
         EXPECT_TRUE(off.profile.empty());
@@ -261,7 +209,7 @@ TEST(Profile, ProfilingDoesNotPerturbTheRun)
 
 TEST(Profile, JsonAndFoldedExports)
 {
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.profiling = true;
     const RunResult r = runSim(sweepProgram(), cfg);
 

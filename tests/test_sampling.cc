@@ -25,6 +25,7 @@
 #include "common/metrics.hh"
 #include "common/pipeview.hh"
 #include "common/serialize.hh"
+#include "driver/job_spec.hh"
 #include "driver/sampled_runner.hh"
 #include "driver/sim_runner.hh"
 #include "sim/checkpoint.hh"
@@ -93,12 +94,13 @@ expectRunIdentical(const RunResult &a, const RunResult &b,
 std::vector<BatchJob>
 designPoints(const isa::Program &prog)
 {
-    SimConfig bimodal = rgidConfig(4, 64);
+    SimConfig bimodal = specConfig({.streams = 4, .entries = 64});
     bimodal.core.predictor = BranchPredictorKind::Bimodal;
     std::vector<BatchJob> jobs = {
-        {"none", &prog, baselineConfig(), {}},
-        {"rgid", &prog, rgidConfig(4, 64), {}},
-        {"regint", &prog, regIntConfig(64, 4), {}},
+        {"none", &prog, specConfig({.scheme = "none"}), {}},
+        {"rgid", &prog, specConfig({.streams = 4, .entries = 64}), {}},
+        {"regint", &prog,
+         specConfig({.scheme = "regint", .sets = 64, .ways = 4}), {}},
         {"bimodal", &prog, bimodal, {}},
     };
     for (BatchJob &j : jobs) {
@@ -267,7 +269,7 @@ TEST(Sampling, SampledScanCountsStoreMissesAndHits)
     const std::string dir = testing::TempDir() + "mssr_sample_store_metrics";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.samplePeriod = 4000;
     cfg.sampleWindow = 500;
     const std::vector<BatchJob> jobs{{"s", &prog, cfg, {}}};
@@ -355,7 +357,8 @@ TEST(Sampling, WarmCachesReplayChangesTimingNotArchitecture)
     const Checkpoint ck = computeCheckpoint(prog, 4000);
     ASSERT_GT(ck.memHist.size(), 0u);
 
-    SimConfig cold = rgidConfig(4, 64, /*max_insts=*/1500);
+    SimConfig cold = specConfig(
+        {.streams = 4, .entries = 64, .maxInsts = 1500});
     cold.fastForwardInsts = 4000;
     cold.checkpoint = &ck;
     cold.warmBpu = true;
@@ -382,7 +385,7 @@ TEST(Sampling, SampledRunIsByteIdenticalAcrossWorkerCounts)
     const isa::Program prog = testProgram();
     std::vector<BatchJob> jobs;
     for (const unsigned streams : {2u, 4u}) {
-        SimConfig cfg = rgidConfig(streams, 64);
+        SimConfig cfg = specConfig({.streams = streams, .entries = 64});
         cfg.samplePeriod = 4000;
         cfg.sampleWindow = 500;
         jobs.push_back({"s" + std::to_string(streams), &prog, cfg, {}});
@@ -402,7 +405,7 @@ TEST(Sampling, SampledRunIsByteIdenticalAcrossWorkerCounts)
 TEST(Sampling, SampledMergeInvariantsHold)
 {
     const isa::Program prog = testProgram();
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.samplePeriod = 4000;
     cfg.sampleWindow = 500;
     const SampledRunResult r =
@@ -536,7 +539,7 @@ TEST(Sampling, DrainedJobIsNeitherMergedNorReported)
     scale.iterations = 20000;
     const isa::Program prog =
         workloads::buildWorkload("nested-mispred", scale);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.samplePeriod = 10000;
     cfg.sampleWindow = 2000;
     ASSERT_EQ(buildSampleSchedule(prog, cfg.samplePeriod).windows(), 200u);
@@ -570,7 +573,7 @@ TEST(Sampling, SampledRunRejectsUnsupportedConfigs)
 {
     const isa::Program prog = testProgram();
     auto sampled = [&](auto mutate) {
-        SimConfig cfg = rgidConfig(4, 64);
+        SimConfig cfg = specConfig({.streams = 4, .entries = 64});
         cfg.samplePeriod = 4000;
         cfg.sampleWindow = 500;
         mutate(cfg);

@@ -16,6 +16,7 @@
 #include "common/mini_json.hh"
 #include "common/pipeview.hh"
 #include "driver/batch_runner.hh"
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "isa/assembler.hh"
 #include "test_helpers.hh"
@@ -120,7 +121,7 @@ TEST(Tracer, ChromeJsonParsesBack)
 {
     const isa::Program prog = squashyProgram();
     PipeView tracer(TraceOnly);
-    SimConfig cfg = rgidConfig(4, 64);
+    SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     cfg.pipeview = &tracer;
     runSim(prog, cfg);
     ASSERT_GT(tracer.recorded(), 0u);
@@ -219,8 +220,10 @@ TEST(Tracer, EventStreamIdenticalAcrossWorkerCounts)
     // runs sequentially or on 4 workers.
     const isa::Program prog = squashyProgram();
     const std::vector<SimConfig> cfgs = {
-        rgidConfig(4, 64), rgidConfig(1, 32), baselineConfig(),
-        regIntConfig(64, 2)};
+        specConfig({.streams = 4, .entries = 64}),
+        specConfig({.streams = 1, .entries = 32}),
+        specConfig({.scheme = "none"}),
+        specConfig({.scheme = "regint", .sets = 64, .ways = 2})};
 
     auto runWith = [&](unsigned workers, std::deque<PipeView> &tracers) {
         std::vector<BatchJob> jobs;
@@ -254,7 +257,7 @@ TEST(Tracer, TracingDoesNotPerturbSimulation)
     // Bit-identical architectural results and counters with recording
     // off, holding every event, and in a ring that wraps.
     const isa::Program prog = squashyProgram(3000);
-    const SimConfig cfg = rgidConfig(4, 64);
+    const SimConfig cfg = specConfig({.streams = 4, .entries = 64});
 
     const RunResult off = runSim(prog, cfg);
 
@@ -286,7 +289,7 @@ TEST(Tracer, WindowHoldsEventsOfInstructionsFetchedInIt)
     // fetched in [start, end); an instruction-less event when its
     // cycle is. The unwindowed run's rows give every fetch cycle.
     const isa::Program prog = squashyProgram();
-    const SimConfig cfg = rgidConfig(4, 64);
+    const SimConfig cfg = specConfig({.streams = 4, .entries = 64});
     PipeView all(KanataAndTrace);
     SimConfig allCfg = cfg;
     allCfg.pipeview = &all;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/job_spec.hh"
 #include "driver/sim_runner.hh"
 #include "sim/func_emu.hh"
 #include "workloads/micro.hh"
@@ -59,7 +60,7 @@ TEST(Workloads, EveryWorkloadRunsToHalt)
 
 TEST(Workloads, H2PKernelsMispredictHeavily)
 {
-    SimConfig cfg = baselineConfig();
+    SimConfig cfg = specConfig({.scheme = "none"});
     for (const std::string name : {"gobmk", "astar", "leela"}) {
         const isa::Program prog = buildWorkload(name, smallScale());
         const RunResult r = runSim(prog, cfg);
@@ -71,14 +72,14 @@ TEST(Workloads, H2PKernelsMispredictHeavily)
 TEST(Workloads, Exchange2IsPredictable)
 {
     const isa::Program prog = buildWorkload("exchange2", smallScale());
-    const RunResult r = runSim(prog, baselineConfig());
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}));
     EXPECT_LT(r.stats.get("core.condMispredictRate"), 0.02);
 }
 
 TEST(Workloads, McfIsMemoryBound)
 {
     const isa::Program prog = buildWorkload("mcf", smallScale());
-    const RunResult r = runSim(prog, baselineConfig());
+    const RunResult r = runSim(prog, specConfig({.scheme = "none"}));
     // Pointer chase over 4MB: L2 misses dominate and IPC collapses.
     EXPECT_GT(r.stats.get("l2.misses"), 100.0);
     EXPECT_LT(r.ipc, 0.5);
@@ -89,7 +90,8 @@ TEST(Workloads, XzProducesVerificationTraffic)
     SpecParams params;
     params.iterations = 600;
     const isa::Program prog = makeXzLike(params);
-    const RunResult r = runSim(prog, rgidConfig(4, 64));
+    const RunResult r = runSim(prog,
+                               specConfig({.streams = 4, .entries = 64}));
     // Reused loads exist, and some verifications fail because the
     // match loop's stores alias them (paper section 4.1.1 on xz).
     EXPECT_GT(r.stats.get("reuse.loadsReused"), 0.0);
@@ -103,9 +105,11 @@ TEST(Workloads, MicroVariantsDifferInResolutionOrder)
     MicroParams params;
     params.iterations = 1500;
     const RunResult nested =
-        runSim(makeNestedMispred(params), rgidConfig(4, 64));
+        runSim(makeNestedMispred(params),
+               specConfig({.streams = 4, .entries = 64}));
     const RunResult linear =
-        runSim(makeLinearMispred(params), rgidConfig(4, 64));
+        runSim(makeLinearMispred(params),
+               specConfig({.streams = 4, .entries = 64}));
     // Both variants reuse; nested-mispred (out-of-order resolution)
     // must exhibit hardware-induced reconvergence.
     EXPECT_GT(nested.stats.get("reuse.reconvHardware"), 0.0);

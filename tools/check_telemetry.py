@@ -8,11 +8,9 @@ Validates a `--metrics-out` / MSSR_METRICS_OUT Prometheus textfile:
    line and its samples form one group, label values escape backslash,
    double quote and newline, values are finite numbers, and histogram
    bucket counts are cumulative and end in +Inf == _count.
-2. Every expected mssr_* metric family is present (the mssr_pool_*
-   families only when the run built a thread pool — sequential runs
-   legitimately omit them, but a run exposing any must expose all).
-   With --stats the file is a `mssr_run --stats-out X.prom` file
-   instead, and the six stats families are expected.
+2. Every expected mssr_* metric family is present. With --stats the
+   file is a `mssr_run --stats-out X.prom` file instead, and the six
+   stats families are expected.
 3. With --bench BENCH_batch.json, the end-of-run counters reconcile
    EXACTLY with the final report: jobs done == number of result
    records, total instructions == sum of per-record "insts", and
@@ -53,16 +51,6 @@ STATS_FAMILIES = [
     "mssr_cpi_slots",
     "mssr_funnel_stage",
     "mssr_funnel_kills",
-]
-
-# Registered only when a thread pool is actually built; a sequential
-# batch (one job, or one hardware core) legitimately has none of them,
-# but a pooled run must expose all four.
-POOL_FAMILIES = [
-    "mssr_pool_workers",
-    "mssr_pool_busy_workers",
-    "mssr_pool_queue_depth",
-    "mssr_pool_tasks_total",
 ]
 
 
@@ -192,12 +180,6 @@ def main():
         if family not in types:
             errors.append("%s: expected metric family %s is missing"
                           % (args.prom_file, family))
-    if any(f in types for f in POOL_FAMILIES):
-        for family in POOL_FAMILIES:
-            if family not in types:
-                errors.append("%s: pooled run exposes some mssr_pool_* "
-                              "families but %s is missing"
-                              % (args.prom_file, family))
     if args.bench:
         errors += reconcile(args.prom_file, samples, args.bench)
 

@@ -302,6 +302,15 @@ slotCycles(std::uint64_t slots, unsigned width)
     return width ? slots / width : 0;
 }
 
+/** The record for @p pc in @p records, or null when there is none. */
+template <typename Record>
+const Record *
+recordOf(const std::map<Addr, Record> &records, Addr pc)
+{
+    const auto it = records.find(pc);
+    return it == records.end() ? nullptr : &it->second;
+}
+
 /** Recovery slots of both kinds over a profile's branch records. */
 std::uint64_t
 recoverySlots(const PcProfile &p)
@@ -325,7 +334,9 @@ printProfile(const ProfileRun &r, unsigned topn)
               << squashed << " insts squashed, " << recCycles
               << " recovery cycles, " << salvaged << " insts reused\n\n";
 
-    std::vector<const BranchRecord *> hot = r.profile.branches().sortedByPc();
+    std::vector<const BranchRecord *> hot;
+    for (const auto &[pc, b] : r.profile.branches())
+        hot.push_back(&b);
     std::sort(hot.begin(), hot.end(),
               [](const BranchRecord *a, const BranchRecord *b) {
                   if (a->recoverySlots() != b->recoverySlots())
@@ -357,8 +368,9 @@ printProfile(const ProfileRun &r, unsigned topn)
     }
     branches.print(std::cout);
 
-    std::vector<const ReconvRecord *> points =
-        r.profile.reconvs().sortedByPc();
+    std::vector<const ReconvRecord *> points;
+    for (const auto &[pc, p] : r.profile.reconvs())
+        points.push_back(&p);
     std::sort(points.begin(), points.end(),
               [](const ReconvRecord *a, const ReconvRecord *b) {
                   if (a->instsSalvaged != b->instsSalvaged)
@@ -410,11 +422,11 @@ printProfileDiff(const ProfileRun &base, const ProfileRun &mssr,
         std::int64_t recovered() const { return baseCy - mssrCy + salvagedCy; }
     };
     std::vector<Row> rows;
-    for (const BranchRecord *b : base.profile.branches().sortedByPc()) {
-        const BranchRecord *m = mssr.profile.branches().find(b->pc);
-        rows.push_back({b->pc,
+    for (const auto &[pc, b] : base.profile.branches()) {
+        const BranchRecord *m = recordOf(mssr.profile.branches(), pc);
+        rows.push_back({pc,
                         static_cast<std::int64_t>(
-                            slotCycles(b->recoverySlots(), base.width)),
+                            slotCycles(b.recoverySlots(), base.width)),
                         static_cast<std::int64_t>(slotCycles(
                             m ? m->recoverySlots() : 0, mssr.width)),
                         static_cast<std::int64_t>(slotCycles(
@@ -422,14 +434,14 @@ printProfileDiff(const ProfileRun &base, const ProfileRun &mssr,
                         m ? m->reused : 0,
                         m ? m->squashedInsts : 0});
     }
-    for (const BranchRecord *m : mssr.profile.branches().sortedByPc())
-        if (!base.profile.branches().find(m->pc))
-            rows.push_back({m->pc, 0,
+    for (const auto &[pc, m] : mssr.profile.branches())
+        if (!base.profile.branches().contains(pc))
+            rows.push_back({pc, 0,
                             static_cast<std::int64_t>(slotCycles(
-                                m->recoverySlots(), mssr.width)),
+                                m.recoverySlots(), mssr.width)),
                             static_cast<std::int64_t>(
-                                slotCycles(m->reused, mssr.width)),
-                            m->reused, m->squashedInsts});
+                                slotCycles(m.reused, mssr.width)),
+                            m.reused, m.squashedInsts});
 
     std::int64_t recoveredTotal = 0, deltaTotal = 0, salvagedTotal = 0;
     for (const Row &row : rows) {
@@ -493,8 +505,8 @@ annotate(const ProfileRun &r, const std::string &prog_name,
         std::string line = hexPc(pc);
         line.resize(std::max<std::size_t>(line.size() + 2, 10), ' ');
         line += isa::disasm(prog.instAt(pc), pc);
-        const BranchRecord *b = r.profile.branches().find(pc);
-        const ReconvRecord *p = r.profile.reconvs().find(pc);
+        const BranchRecord *b = recordOf(r.profile.branches(), pc);
+        const ReconvRecord *p = recordOf(r.profile.reconvs(), pc);
         if (b || p)
             line.resize(std::max<std::size_t>(line.size() + 2, 34), ' ');
         if (b) {
@@ -519,28 +531,28 @@ annotate(const ProfileRun &r, const std::string &prog_name,
     auto outside = [&](Addr pc) {
         return !(pc >= prog.codeBase() && pc < prog.codeEnd());
     };
-    for (const BranchRecord *b : r.profile.branches().sortedByPc()) {
-        if (!outside(b->pc))
+    for (const auto &[pc, b] : r.profile.branches()) {
+        if (!outside(pc))
             continue;
         if (!outsideHeader) {
             std::cout << "records outside the code image "
                          "(wrong-path fetch):\n";
             outsideHeader = true;
         }
-        std::cout << "  " << hexPc(b->pc) << " squash "
-                  << count(b->squashedInsts) << ", reused "
-                  << count(b->reused) << "\n";
+        std::cout << "  " << hexPc(pc) << " squash "
+                  << count(b.squashedInsts) << ", reused "
+                  << count(b.reused) << "\n";
     }
-    for (const ReconvRecord *p : r.profile.reconvs().sortedByPc()) {
-        if (!outside(p->pc))
+    for (const auto &[pc, p] : r.profile.reconvs()) {
+        if (!outside(pc))
             continue;
         if (!outsideHeader) {
             std::cout << "records outside the code image "
                          "(wrong-path fetch):\n";
             outsideHeader = true;
         }
-        std::cout << "  " << hexPc(p->pc) << " reconv, salvaged "
-                  << count(p->instsSalvaged) << "\n";
+        std::cout << "  " << hexPc(pc) << " reconv, salvaged "
+                  << count(p.instsSalvaged) << "\n";
     }
 }
 
